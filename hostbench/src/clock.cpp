@@ -1,5 +1,7 @@
 #include "clock.h"
 
+#include <time.h>
+
 #include <chrono>
 
 namespace hb {
@@ -10,6 +12,13 @@ hw::TimeNs host_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - origin)
           .count());
+}
+
+hw::TimeNs thread_cpu_ns() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<hw::TimeNs>(ts.tv_sec) * 1'000'000'000 +
+         static_cast<hw::TimeNs>(ts.tv_nsec);
 }
 
 }  // namespace hb
