@@ -1,20 +1,14 @@
 /// \file bench_ablation_revalidator.cpp
-/// Ablation A9: coalesced revalidation vs per-event revalidation under
-/// FlowMod *bursts*, swept over burst size × cache fill — plus the
-/// subtable prefilter on top of the coalesced drain.
+/// Ablation A9: the coalesced revalidator's drain cost under FlowMod
+/// *bursts*, swept over burst size × cache fill, with and without the
+/// subtable prefilter.
 ///
-/// PR 2 made revalidation precise (only suspect entries are re-checked),
-/// but every drained event still ran its own O(cache) suspect scan, so a
-/// controller burst of N FlowMods cost N full passes over the megaflow
-/// cache — the hidden O(burst × entries) term that made the A8
-/// precise-vs-flush comparison dishonest on full caches. The coalescing
-/// drain folds the whole burst into one plan (DELETE rule-id sets
+/// The drain folds the whole burst into one plan (DELETE rule-id sets
 /// unioned, overlapping ADD matches merged by containment) and charges
-/// ONE pass, per entry examined plus per merged-ADD term tested. The gap
-/// between the per-event and coalesced columns is exactly the coalescing
-/// win, and it grows linearly with burst size.
+/// ONE pass over the megaflow cache, per entry examined plus per
+/// merged-ADD term tested — flat in burst size.
 ///
-/// The third mode adds the per-subtable counting-Bloom prefilter: before
+/// The second mode adds the per-subtable counting-Bloom prefilter: before
 /// scanning a subtable's entries the drain asks the Bloom whether any
 /// removed rule id could live there and whether any merged ADD term's
 /// exact-field values could intersect any entry. The measured traffic
@@ -26,18 +20,17 @@
 /// `reval_entries_scanned` to ~zero while the unfiltered coalesced drain
 /// still walks the full cache.
 ///
-/// Methodology: the classifier is driven directly (no chain topology);
-/// the EMC is disabled so the megaflow tier's drain cost is isolated;
-/// cost is virtual cycles from exec::CostModel, identical to what the
-/// forwarding engine charges. The burst is controller-shaped: one broad
-/// /16 aggregate plus narrow /24 specifics beneath it (they merge into a
-/// compact plan) alternated with strict deletes recycling earlier rules,
-/// all on a port the measured traffic never enters — so no mode takes
-/// suspects and the columns compare pure scan cost. `--smoke` runs the
-/// reduced sweep and the binary exits non-zero if (a) the coalesced
-/// drain fails to beat per-event by >= 1.5x at 64-FlowMod bursts on the
-/// >= 4k-entry cache, or (b) the prefilter fails to cut the coalesced
-/// drain's `reval_entries_scanned` by >= 2x there.
+/// Methodology: the classifier is driven directly (no chain topology),
+/// one key per lookup; the EMC is disabled so the megaflow tier's drain
+/// cost is isolated; cost is virtual cycles from exec::CostModel. The
+/// burst is controller-shaped: one broad /16 aggregate plus narrow /24
+/// specifics beneath it (they merge into a compact plan) alternated with
+/// strict deletes recycling earlier rules, all on a port the measured
+/// traffic never enters — so no mode takes suspects and the columns
+/// compare pure scan cost. `--smoke` runs the reduced sweep and the
+/// binary exits non-zero if the prefilter fails to cut the coalesced
+/// drain's `reval_entries_scanned` by >= 2x at 64-FlowMod bursts on the
+/// >= 4k-entry cache.
 
 #include <benchmark/benchmark.h>
 
@@ -71,8 +64,8 @@ constexpr PortId kChurnPort = 7;  ///< the burst lands here, not on traffic
 bool g_smoke = false;
 std::uint64_t g_rounds = 24;
 
-enum Mode : std::int64_t { kPerEvent = 0, kCoalesced = 1, kCoalescedPf = 2 };
-constexpr std::int64_t kModeCount = 3;
+enum Mode : std::int64_t { kCoalesced = 0, kCoalescedPf = 1 };
+constexpr std::int64_t kModeCount = 2;
 
 /// Rule set shaped so every traffic flow carves its own megaflow entry:
 /// high-priority exact-ip_dst rules on the churn port are examined first
@@ -126,7 +119,7 @@ void install_base_rules(FlowTable& table) {
 /// the first mod installs (or round-robin deletes) a broad /16
 /// aggregate, the rest narrow /24 specifics beneath it. None of them
 /// can intersect the traffic megaflows (different in_port, different
-/// ip_dst subnet), so both modes pay pure suspect-scan cost.
+/// ip_dst subnet), so every mode pays pure suspect-scan cost.
 void apply_burst(FlowTable& table, std::uint32_t burst, std::uint64_t round) {
   for (std::uint32_t i = 0; i < burst; ++i) {
     FlowMod mod;
@@ -167,13 +160,13 @@ std::vector<pkt::FlowKey> make_flows(std::uint32_t count, Rng& rng) {
 struct Row {
   std::uint32_t fill = 0;
   std::uint32_t burst = 0;
-  double drain_cyc[kModeCount] = {0, 0, 0};   ///< cycles per drain, per Mode
-  double scanned[kModeCount] = {0, 0, 0};     ///< entries scanned per drain
-  double scan_passes[kModeCount] = {0, 0, 0}; ///< suspect-scan passes per drain
+  double drain_cyc[kModeCount] = {0, 0};   ///< cycles per drain, per Mode
+  double scanned[kModeCount] = {0, 0};     ///< entries scanned per drain
+  double scan_passes[kModeCount] = {0, 0}; ///< suspect-scan passes per drain
   double skipped = 0;               ///< subtables skipped per drain (pf mode)
   std::uint64_t coalesced = 0;      ///< events folded (coalesced mode)
   std::size_t subtables = 0;        ///< distinct megaflow subtables at fill
-  double hit_rate[kModeCount] = {0, 0, 0};    ///< steady megaflow hit-rate
+  double hit_rate[kModeCount] = {0, 0};    ///< steady megaflow hit-rate
 };
 std::vector<Row> g_rows;
 
@@ -203,7 +196,6 @@ void BM_Revalidator(benchmark::State& state) {
 
   DpClassifierConfig config;
   config.emc_enabled = false;  // isolate the megaflow tier's drain cost
-  config.megaflow.coalesce_revalidation = mode != kPerEvent;
   config.megaflow.subtable_prefilter = mode == kCoalescedPf;
   config.megaflow.revalidator_queue_limit = 2 * burst + 8;
 
@@ -319,21 +311,14 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   std::printf(
-      "\n=== A9: per-event vs coalesced vs coalesced+prefilter revalidation "
-      "under FlowMod bursts ===\n");
+      "\n=== A9: coalesced vs coalesced+prefilter revalidation under "
+      "FlowMod bursts ===\n");
   std::printf(
-      "%-6s %-6s %-5s | %-12s %-12s %-12s %-8s | %-10s %-10s %-10s %-8s "
-      "%-9s\n",
-      "fill", "burst", "subt", "per-evt cyc", "coalesced", "coal+pf",
-      "speedup", "pe scanned", "co scanned", "pf scanned", "pf cut",
-      "pf skips");
-  double gate_speedup = -1;
+      "%-6s %-6s %-5s | %-12s %-12s | %-10s %-10s %-8s %-9s\n", "fill",
+      "burst", "subt", "coalesced", "coal+pf", "co scanned", "pf scanned",
+      "pf cut", "pf skips");
   double gate_scan_cut = -1;
   for (const auto& row : g_rows) {
-    const double speedup = row.drain_cyc[kCoalesced] > 0
-                               ? row.drain_cyc[kPerEvent] /
-                                     row.drain_cyc[kCoalesced]
-                               : 0.0;
     const double scan_cut =
         row.scanned[kCoalescedPf] > 0
             ? row.scanned[kCoalesced] / row.scanned[kCoalescedPf]
@@ -345,36 +330,21 @@ int main(int argc, char** argv) {
       std::snprintf(cut_text, sizeof(cut_text), "%.0fx", scan_cut);
     }
     std::printf(
-        "%-6u %-6u %-5zu | %-12.0f %-12.0f %-12.0f %-8.1f | %-10.0f %-10.0f "
-        "%-10.0f %-8s %-9.1f\n",
-        row.fill, row.burst, row.subtables, row.drain_cyc[kPerEvent],
-        row.drain_cyc[kCoalesced], row.drain_cyc[kCoalescedPf], speedup,
-        row.scanned[kPerEvent], row.scanned[kCoalesced],
+        "%-6u %-6u %-5zu | %-12.0f %-12.0f | %-10.0f %-10.0f %-8s %-9.1f\n",
+        row.fill, row.burst, row.subtables, row.drain_cyc[kCoalesced],
+        row.drain_cyc[kCoalescedPf], row.scanned[kCoalesced],
         row.scanned[kCoalescedPf], cut_text, row.skipped);
-    if (row.fill >= 4096 && row.burst == 64) {
-      gate_speedup = speedup;
-      gate_scan_cut = scan_cut;
-    }
+    if (row.fill >= 4096 && row.burst == 64) gate_scan_cut = scan_cut;
   }
   std::printf(
-      "\nPer-event revalidation runs one O(entries) suspect scan per\n"
-      "drained FlowMod, so a burst of N costs N passes; the coalescing\n"
-      "drain folds the burst into one plan (DELETE ids unioned, ADD masks\n"
-      "merged by containment) and scans the cache once — flat in burst\n"
-      "size, charged per entry examined plus per merged-ADD term tested.\n"
-      "The prefilter then asks each subtable's counting-Bloom summary\n"
-      "whether any plan term could touch it at all: churn on ports the\n"
-      "traffic never uses skips every subtable, so the scan examines\n"
-      "~zero entries regardless of fill.\n");
+      "\nThe coalescing drain folds a FlowMod burst into one plan (DELETE\n"
+      "ids unioned, ADD masks merged by containment) and scans the cache\n"
+      "once — flat in burst size, charged per entry examined plus per\n"
+      "merged-ADD term tested. The prefilter then asks each subtable's\n"
+      "counting-Bloom summary whether any plan term could touch it at\n"
+      "all: churn on ports the traffic never uses skips every subtable,\n"
+      "so the scan examines ~zero entries regardless of fill.\n");
   bool ok = true;
-  if (gate_speedup >= 0) {
-    const bool pass = gate_speedup >= 1.5;
-    std::printf(
-        "acceptance: coalesced >= 1.5x per-event drain cost at 64-mod "
-        "bursts on a >=4k-entry cache: %.1fx -> %s\n",
-        gate_speedup, pass ? "PASS" : "FAIL");
-    ok = ok && pass;
-  }
   if (gate_scan_cut >= 0) {
     const bool pass = gate_scan_cut >= 2.0;
     if (gate_scan_cut >= 1e9) {

@@ -1,12 +1,9 @@
 /// \file bench_ablation_signature.cpp
-/// Ablation A9: signature-accelerated + batched megaflow classification
-/// against the scalar linear-compare baseline, swept over flow count
-/// (which drives entries per subtable) × mask diversity — now as a
-/// five-step ladder that separates every acceleration the megaflow tier
-/// stacks on top of the linear scan:
+/// Ablation A9: signature-accelerated + batched megaflow classification,
+/// swept over flow count (which drives entries per subtable) × mask
+/// diversity — a four-step ladder that separates every acceleration the
+/// megaflow tier stacks on top of the portable signature scan:
 ///
-///   * linear     — no signature array: every candidate entry of a probed
-///                  subtable pays a full masked compare;
 ///   * sig-scalar — 16-bit signature array scanned with the portable
 ///                  scalar loop (`sig_scan_mode = kScalar`), full
 ///                  compares only on fingerprint matches;
@@ -20,16 +17,17 @@
 ///                  subtable over the whole batch, rank dispatch and
 ///                  EWMA accounting amortized — the full pipeline.
 ///
+/// The first three rungs classify one key per lookup (a batch of one).
+///
 /// Methodology: the classifier is driven directly (no chain topology);
 /// the EMC is disabled so the megaflow tier is isolated; cost is virtual
-/// cycles from exec::CostModel, identical to what the forwarding engine
-/// charges per packet. `--smoke` runs a reduced sweep (CI: exercise the
-/// path, don't measure it); in every run the binary exits non-zero if
-/// (a) sig+batch fails to reach >= 1.5x the linear throughput, or
-/// (b) the SIMD scan fails to reach >= 1.5x the scalar signature scan
-/// (skipped with a note when this binary has no SIMD backend compiled
-/// in, e.g. -DHW_FORCE_SCALAR=ON), on the >= 8 masks × >= 4k flows
-/// configurations.
+/// cycles from exec::CostModel. `--smoke` runs a reduced sweep (CI:
+/// exercise the path, don't measure it); in every run the binary exits
+/// non-zero if (a) sig+batch fails to reach >= 1.5x the sig-scalar
+/// throughput, or (b) the SIMD scan fails to reach >= 1.5x the scalar
+/// signature scan (skipped with a note when this binary has no SIMD
+/// backend compiled in, e.g. -DHW_FORCE_SCALAR=ON), on the >= 8 masks ×
+/// >= 4k flows configurations.
 
 #include <benchmark/benchmark.h>
 
@@ -68,16 +66,14 @@ std::uint64_t g_lookups = 200'000;
 bool g_smoke = false;
 
 enum Mode : std::int64_t {
-  kLinear = 0,
-  kSigScalar = 1,
-  kSigSimd = 2,
-  kSimdPrefilter = 3,
-  kSigBatch = 4,
+  kSigScalar = 0,
+  kSigSimd = 1,
+  kSimdPrefilter = 2,
+  kSigBatch = 3,
 };
-constexpr std::int64_t kModeCount = 5;
-constexpr const char* kModeNames[kModeCount] = {"linear", "sig-scalar",
-                                                "sig-simd", "simd+pf",
-                                                "sig+batch"};
+constexpr std::int64_t kModeCount = 4;
+constexpr const char* kModeNames[kModeCount] = {"sig-scalar", "sig-simd",
+                                                "simd+pf", "sig+batch"};
 
 /// One distinct match shape per mask-diversity step (salted so rules
 /// within a shape stay distinct) — same population as ablation A7.
@@ -154,7 +150,7 @@ std::vector<pkt::FlowKey> make_flows(std::uint32_t count, Rng& rng) {
 struct Row {
   std::uint32_t flows = 0;
   std::uint32_t masks = 0;
-  double cyc[kModeCount] = {0, 0, 0, 0, 0};  ///< cycles/lookup per Mode
+  double cyc[kModeCount] = {0, 0, 0, 0};  ///< cycles/lookup per Mode
   double mf_hit_rate = 0;                    ///< sig+batch mode
   std::uint64_t sig_fp = 0;
   std::uint64_t skipped = 0;     ///< subtables skipped (simd+pf mode)
@@ -175,7 +171,6 @@ Row& row_for(std::uint32_t flows, std::uint32_t masks) {
 DpClassifierConfig mode_config(std::int64_t mode) {
   DpClassifierConfig config;
   config.emc_enabled = false;  // isolate the megaflow tier
-  config.megaflow.signature_prefilter = mode != kLinear;
   config.megaflow.sig_scan_mode =
       mode == kSigScalar ? SigScanMode::kScalar : SigScanMode::kAuto;
   config.megaflow.subtable_prefilter =
@@ -324,11 +319,10 @@ int main(int argc, char** argv) {
       hw::simd::kBackendName, static_cast<unsigned long long>(g_lookups),
       kRuleCount + 1);
   std::printf(
-      "%-7s %-5s %-10s %-10s %-10s %-10s %-10s | %-9s %-9s %-9s | %-8s "
-      "%-9s\n",
+      "%-7s %-5s %-10s %-10s %-10s %-10s | %-9s %-9s %-9s | %-8s %-9s\n",
       "flows", "masks", kModeNames[0], kModeNames[1], kModeNames[2],
-      kModeNames[3], kModeNames[4], "simd_gain", "pf_gain", "full_gain",
-      "mf_hit%", "skips");
+      kModeNames[3], "simd_gain", "pf_gain", "full_gain", "mf_hit%",
+      "skips");
   double worst_full_gain = -1;
   double worst_simd_gain = -1;
   for (const auto& row : g_rows) {
@@ -339,13 +333,14 @@ int main(int argc, char** argv) {
                                ? row.cyc[kSigSimd] / row.cyc[kSimdPrefilter]
                                : 0;
     const double full_gain =
-        row.cyc[kSigBatch] > 0 ? row.cyc[kLinear] / row.cyc[kSigBatch] : 0;
+        row.cyc[kSigBatch] > 0 ? row.cyc[kSigScalar] / row.cyc[kSigBatch]
+                               : 0;
     std::printf(
-        "%-7u %-5u %-10.1f %-10.1f %-10.1f %-10.1f %-10.1f | %-9.2f %-9.2f "
-        "%-9.2f | %-8.1f %-9llu\n",
-        row.flows, row.masks, row.cyc[kLinear], row.cyc[kSigScalar],
-        row.cyc[kSigSimd], row.cyc[kSimdPrefilter], row.cyc[kSigBatch],
-        simd_gain, pf_gain, full_gain, 100.0 * row.mf_hit_rate,
+        "%-7u %-5u %-10.1f %-10.1f %-10.1f %-10.1f | %-9.2f %-9.2f %-9.2f | "
+        "%-8.1f %-9llu\n",
+        row.flows, row.masks, row.cyc[kSigScalar], row.cyc[kSigSimd],
+        row.cyc[kSimdPrefilter], row.cyc[kSigBatch], simd_gain, pf_gain,
+        full_gain, 100.0 * row.mf_hit_rate,
         static_cast<unsigned long long>(row.skipped));
     // Acceptance scope: the EMC-thrashing, mask-diverse configurations.
     if (row.masks >= 8 && row.flows >= 4096) {
@@ -358,19 +353,20 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "\nEach column adds one acceleration: linear pays a full masked\n"
-      "compare per candidate entry; sig-scalar touches one contiguous\n"
-      "16-bit array instead (portable loop); sig-simd scans the same\n"
-      "array one 16-lane block compare at a time; simd+pf consults the\n"
-      "subtable Bloom first and skips subtables that provably lack the\n"
-      "key; sig+batch amortizes per-subtable dispatch across 32-packet\n"
-      "batches. The gaps widen with entries/subtable — exactly the\n"
-      "EMC-thrashing regime the delay models blame.\n");
+      "\nEach column adds one acceleration: sig-scalar scans one\n"
+      "contiguous 16-bit signature array per probed subtable (portable\n"
+      "loop); sig-simd scans the same array one 16-lane block compare at\n"
+      "a time; simd+pf consults the subtable Bloom first and skips\n"
+      "subtables that provably lack the key; sig+batch amortizes\n"
+      "per-subtable dispatch across 32-packet batches. The gaps widen\n"
+      "with entries/subtable — exactly the EMC-thrashing regime the delay\n"
+      "models blame.\n");
   bool ok = true;
   if (worst_full_gain >= 0) {
     const bool pass = worst_full_gain >= 1.5;
     std::printf(
-        "acceptance: sig+batch >= 1.5x linear on >=8 masks x >=4k flows: "
+        "acceptance: sig+batch >= 1.5x sig-scalar on >=8 masks x >=4k "
+        "flows: "
         "%.2fx -> %s\n",
         worst_full_gain, pass ? "PASS" : "FAIL");
     ok = ok && pass;

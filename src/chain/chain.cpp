@@ -61,8 +61,6 @@ Status ChainScenario::build() {
                             .burst = config_.burst,
                             .emc_enabled = config_.emc_enabled,
                             .megaflow_enabled = config_.megaflow_enabled,
-                            .batch_classify = config_.batch_classify,
-                            .revalidate_budget = config_.revalidate_budget,
                             .megaflow_auto_size = config_.megaflow_auto_size,
                             .sig_scan_mode = config_.sig_scan_mode,
                             .subtable_prefilter = config_.subtable_prefilter,

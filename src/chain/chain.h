@@ -48,10 +48,6 @@ struct ChainConfig {
   std::uint32_t burst = 32;
   bool emc_enabled = true;
   bool megaflow_enabled = true;  ///< dpcls-style middle classifier tier
-  bool batch_classify = true;    ///< batched burst classification
-  /// Pending FlowMod events tolerated before an in-lookup drain; 0 =
-  /// drain eagerly, nonzero defers revalidation to batch boundaries.
-  std::uint32_t revalidate_budget = 0;
   bool megaflow_auto_size = true;  ///< working-set-driven megaflow sizing
   /// Signature-scan strategy (SIMD blocks vs portable scalar loop).
   classifier::SigScanMode sig_scan_mode = classifier::SigScanMode::kAuto;

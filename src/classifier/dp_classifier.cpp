@@ -25,27 +25,16 @@ DpClassifier::DpClassifier(flowtable::FlowTable& table,
       [this](std::span<const TableChangeEvent> events) {
         if (!config_.emc_enabled || events.empty()) return;
         // The EMC coalesces the same way the megaflow tier does: one
-        // pass over the slots for the whole drained batch (or one pass
-        // per event in the ablation baseline).
-        flowtable::ExactMatchCache::RevalidateCounts counts;
-        if (config_.megaflow.coalesce_revalidation) {
-          counts = emc_.revalidate_batch(events, *table_);
-        } else {
-          for (const TableChangeEvent& event : events) {
-            const auto c = emc_.revalidate(event, *table_);
-            counts.scanned += c.scanned;
-            counts.repaired += c.repaired;
-            counts.evicted += c.evicted;
-          }
-        }
+        // pass over the slots for the whole drained batch.
+        const auto counts = emc_.revalidate_batch(events, *table_);
         emc_accum_.scanned += counts.scanned;
         emc_accum_.repaired += counts.repaired;
         emc_accum_.evicted += counts.evicted;
         counters_.emc_revalidations += counts.repaired + counts.evicted;
       },
       [this] {
-        // Full-flush fallback (queue overflow, or whole-flush config):
-        // the EMC can no longer be trusted slot-by-slot either.
+        // Full-flush fallback (queue overflow): the EMC can no longer be
+        // trusted slot-by-slot either.
         emc_.clear();
       });
   if (config_.emc_enabled || config_.megaflow_enabled) {
@@ -93,7 +82,7 @@ TimeNs DpClassifier::trace_base() const noexcept {
   return trace_clock_ != nullptr ? trace_clock_->epoch_start_ns() : 0;
 }
 
-void DpClassifier::drain_table_changes(exec::CycleMeter& meter, bool force) {
+void DpClassifier::drain_table_changes(exec::CycleMeter& meter) {
   if (!megaflow_.has_pending_changes()) return;
   // Span only around drains with pending work, so an idle steady state
   // produces no reval spans at all.
@@ -101,19 +90,10 @@ void DpClassifier::drain_table_changes(exec::CycleMeter& meter, bool force) {
       megaflow_.stats().reval_entries_scanned + emc_accum_.scanned;
   telemetry::ScopedSpan span(tracer_, "drain", "reval", trace_track_,
                              trace_base(), &meter, cost_);
-  if (force) {
-    (void)megaflow_.revalidate();
-  } else {
-    (void)megaflow_.maybe_revalidate();
-  }
+  (void)megaflow_.revalidate();
   charge_reval_work(meter);
-  const std::uint64_t scanned =
-      counters_.reval_entries_scanned - scanned_before;
-  // A budgeted drain may defer; nothing happened, so no span either.
-  if (!force && scanned == 0 && megaflow_.has_pending_changes()) {
-    span.cancel();
-  }
-  span.set_args(scanned, counters_.reval_coalesced_events);
+  span.set_args(counters_.reval_entries_scanned - scanned_before,
+                counters_.reval_coalesced_events);
 }
 
 void DpClassifier::charge_reval_work(exec::CycleMeter& meter) {
@@ -158,10 +138,10 @@ void DpClassifier::charge_reval_work(exec::CycleMeter& meter) {
 
 Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
                                   bool batched) const noexcept {
-  // Per-probe base: scalar pays mask + hash + dispatch per subtable per
-  // packet; the batch loop amortizes mask load, rank dispatch and EWMA
+  // Per-probe base: a single-key probe pays mask + hash + dispatch per
+  // subtable; the batch loop amortizes mask load, rank dispatch and EWMA
   // accounting across the batch. Signature-block scans and full masked
-  // compares are charged identically on both paths.
+  // compares are charged identically at both rates.
   const std::uint32_t per_probe = batched ? cost_->megaflow_batch_packet
                                           : cost_->megaflow_per_subtable;
   return static_cast<Cycles>(tally.probes) * per_probe +
@@ -170,10 +150,7 @@ Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
          static_cast<Cycles>(tally.prefilter_checks) *
              cost_->megaflow_prefilter_check +
          static_cast<Cycles>(tally.full_compares) *
-             cost_->megaflow_full_compare +
-         // Pending-event guard tests paid while a drain was deferred
-         // under a revalidate_budget: one suspect test each.
-         static_cast<Cycles>(tally.reval_checks) * cost_->revalidate_per_entry;
+             cost_->megaflow_full_compare;
 }
 
 void DpClassifier::mirror_sig_stats() noexcept {
@@ -231,7 +208,7 @@ FlowEntry* DpClassifier::probe_emc(const pkt::FlowKey& key,
 
 LookupOutcome DpClassifier::probe_caches(const pkt::FlowKey& key,
                                          std::uint32_t hash,
-                                         std::uint64_t version, bool batched,
+                                         std::uint64_t version,
                                          exec::CycleMeter& meter) {
   // Tier 1: exact-match cache. Generation-stamped: a surviving megaflow
   // revalidation leaves untouched EMC slots serving.
@@ -245,7 +222,7 @@ LookupOutcome DpClassifier::probe_caches(const pkt::FlowKey& key,
   if (config_.megaflow_enabled) {
     ProbeTally tally;
     const RuleId id = megaflow_.lookup(key, version, tally);
-    meter.charge(tally_cycles(tally, batched));
+    meter.charge(tally_cycles(tally, /*batched=*/false));
     mirror_sig_stats();
     if (id != kRuleNone) {
       FlowEntry* entry = table_->find(id);
@@ -263,50 +240,13 @@ LookupOutcome DpClassifier::probe_caches(const pkt::FlowKey& key,
   return {nullptr, Tier::kMiss};
 }
 
-LookupOutcome DpClassifier::lookup(const pkt::FlowKey& key,
-                                   std::uint32_t hash,
-                                   exec::CycleMeter& meter) {
-  // Apply pending FlowMod events first (owner thread) — or, under a
-  // nonzero revalidate_budget, defer the drain and guard the cached
-  // tiers against the pending events instead.
-  drain_table_changes(meter, /*force=*/false);
-  if (config_.emc_enabled && megaflow_.has_pending_changes() &&
-      emc_.holds(key, hash)) {
-    // Deferred drain: the EMC's generation/liveness checks already catch
-    // pending DELETEs and MODIFYs, but a pending ADD could steal this
-    // exact key invisibly — if one covers it, pay the coalesced drain
-    // now (it repairs the slot) instead of serving stale. Keys the EMC
-    // does not hold need no guard: they miss tier 1 regardless, and the
-    // megaflow tier runs its own per-entry pending verdict.
-    std::uint32_t checks = 0;
-    const bool steal = megaflow_.pending_add_affects(key, &checks);
-    meter.charge(static_cast<Cycles>(checks) * cost_->revalidate_per_entry);
-    if (steal) {
-      (void)megaflow_.revalidate();
-      charge_reval_work(meter);
-    }
-  }
-  const std::uint64_t version = table_->version();
-  const LookupOutcome cached =
-      probe_caches(key, hash, version, /*batched=*/false, meter);
-  if (cached.entry != nullptr) {
-    charge_reval_work(meter);  // drains triggered inside the megaflow probe
-    return cached;
-  }
-  const LookupOutcome out = slow_path(key, hash, version, meter);
-  charge_reval_work(meter);
-  return out;
-}
-
 void DpClassifier::lookup_batch(std::span<const pkt::FlowKey> keys,
                                 std::span<const std::uint32_t> hashes,
                                 std::span<LookupOutcome> out,
                                 exec::CycleMeter& meter) {
   // One drain and one version snapshot cover the whole batch: every
-  // event applied here is visible to all three tier passes below. A
-  // batch is the boundary a deferred (budgeted) drain waits for, so the
-  // drain is forced here regardless of the budget.
-  drain_table_changes(meter, /*force=*/true);
+  // event applied here is visible to all three tier passes below.
+  drain_table_changes(meter);
   const std::uint64_t version = table_->version();
   meter.charge(cost_->classify_batch_base);
   ++counters_.batches;
@@ -366,11 +306,9 @@ void DpClassifier::lookup_batch(std::span<const pkt::FlowKey> keys,
   // Tier 3 pass: the remaining packets upcall, and all their megaflow
   // installs land in this one pass over the batch. Once any upcall in
   // this pass has found a rule (and therefore filled the caches), later
-  // packets re-probe the caches first — the scalar path's behaviour for
-  // back-to-back packets of one new flow or flow aggregate: a burst of
-  // 32 packets behind one fresh wildcard rule pays one upcall, not 32.
-  // While every upcall keeps missing, the caches stay empty and the
-  // straight upcall already matches the scalar path's probes exactly.
+  // packets re-probe the caches first, so a burst of 32 packets behind
+  // one fresh wildcard rule pays one upcall, not 32. While every upcall
+  // keeps missing, the caches stay empty and a re-probe could not hit.
   telemetry::ScopedSpan slow_span(
       tracer_, "slowpath_pass", "classify", trace_track_, trace_base(),
       &meter, cost_);
@@ -384,7 +322,7 @@ void DpClassifier::lookup_batch(std::span<const pkt::FlowKey> keys,
     if (installed) {
       // A single-key re-probe: the batch-amortized rate does not apply.
       const LookupOutcome cached =
-          probe_caches(keys[i], hashes[i], version, /*batched=*/false, meter);
+          probe_caches(keys[i], hashes[i], version, meter);
       if (cached.entry != nullptr) {
         out[i] = cached;
         continue;

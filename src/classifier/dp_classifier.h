@@ -34,14 +34,14 @@ class Runtime;
 ///                            so subsequent packets of any flow the same
 ///                            megaflow covers stop at tier 2.
 ///
-/// Both a scalar path (lookup, one key at a time) and a batched path
-/// (lookup_batch, the dpcls batch loop) are provided. The batched path
-/// drains pending revalidation once per batch, probes each megaflow
-/// subtable for the whole batch in one pass (amortizing rank dispatch and
-/// EWMA accounting), sorts outcomes per tier, and installs megaflows for
-/// all slow-path packets of the batch in one pass. The two paths always
-/// return the same rules — proven continuously by the differential
-/// equivalence fuzzer in tests/control/classifier_equiv_test.cpp.
+/// There is one classification path, lookup_batch (the dpcls batch loop);
+/// a one-key lookup() is a batch of one. A batch drains pending
+/// revalidation once, probes each megaflow subtable for the whole batch
+/// in one pass (amortizing rank dispatch and EWMA accounting), sorts
+/// outcomes per tier, and installs megaflows for all slow-path packets of
+/// the batch in one pass. The differential equivalence fuzzer in
+/// tests/control/classifier_equiv_test.cpp proves continuously that it
+/// returns exactly the wildcard table's rule for every packet.
 ///
 /// Staleness safety: the classifier subscribes to FlowTable changes and
 /// runs an OVS-style *coalescing* revalidator on its own thread — each
@@ -54,12 +54,6 @@ class Runtime;
 /// instead of N. Cost is charged per entry examined plus per
 /// repair/evict (exec::CostModel), mirroring how empirical OVS delay
 /// models attribute cache-maintenance cost under control-plane churn.
-///
-/// With a nonzero revalidate_budget the scalar path defers drains
-/// (serving only hits provably unaffected by the pending events — the
-/// EMC consults pending_add_affects, the megaflow cache its own pending
-/// verdict) so bursts coalesce across lookups until the next batch
-/// boundary; lookup_batch always drains first.
 
 namespace hw::classifier {
 
@@ -71,12 +65,11 @@ struct LookupOutcome {
   Tier tier = Tier::kMiss;
 };
 
-/// Per-pipeline work tallies. Scalar and batched classification always
-/// return the same rules, but they perform (and charge) different probe
-/// sequences — e.g. a cold burst of one new flow probes the EMC and the
-/// megaflow tier for the whole batch before its first upcall can install
-/// anything — so hit/miss counters are comparable within one path, not
-/// across paths.
+/// Per-pipeline work tallies. Hit/miss counts depend on how packets are
+/// grouped into batches — e.g. a cold burst of one new flow probes the
+/// EMC and the megaflow tier for the whole batch before its first upcall
+/// can install anything — so they are comparable between runs with the
+/// same batching, not across batch sizes.
 struct TierCounters {
   std::uint64_t emc_hits = 0;
   std::uint64_t emc_misses = 0;
@@ -92,8 +85,8 @@ struct TierCounters {
   // Signature prefilter + batch pipeline telemetry.
   std::uint64_t sig_hits = 0;             ///< signature matches confirmed
   std::uint64_t sig_false_positives = 0;  ///< signature matched, compare failed
-  std::uint64_t batches = 0;              ///< batched classify rounds
-  std::uint64_t batch_packets = 0;        ///< packets through the batched path
+  std::uint64_t batches = 0;              ///< classify batches (lookup() = 1)
+  std::uint64_t batch_packets = 0;        ///< packets classified in batches
   // Coalescing-revalidator telemetry (see docs/COUNTERS.md).
   std::uint64_t reval_batches = 0;          ///< suspect-scan passes executed
   std::uint64_t reval_entries_scanned = 0;  ///< entries examined (both tiers)
@@ -134,9 +127,6 @@ struct TierCounters {
 struct DpClassifierConfig {
   bool emc_enabled = true;
   bool megaflow_enabled = true;
-  /// Forwarding engines classify received bursts through lookup_batch
-  /// (true) or one lookup() per packet (false; the scalar baseline).
-  bool batch_classify = true;
   std::size_t emc_buckets = 4096;
   MegaflowCache::Config megaflow{};
 };
@@ -150,23 +140,27 @@ class DpClassifier {
   DpClassifier(const DpClassifier&) = delete;
   DpClassifier& operator=(const DpClassifier&) = delete;
 
-  /// Classifies one key, charging `meter` the tier-dependent cost (plus
-  /// any pending revalidation work applied on this, the owner, thread).
-  /// `hash` is the full flow_key_hash (the EMC index).
-  [[nodiscard]] LookupOutcome lookup(const pkt::FlowKey& key,
-                                     std::uint32_t hash,
-                                     exec::CycleMeter& meter);
-
   /// Batched classification (the dpcls batch loop): classifies
   /// `keys[i]`/`hashes[i]` into `out[i]` for the whole batch, charging
-  /// `meter` the per-batch base plus amortized per-tier costs. Pending
+  /// `meter` the per-batch base plus amortized per-tier costs (and any
+  /// pending revalidation work applied on this, the owner, thread).
+  /// `hashes[i]` is the full flow_key_hash (the EMC index). Pending
   /// revalidation is drained once for the batch; EMC misses probe the
   /// megaflow tier one subtable at a time across the whole miss set; all
   /// slow-path packets resolve and install their megaflows in one final
-  /// pass. Returns the same rules lookup() would, packet for packet.
+  /// pass.
   void lookup_batch(std::span<const pkt::FlowKey> keys,
                     std::span<const std::uint32_t> hashes,
                     std::span<LookupOutcome> out, exec::CycleMeter& meter);
+
+  /// Classifies one key: a batch of one.
+  [[nodiscard]] LookupOutcome lookup(const pkt::FlowKey& key,
+                                     std::uint32_t hash,
+                                     exec::CycleMeter& meter) {
+    LookupOutcome out;
+    lookup_batch({&key, 1}, {&hash, 1}, {&out, 1}, meter);
+    return out;
+  }
 
   /// Enables span recording (tier passes, revalidator drains). `clock`
   /// supplies the epoch base; sub-epoch offsets come from the meter at
@@ -198,15 +192,13 @@ class DpClassifier {
   MegaflowCache::Resolution resolve(const pkt::FlowKey& key,
                                     std::uint32_t* visited) noexcept;
   /// Applies pending FlowMod events to both cache tiers (owner thread).
-  /// `force` drains unconditionally (the batch boundary); otherwise the
-  /// megaflow cache's revalidate_budget decides whether to defer.
-  void drain_table_changes(exec::CycleMeter& meter, bool force);
+  void drain_table_changes(exec::CycleMeter& meter);
   /// Charges `meter` for any revalidation work performed since the last
   /// call (per entry examined + per repair/evict, both tiers — including
   /// drains triggered inside megaflow lookup/insert) and mirrors the
   /// revalidator counters into counters_.
   void charge_reval_work(exec::CycleMeter& meter);
-  /// Converts a megaflow probe tally into cycles (scalar or batched
+  /// Converts a megaflow probe tally into cycles (single-key or batched
   /// per-subtable base; signature-scan and compare charges are shared).
   [[nodiscard]] Cycles tally_cycles(const ProbeTally& tally,
                                     bool batched) const noexcept;
@@ -215,14 +207,12 @@ class DpClassifier {
   [[nodiscard]] flowtable::FlowEntry* probe_emc(const pkt::FlowKey& key,
                                                 std::uint32_t hash,
                                                 exec::CycleMeter& meter);
-  /// Tier 1 + tier 2 probe for one key (EMC, then megaflow, with EMC
-  /// promotion on a megaflow hit); {nullptr, kMiss} when neither cache
-  /// resolves it. Shared by the scalar path and the batched tier-3
-  /// re-probe so their semantics can never diverge.
+  /// Tier 1 + tier 2 re-probe for one key of the tier-3 pass (EMC, then
+  /// megaflow, with EMC promotion on a megaflow hit), charged at the
+  /// single-key rate; {nullptr, kMiss} when neither cache resolves it.
   [[nodiscard]] LookupOutcome probe_caches(const pkt::FlowKey& key,
                                            std::uint32_t hash,
                                            std::uint64_t version,
-                                           bool batched,
                                            exec::CycleMeter& meter);
   /// Tier-3 upcall for one key: wildcard scan + megaflow/EMC install.
   [[nodiscard]] LookupOutcome slow_path(const pkt::FlowKey& key,

@@ -82,18 +82,10 @@ constexpr std::uint32_t kExactFields =
 }  // namespace
 
 std::size_t MegaflowCache::Subtable::find(const pkt::FlowKey& masked,
-                                          std::uint16_t sig, ScanKind kind,
+                                          std::uint16_t sig, bool simd,
                                           ProbeTally& tally) const {
   const std::size_t n = slots.size();
-  if (kind == ScanKind::kLinear) {
-    // Linear baseline: one full masked compare per candidate entry.
-    for (std::size_t i = 0; i < n; ++i) {
-      ++tally.full_compares;
-      if (slots[i].key == masked) return i;
-    }
-    return kNpos;
-  }
-  if (kind == ScanKind::kSigScalar) {
+  if (!simd) {
     // Portable signature scan: one scalar compare per signature; full
     // compares fire only on fingerprint matches. Compares are charged up
     // to the match.
@@ -114,18 +106,27 @@ std::size_t MegaflowCache::Subtable::find(const pkt::FlowKey& masked,
   // SIMD signature scan: one 16-lane vector compare per block (the array
   // is padded to a block multiple; tail lanes are masked off inside
   // match_mask_u16), then one full compare per surviving lane. Blocks
-  // are charged up to the match.
-  for (std::size_t base = 0; base < n; base += simd::kLanesU16) {
-    ++tally.sig_blocks;
+  // are charged up to the match. Lanes rarely match, so the full
+  // compares stay off the block loop's straight-line path: the loop
+  // stays compact, and its host speed no longer depends on where the
+  // linker places it.
+  std::size_t base = 0;
+  for (; base < n; base += simd::kLanesU16) {
     std::uint32_t lanes = simd::match_mask_u16(
         sigs.data() + base, std::min(simd::kLanesU16, n - base), sig);
-    while (lanes != 0) {
+    if (lanes == 0) [[likely]] continue;
+    do {
       const std::size_t index = base + std::countr_zero(lanes);
       lanes &= lanes - 1;
       ++tally.full_compares;
-      if (slots[index].key == masked) return index;
-    }
+      if (slots[index].key == masked) {
+        tally.sig_blocks +=
+            static_cast<std::uint32_t>(base / simd::kLanesU16 + 1);
+        return index;
+      }
+    } while (lanes != 0);
   }
+  tally.sig_blocks += static_cast<std::uint32_t>(base / simd::kLanesU16);
   return kNpos;
 }
 
@@ -209,10 +210,7 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
                                           const pkt::FlowKey& masked,
                                           ProbeTally& tally) {
   ++tally.probes;
-  // The fingerprint is needed by the signature scan and the Bloom
-  // prefilter; the bare linear baseline must not pay the hash.
-  const bool need_sig = config_.signature_prefilter || config_.subtable_prefilter;
-  const std::uint16_t sig = need_sig ? flow_signature(masked) : 0;
+  const std::uint16_t sig = flow_signature(masked);
   if (config_.subtable_prefilter) {
     // Whole-subtable skip: a masked key whose signature the counting
     // Bloom provably lacks cannot be stored here — don't touch the
@@ -225,18 +223,17 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
   }
   const std::uint32_t blocks_before = tally.sig_blocks;
   const std::uint32_t compares_before = tally.full_compares;
-  const std::size_t index = subtable.find(masked, sig, scan_kind(), tally);
+  const std::size_t index =
+      subtable.find(masked, sig, use_simd_scan(), tally);
   stats_.simd_blocks += tally.sig_blocks - blocks_before;
-  if (config_.signature_prefilter) {
-    // Every fingerprint match that failed its full compare is a false
-    // positive; a confirmed match is a signature hit.
-    const std::uint32_t compares = tally.full_compares - compares_before;
-    if (index != kNpos) {
-      ++stats_.sig_hits;
-      stats_.sig_false_positives += compares - 1;
-    } else {
-      stats_.sig_false_positives += compares;
-    }
+  // Every fingerprint match that failed its full compare is a false
+  // positive; a confirmed match is a signature hit.
+  const std::uint32_t compares = tally.full_compares - compares_before;
+  if (index != kNpos) {
+    ++stats_.sig_hits;
+    stats_.sig_false_positives += compares - 1;
+  } else {
+    stats_.sig_false_positives += compares;
   }
   if (config_.subtable_prefilter && index == kNpos) {
     // The Bloom let the scan through but nothing matched — the skip
@@ -246,110 +243,11 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
   return index;
 }
 
-MegaflowCache::PendingVerdict MegaflowCache::pending_verdict(
-    const MaskSpec& mask, const Slot& slot, std::uint64_t table_version,
-    ProbeTally& tally) {
-  const std::lock_guard<std::mutex> lock(queue_mutex_);
-  HW_SYNC_SCOPE(&queue_mutex_);
-  HW_SHARED_READ(&queue_);
-  // The deferral is only sound when the queue precisely explains every
-  // version between the sync point and the caller's table version; an
-  // overflow or an uncovered gap falls back to the stale-evict safety
-  // net.
-  if (queue_overflowed_ || queue_.empty() ||
-      queue_.back().version < table_version) {
-    return PendingVerdict::kUnexplained;
-  }
-  for (const TableChangeEvent& event : queue_) {
-    ++tally.reval_checks;
-    if (is_modify(event.command)) continue;  // rules are resolved live by id
-    if (is_removal(event.command)) {
-      if (std::find(event.removed.begin(), event.removed.end(), slot.rule) !=
-          event.removed.end()) {
-        return PendingVerdict::kSuspect;
-      }
-    } else if (may_intersect(mask, slot.key, event.match)) {
-      return PendingVerdict::kSuspect;
-    }
-  }
-  return PendingVerdict::kClean;
-}
-
-bool MegaflowCache::pending_add_affects(const pkt::FlowKey& key,
-                                        std::uint32_t* checks) {
-  const std::lock_guard<std::mutex> lock(queue_mutex_);
-  HW_SYNC_SCOPE(&queue_mutex_);
-  HW_SHARED_READ(&queue_);
-  if (queue_overflowed_) return true;
-  for (const TableChangeEvent& event : queue_) {
-    if (checks != nullptr) ++*checks;
-    if (event.command == FlowModCommand::kAdd && event.match.matches(key)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-RuleId MegaflowCache::lookup(const pkt::FlowKey& key,
-                             std::uint64_t table_version, ProbeTally& tally) {
-  (void)maybe_revalidate();
-  const std::uint32_t probes_before = tally.probes;
-  RuleId found = kRuleNone;
-  bool evicted = false;
-  bool restart = true;
-  while (restart) {
-    restart = false;
-    for (auto& subtable : subtables_) {
-      const pkt::FlowKey masked = apply(subtable->mask, key);
-      const std::size_t index = probe_subtable(*subtable, masked, tally);
-      if (index == kNpos) continue;
-      // Proven current: the revalidator has synchronized the cache to
-      // this version, or the entry was installed/repaired at exactly it.
-      if (synced_version_ != table_version &&
-          subtable->slots[index].version != table_version) {
-        // A deferred drain (revalidate_budget) may explain the gap: serve
-        // only when no pending event can affect this entry; a suspect hit
-        // pays the coalesced drain right now and re-probes. Anything the
-        // queue cannot explain is treated as stale — evict, the slow path
-        // will reinstall.
-        const PendingVerdict verdict = pending_verdict(
-            subtable->mask, subtable->slots[index], table_version, tally);
-        if (verdict == PendingVerdict::kSuspect) {
-          (void)revalidate();
-          restart = true;  // slots moved/repaired: probe from scratch
-          break;
-        }
-        if (verdict == PendingVerdict::kUnexplained) {
-          subtable->erase_at(index);
-          --entries_;
-          ++stats_.stale_evictions;
-          evicted = true;
-          continue;
-        }
-      }
-      found = subtable->slots[index].rule;
-      touch(subtable->slots[index]);
-      ++subtable->window_hits;
-      break;
-    }
-  }
-  stats_.subtables_probed += tally.probes - probes_before;
-  if (found != kRuleNone) {
-    ++stats_.hits;
-  } else {
-    ++stats_.misses;
-  }
-  if (evicted) prune_empty_subtables();
-  maybe_rerank(1);
-  maybe_resize(1);
-  return found;
-}
-
 void MegaflowCache::lookup_batch(std::span<const pkt::FlowKey> keys,
                                  std::uint64_t table_version,
                                  std::span<RuleId> out, ProbeTally& tally) {
-  // A batch IS the batch boundary a deferred drain waits for: drain
-  // everything first so the whole batch sees one synchronized cache.
+  // Drain everything first so the whole batch sees one synchronized
+  // cache.
   (void)revalidate();
   const std::uint32_t probes_before = tally.probes;
   batch_pending_.clear();
@@ -398,13 +296,13 @@ void MegaflowCache::lookup_batch(std::span<const pkt::FlowKey> keys,
 void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
                            RuleId rule, std::uint64_t table_version) {
   if (config_.max_entries == 0) return;
-  (void)maybe_revalidate();
+  (void)revalidate();
   Subtable& subtable = subtable_for(mask);
   const pkt::FlowKey masked = apply(mask, key);
   const std::uint16_t sig = flow_signature(masked);
   ProbeTally scratch;  // dup-scan work is covered by the caller's insert charge
   const std::size_t existing =
-      subtable.find(masked, sig, scan_kind(), scratch);
+      subtable.find(masked, sig, use_simd_scan(), scratch);
   if (existing != kNpos) {
     subtable.bloom_update_rule(subtable.slots[existing].rule, rule);
     subtable.slots[existing].rule = rule;
@@ -451,19 +349,6 @@ void MegaflowCache::set_revalidation_hooks(
   flush_sink_ = std::move(flush_sink);
 }
 
-MegaflowCache::RevalidateReport MegaflowCache::maybe_revalidate() {
-  HW_ATOMIC_READ(&events_pending_);
-  if (!events_pending_.load(std::memory_order_acquire)) return {};
-  bool drain = config_.revalidate_budget == 0;
-  if (!drain) {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    HW_SYNC_SCOPE(&queue_mutex_);
-    HW_SHARED_READ(&queue_);
-    drain = queue_overflowed_ || queue_.size() > config_.revalidate_budget;
-  }
-  return drain ? revalidate() : RevalidateReport{};
-}
-
 MegaflowCache::RevalidateReport MegaflowCache::revalidate() {
   RevalidateReport report;
   HW_ATOMIC_READ(&events_pending_);
@@ -490,22 +375,9 @@ MegaflowCache::RevalidateReport MegaflowCache::revalidate() {
     flush_all();
     report.flushed = true;
     synced_version_ = std::max(synced_version_, overflow_version);
+    if (flush_sink_) flush_sink_();
   }
-  if (!config_.precise_revalidation && !events.empty()) {
-    // Ablation baseline: any change nukes the cache (PR-1 behaviour).
-    flush_all();
-    report.flushed = true;
-  }
-  if (report.flushed && flush_sink_) flush_sink_();
-  const Resolver* resolver = resolver_ ? &resolver_ : nullptr;
-  if (config_.coalesce_revalidation) {
-    revalidate_coalesced(events, resolver, report);
-  } else {
-    for (const TableChangeEvent& event : events) {
-      revalidate_event(event, resolver, report);
-      synced_version_ = std::max(synced_version_, event.version);
-    }
-  }
+  revalidate_coalesced(events, resolver_ ? &resolver_ : nullptr, report);
   report.events = events.size();
   if (events_sink_ && !events.empty()) events_sink_(events);
   if (report.evicted > 0) prune_empty_subtables();
@@ -647,68 +519,6 @@ void MegaflowCache::revalidate_coalesced(
     }
   }
   plan_adds_.clear();  // pointers into `events` must not outlive this drain
-}
-
-void MegaflowCache::revalidate_event(const TableChangeEvent& event,
-                                     const Resolver* resolver,
-                                     RevalidateReport& report) {
-  // MODIFY rewrites actions/cookie only: the winner for every covered key
-  // is unchanged and the table entry is resolved live by id, so megaflows
-  // need no work (the EMC handles mutation via its generation stamps).
-  if (is_modify(event.command)) return;
-  const bool removal = is_removal(event.command);
-  if (removal && event.removed.empty()) return;
-  // The per-event ablation baseline: one full suspect scan PER EVENT, the
-  // O(burst × entries) behaviour the coalesced drain retires.
-  ++stats_.reval_batches;
-  ++report.batches;
-  for (auto& subtable : subtables_) {
-    for (std::size_t i = 0; i < subtable->slots.size();) {
-      Slot& slot = subtable->slots[i];
-      ++stats_.reval_entries_scanned;
-      ++report.entries_scanned;
-      // Suspect tests are exact per command. A removal can only change a
-      // key's winner if that winner was removed (every key in the cover
-      // set resolved to entry.rule at install). An ADD can only steal
-      // keys its match intersects — one term test per entry, the same
-      // charge the coalesced plan pays per merged ADD mask examined.
-      bool suspect;
-      if (removal) {
-        suspect = std::find(event.removed.begin(), event.removed.end(),
-                            slot.rule) != event.removed.end();
-      } else {
-        ++stats_.reval_term_tests;
-        ++report.term_tests;
-        suspect = may_intersect(subtable->mask, slot.key, event.match);
-      }
-      if (!suspect) {
-        ++i;
-        continue;
-      }
-      ++report.revalidated;
-      ++stats_.revalidations;
-      bool keep = false;
-      if (resolver != nullptr) {
-        const Resolution res = (*resolver)(slot.key);
-        if (res.found && subsumes(subtable->mask, res.unwildcarded)) {
-          subtable->bloom_update_rule(slot.rule, res.rule);
-          slot.rule = res.rule;
-          slot.version = event.version;
-          keep = true;
-        }
-      }
-      if (keep) {
-        ++stats_.revalidated_kept;
-        ++report.repaired;
-        ++i;
-      } else {
-        ++stats_.revalidated_evicted;
-        ++report.evicted;
-        subtable->erase_at(i);
-        --entries_;
-      }
-    }
-  }
 }
 
 void MegaflowCache::flush_all() {

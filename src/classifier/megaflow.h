@@ -31,26 +31,28 @@
 /// fallback and `sig_scan_mode` as the runtime ablation knob) — and runs
 /// the full masked compare only on signature matches, so a probe that
 /// misses touches one contiguous array instead of N candidate entries.
-/// Batched lookups (lookup_batch) probe each subtable for the whole batch
-/// in one pass, amortizing rank dispatch and EWMA accounting, which is
-/// how DPDK's dpcls keeps up with line rate once the EMC thrashes.
+/// Classification is batched (lookup_batch): each subtable is probed for
+/// the whole batch in one pass, amortizing rank dispatch and EWMA
+/// accounting, which is how DPDK's dpcls keeps up with line rate once the
+/// EMC thrashes. A one-key lookup() is a batch of one.
 ///
 /// Subtable prefilter: each subtable additionally maintains a counting
 /// Bloom summary of its contents — masked-key signatures, rule ids, and
-/// exact-field values — so a probe (or the coalesced revalidator's
-/// suspect scan, below) can skip a whole subtable that provably cannot
-/// contain a matching entry (or a suspect) without touching its arrays.
-/// The filter is *counting*, updated on every insert/erase/repair, so it
-/// has no false negatives by construction: a skip is always sound, and
-/// the only cost of a collision is a wasted scan (counted as
+/// exact-field values — so a probe (or the revalidator's suspect scan,
+/// below) can skip a whole subtable that provably cannot contain a
+/// matching entry (or a suspect) without touching its arrays. The filter
+/// is *counting*, updated on every insert/erase/repair, so it has no
+/// false negatives by construction: a skip is always sound, and the only
+/// cost of a collision is a wasted scan (counted as
 /// `prefilter_false_positives`).
 ///
 /// Staleness is handled by an OVS-style *revalidator* instead of a
 /// whole-cache flush: FlowTable change notifications arrive as structured
 /// TableChangeEvents in a bounded queue (any thread), and the cache
-/// owner's next drain re-checks only the entries the changes could affect
-/// — repairing them in place when the re-lookup's unwildcard set still
-/// fits the subtable mask, evicting them otherwise.
+/// owner's next lookup or insert drains it, re-checking only the entries
+/// the changes could affect — repairing them in place when the
+/// re-lookup's unwildcard set still fits the subtable mask, evicting them
+/// otherwise.
 ///
 /// Drains are *coalescing*: the whole pending queue is folded into one
 /// plan (DELETE rule-id sets unioned, overlapping ADD matches merged via
@@ -58,16 +60,7 @@
 /// burst of N FlowMods costs one O(entries) pass instead of N — the
 /// single-threaded analogue of OVS's dedicated revalidator threads, which
 /// wake on a cadence and sweep the whole burst at once. Cost is charged
-/// per entry examined (see exec::CostModel), not per event. The per-event
-/// path survives as the ablation baseline (`coalesce_revalidation =
-/// false`).
-///
-/// A nonzero `revalidate_budget` defers drains past individual scalar
-/// lookups (mirroring the revalidator-thread cadence): while at most
-/// `budget` events pend, a hit is served only after it is checked against
-/// every pending event — a suspect hit forces the coalesced drain on the
-/// spot — so deferral can never serve a stale rule. Batched lookups are
-/// the batch boundary and always drain first.
+/// per entry examined (see exec::CostModel), not per event.
 ///
 /// Queue overflow falls back to a full flush (counted separately), and a
 /// per-entry version stamp remains the safety net for version skew the
@@ -128,36 +121,17 @@ struct MegaflowCacheConfig {
   std::uint32_t rank_interval = 1024;
   /// EWMA weight of the newest window when re-ranking, in [0, 1].
   double rank_ewma_alpha = 0.25;
-  /// Scan the subtable's 16-bit signature array before any full masked
-  /// compare (true), or full-compare every candidate entry linearly
-  /// (false; the linear-compare ablation baseline).
-  bool signature_prefilter = true;
   /// How the signature array is scanned: real SIMD (SSE2/NEON) or the
   /// portable scalar loop. kAuto picks whatever this binary compiled in.
   SigScanMode sig_scan_mode = SigScanMode::kAuto;
   /// Consult each subtable's counting-Bloom summary before scanning it —
   /// a probe skips subtables that provably lack the masked key, and the
-  /// coalesced revalidator skips subtables no merged plan term (removed
-  /// rule id or ADD-mask exact-field value) can touch. False = always
-  /// scan (the ablation baseline).
+  /// revalidator skips subtables no merged plan term (removed rule id or
+  /// ADD-mask exact-field value) can touch. False = always scan (the
+  /// ablation baseline).
   bool subtable_prefilter = true;
-  /// Precise per-rule revalidation (true) or PR-1-style whole-cache flush
-  /// on every FlowMod (false; the ablation baseline).
-  bool precise_revalidation = true;
   /// Bounded revalidator queue; overflowing falls back to a full flush.
   std::size_t revalidator_queue_limit = 128;
-  /// Fold every drained event into ONE suspect scan (true) or run one
-  /// scan per event (false; the per-event ablation baseline — this is
-  /// what made a FlowMod burst cost O(burst × entries)).
-  bool coalesce_revalidation = true;
-  /// Pending change events tolerated before an implicit (in-lookup)
-  /// drain is forced. 0 = drain eagerly on the next touch. Nonzero:
-  /// scalar lookups defer the drain — hits are checked against the
-  /// pending events and only provably unaffected entries are served; a
-  /// suspect hit triggers the coalesced drain immediately — so a FlowMod
-  /// burst accumulates into one scan at the next batch boundary without
-  /// ever serving stale.
-  std::uint32_t revalidate_budget = 0;
   /// Working-set-driven sizing: the effective entry cap follows an EWMA
   /// of distinct entries touched per `size_interval` lookups, scaled by
   /// `size_headroom`, clamped to [min_entries, max_entries] and rounded
@@ -178,10 +152,6 @@ struct ProbeTally {
   std::uint32_t sig_scalar = 0;     ///< scalar signature compares (portable scan)
   std::uint32_t full_compares = 0;  ///< full masked-key compares
   std::uint32_t prefilter_checks = 0; ///< subtable-Bloom consults
-  /// Pending-event guard tests run while a drain was deferred under a
-  /// nonzero revalidate_budget (each is one suspect test of a hit entry
-  /// against one queued event; charged at revalidate_per_entry).
-  std::uint32_t reval_checks = 0;
 };
 
 /// 16-bit hash fingerprint of a *masked* key — the per-entry signature
@@ -228,10 +198,10 @@ class MegaflowCache {
     std::size_t entries_scanned = 0;  ///< entries the suspect scan examined
     std::size_t repaired = 0;         ///< suspects repaired in place
     std::size_t evicted = 0;          ///< suspects evicted
-    std::size_t batches = 0;          ///< suspect-scan passes (1 coalesced)
+    std::size_t batches = 0;          ///< suspect-scan passes (0 or 1)
     std::size_t term_tests = 0;       ///< per-entry merged-ADD-term tests
     std::size_t subtables_skipped = 0;///< whole subtables the prefilter skipped
-    bool flushed = false;             ///< full flush applied (overflow/config)
+    bool flushed = false;             ///< full flush applied (queue overflow)
   };
 
   explicit MegaflowCache(Config config = {})
@@ -240,14 +210,27 @@ class MegaflowCache {
   MegaflowCache(const MegaflowCache&) = delete;
   MegaflowCache& operator=(const MegaflowCache&) = delete;
 
-  /// Probes subtables in rank order for an entry covering `key` that is
-  /// provably current: either revalidated up to `table_version` or
-  /// installed at exactly that version. `tally` accumulates the probe /
-  /// signature-scan / compare work (the cost drivers the caller charges
-  /// to its cycle meter). Unproven entries found along the way are
-  /// evicted, never returned.
+  /// Batched lookup: drains pending change events, then probes each
+  /// subtable (rank order) for every still unresolved key of the batch
+  /// before moving to the next subtable, so rank dispatch and EWMA
+  /// accounting are paid once per batch instead of once per packet.
+  /// `out[i]` receives the rule for `keys[i]` (kRuleNone on miss). Only
+  /// entries provably current are served: revalidated up to
+  /// `table_version` or installed at exactly that version; unproven
+  /// entries found along the way are evicted, never returned. `tally`
+  /// accumulates the probe / signature-scan / compare work, which the
+  /// caller converts to cycles on its meter.
+  void lookup_batch(std::span<const pkt::FlowKey> keys,
+                    std::uint64_t table_version, std::span<RuleId> out,
+                    ProbeTally& tally);
+
+  /// One-key lookup: a batch of one.
   [[nodiscard]] RuleId lookup(const pkt::FlowKey& key,
-                              std::uint64_t table_version, ProbeTally& tally);
+                              std::uint64_t table_version, ProbeTally& tally) {
+    RuleId rule = kRuleNone;
+    lookup_batch({&key, 1}, table_version, {&rule, 1}, tally);
+    return rule;
+  }
 
   /// Compatibility shim reporting only the subtable-probe count.
   [[nodiscard]] RuleId lookup(const pkt::FlowKey& key,
@@ -258,16 +241,6 @@ class MegaflowCache {
     probed = tally.probes;
     return rule;
   }
-
-  /// Batched lookup: probes each subtable (rank order) for every still
-  /// unresolved key of the batch before moving to the next subtable, so
-  /// rank dispatch and EWMA accounting are paid once per batch instead of
-  /// once per packet. `out[i]` receives the rule for `keys[i]` (kRuleNone
-  /// on miss). Semantically identical to calling lookup() per key against
-  /// an unchanging table; only the cost profile differs.
-  void lookup_batch(std::span<const pkt::FlowKey> keys,
-                    std::uint64_t table_version, std::span<RuleId> out,
-                    ProbeTally& tally);
 
   /// Installs `key` → `rule` under `mask` (the slow path's accumulated
   /// unwildcard set), stamped with the current table version.
@@ -284,42 +257,25 @@ class MegaflowCache {
   /// repair suspect megaflows, a batch sink handed every drained event
   /// batch (e.g. exact-match-cache revalidation, coalesced the same way)
   /// and a flush sink (e.g. EMC clear on the overflow fallback). Once
-  /// set, EVERY drain — including the implicit ones in lookup()/insert()
-  /// — routes through them, so no change event can be consumed without
-  /// the owner's other tiers seeing it. Without hooks (standalone use)
-  /// suspects are simply evicted.
+  /// set, EVERY drain — including the implicit ones in lookup_batch() and
+  /// insert() — routes through them, so no change event can be consumed
+  /// without the owner's other tiers seeing it. Without hooks (standalone
+  /// use) suspects are simply evicted.
   void set_revalidation_hooks(
       Resolver resolver,
       std::function<void(std::span<const flowtable::TableChangeEvent>)>
           events_sink,
       std::function<void()> flush_sink);
 
-  /// Owner thread: drains ALL queued events in one coalesced pass (or one
-  /// pass per event with coalescing disabled), revalidates affected
-  /// megaflows and feeds the drained batch (and any flush) to the
-  /// registered hooks. This is the forced, batch-boundary drain;
-  /// lookup()/insert() go through maybe_revalidate() instead so a
-  /// revalidate_budget can defer them.
+  /// Owner thread: drains ALL queued events in one coalesced pass,
+  /// revalidates affected megaflows and feeds the drained batch (and any
+  /// flush) to the registered hooks. lookup_batch() and insert() call it
+  /// first; a no-op when nothing is queued.
   RevalidateReport revalidate();
-
-  /// Drains only when the budget says so: eagerly with budget 0 (the
-  /// default), otherwise once more than `revalidate_budget` events pend
-  /// or the queue has overflowed. Called implicitly by lookup()/insert().
-  RevalidateReport maybe_revalidate();
 
   [[nodiscard]] bool has_pending_changes() const noexcept {
     return events_pending_.load(std::memory_order_relaxed);
   }
-
-  /// True iff any *pending* (deferred, not yet drained) ADD event's match
-  /// covers `key` — i.e. a drained revalidation could hand this exact key
-  /// to a different rule. The owner's exact-match tier consults this
-  /// before serving a hit while a drain is deferred (deletes and
-  /// modifies are already caught by its rule-liveness/generation checks).
-  /// `checks` (optional) accumulates the number of pending events
-  /// examined, for per-entry cost accounting.
-  [[nodiscard]] bool pending_add_affects(const pkt::FlowKey& key,
-                                         std::uint32_t* checks = nullptr);
 
   /// Current effective entry cap (== config.max_entries unless auto_size
   /// has resized it).
@@ -412,9 +368,6 @@ class MegaflowCache {
  private:
   static constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
-  /// Which signature-scan strategy a probe resolved to.
-  enum class ScanKind : std::uint8_t { kLinear, kSigScalar, kSigSimd };
-
   /// One megaflow entry. `key` is the MASKED key (the mask was applied
   /// before storing), so `sigs[i] == flow_signature(slots[i].key)` holds
   /// for the subtable's whole lifetime — including across repair-in-place,
@@ -444,12 +397,11 @@ class MegaflowCache {
     SubtableBloom plan_bloom;
 
     /// Index of the slot whose masked key equals `masked`, or kNpos.
-    /// kLinear full-compares every slot until a match (the no-signature
-    /// baseline); the signature kinds scan `sigs` first (SIMD blocks or
-    /// scalar compares per `kind`) and full-compare matches only. Work
-    /// is tallied into `tally`.
+    /// Scans `sigs` first (SIMD blocks when `simd`, scalar compares
+    /// otherwise) and full-compares signature matches only. Work is
+    /// tallied into `tally`.
     [[nodiscard]] std::size_t find(const pkt::FlowKey& masked,
-                                   std::uint16_t sig, ScanKind kind,
+                                   std::uint16_t sig, bool simd,
                                    ProbeTally& tally) const;
     /// Appends `sig` for the slot just pushed onto `slots`, keeping the
     /// block padding invariant.
@@ -470,16 +422,11 @@ class MegaflowCache {
   };
 
   /// Resolves the configured sig_scan_mode against what this binary
-  /// compiled in.
+  /// compiled in — the single definition shared by lookups and the
+  /// insert dup-scan.
   [[nodiscard]] bool use_simd_scan() const noexcept {
     return config_.sig_scan_mode != SigScanMode::kScalar &&
            simd::kSimdCompiledIn;
-  }
-  /// The scan strategy every find() in this cache resolves to — the
-  /// single definition shared by lookups and the insert dup-scan.
-  [[nodiscard]] ScanKind scan_kind() const noexcept {
-    if (!config_.signature_prefilter) return ScanKind::kLinear;
-    return use_simd_scan() ? ScanKind::kSigSimd : ScanKind::kSigScalar;
   }
   /// True iff some entry of `subtable` could intersect `match` — the
   /// subtable-level projection of the per-entry may_intersect test,
@@ -508,20 +455,6 @@ class MegaflowCache {
   void revalidate_coalesced(std::span<const flowtable::TableChangeEvent> events,
                             const Resolver* resolver,
                             RevalidateReport& report);
-  /// Per-event baseline pass; updates `report` the same way.
-  void revalidate_event(const flowtable::TableChangeEvent& event,
-                        const Resolver* resolver, RevalidateReport& report);
-  /// How a hit whose version the cache has not synchronized to relates
-  /// to the pending (deferred) events.
-  enum class PendingVerdict {
-    kClean,       ///< queue explains the gap and no pending event affects it
-    kSuspect,     ///< a pending event could change this entry's winner
-    kUnexplained  ///< overflow / gap the queue does not cover: treat stale
-  };
-  [[nodiscard]] PendingVerdict pending_verdict(const MaskSpec& mask,
-                                               const Slot& slot,
-                                               std::uint64_t table_version,
-                                               ProbeTally& tally);
   void flush_all();
   void prune_empty_subtables();
   Subtable& subtable_for(const MaskSpec& mask);

@@ -8,14 +8,17 @@
 /// Per-operation virtual CPU costs, in cycles on a 3 GHz core (the paper's
 /// Xeon E5-2690 v2 frequency).
 ///
-/// Calibration anchors (see EXPERIMENTS.md §calibration):
+/// Every constant here is set by hand, not fitted to any measurement. The
+/// anchors they were set against are published figures:
 ///  * OVS-DPDK with EMC hits is widely reported at ~11–16 Mpps per PMD
 ///    core for port-to-port forwarding. Our per-packet switch cost is
 ///    deq + emc + action + enq ≈ 190 cycles → ~15.8 Mpps/core.
 ///  * A trivial DPDK l2fwd-style VM app (ring→ring, touch headers) runs at
 ///    several tens of Mpps; our per-packet VM cost ≈ 80 cycles → ~37 Mpps.
-/// Absolute numbers are indicative; the reproduced *shapes* come from which
-/// virtual core executes which per-hop work.
+/// Fitting the ratios to per-layer host timings is open work (ROADMAP.md
+/// item 1, the wall-clock layer harness). Until then absolute numbers are
+/// indicative; the reproduced *shapes* come from which virtual core
+/// executes which per-hop work.
 
 namespace hw::exec {
 
@@ -34,24 +37,22 @@ struct CostModel {
   // upcall to the slow path costs an order of magnitude more than either.
   std::uint32_t parse_per_pkt = 25;        ///< key extraction
   std::uint32_t emc_hit = 55;              ///< exact-match cache probe
-  std::uint32_t megaflow_per_subtable = 70;  ///< dpcls scalar probe: mask + hash + dispatch
+  std::uint32_t megaflow_per_subtable = 70;  ///< single-key dpcls probe: mask + hash + dispatch
   // Subtable compare work, charged on top of the per-probe base. A probe
   // may first consult the subtable's counting-Bloom summary (one hash +
   // two counter loads) and skip the subtable outright; otherwise it
   // scans the contiguous 16-bit signature array — one real SIMD compare
   // per 16-entry block (hw::simd), or one scalar compare per signature
   // when the portable fallback is built in or `sig_scan_mode` forces it
-  // — and full-compares only signature matches. With the signature
-  // prefilter disabled every candidate entry pays the full masked
-  // compare: the linear-scan baseline the signature ablation measures
-  // against.
+  // — and full-compares only signature matches.
   std::uint32_t megaflow_sig_block = 4;      ///< one 16-lane SIMD signature block
   std::uint32_t megaflow_sig_scalar = 2;     ///< one scalar signature compare
   std::uint32_t megaflow_prefilter_check = 6;///< one subtable-Bloom consult
   std::uint32_t megaflow_full_compare = 20;  ///< full masked-key compare
   // Batched classification (dpcls batch loop): probing one subtable for a
   // whole batch amortizes mask load, rank lookup and EWMA accounting, so
-  // the per-packet-per-subtable charge drops below the scalar base.
+  // the per-packet-per-subtable charge drops below the single-key base
+  // (paid only by the tier-3 re-probe of one key).
   std::uint32_t megaflow_batch_packet = 25;  ///< per packet per subtable, batched
   std::uint32_t classify_batch_base = 40;    ///< per-batch dispatch + outcome sort
   std::uint32_t megaflow_insert = 45;      ///< megaflow install on upcall

@@ -148,31 +148,6 @@ void FlowTable::unsubscribe(std::uint64_t token) noexcept {
                 [token](const Listener& l) { return l.token == token; });
 }
 
-ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate(
-    const TableChangeEvent& event, FlowTable& table) {
-  RevalidateCounts counts;
-  HW_SHARED_WRITE(&slots_);
-  for (Slot& slot : slots_) {
-    if (slot.rule == kRuleNone) continue;
-    ++counts.scanned;
-    // Exact keys make the suspect test exact: the change can only affect
-    // this slot if its match covers the cached key. (For MODIFY/DELETE
-    // the FlowMod match contains every affected rule's match, so it also
-    // covers every key those rules matched.)
-    if (!event.match.matches(slot.key)) continue;
-    FlowEntry* winner = table.lookup(slot.key);
-    if (winner == nullptr) {
-      slot.rule = kRuleNone;
-      ++counts.evicted;
-    } else {
-      slot.rule = winner->id;
-      slot.generation = winner->generation;
-      ++counts.repaired;
-    }
-  }
-  return counts;
-}
-
 ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
     std::span<const TableChangeEvent> events, FlowTable& table) {
   RevalidateCounts counts;
@@ -183,7 +158,7 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
     ++counts.scanned;
     // Suspect iff ANY drained event's match covers the cached key; one
     // re-resolution against the (already fully updated) table then lands
-    // on the same winner the per-event path would have converged to.
+    // on the winner the last event left behind.
     bool suspect = false;
     for (const TableChangeEvent& event : events) {
       if (event.match.matches(slot.key)) {

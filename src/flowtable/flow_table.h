@@ -193,16 +193,6 @@ class ExactMatchCache {
     return nullptr;
   }
 
-  /// True iff the key's bucket currently holds this exact key — a pure
-  /// probe with no counter side effects. Lets callers scope
-  /// staleness-guard work (e.g. pending-event checks under a deferred
-  /// drain) to keys the cache could actually serve.
-  [[nodiscard]] bool holds(const pkt::FlowKey& key,
-                           std::uint32_t hash) const noexcept {
-    const Slot& slot = slots_[hash & (buckets_ - 1)];
-    return slot.rule != kRuleNone && slot.hash == hash && slot.key == key;
-  }
-
   void insert(const pkt::FlowKey& key, std::uint32_t hash, RuleId rule,
               std::uint64_t generation) noexcept {
     HW_SHARED_WRITE(&slots_);
@@ -219,20 +209,17 @@ class ExactMatchCache {
     std::uint32_t evicted = 0;   ///< no rule matches the slot's key anymore
   };
 
-  /// Precise revalidation for one table change: every occupied slot whose
-  /// exact key the changed match covers is re-resolved against the table
-  /// and repaired (new winner / fresh generation) or evicted. Slots the
-  /// change cannot affect are untouched — a FlowMod no longer costs the
-  /// whole exact-match tier. This is the per-event ablation baseline; the
-  /// classifier's coalescing drain uses revalidate_batch.
-  RevalidateCounts revalidate(const TableChangeEvent& event, FlowTable& table);
-
-  /// Coalesced revalidation for a whole drained event batch: ONE pass
-  /// over the occupied slots, each tested against every event's match and
-  /// re-resolved at most once — so a burst of N FlowMods costs one scan
-  /// instead of N. `scanned` counts slots examined (the per-entry cost
-  /// driver); repaired/evicted count re-resolutions, exactly as the
-  /// per-event path would have ended up after its last event.
+  /// Precise, coalesced revalidation for a whole drained event batch:
+  /// ONE pass over the occupied slots. A slot is suspect iff some event's
+  /// match covers its exact key (for MODIFY/DELETE the FlowMod match
+  /// contains every affected rule's match, so it also covers every key
+  /// those rules matched); each suspect is re-resolved once against the
+  /// updated table and repaired (new winner / fresh generation) or
+  /// evicted. Slots no change can affect are untouched, so a FlowMod no
+  /// longer costs the whole exact-match tier and a burst of N FlowMods
+  /// costs one scan instead of N. `scanned` counts slots examined (what
+  /// the per-entry cost is charged on); repaired/evicted count
+  /// re-resolutions.
   RevalidateCounts revalidate_batch(std::span<const TableChangeEvent> events,
                                     FlowTable& table);
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 
 #include "analysis/annotate.h"
 #include "common/status.h"
@@ -19,9 +20,10 @@
 /// Layout: fixed arrays of cache-line-sized counters — per-port RX/TX and
 /// per-rule slots. Rule slots are allocated by the BypassManager when a
 /// bypass is established and communicated to the TX-side PMD over the
-/// control channel. Counters are relaxed atomics: each slot has a single
-/// writer (the TX-side PMD of one bypass direction) and is read by the
-/// switch on stats requests.
+/// control channel. Counters are relaxed atomics read by the switch on
+/// stats requests. A rule slot has a single writer (the TX-side PMD of
+/// one bypass direction) and publishes each burst under a sequence count,
+/// so a flow-stats read always sees packets and bytes of the same bursts.
 
 namespace hw::pmd {
 
@@ -58,6 +60,51 @@ struct alignas(kCacheLineSize) PktByteCounter {
     HW_ATOMIC_WRITE(&bytes);
     packets.store(0, std::memory_order_relaxed);
     bytes.store(0, std::memory_order_relaxed);
+  }
+};
+
+/// A rule slot's (packets, bytes) pair as a single-writer seqlock: `seq`
+/// is odd while the writer updates the pair, and a reader retries until
+/// it saw the same even `seq` before and after loading both halves.
+struct alignas(kCacheLineSize) RuleCounter {
+  std::atomic<std::uint64_t> seq{0};
+  std::atomic<std::uint64_t> packets{0};
+  std::atomic<std::uint64_t> bytes{0};
+
+  /// add() and clear() need a single writer at a time: the slot's TX-side
+  /// PMD while its bypass is up, the switch once teardown recycles it.
+  void add(std::uint64_t pkt_count, std::uint64_t byte_count) noexcept {
+    publish(packets.load(std::memory_order_relaxed) + pkt_count,
+            bytes.load(std::memory_order_relaxed) + byte_count);
+  }
+  void clear() noexcept { publish(0, 0); }
+  [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> read() const noexcept {
+    HW_ATOMIC_READ(&seq);
+    HW_ATOMIC_READ(&packets);
+    HW_ATOMIC_READ(&bytes);
+    // Acquire loads of the halves keep the closing `seq` load after them;
+    // a half from a newer update therefore shows up as a changed `seq`.
+    for (;;) {
+      const std::uint64_t before = seq.load(std::memory_order_acquire);
+      const std::uint64_t pkts = packets.load(std::memory_order_acquire);
+      const std::uint64_t byte_total = bytes.load(std::memory_order_acquire);
+      if ((before & 1) == 0 && seq.load(std::memory_order_relaxed) == before) {
+        return {pkts, byte_total};
+      }
+    }
+  }
+
+ private:
+  void publish(std::uint64_t pkts, std::uint64_t byte_total) noexcept {
+    HW_ATOMIC_WRITE(&seq);
+    HW_ATOMIC_WRITE(&packets);
+    HW_ATOMIC_WRITE(&bytes);
+    // Release stores of the halves publish the odd `seq` before them.
+    const std::uint64_t s = seq.load(std::memory_order_relaxed);
+    seq.store(s + 1, std::memory_order_relaxed);
+    packets.store(pkts, std::memory_order_release);
+    bytes.store(byte_total, std::memory_order_release);
+    seq.store(s + 2, std::memory_order_release);
   }
 };
 
@@ -102,7 +149,7 @@ class SharedStats {
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> read_rule(
       std::uint32_t slot) const noexcept {
     if (slot >= kStatsMaxRules) return {0, 0};
-    return {layout_->rules[slot].pkts(), layout_->rules[slot].byte_total()};
+    return layout_->rules[slot].read();
   }
 
   void clear_rule(std::uint32_t slot) noexcept {
@@ -129,7 +176,7 @@ class SharedStats {
     std::uint32_t magic;  // NOLINT: see above — ctor must not touch it
     PktByteCounter port_rx[kStatsMaxPorts];
     PktByteCounter port_tx[kStatsMaxPorts];
-    PktByteCounter rules[kStatsMaxRules];
+    RuleCounter rules[kStatsMaxRules];
   };
   Layout* layout_ = nullptr;
 };

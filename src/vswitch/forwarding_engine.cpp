@@ -191,7 +191,7 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
   burst_span.set_args(pkts.size(), in_port.id());
 
   // Parse the whole burst up front, then classify it as one batch (the
-  // dpcls batch loop) — or per packet when the scalar path is configured.
+  // dpcls batch loop).
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     mbuf::Mbuf* buf = pkts[i];
     buf->in_port = in_port.id();
@@ -207,15 +207,9 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
                                         trace_track_, trace_base, &meter,
                                         cost_);
     classify_span.set_args(n);
-    if (classifier_.config().batch_classify) {
-      classifier_.lookup_batch(std::span(key_buf_.data(), n),
-                               std::span(hash_buf_.data(), n),
-                               std::span(outcome_buf_.data(), n), meter);
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        outcome_buf_[i] = classifier_.lookup(key_buf_[i], hash_buf_[i], meter);
-      }
-    }
+    classifier_.lookup_batch(std::span(key_buf_.data(), n),
+                             std::span(hash_buf_.data(), n),
+                             std::span(outcome_buf_.data(), n), meter);
   }
 
   // Sequential batching: consecutive packets to the same output are

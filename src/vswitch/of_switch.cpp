@@ -38,9 +38,7 @@ OfSwitch::OfSwitch(shm::ShmManager& shm, mbuf::Mempool& pool,
       config_.engine_count == 0 ? 1 : config_.engine_count;
   classifier::DpClassifierConfig classifier_config{
       .emc_enabled = config_.emc_enabled,
-      .megaflow_enabled = config_.megaflow_enabled,
-      .batch_classify = config_.batch_classify};
-  classifier_config.megaflow.revalidate_budget = config_.revalidate_budget;
+      .megaflow_enabled = config_.megaflow_enabled};
   classifier_config.megaflow.auto_size = config_.megaflow_auto_size;
   classifier_config.megaflow.sig_scan_mode = config_.sig_scan_mode;
   classifier_config.megaflow.subtable_prefilter = config_.subtable_prefilter;

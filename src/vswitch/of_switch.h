@@ -37,12 +37,6 @@ struct SwitchConfig {
   std::uint32_t burst = 32;
   bool emc_enabled = true;
   bool megaflow_enabled = true;      ///< dpcls-style middle tier
-  bool batch_classify = true;        ///< batched classification per burst
-  /// Pending FlowMod events an engine tolerates before an in-lookup
-  /// drain is forced; 0 = drain eagerly. Nonzero defers revalidation to
-  /// batch boundaries (OVS revalidator-thread cadence) — hits are
-  /// guarded against the pending events, so nothing stale is served.
-  std::uint32_t revalidate_budget = 0;
   /// Per-engine megaflow sizing from the measured working set (EWMA of
   /// distinct entries touched per window).
   bool megaflow_auto_size = true;

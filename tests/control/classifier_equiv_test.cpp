@@ -23,29 +23,21 @@
 /// prefiltering, batching or revalidation the three-tier DpClassifier
 /// performs, it must return exactly the rule the oracle picks for every
 /// packet — across random rule sets, FlowMod churn and random packet
-/// streams. Three classifier variants are compared against the oracle and
-/// each other on the same stream:
+/// streams. Four classifier variants are compared against the oracle on
+/// the same stream:
 ///
-///   * scalar     — lookup() per packet, signature prefilter on;
-///   * scalar-ns  — lookup() per packet, signature prefilter off (the
-///                  linear full-compare baseline);
+///   * single     — lookup() per packet (a batch of one), defaults;
 ///   * batched    — lookup_batch() over 32-packet batches;
-///   * per-event  — lookup() per packet, coalesce_revalidation off (the
-///                  one-scan-per-event revalidator baseline), which makes
-///                  this fuzzer the mask-merge correctness oracle: the
-///                  coalesced plan (unioned DELETE ids, containment-merged
-///                  ADD masks) must agree with per-event processing on
-///                  every packet;
-///   * deferred   — lookup() per packet with a revalidate_budget, so
-///                  drains are deferred and hits are served through the
-///                  pending-event guards (no stale serve across a
-///                  deferred drain, proven against the oracle);
 ///   * scalar-scan— lookup() per packet with sig_scan_mode = kScalar, so
 ///                  the portable signature loop must agree bit-for-bit
 ///                  with the SIMD block scan the default variants run;
 ///   * nopf       — lookup() per packet with the subtable prefilter off,
 ///                  proving a Bloom skip never hides an entry (and that
 ///                  the default variants' skips never change a result).
+///
+/// Every variant drains FlowMod churn through the coalesced revalidator
+/// (unioned DELETE ids, containment-merged ADD masks), so agreement with
+/// the oracle on every packet is also the mask-merge soundness proof.
 ///
 /// Seeds are fixed (deterministic, reproducible); every assertion carries
 /// the reproducing seed, and instances are named by it, so a failure is a
@@ -134,17 +126,8 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
   exec::CostModel cost;
   FlowTable table;
 
-  DpClassifier scalar(table, cost);
-  DpClassifierConfig nosig_config;
-  nosig_config.megaflow.signature_prefilter = false;
-  DpClassifier scalar_nosig(table, cost, nosig_config);
+  DpClassifier single(table, cost);
   DpClassifier batched(table, cost);
-  DpClassifierConfig perevent_config;
-  perevent_config.megaflow.coalesce_revalidation = false;
-  DpClassifier scalar_perevent(table, cost, perevent_config);
-  DpClassifierConfig deferred_config;
-  deferred_config.megaflow.revalidate_budget = 4;
-  DpClassifier scalar_deferred(table, cost, deferred_config);
   DpClassifierConfig scalarscan_config;
   scalarscan_config.megaflow.sig_scan_mode = SigScanMode::kScalar;
   DpClassifier scalar_scan(table, cost, scalarscan_config);
@@ -178,35 +161,19 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
     batched.lookup_batch(keys, hashes, outcomes, meter);
     for (std::size_t i = 0; i < kBatch; ++i) {
       const RuleId oracle = id_of(table.lookup(keys[i]));
-      const RuleId got_scalar =
-          id_of(scalar.lookup(keys[i], hashes[i], meter).entry);
-      const RuleId got_nosig =
-          id_of(scalar_nosig.lookup(keys[i], hashes[i], meter).entry);
+      const RuleId got_single =
+          id_of(single.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_batched = id_of(outcomes[i].entry);
-      const RuleId got_perevent =
-          id_of(scalar_perevent.lookup(keys[i], hashes[i], meter).entry);
-      const RuleId got_deferred =
-          id_of(scalar_deferred.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_scalarscan =
           id_of(scalar_scan.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_nopf =
           id_of(scalar_nopf.lookup(keys[i], hashes[i], meter).entry);
-      ASSERT_EQ(got_scalar, oracle)
+      ASSERT_EQ(got_single, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
-          << ": scalar path diverged from the wildcard-table oracle";
-      ASSERT_EQ(got_nosig, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": no-signature scalar path diverged from the oracle";
+          << ": one-key lookup diverged from the wildcard-table oracle";
       ASSERT_EQ(got_batched, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
-          << ": batched path diverged from the oracle";
-      ASSERT_EQ(got_perevent, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": per-event revalidation baseline diverged from the oracle "
-             "(coalesced mask-merge would be unsound if these disagree)";
-      ASSERT_EQ(got_deferred, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": budget-deferred path served stale across a deferred drain";
+          << ": 32-packet batch diverged from the oracle";
       ASSERT_EQ(got_scalarscan, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": portable scalar signature scan diverged from the oracle "
@@ -221,41 +188,31 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
   }
 
   // The comparison is only meaningful if the cached tiers (not just the
-  // slow path) actually served packets, on both the scalar and the
-  // batched classifier, and if the batched path really batched.
-  EXPECT_GT(scalar.counters().emc_hits + scalar.counters().megaflow_hits, 0u)
+  // slow path) actually served packets, on both the one-key and the
+  // batched classifier, and if each really classified in its batch size.
+  EXPECT_GT(single.counters().emc_hits + single.counters().megaflow_hits, 0u)
       << "seed " << seed;
   EXPECT_GT(batched.counters().emc_hits + batched.counters().megaflow_hits,
             0u)
       << "seed " << seed;
-  EXPECT_GT(scalar.counters().sig_hits, 0u) << "seed " << seed;
+  EXPECT_GT(single.counters().sig_hits, 0u) << "seed " << seed;
+  EXPECT_EQ(single.counters().batches, packets) << "seed " << seed;
   EXPECT_GE(batched.counters().batches, kMinPackets / kBatch)
       << "seed " << seed;
   EXPECT_EQ(batched.counters().batch_packets, packets) << "seed " << seed;
-  // The revalidator variants must have genuinely exercised their paths:
-  // coalesced drains folded multi-event bursts, the per-event baseline
-  // ran at least as many scans, and the deferred classifier both served
-  // cached hits and eventually drained.
-  EXPECT_GT(scalar.counters().reval_batches, 0u) << "seed " << seed;
-  EXPECT_GE(scalar_perevent.counters().reval_batches,
-            scalar.counters().reval_batches)
-      << "seed " << seed;
-  EXPECT_GT(scalar_deferred.counters().reval_batches, 0u) << "seed " << seed;
-  EXPECT_GT(scalar_deferred.counters().emc_hits +
-                scalar_deferred.counters().megaflow_hits,
-            0u)
-      << "seed " << seed;
+  // The coalesced revalidator must have genuinely run drains.
+  EXPECT_GT(single.counters().reval_batches, 0u) << "seed " << seed;
   // The SIMD/prefilter machinery must have genuinely run: the default
   // variants scanned SIMD blocks (when this binary compiled a backend
   // in) and skipped provably clean subtables; the ablation variants
   // never touched either path.
   if (simd::kSimdCompiledIn) {
-    EXPECT_GT(scalar.counters().simd_blocks, 0u) << "seed " << seed;
+    EXPECT_GT(single.counters().simd_blocks, 0u) << "seed " << seed;
   } else {
-    EXPECT_EQ(scalar.counters().simd_blocks, 0u) << "seed " << seed;
+    EXPECT_EQ(single.counters().simd_blocks, 0u) << "seed " << seed;
   }
   EXPECT_EQ(scalar_scan.counters().simd_blocks, 0u) << "seed " << seed;
-  EXPECT_GT(scalar.counters().subtables_skipped, 0u) << "seed " << seed;
+  EXPECT_GT(single.counters().subtables_skipped, 0u) << "seed " << seed;
   EXPECT_EQ(scalar_nopf.counters().subtables_skipped, 0u) << "seed " << seed;
 }
 
@@ -264,11 +221,12 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
 /// per-engine classifiers — all subscribed to the SAME FlowTable, so the
 /// change subscription is exercised as a genuine multi-subscriber
 /// fan-out — and whichever engine a packet lands on must return exactly
-/// the wildcard-oracle verdict, across FlowMod churn, budget deferral
-/// (engine 2 defers on a revalidate_budget) and random bucket
+/// the wildcard-oracle verdict, across FlowMod churn, mixed engine
+/// configurations (engine 1 runs without the subtable prefilter, engine
+/// 2 with the portable scalar signature scan) and random bucket
 /// migrations mid-stream (the auto-load-balance handoff). Engine 3
-/// classifies its share through lookup_batch, so the sharded stream
-/// also crosses the scalar/batched boundary.
+/// classifies its share through lookup_batch, the others one packet at
+/// a time, so the stream also mixes batch sizes.
 TEST_P(ClassifierEquivalenceTest, ShardedEnginePoolAgreesWithOracle) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed ^ 0x5ca1ed0ULL);  // distinct stream from the other variant
@@ -277,12 +235,12 @@ TEST_P(ClassifierEquivalenceTest, ShardedEnginePoolAgreesWithOracle) {
 
   constexpr std::uint32_t kEngines = 4;
   DpClassifier engine0(table, cost);
-  DpClassifierConfig nosig_config;
-  nosig_config.megaflow.signature_prefilter = false;
-  DpClassifier engine1(table, cost, nosig_config);
-  DpClassifierConfig deferred_config;
-  deferred_config.megaflow.revalidate_budget = 4;
-  DpClassifier engine2(table, cost, deferred_config);
+  DpClassifierConfig nopf_config;
+  nopf_config.megaflow.subtable_prefilter = false;
+  DpClassifier engine1(table, cost, nopf_config);
+  DpClassifierConfig scalarscan_config;
+  scalarscan_config.megaflow.sig_scan_mode = SigScanMode::kScalar;
+  DpClassifier engine2(table, cost, scalarscan_config);
   DpClassifier engine3(table, cost);
   DpClassifier* engines[kEngines] = {&engine0, &engine1, &engine2, &engine3};
 
@@ -389,7 +347,7 @@ TEST_P(ClassifierEquivalenceTest, ShardedEnginePoolAgreesWithOracle) {
 /// bypass manager uses in production. Packets whose in_port holds an
 /// active detector link take the highway — they are delivered straight to
 /// `link.to` WITHOUT classification — and everything else lands on a
-/// sharded scalar/batched engine pair. Transparency is the differential
+/// sharded one-key/batched engine pair. Transparency is the differential
 /// claim: for every bypassed packet the wildcard oracle must pick exactly
 /// the link's rule, and that rule's action must be a single OUTPUT to
 /// exactly `link.to` — i.e. the highway forwards precisely what the
@@ -511,7 +469,7 @@ TEST_P(ClassifierEquivalenceTest, BypassHighwayAgreesWithWildcardOracle) {
         ASSERT_EQ(id_of(engine0.lookup(keys[i], hashes[i], meter).entry),
                   oracle)
             << "seed " << seed << " round " << round << " pkt " << i
-            << ": fallback scalar engine diverged from the oracle";
+            << ": fallback one-key engine diverged from the oracle";
       }
       ++classified;
     }
@@ -554,7 +512,7 @@ TEST_P(ClassifierEquivalenceTest, ZipfChurnStreamAgreesWithWildcardOracle) {
   exec::CostModel cost;
   FlowTable table;
 
-  DpClassifier scalar(table, cost);
+  DpClassifier single(table, cost);
   DpClassifier batched(table, cost);
   const ZipfSampler zipf(1.1);
   exec::CycleMeter meter;
@@ -588,9 +546,9 @@ TEST_P(ClassifierEquivalenceTest, ZipfChurnStreamAgreesWithWildcardOracle) {
     batched.lookup_batch(keys, hashes, outcomes, meter);
     for (std::size_t i = 0; i < kBatch; ++i) {
       const RuleId oracle = id_of(table.lookup(keys[i]));
-      ASSERT_EQ(id_of(scalar.lookup(keys[i], hashes[i], meter).entry), oracle)
+      ASSERT_EQ(id_of(single.lookup(keys[i], hashes[i], meter).entry), oracle)
           << "seed " << seed << " round " << round << " pkt " << i
-          << ": scalar path diverged from the oracle on a Zipf+churn "
+          << ": one-key lookup diverged from the oracle on a Zipf+churn "
              "stream";
       ASSERT_EQ(id_of(outcomes[i].entry), oracle)
           << "seed " << seed << " round " << round << " pkt " << i
@@ -605,7 +563,7 @@ TEST_P(ClassifierEquivalenceTest, ZipfChurnStreamAgreesWithWildcardOracle) {
   // tier, not an incidental one — and churn must actually have recycled
   // slots for the staleness claim to mean anything.
   EXPECT_GT(churned_slots, 0u) << "seed " << seed;
-  EXPECT_GT(scalar.counters().emc_hits, scalar.counters().slow_path_lookups)
+  EXPECT_GT(single.counters().emc_hits, single.counters().slow_path_lookups)
       << "seed " << seed
       << ": a Zipf head this heavy must resolve mostly in the EMC";
   EXPECT_GT(batched.counters().emc_hits + batched.counters().megaflow_hits,

@@ -387,7 +387,8 @@ TEST(ExactMatchCache, RevalidateRepairsOnlyAffectedSlots) {
   // A higher-priority rule shadows port 1 only.
   ASSERT_TRUE(table.apply(add_rule(1, 9, 200)).is_ok());
   ASSERT_EQ(events.size(), 1u);
-  const auto counts = emc.revalidate(events[0], table);
+  const auto counts = emc.revalidate_batch(events, table);
+  EXPECT_EQ(counts.scanned, 2u);
   EXPECT_EQ(counts.repaired, 1u);
   EXPECT_EQ(counts.evicted, 0u);
 

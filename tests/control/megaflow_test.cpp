@@ -263,29 +263,6 @@ TEST(MegaflowCacheTest, CoalescedDrainRunsOneSuspectScanPerBurst) {
   EXPECT_EQ(cache.entry_count(), 8u);
 }
 
-TEST(MegaflowCacheTest, PerEventBaselineScansOncePerEvent) {
-  // The ablation baseline replays PR 2's behaviour: one full suspect
-  // scan per drained event — the O(burst x entries) term the coalesced
-  // drain retires. Same burst as above: 5 scans, 40 entries examined.
-  MegaflowCache cache(MegaflowCacheConfig{.coalesce_revalidation = false});
-  MaskSpec mask{.fields = openflow::kMatchInPort};
-  for (PortId p = 1; p <= 8; ++p) {
-    cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
-  }
-  Match far_port;
-  far_port.in_port(99);
-  for (std::uint64_t v = 2; v <= 6; ++v) {
-    cache.on_table_change(
-        change_event(FlowModCommand::kAdd, far_port, 1, v));
-  }
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 6, probed), 1u);
-  EXPECT_EQ(cache.stats().reval_batches, 5u);
-  EXPECT_EQ(cache.stats().reval_entries_scanned, 40u);
-  EXPECT_EQ(cache.stats().reval_coalesced_events, 0u);
-  EXPECT_EQ(cache.entry_count(), 8u);
-}
-
 TEST(MegaflowCacheTest, OverlappingAddMasksResolveEachSuspectOnce) {
   MegaflowCache cache;
   int resolver_calls = 0;
@@ -322,36 +299,6 @@ TEST(MegaflowCacheTest, OverlappingAddMasksResolveEachSuspectOnce) {
   // Port 4's entry was examined but never suspected — and still serves.
   EXPECT_EQ(cache.lookup(make_key(4, 0, 0, 0), 3, probed), 8u);
   EXPECT_EQ(cache.stats().revalidated_kept, 1u);
-}
-
-TEST(MegaflowCacheTest, BudgetDefersDrainAndGuardsHits) {
-  MegaflowCache cache(MegaflowCacheConfig{.revalidate_budget = 8});
-  MaskSpec mask{.fields = openflow::kMatchInPort};
-  cache.insert(make_key(1, 0, 0, 0), mask, 10, 1);
-  cache.insert(make_key(2, 0, 0, 0), mask, 11, 1);
-  // One pending ADD touching port 1 only: below the budget, the drain is
-  // deferred — the port-2 hit is served after a pending-event guard
-  // check, and no suspect scan runs.
-  Match port1;
-  port1.in_port(1);
-  cache.on_table_change(change_event(FlowModCommand::kAdd, port1, 99, 2));
-  ProbeTally guarded;
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 2, guarded), 11u);
-  EXPECT_TRUE(cache.has_pending_changes());
-  EXPECT_EQ(cache.stats().reval_batches, 0u);
-  EXPECT_GT(guarded.reval_checks, 0u);
-  // A hit the pending ADD could affect forces the coalesced drain on the
-  // spot: without a resolver the suspect is evicted — deferral never
-  // serves stale.
-  ProbeTally suspect;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 2, suspect), kRuleNone);
-  EXPECT_FALSE(cache.has_pending_changes());
-  EXPECT_EQ(cache.stats().reval_batches, 1u);
-  EXPECT_EQ(cache.stats().revalidated_evicted, 1u);
-  // The untouched entry survived the drain and keeps serving.
-  ProbeTally after;
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 2, after), 11u);
-  EXPECT_EQ(after.reval_checks, 0u);  // nothing pends anymore
 }
 
 TEST(MegaflowCacheTest, WorkingSetEwmaResizesCapacity) {
@@ -395,22 +342,6 @@ TEST(MegaflowCacheTest, WorkingSetEwmaResizesCapacity) {
   EXPECT_LE(cache.entry_count(), 64u);
   EXPECT_GE(cache.stats().cache_resizes, 2u);
   EXPECT_GT(cache.stats().capacity_evictions, 0u);
-}
-
-TEST(MegaflowCacheTest, WholeFlushModeNukesCacheOnAnyEvent) {
-  MegaflowCache cache(
-      MegaflowCache::Config{.precise_revalidation = false});
-  MaskSpec mask{.fields = openflow::kMatchInPort};
-  for (PortId p = 1; p <= 4; ++p) {
-    cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
-  }
-  Match far_port;
-  far_port.in_port(99);
-  cache.on_table_change(change_event(FlowModCommand::kAdd, far_port, 1, 2));
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 2, probed), kRuleNone);
-  EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_EQ(cache.stats().flushes, 1u);
 }
 
 TEST(MegaflowCacheTest, CapacityEvictionKeepsBound) {
@@ -531,19 +462,6 @@ TEST(MegaflowCacheTest, RepairInPlaceKeepsSignatureValid) {
   EXPECT_EQ(cache.stats().sig_false_positives, 0u);
   // Any other key with the same masked projection finds it too.
   EXPECT_EQ(cache.lookup(make_key(3, 1, 0x0a0b0000, 80), 2, probed), 42u);
-}
-
-TEST(MegaflowCacheTest, SignaturePrefilterOffStillFindsEntries) {
-  MegaflowCache cache(MegaflowCacheConfig{.signature_prefilter = false});
-  MaskSpec mask{.fields = openflow::kMatchInPort};
-  for (PortId p = 1; p <= 4; ++p) {
-    cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
-  }
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(3, 9, 9, 9), 1, probed), 3u);
-  // The scalar baseline never touches the signature counters.
-  EXPECT_EQ(cache.stats().sig_hits, 0u);
-  EXPECT_EQ(cache.stats().sig_false_positives, 0u);
 }
 
 TEST(MegaflowCacheTest, SimdAndScalarSigScansAgree) {
@@ -981,12 +899,17 @@ TEST_F(DpClassifierTest, ChargesPerTierCosts) {
 
   exec::CycleMeter slow;
   (void)dp.lookup(key, pkt::flow_key_hash(key), slow);
+  const TierCounters before = dp.counters();
   exec::CycleMeter emc;
   (void)dp.lookup(key, pkt::flow_key_hash(key), emc);
   // Slow path pays the upcall base + scan + install on top of the probes.
   EXPECT_GE(slow.total_used(),
             emc.total_used() + cost_.slow_path_base + cost_.megaflow_insert);
-  EXPECT_EQ(emc.total_used(), cost_.emc_hit);
+  // A one-key lookup is a batch of one: the batch base plus the EMC hit,
+  // exactly what a one-packet burst pays in the forwarding engine.
+  EXPECT_EQ(emc.total_used(), cost_.classify_batch_base + cost_.emc_hit);
+  EXPECT_EQ(dp.counters().batches, before.batches + 1);
+  EXPECT_EQ(dp.counters().batch_packets, before.batch_packets + 1);
 }
 
 TEST_F(DpClassifierTest, RevalidationWorkIsChargedToTheMeter) {
@@ -1125,46 +1048,6 @@ TEST_F(DpClassifierTest, EmcNeverServesStaleRuleAcrossDeleteAndReadd) {
   const LookupOutcome steady = dp.lookup(key, pkt::flow_key_hash(key), meter_);
   EXPECT_EQ(steady.tier, Tier::kEmc);
   EXPECT_EQ(steady.entry->actions[0].port, 7);
-}
-
-TEST_F(DpClassifierTest, BudgetDeferralNeverServesStaleAcrossBothTiers) {
-  DpClassifierConfig config;
-  config.megaflow.revalidate_budget = 8;
-  DpClassifier dp(table_, cost_, config);
-  ASSERT_TRUE(table_.apply(openflow::make_p2p_flowmod(1, 2, 10, 1)).is_ok());
-  ASSERT_TRUE(table_.apply(openflow::make_p2p_flowmod(2, 3, 10, 2)).is_ok());
-  const pkt::FlowKey on1 = make_key(1, 1, 2, 80);
-  const pkt::FlowKey on2 = make_key(2, 1, 2, 80);
-  ASSERT_NE(lookup(dp, on1), nullptr);
-  ASSERT_NE(lookup(dp, on2), nullptr);
-  ASSERT_EQ(dp.lookup(on1, pkt::flow_key_hash(on1), meter_).tier, Tier::kEmc);
-  ASSERT_EQ(dp.lookup(on2, pkt::flow_key_hash(on2), meter_).tier, Tier::kEmc);
-
-  const std::uint64_t batches_before = dp.counters().reval_batches;
-
-  // Shadow port 1 with a higher-priority rule. One pending event is
-  // below the budget, so the drain is DEFERRED past the next lookups.
-  Match all_port1;
-  all_port1.in_port(1);
-  ASSERT_TRUE(table_.apply(add_rule(all_port1, 500, 3)).is_ok());
-
-  // A key the pending ADD cannot cover keeps serving from the EMC with
-  // the drain still deferred — the burst keeps coalescing.
-  const LookupOutcome hit2 = dp.lookup(on2, pkt::flow_key_hash(on2), meter_);
-  EXPECT_EQ(hit2.tier, Tier::kEmc);
-  EXPECT_TRUE(dp.megaflow().has_pending_changes());
-  EXPECT_EQ(dp.counters().reval_batches, batches_before);
-
-  // The covered key forces the coalesced drain on the spot and must see
-  // the new rule: a deferred drain never serves stale.
-  const LookupOutcome hit1 = dp.lookup(on1, pkt::flow_key_hash(on1), meter_);
-  ASSERT_NE(hit1.entry, nullptr);
-  EXPECT_EQ(hit1.entry->priority, 500);
-  EXPECT_EQ(hit1.entry, table_.lookup(on1));
-  EXPECT_FALSE(dp.megaflow().has_pending_changes());
-  EXPECT_EQ(dp.counters().reval_batches, batches_before + 1);
-  // ... and the drain's suspect-scan work was accounted.
-  EXPECT_GT(dp.counters().reval_entries_scanned, 0u);
 }
 
 // ------------------------------------------------- churn torture (oracle)

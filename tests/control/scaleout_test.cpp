@@ -167,9 +167,9 @@ TEST(ShardedChurnTest, FlowModInvalidatesOnAllEnginesWithZeroStaleServes) {
   constexpr std::uint32_t kEngines = 4;
   DpClassifier engine0(table, cost);
   DpClassifier engine1(table, cost);
-  DpClassifierConfig deferred_config;
-  deferred_config.megaflow.revalidate_budget = 4;
-  DpClassifier engine2(table, cost, deferred_config);  // defers drains
+  DpClassifierConfig nopf_config;
+  nopf_config.megaflow.subtable_prefilter = false;
+  DpClassifier engine2(table, cost, nopf_config);  // scans every subtable
   DpClassifier engine3(table, cost);
   DpClassifier* engines[kEngines] = {&engine0, &engine1, &engine2, &engine3};
   RssTable rss(16, kEngines);
