@@ -115,39 +115,6 @@ std::vector<Row> g_rows;
 std::string g_series_csv;
 std::uint32_t g_series_flows = 0;
 
-/// Registers per-interval hit-rate gauges over `dp`'s cumulative tier
-/// counters — the same dp.* gauge names the chain scenario exports, so
-/// docs/OBSERVABILITY.md covers both. The mutable captures snapshot the
-/// previous sample; each callback runs exactly once per sample_now().
-void register_hit_rate_gauges(telemetry::MetricsRegistry& registry,
-                              const DpClassifier& dp) {
-  const auto rate = [](std::uint64_t hits, std::uint64_t lookups) {
-    return lookups == 0
-               ? 0.0
-               : static_cast<double>(hits) / static_cast<double>(lookups);
-  };
-  registry.gauge("dp.emc_hit_rate")
-      .set_callback([&dp, rate, prev = TierCounters{}]() mutable {
-        const TierCounters now = dp.counters();
-        const std::uint64_t hits = now.emc_hits - prev.emc_hits;
-        const std::uint64_t lookups =
-            hits + (now.megaflow_hits - prev.megaflow_hits) +
-            (now.slow_path_lookups - prev.slow_path_lookups);
-        prev = now;
-        return rate(hits, lookups);
-      });
-  registry.gauge("dp.megaflow_hit_rate")
-      .set_callback([&dp, rate, prev = TierCounters{}]() mutable {
-        const TierCounters now = dp.counters();
-        const std::uint64_t hits = now.megaflow_hits - prev.megaflow_hits;
-        const std::uint64_t lookups =
-            hits + (now.emc_hits - prev.emc_hits) +
-            (now.slow_path_lookups - prev.slow_path_lookups);
-        prev = now;
-        return rate(hits, lookups);
-      });
-}
-
 Row& row_for(std::uint32_t flows, std::uint32_t mods) {
   for (Row& row : g_rows) {
     if (row.flows == flows && row.mods_per_kpkt == mods) return row;
@@ -195,7 +162,9 @@ void BM_Churn(benchmark::State& state) {
     // No runtime here, so the sampler is driven manually: one sample per
     // 1/20th of the run, stamped with virtual time from the meter.
     telemetry::MetricsRegistry registry;
-    register_hit_rate_gauges(registry, dp);
+    // The same dp.* gauges the chain scenario exports.
+    classifier::register_hit_rate_gauges(registry,
+                                         [&dp] { return dp.counters(); });
     telemetry::MetricsSampler sampler(registry);
     const std::uint64_t sample_interval = std::max<std::uint64_t>(
         g_lookups / 20, 1);
@@ -211,14 +180,13 @@ void BM_Churn(benchmark::State& state) {
             static_cast<double>(meter.total_used()) * cost.ns_per_cycle()));
       }
     }
-    const TierCounters& after = dp.counters();
-    hit_rate = static_cast<double>(after.megaflow_hits -
-                                   before.megaflow_hits) /
+    const TierCounters window = dp.counters() - before;
+    hit_rate = static_cast<double>(window.megaflow_hits) /
                static_cast<double>(g_lookups);
     cycles_per_lookup = static_cast<double>(meter.total_used()) /
                         static_cast<double>(g_lookups);
-    revalidations = after.megaflow_revalidations - before.megaflow_revalidations;
-    flushes = after.megaflow_invalidations - before.megaflow_invalidations;
+    revalidations = window.megaflow_revalidations;
+    flushes = window.megaflow_invalidations;
     state.SetIterationTime(static_cast<double>(meter.total_used()) *
                            cost.ns_per_cycle() / 1e9);
     if (mods_per_kpkt == 256) {

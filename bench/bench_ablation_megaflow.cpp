@@ -179,13 +179,7 @@ void BM_Megaflow(benchmark::State& state) {
     }
     cycles_per_lookup = static_cast<double>(meter.total_used()) /
                         static_cast<double>(kLookups);
-    tiers = dp.counters();
-    tiers.emc_hits -= before.emc_hits;
-    tiers.emc_misses -= before.emc_misses;
-    tiers.megaflow_hits -= before.megaflow_hits;
-    tiers.megaflow_misses -= before.megaflow_misses;
-    tiers.megaflow_inserts -= before.megaflow_inserts;
-    tiers.slow_path_lookups -= before.slow_path_lookups;
+    tiers = dp.counters() - before;
     subtables = dp.megaflow().subtable_count();
     state.SetIterationTime(static_cast<double>(meter.total_used()) *
                            cost.ns_per_cycle() / 1e9);

@@ -216,7 +216,6 @@ void BM_Revalidator(benchmark::State& state) {
     exec::CycleMeter drain_meter;
     exec::CycleMeter steady_meter;
     std::uint64_t steady_lookups = 0;
-    std::uint64_t steady_hits_before = before.megaflow_hits;
     for (std::uint64_t round = 0; round < g_rounds; ++round) {
       apply_burst(table, burst, round);
       // The next lookup drains the whole burst; everything it charges
@@ -230,22 +229,19 @@ void BM_Revalidator(benchmark::State& state) {
         ++steady_lookups;
       }
     }
-    const TierCounters& after = dp.counters();
+    const TierCounters window = dp.counters() - before;
     drain_cycles = static_cast<double>(drain_meter.total_used()) /
                    static_cast<double>(g_rounds);
-    scanned = static_cast<double>(after.reval_entries_scanned -
-                                  before.reval_entries_scanned) /
+    scanned = static_cast<double>(window.reval_entries_scanned) /
               static_cast<double>(g_rounds);
-    passes = static_cast<double>(after.reval_batches - before.reval_batches) /
+    passes = static_cast<double>(window.reval_batches) /
              static_cast<double>(g_rounds);
-    skipped = static_cast<double>(after.subtables_skipped -
-                                  before.subtables_skipped) /
+    skipped = static_cast<double>(window.subtables_skipped) /
               static_cast<double>(g_rounds);
-    coalesced = after.reval_coalesced_events - before.reval_coalesced_events;
+    coalesced = window.reval_coalesced_events;
     subtables = dp.megaflow().subtable_count();
     hit_rate = steady_lookups > 0
-                   ? static_cast<double>(after.megaflow_hits -
-                                         steady_hits_before) /
+                   ? static_cast<double>(window.megaflow_hits) /
                          static_cast<double>(steady_lookups + g_rounds)
                    : 0;
     state.SetIterationTime(

@@ -200,9 +200,6 @@ void BM_Signature(benchmark::State& state) {
   TierCounters tiers;
   std::size_t subtables = 0;
   std::size_t entries = 0;
-  std::uint64_t sig_fp = 0;
-  std::uint64_t skipped = 0;
-  std::uint64_t simd_blocks = 0;
   for (auto _ : state) {
     DpClassifier dp(table, cost, config);
     exec::CycleMeter warm;
@@ -234,12 +231,7 @@ void BM_Signature(benchmark::State& state) {
     }
     cycles_per_lookup = static_cast<double>(meter.total_used()) /
                         static_cast<double>(g_lookups);
-    tiers = dp.counters();
-    tiers.megaflow_hits -= before.megaflow_hits;
-    tiers.slow_path_lookups -= before.slow_path_lookups;
-    sig_fp = tiers.sig_false_positives - before.sig_false_positives;
-    skipped = tiers.subtables_skipped - before.subtables_skipped;
-    simd_blocks = tiers.simd_blocks - before.simd_blocks;
+    tiers = dp.counters() - before;
     subtables = dp.megaflow().subtable_count();
     entries = dp.megaflow().entry_count();
     state.SetIterationTime(static_cast<double>(meter.total_used()) *
@@ -252,9 +244,9 @@ void BM_Signature(benchmark::State& state) {
           ? static_cast<double>(cost.hz) / cycles_per_lookup / 1e6
           : 0;
   state.counters["mf_hits"] = static_cast<double>(tiers.megaflow_hits);
-  state.counters["sig_fp"] = static_cast<double>(sig_fp);
-  state.counters["subt_skipped"] = static_cast<double>(skipped);
-  state.counters["simd_blocks"] = static_cast<double>(simd_blocks);
+  state.counters["sig_fp"] = static_cast<double>(tiers.sig_false_positives);
+  state.counters["subt_skipped"] = static_cast<double>(tiers.subtables_skipped);
+  state.counters["simd_blocks"] = static_cast<double>(tiers.simd_blocks);
   state.counters["subtables"] = static_cast<double>(subtables);
   state.counters["entries_per_subtable"] =
       subtables > 0 ? static_cast<double>(entries) /
@@ -263,12 +255,12 @@ void BM_Signature(benchmark::State& state) {
 
   Row& row = row_for(flow_count, mask_diversity);
   row.cyc[mode] = cycles_per_lookup;
-  if (mode == kSigSimd) row.simd_blocks = simd_blocks;
-  if (mode == kSimdPrefilter) row.skipped = skipped;
+  if (mode == kSigSimd) row.simd_blocks = tiers.simd_blocks;
+  if (mode == kSimdPrefilter) row.skipped = tiers.subtables_skipped;
   if (mode == kSigBatch) {
     row.mf_hit_rate = static_cast<double>(tiers.megaflow_hits) /
                       static_cast<double>(g_lookups);
-    row.sig_fp = sig_fp;
+    row.sig_fp = tiers.sig_false_positives;
     row.subtables = subtables;
     row.entries = entries;
   }

@@ -99,20 +99,20 @@ class SeriesTable {
                 "mf%", "slow%");
     for (const auto& [key, metrics] : rows_) {
       const auto [n, bypass] = key;
-      const double total =
-          static_cast<double>(metrics.emc_hits + metrics.megaflow_hits +
-                              metrics.slow_path_lookups);
+      const classifier::TierCounters& tiers = metrics.tiers;
+      const double total = static_cast<double>(
+          tiers.emc_hits + tiers.megaflow_hits + tiers.slow_path_lookups);
       auto pct = [&](std::uint64_t v) {
         return total > 0 ? 100.0 * static_cast<double>(v) / total : 0.0;
       };
       std::printf(
           "%-8u %-12s %-12llu %-12llu %-12llu %-8.1f %-8.1f %-8.1f\n", n,
           bypass ? "ours" : "traditional",
-          static_cast<unsigned long long>(metrics.emc_hits),
-          static_cast<unsigned long long>(metrics.megaflow_hits),
-          static_cast<unsigned long long>(metrics.slow_path_lookups),
-          pct(metrics.emc_hits), pct(metrics.megaflow_hits),
-          pct(metrics.slow_path_lookups));
+          static_cast<unsigned long long>(tiers.emc_hits),
+          static_cast<unsigned long long>(tiers.megaflow_hits),
+          static_cast<unsigned long long>(tiers.slow_path_lookups),
+          pct(tiers.emc_hits), pct(tiers.megaflow_hits),
+          pct(tiers.slow_path_lookups));
     }
   }
 
@@ -161,37 +161,17 @@ inline void export_counters(benchmark::State& state,
   state.counters["pmd_util"] = metrics.max_engine_utilization;
   // Per-tier classification counters: alongside the latency/throughput
   // columns these show *where* lookups resolved, i.e. why a config wins.
-  state.counters["emc_hits"] = static_cast<double>(metrics.emc_hits);
-  state.counters["mf_hits"] = static_cast<double>(metrics.megaflow_hits);
-  state.counters["slow_lookups"] =
-      static_cast<double>(metrics.slow_path_lookups);
-  state.counters["mf_inserts"] =
-      static_cast<double>(metrics.megaflow_inserts);
-  state.counters["mf_invalidations"] =
-      static_cast<double>(metrics.megaflow_invalidations);
-  state.counters["mf_revalidations"] =
-      static_cast<double>(metrics.megaflow_revalidations);
-  // Signature prefilter + batch pipeline telemetry.
-  state.counters["sig_hits"] = static_cast<double>(metrics.sig_hits);
-  state.counters["sig_fp"] =
-      static_cast<double>(metrics.sig_false_positives);
-  state.counters["batches"] = static_cast<double>(metrics.batches);
-  state.counters["batch_fill_avg"] = metrics.batch_fill_avg;
-  // Coalescing-revalidator telemetry (see docs/COUNTERS.md).
-  state.counters["reval_batches"] =
-      static_cast<double>(metrics.reval_batches);
-  state.counters["reval_scanned"] =
-      static_cast<double>(metrics.reval_entries_scanned);
-  state.counters["reval_coalesced"] =
-      static_cast<double>(metrics.reval_coalesced_events);
-  state.counters["cache_resizes"] =
-      static_cast<double>(metrics.cache_resizes);
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  state.counters["simd_blocks"] = static_cast<double>(metrics.simd_blocks);
-  state.counters["subt_skipped"] =
-      static_cast<double>(metrics.subtables_skipped);
-  state.counters["prefilter_fp"] =
-      static_cast<double>(metrics.prefilter_false_positives);
+  const classifier::TierCounters& tiers = metrics.tiers;
+  for (const classifier::TierCounterField& field :
+       classifier::kTierCounterFields) {
+    if (field.column != nullptr) {
+      state.counters[field.column] = static_cast<double>(tiers.*field.member);
+    }
+  }
+  state.counters["batch_fill_avg"] =
+      tiers.batches > 0 ? static_cast<double>(tiers.batch_packets) /
+                              static_cast<double>(tiers.batches)
+                        : 0.0;
   // RSS scale-out telemetry (see docs/SCALEOUT.md): zeros unless an
   // RSS-sharded multi-engine pool is configured.
   state.counters["rss_distributed"] =

@@ -216,20 +216,14 @@ void BM_Workload(benchmark::State& state) {
     exec::CycleMeter meter;
     const std::uint64_t measured = pump(kMeasurePkts, meter);
 
-    const TierCounters tiers = dp.counters();
+    const TierCounters tiers = dp.counters() - before;
     const pkt::WorkloadStats offered = source.workload_stats();
     Result result;
     const auto total = static_cast<double>(measured);
     result.cyc_per_pkt = static_cast<double>(meter.total_used()) / total;
-    result.emc_rate =
-        static_cast<double>(tiers.emc_hits - before.emc_hits) / total;
-    result.mf_rate =
-        static_cast<double>(tiers.megaflow_hits - before.megaflow_hits) /
-        total;
-    result.slow_rate =
-        static_cast<double>(tiers.slow_path_lookups -
-                            before.slow_path_lookups) /
-        total;
+    result.emc_rate = static_cast<double>(tiers.emc_hits) / total;
+    result.mf_rate = static_cast<double>(tiers.megaflow_hits) / total;
+    result.slow_rate = static_cast<double>(tiers.slow_path_lookups) / total;
     result.top16 = source.top_share(16);
     result.arrivals = offered.flow_arrivals - offered_before.flow_arrivals;
     result.departures =

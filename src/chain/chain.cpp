@@ -61,9 +61,6 @@ Status ChainScenario::build() {
                             .burst = config_.burst,
                             .emc_enabled = config_.emc_enabled,
                             .megaflow_enabled = config_.megaflow_enabled,
-                            .megaflow_auto_size = config_.megaflow_auto_size,
-                            .sig_scan_mode = config_.sig_scan_mode,
-                            .subtable_prefilter = config_.subtable_prefilter,
                             .engine_count = config_.engine_count,
                             .rss = config_.rss,
                             .bypass_enabled = config_.enable_bypass,
@@ -201,33 +198,8 @@ void ChainScenario::wire_telemetry() {
     }
     return static_cast<double>(total);
   });
-  // Per-interval tier hit rates: each callback is evaluated once per
-  // sample, so the mutable snapshot turns cumulative tier counters into
-  // a rate over the window since the previous sample.
-  metrics_->gauge("dp.emc_hit_rate")
-      .set_callback([this, prev = classifier::TierCounters{}]() mutable {
-        const classifier::TierCounters now = of_->datapath_stats();
-        const std::uint64_t hits = now.emc_hits - prev.emc_hits;
-        const std::uint64_t lookups =
-            hits + (now.megaflow_hits - prev.megaflow_hits) +
-            (now.slow_path_lookups - prev.slow_path_lookups);
-        prev = now;
-        return lookups == 0 ? 0.0
-                            : static_cast<double>(hits) /
-                                  static_cast<double>(lookups);
-      });
-  metrics_->gauge("dp.megaflow_hit_rate")
-      .set_callback([this, prev = classifier::TierCounters{}]() mutable {
-        const classifier::TierCounters now = of_->datapath_stats();
-        const std::uint64_t hits = now.megaflow_hits - prev.megaflow_hits;
-        const std::uint64_t lookups =
-            hits + (now.emc_hits - prev.emc_hits) +
-            (now.slow_path_lookups - prev.slow_path_lookups);
-        prev = now;
-        return lookups == 0 ? 0.0
-                            : static_cast<double>(hits) /
-                                  static_cast<double>(lookups);
-      });
+  classifier::register_hit_rate_gauges(
+      *metrics_, [this] { return of_->datapath_stats(); });
 
   // Offered-load shape (docs/WORKLOADS.md): a bench starving its own
   // generators or a churn model collapsing the population shows up in
@@ -436,39 +408,7 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
 
   metrics.bypass_links = of_->bypass_manager().active_links();
 
-  const classifier::TierCounters tiers = of_->datapath_stats();
-  metrics.emc_hits = tiers.emc_hits - snap_tiers_.emc_hits;
-  metrics.megaflow_hits = tiers.megaflow_hits - snap_tiers_.megaflow_hits;
-  metrics.slow_path_lookups =
-      tiers.slow_path_lookups - snap_tiers_.slow_path_lookups;
-  metrics.megaflow_inserts =
-      tiers.megaflow_inserts - snap_tiers_.megaflow_inserts;
-  metrics.megaflow_invalidations =
-      tiers.megaflow_invalidations - snap_tiers_.megaflow_invalidations;
-  metrics.megaflow_revalidations =
-      tiers.megaflow_revalidations - snap_tiers_.megaflow_revalidations;
-  metrics.sig_hits = tiers.sig_hits - snap_tiers_.sig_hits;
-  metrics.sig_false_positives =
-      tiers.sig_false_positives - snap_tiers_.sig_false_positives;
-  metrics.batches = tiers.batches - snap_tiers_.batches;
-  const std::uint64_t batch_pkts =
-      tiers.batch_packets - snap_tiers_.batch_packets;
-  metrics.batch_fill_avg =
-      metrics.batches > 0
-          ? static_cast<double>(batch_pkts) /
-                static_cast<double>(metrics.batches)
-          : 0.0;
-  metrics.reval_batches = tiers.reval_batches - snap_tiers_.reval_batches;
-  metrics.reval_entries_scanned =
-      tiers.reval_entries_scanned - snap_tiers_.reval_entries_scanned;
-  metrics.reval_coalesced_events =
-      tiers.reval_coalesced_events - snap_tiers_.reval_coalesced_events;
-  metrics.cache_resizes = tiers.cache_resizes - snap_tiers_.cache_resizes;
-  metrics.simd_blocks = tiers.simd_blocks - snap_tiers_.simd_blocks;
-  metrics.subtables_skipped =
-      tiers.subtables_skipped - snap_tiers_.subtables_skipped;
-  metrics.prefilter_false_positives =
-      tiers.prefilter_false_positives - snap_tiers_.prefilter_false_positives;
+  metrics.tiers = of_->datapath_stats() - snap_tiers_;
 
   std::uint64_t rss_distributed = 0;
   std::uint64_t rss_queue_drops = 0;

@@ -48,10 +48,6 @@ struct ChainConfig {
   std::uint32_t burst = 32;
   bool emc_enabled = true;
   bool megaflow_enabled = true;  ///< dpcls-style middle classifier tier
-  bool megaflow_auto_size = true;  ///< working-set-driven megaflow sizing
-  /// Signature-scan strategy (SIMD blocks vs portable scalar loop).
-  classifier::SigScanMode sig_scan_mode = classifier::SigScanMode::kAuto;
-  bool subtable_prefilter = true;  ///< per-subtable Bloom skip filter
 
   std::uint32_t frame_len = 64;
   std::uint32_t flow_count = 8;
@@ -91,28 +87,9 @@ struct ChainMetrics {
   std::uint64_t drops = 0;              ///< NIC missed + app/engine drops
   std::size_t bypass_links = 0;
   double max_engine_utilization = 0;
-  // Per-tier classification counters over the measurement window (summed
-  // across engines) — shows *where* switched packets resolved.
-  std::uint64_t emc_hits = 0;
-  std::uint64_t megaflow_hits = 0;
-  std::uint64_t slow_path_lookups = 0;
-  std::uint64_t megaflow_inserts = 0;
-  std::uint64_t megaflow_invalidations = 0;
-  std::uint64_t megaflow_revalidations = 0;
-  // Signature prefilter + batch pipeline telemetry.
-  std::uint64_t sig_hits = 0;
-  std::uint64_t sig_false_positives = 0;
-  std::uint64_t batches = 0;
-  double batch_fill_avg = 0;  ///< packets per batched classify round
-  // Coalescing-revalidator telemetry (see docs/COUNTERS.md).
-  std::uint64_t reval_batches = 0;          ///< suspect-scan passes
-  std::uint64_t reval_entries_scanned = 0;  ///< entries examined by scans
-  std::uint64_t reval_coalesced_events = 0; ///< events folded into shared scans
-  std::uint64_t cache_resizes = 0;          ///< megaflow capacity retargets
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;            ///< 16-signature SIMD blocks scanned
-  std::uint64_t subtables_skipped = 0;      ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan empty
+  /// Tier counters over the measurement window, summed across engines —
+  /// shows *where* switched packets resolved.
+  classifier::TierCounters tiers;
   // RSS scale-out telemetry (see docs/SCALEOUT.md): zeros unless rss is
   // enabled on a multi-engine pool.
   std::uint64_t rss_distributed = 0;   ///< frames hashed + steered by homes

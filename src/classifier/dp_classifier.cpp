@@ -1,6 +1,7 @@
 #include "classifier/dp_classifier.h"
 
 #include "exec/runtime.h"
+#include "telemetry/metrics.h"
 
 namespace hw::classifier {
 
@@ -92,8 +93,8 @@ void DpClassifier::drain_table_changes(exec::CycleMeter& meter) {
                              trace_base(), &meter, cost_);
   (void)megaflow_.revalidate();
   charge_reval_work(meter);
-  span.set_args(counters_.reval_entries_scanned - scanned_before,
-                counters_.reval_coalesced_events);
+  span.set_args(reval_seen_.scanned - scanned_before,
+                megaflow_.stats().reval_coalesced_events);
 }
 
 void DpClassifier::charge_reval_work(exec::CycleMeter& meter) {
@@ -121,19 +122,6 @@ void DpClassifier::charge_reval_work(exec::CycleMeter& meter) {
       static_cast<Cycles>(now.evicted - reval_seen_.evicted) *
           cost_->revalidate_evict);
   reval_seen_ = now;
-  // Mirror the cache-internal tallies the engines/benches report (the
-  // cache's own stats also cover any drain its lookup/insert applied).
-  counters_.megaflow_revalidations = stats.revalidations;
-  counters_.megaflow_invalidations = stats.flushes;
-  counters_.megaflow_revalidation_evictions = stats.revalidated_evicted;
-  counters_.reval_batches = stats.reval_batches;
-  counters_.reval_entries_scanned =
-      stats.reval_entries_scanned + emc_accum_.scanned;
-  counters_.reval_coalesced_events = stats.reval_coalesced_events;
-  counters_.cache_resizes = stats.cache_resizes;
-  counters_.simd_blocks = stats.simd_blocks;
-  counters_.subtables_skipped = stats.subtables_skipped;
-  counters_.prefilter_false_positives = stats.prefilter_false_positives;
 }
 
 Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
@@ -153,13 +141,23 @@ Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
              cost_->megaflow_full_compare;
 }
 
-void DpClassifier::mirror_sig_stats() noexcept {
+TierCounters DpClassifier::counters() const noexcept {
+  // The cache's own stats also cover any drain its lookup/insert applied.
   const MegaflowStats& stats = megaflow_.stats();
-  counters_.sig_hits = stats.sig_hits;
-  counters_.sig_false_positives = stats.sig_false_positives;
-  counters_.simd_blocks = stats.simd_blocks;
-  counters_.subtables_skipped = stats.subtables_skipped;
-  counters_.prefilter_false_positives = stats.prefilter_false_positives;
+  TierCounters out = counters_;
+  out.megaflow_invalidations = stats.flushes;
+  out.megaflow_revalidations = stats.revalidations;
+  out.megaflow_revalidation_evictions = stats.revalidated_evicted;
+  out.sig_hits = stats.sig_hits;
+  out.sig_false_positives = stats.sig_false_positives;
+  out.reval_batches = stats.reval_batches;
+  out.reval_entries_scanned = stats.reval_entries_scanned + emc_accum_.scanned;
+  out.reval_coalesced_events = stats.reval_coalesced_events;
+  out.cache_resizes = stats.cache_resizes;
+  out.simd_blocks = stats.simd_blocks;
+  out.subtables_skipped = stats.subtables_skipped;
+  out.prefilter_false_positives = stats.prefilter_false_positives;
+  return out;
 }
 
 LookupOutcome DpClassifier::slow_path(const pkt::FlowKey& key,
@@ -223,7 +221,6 @@ LookupOutcome DpClassifier::probe_caches(const pkt::FlowKey& key,
     ProbeTally tally;
     const RuleId id = megaflow_.lookup(key, version, tally);
     meter.charge(tally_cycles(tally, /*batched=*/false));
-    mirror_sig_stats();
     if (id != kRuleNone) {
       FlowEntry* entry = table_->find(id);
       if (entry != nullptr) {
@@ -282,7 +279,6 @@ void DpClassifier::lookup_batch(std::span<const pkt::FlowKey> keys,
     ProbeTally tally;
     megaflow_.lookup_batch(batch_keys_, version, batch_rules_, tally);
     meter.charge(tally_cycles(tally, /*batched=*/true));
-    mirror_sig_stats();
     std::size_t still_missing = 0;
     for (std::size_t j = 0; j < batch_miss_.size(); ++j) {
       const std::uint32_t i = batch_miss_[j];
@@ -332,6 +328,35 @@ void DpClassifier::lookup_batch(std::span<const pkt::FlowKey> keys,
     installed = installed || out[i].entry != nullptr;
   }
   charge_reval_work(meter);
+}
+
+namespace {
+
+/// A gauge callback: `hits` as a share of the lookups `source` counted
+/// since the callback's previous run.
+std::function<double()> window_hit_rate(
+    std::function<TierCounters()> source, std::uint64_t TierCounters::*hits) {
+  return [source = std::move(source), hits,
+          prev = TierCounters{}]() mutable {
+    const TierCounters now = source();
+    const TierCounters window = now - prev;
+    prev = now;
+    const std::uint64_t lookups =
+        window.emc_hits + window.megaflow_hits + window.slow_path_lookups;
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(window.*hits) /
+                              static_cast<double>(lookups);
+  };
+}
+
+}  // namespace
+
+void register_hit_rate_gauges(telemetry::MetricsRegistry& registry,
+                              const std::function<TierCounters()>& source) {
+  registry.gauge("dp.emc_hit_rate")
+      .set_callback(window_hit_rate(source, &TierCounters::emc_hits));
+  registry.gauge("dp.megaflow_hit_rate")
+      .set_callback(window_hit_rate(source, &TierCounters::megaflow_hits));
 }
 
 }  // namespace hw::classifier

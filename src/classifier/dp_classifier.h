@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -13,6 +14,9 @@
 
 namespace hw::exec {
 class Runtime;
+}
+namespace hw::telemetry {
+class MetricsRegistry;
 }
 
 /// \file dp_classifier.h
@@ -70,59 +74,86 @@ struct LookupOutcome {
 /// EMC and the megaflow tier for the whole batch before its first upcall
 /// can install anything — so they are comparable between runs with the
 /// same batching, not across batch sizes.
-struct TierCounters {
-  std::uint64_t emc_hits = 0;
-  std::uint64_t emc_misses = 0;
-  std::uint64_t megaflow_hits = 0;
-  std::uint64_t megaflow_misses = 0;
-  std::uint64_t megaflow_inserts = 0;
-  std::uint64_t megaflow_invalidations = 0;  ///< full-cache flushes
-  std::uint64_t megaflow_revalidations = 0;  ///< suspect entries re-checked
-  std::uint64_t megaflow_revalidation_evictions = 0;
-  std::uint64_t emc_revalidations = 0;       ///< EMC slots repaired/evicted
-  std::uint64_t slow_path_lookups = 0;
-  std::uint64_t slow_path_misses = 0;  ///< no rule matched at all
-  // Signature prefilter + batch pipeline telemetry.
-  std::uint64_t sig_hits = 0;             ///< signature matches confirmed
-  std::uint64_t sig_false_positives = 0;  ///< signature matched, compare failed
-  std::uint64_t batches = 0;              ///< classify batches (lookup() = 1)
-  std::uint64_t batch_packets = 0;        ///< packets classified in batches
-  // Coalescing-revalidator telemetry (see docs/COUNTERS.md).
-  std::uint64_t reval_batches = 0;          ///< suspect-scan passes executed
-  std::uint64_t reval_entries_scanned = 0;  ///< entries examined (both tiers)
-  std::uint64_t reval_coalesced_events = 0; ///< events folded into shared scans
-  std::uint64_t cache_resizes = 0;          ///< megaflow capacity retargets
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;            ///< 16-signature SIMD blocks scanned
-  std::uint64_t subtables_skipped = 0;      ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found nothing
+///
+/// Each counter is declared once, here, as X(field, bench column);
+/// docs/COUNTERS.md says when each one increments. The column is the
+/// google-benchmark counter `export_counters` (bench/bench_common.h)
+/// publishes the field's window delta under, or nullptr when no bench
+/// table carries it. TierCounters' fields, its `+=` and `-`, and
+/// kTierCounterFields all expand from this list.
+#define HW_TIER_COUNTERS(X)                          \
+  X(emc_hits, "emc_hits")                            \
+  X(emc_misses, nullptr)                             \
+  X(megaflow_hits, "mf_hits")                        \
+  X(megaflow_misses, nullptr)                        \
+  X(megaflow_inserts, "mf_inserts")                  \
+  X(megaflow_invalidations, "mf_invalidations")      \
+  X(megaflow_revalidations, "mf_revalidations")      \
+  X(megaflow_revalidation_evictions, nullptr)        \
+  X(emc_revalidations, nullptr)                      \
+  X(slow_path_lookups, "slow_lookups")               \
+  X(slow_path_misses, nullptr)                       \
+  X(sig_hits, "sig_hits")                            \
+  X(sig_false_positives, "sig_fp")                   \
+  X(batches, "batches")                              \
+  X(batch_packets, nullptr)                          \
+  X(reval_batches, "reval_batches")                  \
+  X(reval_entries_scanned, "reval_scanned")          \
+  X(reval_coalesced_events, "reval_coalesced")       \
+  X(cache_resizes, "cache_resizes")                  \
+  X(simd_blocks, "simd_blocks")                      \
+  X(subtables_skipped, "subt_skipped")               \
+  X(prefilter_false_positives, "prefilter_fp")
 
-  TierCounters& operator+=(const TierCounters& other) noexcept {
-    emc_hits += other.emc_hits;
-    emc_misses += other.emc_misses;
-    megaflow_hits += other.megaflow_hits;
-    megaflow_misses += other.megaflow_misses;
-    megaflow_inserts += other.megaflow_inserts;
-    megaflow_invalidations += other.megaflow_invalidations;
-    megaflow_revalidations += other.megaflow_revalidations;
-    megaflow_revalidation_evictions += other.megaflow_revalidation_evictions;
-    emc_revalidations += other.emc_revalidations;
-    slow_path_lookups += other.slow_path_lookups;
-    slow_path_misses += other.slow_path_misses;
-    sig_hits += other.sig_hits;
-    sig_false_positives += other.sig_false_positives;
-    batches += other.batches;
-    batch_packets += other.batch_packets;
-    reval_batches += other.reval_batches;
-    reval_entries_scanned += other.reval_entries_scanned;
-    reval_coalesced_events += other.reval_coalesced_events;
-    cache_resizes += other.cache_resizes;
-    simd_blocks += other.simd_blocks;
-    subtables_skipped += other.subtables_skipped;
-    prefilter_false_positives += other.prefilter_false_positives;
-    return *this;
-  }
+struct TierCounters {
+#define HW_TIER_FIELD(field, column) std::uint64_t field = 0;
+  HW_TIER_COUNTERS(HW_TIER_FIELD)
+#undef HW_TIER_FIELD
+
+  TierCounters& operator+=(const TierCounters& other) noexcept;
+  /// Window delta: what was counted since the snapshot `since`.
+  [[nodiscard]] TierCounters operator-(const TierCounters& since)
+      const noexcept;
 };
+
+/// One entry of HW_TIER_COUNTERS: the field's name, its bench column
+/// (nullptr when unpublished) and the member it names.
+struct TierCounterField {
+  const char* name;
+  const char* column;
+  std::uint64_t TierCounters::*member;
+};
+
+/// Every tier counter, in declaration order.
+inline constexpr TierCounterField kTierCounterFields[] = {
+#define HW_TIER_ENTRY(field, column) {#field, column, &TierCounters::field},
+    HW_TIER_COUNTERS(HW_TIER_ENTRY)
+#undef HW_TIER_ENTRY
+};
+
+inline TierCounters& TierCounters::operator+=(
+    const TierCounters& other) noexcept {
+  for (const TierCounterField& f : kTierCounterFields) {
+    this->*f.member += other.*f.member;
+  }
+  return *this;
+}
+
+inline TierCounters TierCounters::operator-(
+    const TierCounters& since) const noexcept {
+  TierCounters out = *this;
+  for (const TierCounterField& f : kTierCounterFields) {
+    out.*f.member -= since.*f.member;
+  }
+  return out;
+}
+
+/// Registers the `dp.emc_hit_rate` and `dp.megaflow_hit_rate` gauges:
+/// at each sample, the EMC / megaflow share of the lookups `source`
+/// counted since the previous sample (a window delta, so a cache
+/// collapse shows as a dip instead of being averaged away).
+void register_hit_rate_gauges(telemetry::MetricsRegistry& registry,
+                              const std::function<TierCounters()>& source);
 
 struct DpClassifierConfig {
   bool emc_enabled = true;
@@ -172,9 +203,10 @@ class DpClassifier {
     trace_track_ = track;
   }
 
-  [[nodiscard]] const TierCounters& counters() const noexcept {
-    return counters_;
-  }
+  /// The tier counters as of now: the tallies this classifier keeps,
+  /// plus the cache-owned ones read from megaflow_.stats() (and the
+  /// EMC's scanned slots) at the call, so no lookup copies them.
+  [[nodiscard]] TierCounters counters() const noexcept;
   [[nodiscard]] const flowtable::ExactMatchCache& emc() const noexcept {
     return emc_;
   }
@@ -195,8 +227,7 @@ class DpClassifier {
   void drain_table_changes(exec::CycleMeter& meter);
   /// Charges `meter` for any revalidation work performed since the last
   /// call (per entry examined + per repair/evict, both tiers — including
-  /// drains triggered inside megaflow lookup/insert) and mirrors the
-  /// revalidator counters into counters_.
+  /// drains triggered inside megaflow lookup/insert).
   void charge_reval_work(exec::CycleMeter& meter);
   /// Converts a megaflow probe tally into cycles (single-key or batched
   /// per-subtable base; signature-scan and compare charges are shared).
@@ -219,9 +250,6 @@ class DpClassifier {
                                         std::uint32_t hash,
                                         std::uint64_t version,
                                         exec::CycleMeter& meter);
-  /// Mirrors cache-internal signature tallies into counters_.
-  void mirror_sig_stats() noexcept;
-
   /// Epoch base for span timestamps; 0 when tracing is unconfigured.
   [[nodiscard]] TimeNs trace_base() const noexcept;
 
@@ -233,6 +261,7 @@ class DpClassifier {
   std::uint16_t trace_track_ = 0;
   flowtable::ExactMatchCache emc_;
   MegaflowCache megaflow_;
+  /// The tallies counted here; counters() adds the cache-owned rest.
   TierCounters counters_;
   std::uint64_t listener_token_ = 0;
   // Monotonic tallies of revalidation work, for delta-charging the cycle

@@ -26,32 +26,6 @@ ForwardingEngine::ForwardingEngine(
   outcome_buf_.resize(burst_);
 }
 
-EngineCounters ForwardingEngine::counters() const noexcept {
-  EngineCounters out = counters_;
-  const classifier::TierCounters& tiers = classifier_.counters();
-  out.emc_hits = tiers.emc_hits;
-  out.emc_misses = tiers.emc_misses;
-  out.megaflow_hits = tiers.megaflow_hits;
-  out.megaflow_misses = tiers.megaflow_misses;
-  out.megaflow_inserts = tiers.megaflow_inserts;
-  out.megaflow_invalidations = tiers.megaflow_invalidations;
-  out.megaflow_revalidations = tiers.megaflow_revalidations;
-  out.emc_revalidations = tiers.emc_revalidations;
-  out.slow_path_lookups = tiers.slow_path_lookups;
-  out.sig_hits = tiers.sig_hits;
-  out.sig_false_positives = tiers.sig_false_positives;
-  out.batches = tiers.batches;
-  out.batch_packets = tiers.batch_packets;
-  out.reval_batches = tiers.reval_batches;
-  out.reval_entries_scanned = tiers.reval_entries_scanned;
-  out.reval_coalesced_events = tiers.reval_coalesced_events;
-  out.cache_resizes = tiers.cache_resizes;
-  out.simd_blocks = tiers.simd_blocks;
-  out.subtables_skipped = tiers.subtables_skipped;
-  out.prefilter_false_positives = tiers.prefilter_false_positives;
-  return out;
-}
-
 void ForwardingEngine::assign_port(SwitchPort* port) {
   ports_.push_back(port);
   register_output(port);
@@ -298,13 +272,19 @@ void ForwardingEngine::flush_to(PortId out_port,
   meter.charge(cost_->ring_enq_base);
   std::size_t accepted = 0;
   if (dst != nullptr && dst->enabled()) {
+    // Sum the bytes while the engine still owns every mbuf: once
+    // tx_burst publishes the burst, the consumer may free an accepted
+    // mbuf and the pool hand it out again. The rejected tail stays ours.
+    std::uint64_t bytes = 0;
+    for (const mbuf::Mbuf* buf : pkts) bytes += buf->data_len;
     accepted = dst->tx_burst(pkts);
+    for (std::size_t i = accepted; i < pkts.size(); ++i) {
+      bytes -= pkts[i]->data_len;
+    }
     meter.charge(static_cast<Cycles>(accepted) * cost_->ring_enq_per_pkt);
     openflow::PortStats& shard = acc(*dst);
     shard.tx_packets += accepted;
-    for (std::size_t i = 0; i < accepted; ++i) {
-      shard.tx_bytes += pkts[i]->data_len;
-    }
+    shard.tx_bytes += bytes;
   }
   counters_.tx_packets += accepted;
   for (std::size_t i = accepted; i < pkts.size(); ++i) {

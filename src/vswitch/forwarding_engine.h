@@ -32,30 +32,6 @@ struct EngineCounters {
   std::uint64_t action_drops = 0;  ///< explicit DROP action
   std::uint64_t tx_ring_full = 0;  ///< destination could not accept
   std::uint64_t controller_punts = 0;
-  // Per-tier classification counters (mirrored from the classifier).
-  std::uint64_t emc_hits = 0;
-  std::uint64_t emc_misses = 0;
-  std::uint64_t megaflow_hits = 0;
-  std::uint64_t megaflow_misses = 0;
-  std::uint64_t megaflow_inserts = 0;
-  std::uint64_t megaflow_invalidations = 0;  ///< full-cache flushes
-  std::uint64_t megaflow_revalidations = 0;  ///< precise re-checks on FlowMod
-  std::uint64_t emc_revalidations = 0;       ///< EMC slots repaired/evicted
-  std::uint64_t slow_path_lookups = 0;
-  // Signature prefilter + batch pipeline telemetry (mirrored).
-  std::uint64_t sig_hits = 0;
-  std::uint64_t sig_false_positives = 0;
-  std::uint64_t batches = 0;        ///< batched classify rounds
-  std::uint64_t batch_packets = 0;  ///< packets through the batched path
-  // Coalescing-revalidator telemetry (mirrored; see docs/COUNTERS.md).
-  std::uint64_t reval_batches = 0;          ///< suspect-scan passes
-  std::uint64_t reval_entries_scanned = 0;  ///< entries examined by scans
-  std::uint64_t reval_coalesced_events = 0; ///< events folded into shared scans
-  std::uint64_t cache_resizes = 0;          ///< megaflow capacity retargets
-  // SIMD-scan + subtable-prefilter telemetry (mirrored).
-  std::uint64_t simd_blocks = 0;            ///< 16-signature SIMD blocks scanned
-  std::uint64_t subtables_skipped = 0;      ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan empty
   // RSS scale-out telemetry (engine-local; see docs/SCALEOUT.md).
   std::uint64_t rss_distributed = 0;  ///< frames this engine hashed + steered
   std::uint64_t rss_queue_drops = 0;  ///< steered frames a full rx queue dropped
@@ -115,17 +91,17 @@ class ForwardingEngine final : public exec::Context {
   }
   std::uint32_t poll(exec::CycleMeter& meter) override;
 
-  /// Forwarding counters with the classifier's per-tier counters merged
-  /// in (returned by value; both halves have single owners internally).
-  [[nodiscard]] EngineCounters counters() const noexcept;
+  /// Forwarding counters; the per-tier ones are tier_counters().
+  [[nodiscard]] const EngineCounters& counters() const noexcept {
+    return counters_;
+  }
 
   /// This engine's private datapath classifier (one per PMD, like one
   /// EMC + dpcls pair per OVS PMD thread).
   [[nodiscard]] const classifier::DpClassifier& classifier() const noexcept {
     return classifier_;
   }
-  [[nodiscard]] const classifier::TierCounters& tier_counters()
-      const noexcept {
+  [[nodiscard]] classifier::TierCounters tier_counters() const noexcept {
     return classifier_.counters();
   }
   [[nodiscard]] const flowtable::ExactMatchCache& emc() const noexcept {

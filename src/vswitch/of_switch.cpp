@@ -39,9 +39,6 @@ OfSwitch::OfSwitch(shm::ShmManager& shm, mbuf::Mempool& pool,
   classifier::DpClassifierConfig classifier_config{
       .emc_enabled = config_.emc_enabled,
       .megaflow_enabled = config_.megaflow_enabled};
-  classifier_config.megaflow.auto_size = config_.megaflow_auto_size;
-  classifier_config.megaflow.sig_scan_mode = config_.sig_scan_mode;
-  classifier_config.megaflow.subtable_prefilter = config_.subtable_prefilter;
   for (std::uint32_t i = 0; i < engine_count; ++i) {
     engines_.push_back(std::make_unique<ForwardingEngine>(
         "pmd" + std::to_string(i), table_, *pool_, cost_, classifier_config,

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string_view>
 #include <vector>
 
 #include "classifier/dp_classifier.h"
@@ -692,6 +694,62 @@ TEST(MegaflowCacheTest, EwmaRankingAdaptsWhenTrafficMixShifts) {
 }
 
 // --------------------------------------------------------- three tiers
+
+TEST(TierCountersTest, ListDeclaresEachFieldOnceWithTheBenchColumns) {
+  std::set<std::string_view> names;
+  std::vector<std::string_view> columns;
+  std::vector<std::string_view> unpublished;
+  const TierCounters probe;
+  const auto* base = reinterpret_cast<const char*>(&probe);
+  std::size_t index = 0;
+  for (const TierCounterField& field : kTierCounterFields) {
+    names.insert(field.name);
+    if (field.column != nullptr) {
+      columns.emplace_back(field.column);
+    } else {
+      unpublished.emplace_back(field.name);
+    }
+    // Declaration order: entry i names the i-th field of the struct.
+    const auto* member = reinterpret_cast<const char*>(&(probe.*field.member));
+    EXPECT_EQ(static_cast<std::size_t>(member - base),
+              index++ * sizeof(std::uint64_t))
+        << field.name;
+  }
+  EXPECT_EQ(names.size(), 22u);
+  EXPECT_EQ(std::size(kTierCounterFields), 22u);
+  EXPECT_EQ(sizeof(TierCounters), 22 * sizeof(std::uint64_t));
+  // The published columns, in list order, are exactly these 16.
+  const std::vector<std::string_view> expected_columns = {
+      "emc_hits", "mf_hits", "mf_inserts", "mf_invalidations",
+      "mf_revalidations", "slow_lookups", "sig_hits", "sig_fp",
+      "batches", "reval_batches", "reval_scanned", "reval_coalesced",
+      "cache_resizes", "simd_blocks", "subt_skipped", "prefilter_fp"};
+  EXPECT_EQ(columns, expected_columns);
+  // The six counters no bench table carries stay unpublished.
+  const std::vector<std::string_view> expected_unpublished = {
+      "emc_misses", "megaflow_misses", "megaflow_revalidation_evictions",
+      "emc_revalidations", "slow_path_misses", "batch_packets"};
+  EXPECT_EQ(unpublished, expected_unpublished);
+}
+
+TEST(TierCountersTest, WindowDeltaUndoesMerge) {
+  TierCounters a;
+  TierCounters b;
+  std::uint64_t i = 0;
+  for (const TierCounterField& field : kTierCounterFields) {
+    ++i;
+    a.*field.member = i;
+    b.*field.member = 1000 * i;
+  }
+  TierCounters sum = a;
+  sum += b;
+  const TierCounters back = sum - b;
+  for (const TierCounterField& field : kTierCounterFields) {
+    EXPECT_EQ(sum.*field.member, a.*field.member + b.*field.member)
+        << field.name;
+    EXPECT_EQ(back.*field.member, a.*field.member) << field.name;
+  }
+}
 
 class DpClassifierTest : public ::testing::Test {
  protected:

@@ -311,8 +311,8 @@ TEST_F(OfSwitchTest, EmcAcceleratesRepeatLookups) {
     inject(a, make_frame());
     poll_engine();
   }
-  EXPECT_EQ(of_.engines()[0]->counters().emc_misses, 1u);
-  EXPECT_EQ(of_.engines()[0]->counters().emc_hits, 9u);
+  EXPECT_EQ(of_.engines()[0]->tier_counters().emc_misses, 1u);
+  EXPECT_EQ(of_.engines()[0]->tier_counters().emc_hits, 9u);
   while (mbuf::Mbuf* out = extract(b)) pool_.free(out);
 }
 
@@ -382,6 +382,61 @@ TEST_F(OfSwitchTest, RssShardsOnePortAcrossEngines) {
   ASSERT_TRUE(b_stats.is_ok());
   EXPECT_EQ(a_stats.value().rx_packets, static_cast<std::uint64_t>(kFlows));
   EXPECT_EQ(b_stats.value().tx_packets, static_cast<std::uint64_t>(kFlows));
+}
+
+TEST_F(OfSwitchTest, DatapathStatsSumEveryEnginesTierCounters) {
+  shm::ShmManager shm2;
+  mbuf::Mempool pool2("p2", 1024);
+  OfSwitch of2(shm2, pool2, runtime_, runtime_.cost(),
+               {.ring_capacity = 64,
+                .burst = 32,
+                .emc_enabled = true,
+                .engine_count = 2,
+                .rss = {.enabled = true, .buckets = 64},
+                .bypass_enabled = false});
+  ASSERT_NE(of2.rss(), nullptr);
+  auto a = of2.add_dpdkr_port("a");
+  auto b = of2.add_dpdkr_port("b");
+  ASSERT_TRUE(a.is_ok());
+  ASSERT_TRUE(b.is_ok());
+  ASSERT_TRUE(
+      of2.handle_flow_mod(openflow::make_p2p_flowmod(a.value(), b.value(),
+                                                     10, 1))
+          .is_ok());
+
+  // Two passes over 32 flows into one port: the home engine spreads
+  // them, so both engines upcall first and hit their caches after.
+  auto* in = static_cast<DpdkrSwitchPort*>(of2.port(a.value()));
+  auto* out = static_cast<DpdkrSwitchPort*>(of2.port(b.value()));
+  exec::CycleMeter meter;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (int i = 0; i < 32; ++i) {
+      mbuf::Mbuf* buf = pool2.alloc();
+      pkt::FrameSpec spec;
+      spec.dst_port = static_cast<std::uint16_t>(2000 + i);
+      ASSERT_TRUE(pkt::build_frame(*buf, spec));
+      ASSERT_TRUE(in->channel().b2a().enqueue(buf));
+    }
+    for (int round = 0; round < 3; ++round) {
+      for (const auto& engine : of2.engines()) (void)engine->poll(meter);
+    }
+    mbuf::Mbuf* frame = nullptr;
+    while (out->channel().a2b().dequeue(frame)) pool2.free(frame);
+  }
+
+  for (const auto& engine : of2.engines()) {
+    EXPECT_GT(engine->tier_counters().slow_path_lookups, 0u);
+    EXPECT_GT(engine->tier_counters().emc_hits, 0u);
+  }
+  const classifier::TierCounters total = of2.datapath_stats();
+  for (const classifier::TierCounterField& field :
+       classifier::kTierCounterFields) {
+    std::uint64_t sum = 0;
+    for (const auto& engine : of2.engines()) {
+      sum += engine->tier_counters().*field.member;
+    }
+    EXPECT_EQ(total.*field.member, sum) << field.name;
+  }
 }
 
 TEST_F(OfSwitchTest, RssDisabledOnSingleEnginePool) {

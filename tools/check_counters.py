@@ -6,10 +6,13 @@ the google-benchmark column names `export_counters` publishes. Those
 tables are hand-written prose — nothing stops a counter rename in code
 from silently stranding them. This checker closes the loop:
 
-  * every `state.counters["name"]` in bench/bench_common.h must appear
-    (as `name`, in backticks) in docs/COUNTERS.md;
-  * every field of classifier::TierCounters in
-    src/classifier/dp_classifier.h must appear there too;
+  * every bench column `export_counters` publishes must appear (as
+    `name`, in backticks) in docs/COUNTERS.md: each literal
+    `state.counters["name"]` in bench/bench_common.h, plus each column
+    named in the HW_TIER_COUNTERS list in src/classifier/dp_classifier.h
+    (export_counters publishes those in a loop over the list);
+  * every tier counter in that list (the TierCounters fields it
+    generates) must appear there too;
   * every field of chain::ChainMetrics in src/chain/chain.h likewise;
   * every engine-tagged column published through
     `export_engine_counter(state, i, "name", ...)` anywhere under bench/
@@ -44,8 +47,12 @@ BENCH_DIR = os.path.join(ROOT, "bench")
 BENCH_RE = re.compile(r'state\.counters\["([A-Za-z0-9_]+)"\]')
 ENGINE_COLUMN_RE = re.compile(
     r'export_engine_counter\(\s*state\s*,\s*[^,]+,\s*"([A-Za-z0-9_]+)"')
-FIELD_RE = re.compile(r"^\s*(?:std::uint64_t|double|TimeNs)\s+([a-z]\w*)\s*=",
-                      re.MULTILINE)
+FIELD_RE = re.compile(
+    r"^\s*(?:std::uint64_t|std::size_t|double|TimeNs|classifier::TierCounters)"
+    r"\s+([a-z]\w*)\s*[=;]", re.MULTILINE)
+# One entry of the HW_TIER_COUNTERS X-macro: X(field, "column") or
+# X(field, nullptr) for a counter no bench table publishes.
+TIER_ENTRY_RE = re.compile(r'\bX\((\w+),\s*(?:"([A-Za-z0-9_]+)"|nullptr)\)')
 METRIC_RE = re.compile(
     r'(?:\.|->)(?:counter|gauge|histogram)\(\s*"([a-z0-9_.]+)"')
 
@@ -71,20 +78,39 @@ def struct_fields(text, struct_name):
     return []
 
 
+def tier_counter_list(text):
+    """(field, column or None) per entry of the HW_TIER_COUNTERS list."""
+    start = text.find("#define HW_TIER_COUNTERS(X)")
+    if start < 0:
+        return []
+    lines = text[start:].splitlines()
+    end = next((i for i, line in enumerate(lines)
+                if not line.rstrip().endswith("\\")), len(lines) - 1)
+    block = "\n".join(lines[:end + 1])
+    return [(field, column or None)
+            for field, column in TIER_ENTRY_RE.findall(block)]
+
+
 def main():
     errors = []
     docs = read(COUNTERS_MD)
     documented = set(re.findall(r"`([A-Za-z0-9_]+)`", docs))
 
-    bench_columns = sorted(set(BENCH_RE.findall(read(BENCH_COMMON))))
-    if not bench_columns:
+    tier_list = tier_counter_list(read(TIER_COUNTERS))
+    if not tier_list:
+        errors.append("no entries parsed from HW_TIER_COUNTERS "
+                      "(parser broken?)")
+    literal_columns = set(BENCH_RE.findall(read(BENCH_COMMON)))
+    if not literal_columns:
         errors.append("no state.counters[...] found in bench_common.h "
                       "(parser broken?)")
+    bench_columns = sorted(
+        literal_columns | {column for _, column in tier_list if column})
     for name in bench_columns:
         if name not in documented:
             errors.append(
-                f"bench column `{name}` (bench/bench_common.h) is not "
-                f"mentioned in docs/COUNTERS.md")
+                f"bench column `{name}` (bench/bench_common.h or "
+                f"HW_TIER_COUNTERS) is not mentioned in docs/COUNTERS.md")
 
     engine_columns = engine_tagged_columns()
     # Engine-tagged columns are documented as the pattern `e<i>_name`
@@ -97,14 +123,12 @@ def main():
                 f"engine-tagged bench column `e<i>_{name}` ({where}) is "
                 f"not mentioned in docs/COUNTERS.md")
 
-    tier_fields = struct_fields(read(TIER_COUNTERS), "TierCounters")
-    if not tier_fields:
-        errors.append("no fields parsed from TierCounters (parser broken?)")
+    tier_fields = [field for field, _ in tier_list]
     for name in tier_fields:
         if name not in documented:
             errors.append(
-                f"TierCounters field `{name}` "
-                f"(src/classifier/dp_classifier.h) is not mentioned in "
+                f"tier counter `{name}` (HW_TIER_COUNTERS in "
+                f"src/classifier/dp_classifier.h) is not mentioned in "
                 f"docs/COUNTERS.md")
 
     chain_fields = struct_fields(read(CHAIN_METRICS), "ChainMetrics")

@@ -15,8 +15,9 @@ scale-out would reintroduce — checked mechanically on every push:
    line and through a local variable assigned from `now_ns()`.
    Suppress a deliberate same-context use with `// lint: same-context`.
 
-2. **Counter ownership.** `classifier::TierCounters` fields are
-   incremented only by the classifier (src/classifier/), and
+2. **Counter ownership.** `classifier::TierCounters` fields (the
+   HW_TIER_COUNTERS list in dp_classifier.h) are incremented only by
+   the classifier (src/classifier/), and
    `vswitch::EngineCounters` fields only by the forwarding engine
    (src/vswitch/) — each counter struct has exactly one writing path, so
    the sharded datapath can keep per-engine counters unsynchronized. An
@@ -55,6 +56,8 @@ CMP_OPS = r"(?:<=|>=|<|>|-|==|!=)"
 
 FIELD_RE = re.compile(r"^\s*(?:std::uint64_t|double|TimeNs)\s+([a-z]\w*)\s*=",
                       re.MULTILINE)
+# One entry of the HW_TIER_COUNTERS X-macro: X(field, "column"|nullptr).
+TIER_ENTRY_RE = re.compile(r'\bX\((\w+),\s*(?:"[A-Za-z0-9_]+"|nullptr)\)')
 
 # Queue APIs whose result must not be dropped.
 QUEUE_API = re.compile(
@@ -90,6 +93,17 @@ def struct_fields(text, struct_name):
             if depth == 0:
                 return FIELD_RE.findall(text[start:i])
     return []
+
+
+def tier_counter_fields(text):
+    """Field names of the HW_TIER_COUNTERS list, in declaration order."""
+    start = text.find("#define HW_TIER_COUNTERS(X)")
+    if start < 0:
+        return []
+    lines = text[start:].splitlines()
+    end = next((i for i, line in enumerate(lines)
+                if not line.rstrip().endswith("\\")), len(lines) - 1)
+    return TIER_ENTRY_RE.findall("\n".join(lines[:end + 1]))
 
 
 # --------------------------------------------------------------- rule 1
@@ -142,9 +156,8 @@ def check_cross_context_now(path, lines):
 def counter_owners():
     """field name -> set of allowed path prefixes (repo-relative)."""
     owners = {}
-    tiers = struct_fields(
-        read(os.path.join(SRC, "classifier", "dp_classifier.h")),
-        "TierCounters")
+    tiers = tier_counter_fields(
+        read(os.path.join(SRC, "classifier", "dp_classifier.h")))
     engine = struct_fields(
         read(os.path.join(SRC, "vswitch", "forwarding_engine.h")),
         "EngineCounters")
@@ -338,11 +351,13 @@ def self_test():
                os.path.join(ROOT, "src", "classifier", "x.cpp"),
                bad_counter, owners), False)
 
-    # The owning-struct parse must keep finding real fields — an empty
+    # The owning-struct parses must keep finding real fields — an empty
     # owner map would silently disable rule 2 on the real tree.
     real_owners = counter_owners()
     if "emc_hits" not in real_owners:
         failures.append("counter_owners: TierCounters parse came up empty")
+    if "rx_packets" not in real_owners:
+        failures.append("counter_owners: EngineCounters parse came up empty")
 
     for failure in failures:
         print("self-test FAILED: %s" % failure)
