@@ -63,7 +63,6 @@ bool g_smoke = false;
 constexpr std::uint64_t kWarmupPkts = 32'768;
 constexpr std::uint64_t kMeasurePkts = 131'072;
 constexpr std::uint32_t kBurst = 32;
-constexpr std::uint64_t kEmcBuckets = 4096;  // DpClassifierConfig default
 
 struct DistSpec {
   const char* name;
@@ -330,7 +329,8 @@ int main(int argc, char** argv) {
   // Gate 1: Zipf(1.1) @ 4k flows clears its analytic EMC lower bound.
   {
     const Result& r = get(kDistZipf11, 4096, kChurnNone);
-    const double bound = emc_zipf_lower_bound(4096, 1.1, kEmcBuckets, 64);
+    const double bound =
+        emc_zipf_lower_bound(4096, 1.1, DpClassifier::kEmcBuckets, 64);
     if (r.emc_rate < bound) {
       std::fprintf(stderr,
                    "SMOKE FAIL: zipf1.1@4k EMC hit-rate %.3f below the "

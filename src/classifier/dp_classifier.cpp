@@ -14,7 +14,7 @@ DpClassifier::DpClassifier(flowtable::FlowTable& table,
     : table_(&table),
       cost_(&cost),
       config_(config),
-      emc_(config.emc_buckets),
+      emc_(kEmcBuckets),
       megaflow_(config.megaflow) {
   // Every drain of the change queue — explicit or implicit inside
   // megaflow lookup/insert — must repair BOTH tiers, so the EMC work is
@@ -134,7 +134,6 @@ Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
                                           : cost_->megaflow_per_subtable;
   return static_cast<Cycles>(tally.probes) * per_probe +
          static_cast<Cycles>(tally.sig_blocks) * cost_->megaflow_sig_block +
-         static_cast<Cycles>(tally.sig_scalar) * cost_->megaflow_sig_scalar +
          static_cast<Cycles>(tally.prefilter_checks) *
              cost_->megaflow_prefilter_check +
          static_cast<Cycles>(tally.full_compares) *

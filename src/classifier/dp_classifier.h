@@ -26,12 +26,10 @@ class MetricsRegistry;
 ///   1. exact-match cache   — O(1) direct-mapped, full-key compare;
 ///   2. megaflow cache      — tuple-space search over masked keys, with a
 ///                            per-subtable 16-bit signature array scanned
-///                            ahead of any full masked compare (real SIMD
-///                            blocks via hw::simd, `sig_scan_mode` picks
-///                            the scalar loop for ablation) and a
-///                            counting-Bloom subtable prefilter that
-///                            skips subtables which provably cannot hold
-///                            the masked key;
+///                            in 16-lane blocks (hw::simd) ahead of any
+///                            full masked compare, and a counting-Bloom
+///                            subtable prefilter that skips subtables
+///                            which provably cannot hold the masked key;
 ///   3. slow path           — priority-ordered wildcard table scan, which
 ///                            *installs* a megaflow covering every field
 ///                            it examined (the upcall's unwildcard set)
@@ -155,15 +153,20 @@ inline TierCounters TierCounters::operator-(
 void register_hit_rate_gauges(telemetry::MetricsRegistry& registry,
                               const std::function<TierCounters()>& source);
 
+/// The tier switches (the three-tier ablation) and the megaflow cache's
+/// entry cap. Everything else is a constant: DpClassifier::kEmcBuckets
+/// and MegaflowCache's k* members.
 struct DpClassifierConfig {
   bool emc_enabled = true;
   bool megaflow_enabled = true;
-  std::size_t emc_buckets = 4096;
   MegaflowCache::Config megaflow{};
 };
 
 class DpClassifier {
  public:
+  /// Exact-match cache slots (direct-mapped, like OVS's per-PMD EMC).
+  static constexpr std::size_t kEmcBuckets = 4096;
+
   DpClassifier(flowtable::FlowTable& table, const exec::CostModel& cost,
                DpClassifierConfig config = {});
   ~DpClassifier();

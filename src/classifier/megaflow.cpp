@@ -79,36 +79,25 @@ constexpr std::uint32_t kExactFields =
     openflow::kMatchInPort | openflow::kMatchEthType |
     openflow::kMatchIpProto | openflow::kMatchL4Src | openflow::kMatchL4Dst;
 
+/// EWMA weight of the newest window when re-ranking subtables.
+constexpr double kRankEwmaAlpha = 0.25;
+/// Working-set sizing: EWMA weight of the newest window, and the slack
+/// the effective cap keeps above the measured working set.
+constexpr double kSizeEwmaAlpha = 0.25;
+constexpr double kSizeHeadroom = 2.0;
+
 }  // namespace
 
 std::size_t MegaflowCache::Subtable::find(const pkt::FlowKey& masked,
-                                          std::uint16_t sig, bool simd,
+                                          std::uint16_t sig,
                                           ProbeTally& tally) const {
   const std::size_t n = slots.size();
-  if (!simd) {
-    // Portable signature scan: one scalar compare per signature; full
-    // compares fire only on fingerprint matches. Compares are charged up
-    // to the match.
-    const std::uint16_t* s = sigs.data();
-    std::size_t found = kNpos;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (s[i] != sig) continue;
-      ++tally.full_compares;
-      if (slots[i].key == masked) {
-        found = i;
-        break;
-      }
-    }
-    tally.sig_scalar +=
-        static_cast<std::uint32_t>(found == kNpos ? n : found + 1);
-    return found;
-  }
-  // SIMD signature scan: one 16-lane vector compare per block (the array
-  // is padded to a block multiple; tail lanes are masked off inside
+  // Signature scan: one 16-lane compare per block (the array is padded
+  // to a block multiple; tail lanes are masked off inside
   // match_mask_u16), then one full compare per surviving lane. Blocks
   // are charged up to the match. Lanes rarely match, so the full
   // compares stay off the block loop's straight-line path: the loop
-  // stays compact, and its host speed no longer depends on where the
+  // stays compact, and its host speed does not depend on where the
   // linker places it.
   std::size_t base = 0;
   for (; base < n; base += simd::kLanesU16) {
@@ -211,20 +200,16 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
                                           ProbeTally& tally) {
   ++tally.probes;
   const std::uint16_t sig = flow_signature(masked);
-  if (config_.subtable_prefilter) {
-    // Whole-subtable skip: a masked key whose signature the counting
-    // Bloom provably lacks cannot be stored here — don't touch the
-    // arrays at all.
-    ++tally.prefilter_checks;
-    if (!subtable.key_bloom.may_contain(fp_signature(sig))) {
-      ++stats_.subtables_skipped;
-      return kNpos;
-    }
+  // Whole-subtable skip: a masked key whose signature the counting Bloom
+  // provably lacks cannot be stored here — don't touch the arrays at all.
+  ++tally.prefilter_checks;
+  if (!subtable.key_bloom.may_contain(fp_signature(sig))) {
+    ++stats_.subtables_skipped;
+    return kNpos;
   }
   const std::uint32_t blocks_before = tally.sig_blocks;
   const std::uint32_t compares_before = tally.full_compares;
-  const std::size_t index =
-      subtable.find(masked, sig, use_simd_scan(), tally);
+  const std::size_t index = subtable.find(masked, sig, tally);
   stats_.simd_blocks += tally.sig_blocks - blocks_before;
   // Every fingerprint match that failed its full compare is a false
   // positive; a confirmed match is a signature hit.
@@ -234,8 +219,6 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
     stats_.sig_false_positives += compares - 1;
   } else {
     stats_.sig_false_positives += compares;
-  }
-  if (config_.subtable_prefilter && index == kNpos) {
     // The Bloom let the scan through but nothing matched — the skip
     // opportunity a collision (or a same-signature key) wasted.
     ++stats_.prefilter_false_positives;
@@ -301,8 +284,7 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
   const pkt::FlowKey masked = apply(mask, key);
   const std::uint16_t sig = flow_signature(masked);
   ProbeTally scratch;  // dup-scan work is covered by the caller's insert charge
-  const std::size_t existing =
-      subtable.find(masked, sig, use_simd_scan(), scratch);
+  const std::size_t existing = subtable.find(masked, sig, scratch);
   if (existing != kNpos) {
     subtable.bloom_update_rule(subtable.slots[existing].rule, rule);
     subtable.slots[existing].rule = rule;
@@ -326,7 +308,7 @@ void MegaflowCache::on_table_change(const TableChangeEvent& event) {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     HW_SYNC_SCOPE(&queue_mutex_);
     HW_SHARED_WRITE(&queue_);
-    if (queue_.size() >= config_.revalidator_queue_limit) {
+    if (queue_.size() >= kRevalidatorQueueLimit) {
       // Too much churn to track precisely: drop the backlog and fall
       // back to one full flush covering everything up to this version.
       queue_.clear();
@@ -429,37 +411,35 @@ void MegaflowCache::revalidate_coalesced(
   // ONE suspect scan over the cache, whatever the burst size was. The
   // per-entry suspect test is a sorted-set membership probe (charged as
   // revalidate_per_entry) plus one intersect test per merged ADD mask
-  // actually examined (each charged as revalidate_per_term). With the
-  // subtable prefilter, whole subtables whose Bloom summary provably
-  // contains no removed rule id and no entry an ADD term could intersect
-  // are skipped without touching their entries — the scan is O(entries
-  // in intersecting subtables), not O(entries).
+  // actually examined (each charged as revalidate_per_term). Whole
+  // subtables whose Bloom summary provably contains no removed rule id
+  // and no entry an ADD term could intersect are skipped without
+  // touching their entries — the scan is O(entries in intersecting
+  // subtables), not O(entries).
   ++stats_.reval_batches;
   ++report.batches;
   for (auto& subtable : subtables_) {
-    if (config_.subtable_prefilter) {
-      bool relevant = false;
-      for (const RuleId removed : plan_removed_) {
-        ++stats_.reval_prefilter_checks;
-        if (subtable->plan_bloom.may_contain(fp_rule(removed))) {
+    bool relevant = false;
+    for (const RuleId removed : plan_removed_) {
+      ++stats_.reval_prefilter_checks;
+      if (subtable->plan_bloom.may_contain(fp_rule(removed))) {
+        relevant = true;
+        break;
+      }
+    }
+    if (!relevant) {
+      for (const openflow::Match* match : plan_adds_) {
+        if (subtable_may_intersect(*subtable, *match,
+                                   stats_.reval_prefilter_checks)) {
           relevant = true;
           break;
         }
       }
-      if (!relevant) {
-        for (const openflow::Match* match : plan_adds_) {
-          if (subtable_may_intersect(*subtable, *match,
-                                     stats_.reval_prefilter_checks)) {
-            relevant = true;
-            break;
-          }
-        }
-      }
-      if (!relevant) {
-        ++stats_.subtables_skipped;
-        ++report.subtables_skipped;
-        continue;
-      }
+    }
+    if (!relevant) {
+      ++stats_.subtables_skipped;
+      ++report.subtables_skipped;
+      continue;
     }
     std::size_t suspects_here = 0;
     for (std::size_t i = 0; i < subtable->slots.size();) {
@@ -512,7 +492,7 @@ void MegaflowCache::revalidate_coalesced(
         --entries_;
       }
     }
-    if (config_.subtable_prefilter && suspects_here == 0) {
+    if (suspects_here == 0) {
       // The Bloom let this subtable's scan through but no entry turned
       // out suspect — the skip a collision wasted.
       ++stats_.prefilter_false_positives;
@@ -539,13 +519,13 @@ void MegaflowCache::prune_empty_subtables() {
 
 void MegaflowCache::maybe_rerank(std::uint32_t lookups) {
   lookups_since_rerank_ += lookups;
-  if (lookups_since_rerank_ < config_.rank_interval) return;
+  if (lookups_since_rerank_ < kRankInterval) return;
   lookups_since_rerank_ = 0;
   ++stats_.reranks;
-  const double alpha = config_.rank_ewma_alpha;
   for (auto& subtable : subtables_) {
-    subtable->rank = (1.0 - alpha) * subtable->rank +
-                     alpha * static_cast<double>(subtable->window_hits);
+    subtable->rank =
+        (1.0 - kRankEwmaAlpha) * subtable->rank +
+        kRankEwmaAlpha * static_cast<double>(subtable->window_hits);
     subtable->window_hits = 0;
   }
   std::stable_sort(subtables_.begin(), subtables_.end(),
@@ -555,9 +535,8 @@ void MegaflowCache::maybe_rerank(std::uint32_t lookups) {
 }
 
 void MegaflowCache::maybe_resize(std::uint32_t lookups) {
-  if (!config_.auto_size) return;
   lookups_since_resize_ += lookups;
-  if (lookups_since_resize_ < config_.size_interval) return;
+  if (lookups_since_resize_ < kSizeInterval) return;
   lookups_since_resize_ = 0;
 
   // Working set this window: distinct entries hit plus fresh installs
@@ -565,21 +544,18 @@ void MegaflowCache::maybe_resize(std::uint32_t lookups) {
   // past the window length, so a near-saturated window means "at least
   // this much" — never shrink below the current population on it.
   const std::size_t ws = window_distinct_;
-  const double alpha = config_.size_ewma_alpha;
   working_set_ewma_ = working_set_ewma_ == 0.0
                           ? static_cast<double>(ws)
-                          : (1.0 - alpha) * working_set_ewma_ +
-                                alpha * static_cast<double>(ws);
+                          : (1.0 - kSizeEwmaAlpha) * working_set_ewma_ +
+                                kSizeEwmaAlpha * static_cast<double>(ws);
   const double demand =
-      std::max(static_cast<double>(ws), working_set_ewma_) *
-      config_.size_headroom;
+      std::max(static_cast<double>(ws), working_set_ewma_) * kSizeHeadroom;
   const std::size_t floor_entries =
-      std::min(config_.min_entries, config_.max_entries);
+      std::min(kMinEntries, config_.max_entries);
   std::size_t target = pow2_ceil(static_cast<std::size_t>(demand));
   target = std::clamp(target, floor_entries, config_.max_entries);
-  const bool saturated =
-      static_cast<double>(ws) * config_.size_headroom >=
-      static_cast<double>(config_.size_interval);
+  const bool saturated = static_cast<double>(ws) * kSizeHeadroom >=
+                         static_cast<double>(kSizeInterval);
   if (saturated) {
     target = std::clamp(pow2_ceil(std::max(target, entries_)), floor_entries,
                         config_.max_entries);

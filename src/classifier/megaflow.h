@@ -23,27 +23,27 @@
 /// re-ranked, like OVS's per-PMD subtable sorting) and compare masked
 /// keys.
 ///
-/// Signature acceleration: each subtable keeps a contiguous array of
-/// 16-bit signatures (hash fingerprints of the *masked* keys) parallel to
-/// its entry slots, padded to a 16-lane block multiple. A probe scans the
-/// signature array first — one real SIMD compare per 16-entry block
-/// (SSE2/NEON via hw::simd, with a portable scalar loop as the build-time
-/// fallback and `sig_scan_mode` as the runtime ablation knob) — and runs
-/// the full masked compare only on signature matches, so a probe that
-/// misses touches one contiguous array instead of N candidate entries.
-/// Classification is batched (lookup_batch): each subtable is probed for
-/// the whole batch in one pass, amortizing rank dispatch and EWMA
-/// accounting, which is how DPDK's dpcls keeps up with line rate once the
-/// EMC thrashes. A one-key lookup() is a batch of one.
+/// Signature scan: each subtable keeps a contiguous array of 16-bit
+/// signatures (hash fingerprints of the *masked* keys) parallel to its
+/// entry slots, padded to a 16-lane block multiple. A probe scans the
+/// signature array one 16-lane block at a time (hw::simd picks SSE2,
+/// NEON or its portable block at compile time; every build runs the
+/// same loop and charges the same work) and runs the full masked compare
+/// only on signature matches, so a probe that misses touches one
+/// contiguous array instead of N candidate entries. Classification is
+/// batched (lookup_batch): each subtable is probed for the whole batch in
+/// one pass, amortizing rank dispatch and EWMA accounting, which is how
+/// DPDK's dpcls keeps up with line rate once the EMC thrashes. A one-key
+/// lookup() is a batch of one.
 ///
-/// Subtable prefilter: each subtable additionally maintains a counting
-/// Bloom summary of its contents — masked-key signatures, rule ids, and
+/// Subtable prefilter: each subtable also maintains a counting Bloom
+/// summary of its contents — masked-key signatures, rule ids, and
 /// exact-field values — so a probe (or the revalidator's suspect scan,
-/// below) can skip a whole subtable that provably cannot contain a
-/// matching entry (or a suspect) without touching its arrays. The filter
-/// is *counting*, updated on every insert/erase/repair, so it has no
-/// false negatives by construction: a skip is always sound, and the only
-/// cost of a collision is a wasted scan (counted as
+/// below) skips a whole subtable that provably cannot contain a matching
+/// entry (or a suspect) without touching its arrays. The filter is
+/// *counting*, updated on every insert/erase/repair, so it has no false
+/// negatives by construction: a skip is always sound, and the only cost
+/// of a collision is a wasted scan (counted as
 /// `prefilter_false_positives`).
 ///
 /// Staleness is handled by an OVS-style *revalidator* instead of a
@@ -68,19 +68,11 @@
 ///
 /// Sizing follows the measured working set: an EWMA of distinct entries
 /// touched per sizing window drives the effective entry cap between
-/// `min_entries` and `max_entries` (`auto_size`), shedding cold entries
-/// when the working set shrinks so revalidator scans stay proportional
-/// to what the traffic actually uses.
+/// kMinEntries and `max_entries`, shedding cold entries when the working
+/// set shrinks so revalidator scans stay proportional to what the
+/// traffic actually uses.
 
 namespace hw::classifier {
-
-/// How a probe scans a subtable's signature array. kAuto resolves to the
-/// SIMD backend compiled into this binary (simd::kSimdCompiledIn) and to
-/// the portable loop otherwise; kScalar forces the portable loop at
-/// runtime (the ablation baseline); kSimd requests the vector path and
-/// silently degrades to scalar in a -DHW_FORCE_SCALAR (or no-SIMD) build.
-/// All three produce bit-identical results — only the cost differs.
-enum class SigScanMode : std::uint8_t { kAuto = 0, kSimd = 1, kScalar = 2 };
 
 struct MegaflowStats {
   std::uint64_t hits = 0;
@@ -104,8 +96,8 @@ struct MegaflowStats {
   std::uint64_t reval_entries_scanned = 0; ///< entries examined by scans
   std::uint64_t reval_coalesced_events = 0;///< events folded into a shared pass
   std::uint64_t cache_resizes = 0;         ///< effective-capacity changes
-  // SIMD-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;           ///< 16-signature SIMD blocks scanned
+  // Signature-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
+  std::uint64_t simd_blocks = 0;           ///< 16-signature blocks scanned
   std::uint64_t subtables_skipped = 0;     ///< whole-subtable prefilter skips
   std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found nothing
   std::uint64_t reval_term_tests = 0;      ///< per-entry merged-ADD-term intersect tests
@@ -113,34 +105,9 @@ struct MegaflowStats {
 };
 
 struct MegaflowCacheConfig {
-  std::size_t max_entries = 1u << 16;  ///< total across subtables
-  /// Lookups between subtable re-ranking rounds. Each round folds the
-  /// window's hit count into a per-subtable EWMA (OVS's pmd-rxq-style
-  /// auto-sorting) so the probe order tracks the current traffic mix
-  /// without a hard half-life cliff.
-  std::uint32_t rank_interval = 1024;
-  /// EWMA weight of the newest window when re-ranking, in [0, 1].
-  double rank_ewma_alpha = 0.25;
-  /// How the signature array is scanned: real SIMD (SSE2/NEON) or the
-  /// portable scalar loop. kAuto picks whatever this binary compiled in.
-  SigScanMode sig_scan_mode = SigScanMode::kAuto;
-  /// Consult each subtable's counting-Bloom summary before scanning it —
-  /// a probe skips subtables that provably lack the masked key, and the
-  /// revalidator skips subtables no merged plan term (removed rule id or
-  /// ADD-mask exact-field value) can touch. False = always scan (the
-  /// ablation baseline).
-  bool subtable_prefilter = true;
-  /// Bounded revalidator queue; overflowing falls back to a full flush.
-  std::size_t revalidator_queue_limit = 128;
-  /// Working-set-driven sizing: the effective entry cap follows an EWMA
-  /// of distinct entries touched per `size_interval` lookups, scaled by
-  /// `size_headroom`, clamped to [min_entries, max_entries] and rounded
-  /// up to a power of two. Shrinking sheds the coldest entries.
-  bool auto_size = true;
-  std::size_t min_entries = 1024;
-  double size_headroom = 2.0;
-  double size_ewma_alpha = 0.25;
-  std::uint32_t size_interval = 4096;  ///< lookups per sizing window
+  /// Entry cap across subtables (OVS's `flow-limit`): the most the
+  /// working-set sizing may grow the cache to.
+  std::size_t max_entries = 1u << 16;
 };
 
 /// Work tallies of one (or one batch of) megaflow lookups — the cost
@@ -148,8 +115,7 @@ struct MegaflowCacheConfig {
 /// before the call to charge per-call deltas.
 struct ProbeTally {
   std::uint32_t probes = 0;         ///< per-key subtable probes
-  std::uint32_t sig_blocks = 0;     ///< 16-signature SIMD blocks scanned
-  std::uint32_t sig_scalar = 0;     ///< scalar signature compares (portable scan)
+  std::uint32_t sig_blocks = 0;     ///< 16-signature blocks scanned
   std::uint32_t full_compares = 0;  ///< full masked-key compares
   std::uint32_t prefilter_checks = 0; ///< subtable-Bloom consults
 };
@@ -204,6 +170,20 @@ class MegaflowCache {
     bool flushed = false;             ///< full flush applied (queue overflow)
   };
 
+  /// Lookups between subtable re-ranking rounds. Each round folds the
+  /// window's hit count into a per-subtable EWMA (OVS's pmd-rxq-style
+  /// auto-sorting) so the probe order tracks the current traffic mix
+  /// without a hard half-life cliff.
+  static constexpr std::uint32_t kRankInterval = 1024;
+  /// Bounded revalidator queue; overflowing falls back to a full flush.
+  static constexpr std::size_t kRevalidatorQueueLimit = 128;
+  /// Working-set sizing: every kSizeInterval lookups, the effective entry
+  /// cap follows an EWMA of the distinct entries touched per window (with
+  /// 2x headroom), clamped to [kMinEntries, max_entries] and rounded up
+  /// to a power of two. Shrinking sheds the coldest entries.
+  static constexpr std::uint32_t kSizeInterval = 4096;
+  static constexpr std::size_t kMinEntries = 1024;
+
   explicit MegaflowCache(Config config = {})
       : config_(config), effective_capacity_(config.max_entries) {}
 
@@ -229,16 +209,6 @@ class MegaflowCache {
                               std::uint64_t table_version, ProbeTally& tally) {
     RuleId rule = kRuleNone;
     lookup_batch({&key, 1}, table_version, {&rule, 1}, tally);
-    return rule;
-  }
-
-  /// Compatibility shim reporting only the subtable-probe count.
-  [[nodiscard]] RuleId lookup(const pkt::FlowKey& key,
-                              std::uint64_t table_version,
-                              std::uint32_t& probed) {
-    ProbeTally tally;
-    const RuleId rule = lookup(key, table_version, tally);
-    probed = tally.probes;
     return rule;
   }
 
@@ -277,8 +247,8 @@ class MegaflowCache {
     return events_pending_.load(std::memory_order_relaxed);
   }
 
-  /// Current effective entry cap (== config.max_entries unless auto_size
-  /// has resized it).
+  /// Current effective entry cap: config.max_entries until the first
+  /// sizing window closes, the working-set target after.
   [[nodiscard]] std::size_t capacity() const noexcept {
     return effective_capacity_;
   }
@@ -397,11 +367,10 @@ class MegaflowCache {
     SubtableBloom plan_bloom;
 
     /// Index of the slot whose masked key equals `masked`, or kNpos.
-    /// Scans `sigs` first (SIMD blocks when `simd`, scalar compares
-    /// otherwise) and full-compares signature matches only. Work is
-    /// tallied into `tally`.
+    /// Scans `sigs` one 16-lane block at a time and full-compares
+    /// signature matches only. Work is tallied into `tally`.
     [[nodiscard]] std::size_t find(const pkt::FlowKey& masked,
-                                   std::uint16_t sig, bool simd,
+                                   std::uint16_t sig,
                                    ProbeTally& tally) const;
     /// Appends `sig` for the slot just pushed onto `slots`, keeping the
     /// block padding invariant.
@@ -421,13 +390,6 @@ class MegaflowCache {
     void maybe_grow_blooms();
   };
 
-  /// Resolves the configured sig_scan_mode against what this binary
-  /// compiled in — the single definition shared by lookups and the
-  /// insert dup-scan.
-  [[nodiscard]] bool use_simd_scan() const noexcept {
-    return config_.sig_scan_mode != SigScanMode::kScalar &&
-           simd::kSimdCompiledIn;
-  }
   /// True iff some entry of `subtable` could intersect `match` — the
   /// subtable-level projection of the per-entry may_intersect test,
   /// answered from the Bloom summary's exact-field values alone
@@ -441,7 +403,7 @@ class MegaflowCache {
                                            const pkt::FlowKey& masked,
                                            ProbeTally& tally);
   void maybe_rerank(std::uint32_t lookups);
-  /// Working-set sizing: every size_interval lookups, fold the window's
+  /// Working-set sizing: every kSizeInterval lookups, fold the window's
   /// distinct-touch count into the EWMA and retarget the effective cap.
   void maybe_resize(std::uint32_t lookups);
   /// Marks a served entry touched in the current sizing window.
@@ -483,8 +445,8 @@ class MegaflowCache {
   std::vector<RuleId> plan_removed_;
   std::vector<const openflow::Match*> plan_adds_;
 
-  // Working-set sizing state (auto_size): distinct entries touched per
-  // window, its EWMA, and the resulting effective cap.
+  // Working-set sizing state: distinct entries touched per window, its
+  // EWMA, and the resulting effective cap.
   std::size_t effective_capacity_ = 0;  ///< set from config in ctor
   std::uint32_t size_epoch_ = 1;
   std::uint32_t lookups_since_resize_ = 0;

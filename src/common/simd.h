@@ -10,18 +10,18 @@
 /// block, the operation DPDK-style vector classifiers build their
 /// signature prefilters on.
 ///
-/// Backend selection is a build-time decision:
+/// Backend selection is a build-time decision, and the only one:
 ///   * x86 with SSE2      → _mm_cmpeq_epi16 + _mm_movemask_epi8
 ///   * ARM with NEON      → vceqq_u16 + a narrowing mask fold
-///   * anything else, or  → portable scalar loop (bit-identical results)
+///   * anything else, or  → a portable 16-lane block (bit-identical)
 ///     -DHW_FORCE_SCALAR=ON
 ///
-/// `kSimdCompiledIn` / `kBackendName` let callers (benches, CI gates,
-/// diagnostics) report which backend this binary actually runs; the
-/// runtime `sig_scan_mode` knob in the classifier chooses between the
-/// vector path and the scalar loop per lookup, so the ablation can
-/// measure both in one binary. Results are identical across backends by
-/// construction — the equivalence fuzzer re-proves it on every run.
+/// Callers scan in 16-lane blocks whatever the backend, so every build
+/// runs the same loop, tallies the same blocks and charges the same
+/// virtual cycles; only the host instructions differ. `kBackendName`
+/// reports which backend this binary compiled in. The backends agree
+/// lane for lane: Simd.MatchMaskAgreesWithPerLaneReference checks the
+/// compiled-in one against a per-lane loop.
 
 #if !defined(HW_FORCE_SCALAR)
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
@@ -30,7 +30,7 @@
 #elif defined(__aarch64__) && \
     (defined(__ARM_NEON) || defined(__ARM_NEON__))
 // AArch64 only: the mask fold below uses vaddv (horizontal add), which
-// 32-bit NEON lacks — AArch32 builds take the scalar fallback.
+// 32-bit NEON lacks — AArch32 builds take the portable block.
 #define HW_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
@@ -43,7 +43,6 @@ namespace hw::simd {
 inline constexpr std::size_t kLanesU16 = 16;
 
 #if defined(HW_SIMD_SSE2)
-inline constexpr bool kSimdCompiledIn = true;
 inline constexpr const char* kBackendName = "sse2";
 
 /// Bitmask (bit i = lane i) of the lanes in block[0..16) equal to
@@ -64,7 +63,6 @@ inline constexpr const char* kBackendName = "sse2";
 }
 
 #elif defined(HW_SIMD_NEON)
-inline constexpr bool kSimdCompiledIn = true;
 inline constexpr const char* kBackendName = "neon";
 
 [[nodiscard]] inline std::uint32_t match_mask_u16_block(
@@ -84,7 +82,6 @@ inline constexpr const char* kBackendName = "neon";
 }
 
 #else
-inline constexpr bool kSimdCompiledIn = false;
 inline constexpr const char* kBackendName = "scalar";
 
 [[nodiscard]] inline std::uint32_t match_mask_u16_block(

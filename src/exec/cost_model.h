@@ -39,14 +39,15 @@ struct CostModel {
   std::uint32_t emc_hit = 55;              ///< exact-match cache probe
   std::uint32_t megaflow_per_subtable = 70;  ///< single-key dpcls probe: mask + hash + dispatch
   // Subtable compare work, charged on top of the per-probe base. A probe
-  // may first consult the subtable's counting-Bloom summary (one hash +
-  // two counter loads) and skip the subtable outright; otherwise it
-  // scans the contiguous 16-bit signature array — one real SIMD compare
-  // per 16-entry block (hw::simd), or one scalar compare per signature
-  // when the portable fallback is built in or `sig_scan_mode` forces it
-  // — and full-compares only signature matches.
-  std::uint32_t megaflow_sig_block = 4;      ///< one 16-lane SIMD signature block
-  std::uint32_t megaflow_sig_scalar = 2;     ///< one scalar signature compare
+  // first consults the subtable's counting-Bloom summary (one hash + two
+  // counter loads) and may skip the subtable outright; otherwise it
+  // scans the contiguous 16-bit signature array, one 16-lane compare per
+  // block (hw::simd, the same charge in every build), and full-compares
+  // only signature matches.
+  std::uint32_t megaflow_sig_block = 4;      ///< one 16-lane signature block
+  /// Charged nowhere; kept only because hostbench/src/chain.cpp lists
+  /// every CostModel field.
+  std::uint32_t megaflow_sig_scalar = 2;
   std::uint32_t megaflow_prefilter_check = 6;///< one subtable-Bloom consult
   std::uint32_t megaflow_full_compare = 20;  ///< full masked-key compare
   // Batched classification (dpcls batch loop): probing one subtable for a
@@ -112,21 +113,6 @@ struct CostModel {
   [[nodiscard]] constexpr Cycles cycles_for_ns(TimeNs ns) const noexcept {
     return static_cast<Cycles>(static_cast<double>(ns) *
                                static_cast<double>(hz) / 1e9);
-  }
-
-  /// Aggregate switch cost for one packet that hits the EMC (reporting).
-  [[nodiscard]] constexpr std::uint32_t switch_pkt_cost_emc() const noexcept {
-    return ring_deq_per_pkt + parse_per_pkt + emc_hit + action_per_pkt +
-           ring_enq_per_pkt;
-  }
-
-  /// Aggregate switch cost for a packet that misses the EMC but hits the
-  /// megaflow tier after probing `subtables` subtables (reporting).
-  [[nodiscard]] constexpr std::uint32_t switch_pkt_cost_megaflow(
-      std::uint32_t subtables = 1) const noexcept {
-    return ring_deq_per_pkt + parse_per_pkt + emc_hit +
-           megaflow_per_subtable * subtables + action_per_pkt +
-           ring_enq_per_pkt;
   }
 };
 

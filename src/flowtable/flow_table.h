@@ -27,7 +27,8 @@
 /// ids touched, so a revalidator can coalesce a burst of them into one
 /// precise suspect scan: the sequence of events between two versions
 /// fully explains every table difference between those versions, which
-/// is what makes deferred (budgeted) draining sound.
+/// is what lets a cache queue them and drain the queue later, on its own
+/// thread at its next lookup, without ever serving a stale rule.
 
 namespace hw::flowtable {
 

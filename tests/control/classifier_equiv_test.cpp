@@ -23,17 +23,15 @@
 /// prefiltering, batching or revalidation the three-tier DpClassifier
 /// performs, it must return exactly the rule the oracle picks for every
 /// packet — across random rule sets, FlowMod churn and random packet
-/// streams. Four classifier variants are compared against the oracle on
+/// streams. Two classifier variants are compared against the oracle on
 /// the same stream:
 ///
-///   * single     — lookup() per packet (a batch of one), defaults;
-///   * batched    — lookup_batch() over 32-packet batches;
-///   * scalar-scan— lookup() per packet with sig_scan_mode = kScalar, so
-///                  the portable signature loop must agree bit-for-bit
-///                  with the SIMD block scan the default variants run;
-///   * nopf       — lookup() per packet with the subtable prefilter off,
-///                  proving a Bloom skip never hides an entry (and that
-///                  the default variants' skips never change a result).
+///   * single     — lookup() per packet (a batch of one);
+///   * batched    — lookup_batch() over 32-packet batches.
+///
+/// Both run the subtable prefilter (it is always on), so their agreement
+/// with the oracle on every packet also proves that a Bloom skip never
+/// hides an entry.
 ///
 /// Every variant drains FlowMod churn through the coalesced revalidator
 /// (unioned DELETE ids, containment-merged ADD masks), so agreement with
@@ -128,12 +126,6 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
 
   DpClassifier single(table, cost);
   DpClassifier batched(table, cost);
-  DpClassifierConfig scalarscan_config;
-  scalarscan_config.megaflow.sig_scan_mode = SigScanMode::kScalar;
-  DpClassifier scalar_scan(table, cost, scalarscan_config);
-  DpClassifierConfig nopf_config;
-  nopf_config.megaflow.subtable_prefilter = false;
-  DpClassifier scalar_nopf(table, cost, nopf_config);
   exec::CycleMeter meter;
 
   // Keys recycle through a pool so the cache tiers genuinely serve hits
@@ -164,25 +156,12 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
       const RuleId got_single =
           id_of(single.lookup(keys[i], hashes[i], meter).entry);
       const RuleId got_batched = id_of(outcomes[i].entry);
-      const RuleId got_scalarscan =
-          id_of(scalar_scan.lookup(keys[i], hashes[i], meter).entry);
-      const RuleId got_nopf =
-          id_of(scalar_nopf.lookup(keys[i], hashes[i], meter).entry);
       ASSERT_EQ(got_single, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": one-key lookup diverged from the wildcard-table oracle";
       ASSERT_EQ(got_batched, oracle)
           << "seed " << seed << " round " << round << " pkt " << i
           << ": 32-packet batch diverged from the oracle";
-      ASSERT_EQ(got_scalarscan, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": portable scalar signature scan diverged from the oracle "
-             "(SIMD and scalar scans must be bit-identical)";
-      ASSERT_EQ(got_nopf, oracle)
-          << "seed " << seed << " round " << round << " pkt " << i
-          << ": no-prefilter baseline diverged from the oracle (a Bloom "
-             "skip in the default variants would be unsound if these "
-             "disagree)";
     }
     packets += kBatch;
   }
@@ -202,18 +181,11 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
   EXPECT_EQ(batched.counters().batch_packets, packets) << "seed " << seed;
   // The coalesced revalidator must have genuinely run drains.
   EXPECT_GT(single.counters().reval_batches, 0u) << "seed " << seed;
-  // The SIMD/prefilter machinery must have genuinely run: the default
-  // variants scanned SIMD blocks (when this binary compiled a backend
-  // in) and skipped provably clean subtables; the ablation variants
-  // never touched either path.
-  if (simd::kSimdCompiledIn) {
-    EXPECT_GT(single.counters().simd_blocks, 0u) << "seed " << seed;
-  } else {
-    EXPECT_EQ(single.counters().simd_blocks, 0u) << "seed " << seed;
-  }
-  EXPECT_EQ(scalar_scan.counters().simd_blocks, 0u) << "seed " << seed;
+  // The block scan and the prefilter must have genuinely run: every
+  // build scans signature blocks, and provably clean subtables were
+  // skipped.
+  EXPECT_GT(single.counters().simd_blocks, 0u) << "seed " << seed;
   EXPECT_GT(single.counters().subtables_skipped, 0u) << "seed " << seed;
-  EXPECT_EQ(scalar_nopf.counters().subtables_skipped, 0u) << "seed " << seed;
 }
 
 /// SHARDED N-ENGINE VARIANT (multi-PMD scale-out, docs/SCALEOUT.md).
@@ -221,9 +193,7 @@ TEST_P(ClassifierEquivalenceTest, AllPathsAgreeWithWildcardOracle) {
 /// per-engine classifiers — all subscribed to the SAME FlowTable, so the
 /// change subscription is exercised as a genuine multi-subscriber
 /// fan-out — and whichever engine a packet lands on must return exactly
-/// the wildcard-oracle verdict, across FlowMod churn, mixed engine
-/// configurations (engine 1 runs without the subtable prefilter, engine
-/// 2 with the portable scalar signature scan) and random bucket
+/// the wildcard-oracle verdict, across FlowMod churn and random bucket
 /// migrations mid-stream (the auto-load-balance handoff). Engine 3
 /// classifies its share through lookup_batch, the others one packet at
 /// a time, so the stream also mixes batch sizes.
@@ -235,12 +205,8 @@ TEST_P(ClassifierEquivalenceTest, ShardedEnginePoolAgreesWithOracle) {
 
   constexpr std::uint32_t kEngines = 4;
   DpClassifier engine0(table, cost);
-  DpClassifierConfig nopf_config;
-  nopf_config.megaflow.subtable_prefilter = false;
-  DpClassifier engine1(table, cost, nopf_config);
-  DpClassifierConfig scalarscan_config;
-  scalarscan_config.megaflow.sig_scan_mode = SigScanMode::kScalar;
-  DpClassifier engine2(table, cost, scalarscan_config);
+  DpClassifier engine1(table, cost);
+  DpClassifier engine2(table, cost);
   DpClassifier engine3(table, cost);
   DpClassifier* engines[kEngines] = {&engine0, &engine1, &engine2, &engine3};
 

@@ -152,23 +152,24 @@ TEST(MegaflowCacheTest, OneSubtablePerDistinctMask) {
   EXPECT_EQ(cache.subtable_count(), 2u);
   EXPECT_EQ(cache.entry_count(), 3u);
 
-  std::uint32_t probed = 0;
+  ProbeTally tally;
   // Any packet from port 2 matches the port-only megaflow.
-  EXPECT_EQ(cache.lookup(make_key(2, 99, 98, 4242), 1, probed), 11u);
-  EXPECT_EQ(cache.lookup(make_key(3, 1, 2, 80), 1, probed), 12u);
-  EXPECT_EQ(cache.lookup(make_key(4, 1, 2, 80), 1, probed), kRuleNone);
-  EXPECT_EQ(probed, 2u);  // a miss probes every subtable
+  EXPECT_EQ(cache.lookup(make_key(2, 99, 98, 4242), 1, tally), 11u);
+  EXPECT_EQ(cache.lookup(make_key(3, 1, 2, 80), 1, tally), 12u);
+  ProbeTally miss;
+  EXPECT_EQ(cache.lookup(make_key(4, 1, 2, 80), 1, miss), kRuleNone);
+  EXPECT_EQ(miss.probes, 2u);  // a miss probes every subtable
 }
 
 TEST(MegaflowCacheTest, StaleVersionIsNeverServed) {
   MegaflowCache cache;
   MaskSpec mask{.fields = openflow::kMatchInPort};
   cache.insert(make_key(1, 0, 0, 0), mask, 7, /*table_version=*/5);
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 5, probed), 7u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 5, tally), 7u);
   // Table moved on without an explaining change event: the entry must be
   // treated as a miss and evicted.
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 6, probed), kRuleNone);
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 6, tally), kRuleNone);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.stats().stale_evictions, 1u);
 }
@@ -188,10 +189,10 @@ TEST(MegaflowCacheTest, ChangeEventRevalidatesPreciselyOnOwnersNextTouch) {
   port3.in_port(3);
   cache.on_table_change(
       change_event(FlowModCommand::kAdd, port3, 99, /*version=*/2));
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 0), 2, probed), kRuleNone);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 0), 2, tally), kRuleNone);
   EXPECT_EQ(cache.entry_count(), 7u);
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 2, probed), 1u);
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 2, tally), 1u);
   EXPECT_EQ(cache.stats().revalidations, 1u);
   EXPECT_EQ(cache.stats().revalidated_evicted, 1u);
   EXPECT_EQ(cache.stats().flushes, 0u);
@@ -206,55 +207,56 @@ TEST(MegaflowCacheTest, DeleteEventOnlySuspectsRemovedRules) {
       change_event(FlowModCommand::kDelete, Match{}, 0, 2);
   event.removed = {11};  // the match is wildcard, but only rule 11 died
   cache.on_table_change(event);
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 2, probed), 10u);
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 2, probed), kRuleNone);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 2, tally), 10u);
+  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 2, tally), kRuleNone);
   EXPECT_EQ(cache.stats().revalidations, 1u);
 }
 
 TEST(MegaflowCacheTest, QueueOverflowFallsBackToFullFlush) {
-  MegaflowCache cache(
-      MegaflowCache::Config{.revalidator_queue_limit = 2});
+  MegaflowCache cache;
   MaskSpec mask{.fields = openflow::kMatchInPort};
   for (PortId p = 1; p <= 4; ++p) {
     cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
   }
   Match far_port;
   far_port.in_port(99);  // intersects nothing cached
-  for (std::uint64_t v = 2; v <= 5; ++v) {
+  // One event more than the queue holds.
+  const std::uint64_t last = 1 + MegaflowCache::kRevalidatorQueueLimit + 1;
+  for (std::uint64_t v = 2; v <= last; ++v) {
     cache.on_table_change(
         change_event(FlowModCommand::kAdd, far_port, 1, v));
   }
-  std::uint32_t probed = 0;
+  ProbeTally tally;
   // Precise tracking was abandoned: everything is gone, counted as an
   // overflow-driven flush, and the cache is synced to the last version.
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 5, probed), kRuleNone);
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), last, tally), kRuleNone);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.stats().queue_overflows, 1u);
   EXPECT_EQ(cache.stats().flushes, 1u);
 }
 
 TEST(MegaflowCacheTest, CoalescedDrainRunsOneSuspectScanPerBurst) {
-  // Subtable prefilter ablated so the scan-count arithmetic below stays
-  // exact (with it on, the far-port burst skips the subtable entirely —
-  // asserted by the prefilter tests further down).
-  MegaflowCache cache(MegaflowCacheConfig{.subtable_prefilter = false});
-  MaskSpec mask{.fields = openflow::kMatchInPort};
+  MegaflowCache cache;
+  MaskSpec mask{.fields = openflow::kMatchInPort | openflow::kMatchIpDst,
+                .ip_dst_plen = 32};
   for (PortId p = 1; p <= 8; ++p) {
-    cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
+    cache.insert(make_key(p, 0, 0x0a000000u + p, 0), mask, p, 1);
   }
   // A burst of five FlowMods lands before the owner touches the cache.
   // The drain must fold them into ONE suspect scan: 8 entries examined,
-  // not 40 — and the identical far-port matches merge into one plan
-  // mask, so nothing is suspect and every entry survives.
-  Match far_port;
-  far_port.in_port(99);
+  // not 40 — and the identical prefix matches merge into one plan mask.
+  // The plan Bloom carries no IPv4 prefixes, so the prefilter cannot
+  // skip the subtable and the scan runs; the prefix covers no cached
+  // destination, so nothing is suspect and every entry survives.
+  Match other_subnet;
+  other_subnet.ip_dst(0x0b000000u, 16);
   for (std::uint64_t v = 2; v <= 6; ++v) {
     cache.on_table_change(
-        change_event(FlowModCommand::kAdd, far_port, 1, v));
+        change_event(FlowModCommand::kAdd, other_subnet, 1, v));
   }
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 6, probed), 1u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0x0a000001u, 0), 6, tally), 1u);
   EXPECT_EQ(cache.stats().reval_batches, 1u);
   EXPECT_EQ(cache.stats().reval_entries_scanned, 8u);
   EXPECT_EQ(cache.stats().reval_coalesced_events, 4u);
@@ -262,6 +264,8 @@ TEST(MegaflowCacheTest, CoalescedDrainRunsOneSuspectScanPerBurst) {
   // The merged plan has ONE ADD term; every entry pays exactly one
   // intersect test on top of its membership probe.
   EXPECT_EQ(cache.stats().reval_term_tests, 8u);
+  EXPECT_EQ(cache.stats().reval_prefilter_checks, 0u);
+  EXPECT_EQ(cache.stats().subtables_skipped, 0u);
   EXPECT_EQ(cache.entry_count(), 8u);
 }
 
@@ -291,57 +295,61 @@ TEST(MegaflowCacheTest, OverlappingAddMasksResolveEachSuspectOnce) {
   narrow.in_port(3).l4_dst(80);
   cache.on_table_change(change_event(FlowModCommand::kAdd, broad, 50, 2));
   cache.on_table_change(change_event(FlowModCommand::kAdd, narrow, 60, 3));
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 0), 3, probed), 42u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 0), 3, tally), 42u);
   EXPECT_EQ(resolver_calls, 1);
   EXPECT_EQ(cache.stats().revalidations, 1u);
   EXPECT_EQ(cache.stats().reval_batches, 1u);
   EXPECT_EQ(cache.stats().reval_entries_scanned, 2u);
   EXPECT_EQ(cache.stats().reval_coalesced_events, 1u);
   // Port 4's entry was examined but never suspected — and still serves.
-  EXPECT_EQ(cache.lookup(make_key(4, 0, 0, 0), 3, probed), 8u);
+  EXPECT_EQ(cache.lookup(make_key(4, 0, 0, 0), 3, tally), 8u);
   EXPECT_EQ(cache.stats().revalidated_kept, 1u);
 }
 
 TEST(MegaflowCacheTest, WorkingSetEwmaResizesCapacity) {
-  MegaflowCacheConfig config;
-  config.max_entries = 1u << 16;
-  config.min_entries = 16;
-  config.size_interval = 256;
-  MegaflowCache cache(config);
+  MegaflowCache cache;
+  const std::size_t max_entries = MegaflowCacheConfig{}.max_entries;
   MaskSpec mask{.fields = openflow::kMatchInPort | openflow::kMatchL4Dst};
   auto key_for = [](std::uint32_t i) {
     return make_key(static_cast<PortId>(1 + (i % 6)), 9, 9,
                     static_cast<std::uint16_t>(1000 + i));
   };
-  for (std::uint32_t i = 0; i < 200; ++i) {
+  // A hot set above the sizing floor, so the cap has room to shrink.
+  constexpr std::uint32_t kHot = 2000;
+  static_assert(kHot > MegaflowCache::kMinEntries);
+  for (std::uint32_t i = 0; i < kHot; ++i) {
     cache.insert(key_for(i), mask, 100 + i, 1);
   }
-  ASSERT_EQ(cache.entry_count(), 200u);
-  EXPECT_EQ(cache.capacity(), config.max_entries);  // first window pending
+  ASSERT_EQ(cache.entry_count(), kHot);
+  EXPECT_EQ(cache.capacity(), max_entries);  // first window pending
 
-  std::uint32_t probed = 0;
-  // Phase 1: the whole population is hot — the capacity tracks the
-  // measured working set (with headroom) instead of the configured max,
-  // but never dips below what the traffic uses.
-  for (int round = 0; round < 3; ++round) {
-    for (std::uint32_t i = 0; i < 200; ++i) {
-      EXPECT_EQ(cache.lookup(key_for(i), 1, probed), 100u + i);
-    }
+  ProbeTally tally;
+  // Phase 1: the whole population is hot for three sizing windows — the
+  // capacity tracks the measured working set (with headroom) instead of
+  // the configured max, but never dips below what the traffic uses.
+  for (std::uint32_t n = 0; n < 3 * MegaflowCache::kSizeInterval; ++n) {
+    const std::uint32_t i = n % kHot;
+    ASSERT_EQ(cache.lookup(key_for(i), 1, tally), 100u + i);
   }
-  EXPECT_LT(cache.capacity(), config.max_entries);
+  EXPECT_LT(cache.capacity(), max_entries);
   EXPECT_GE(cache.capacity(), cache.entry_count());
   EXPECT_GE(cache.stats().cache_resizes, 1u);
-  EXPECT_EQ(cache.entry_count(), 200u);  // nothing trimmed while hot
+  EXPECT_EQ(cache.entry_count(), kHot);  // nothing trimmed while hot
 
-  // Phase 2: traffic narrows to one flow; the EWMA decays and the cache
-  // trims to the small working set, shedding cold entries — which is
-  // exactly what keeps later suspect scans proportional to live use.
-  for (int i = 0; i < 256 * 12; ++i) {
-    (void)cache.lookup(key_for(0), 1, probed);
+  // Phase 2: traffic narrows to one flow; the EWMA decays window by
+  // window and the cache trims down to the floor, shedding cold entries
+  // — which is exactly what keeps later suspect scans proportional to
+  // live use.
+  for (int window = 0;
+       window < 32 && cache.capacity() > MegaflowCache::kMinEntries;
+       ++window) {
+    for (std::uint32_t n = 0; n < MegaflowCache::kSizeInterval; ++n) {
+      (void)cache.lookup(key_for(0), 1, tally);
+    }
   }
-  EXPECT_LE(cache.capacity(), 64u);
-  EXPECT_LE(cache.entry_count(), 64u);
+  EXPECT_EQ(cache.capacity(), MegaflowCache::kMinEntries);
+  EXPECT_LE(cache.entry_count(), MegaflowCache::kMinEntries);
   EXPECT_GE(cache.stats().cache_resizes, 2u);
   EXPECT_GT(cache.stats().capacity_evictions, 0u);
 }
@@ -367,8 +375,8 @@ TEST(MegaflowCacheTest, OverwriteOfExistingKeyCountedSeparately) {
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.stats().inserts, 1u);
   EXPECT_EQ(cache.stats().overwrites, 1u);
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 1, probed), 12u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 1, tally), 12u);
 }
 
 TEST(MegaflowCacheTest, EmptySubtablesArePrunedAndStopCostingProbes) {
@@ -379,17 +387,19 @@ TEST(MegaflowCacheTest, EmptySubtablesArePrunedAndStopCostingProbes) {
   cache.insert(make_key(1, 0, 0, 80), port_and_dst, 10, /*version=*/1);
   cache.insert(make_key(2, 0, 0, 0), port_only, 11, 1);
   EXPECT_EQ(cache.subtable_count(), 2u);
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(9, 0, 0, 0), 1, probed), kRuleNone);
-  EXPECT_EQ(probed, 2u);
+  ProbeTally before;
+  EXPECT_EQ(cache.lookup(make_key(9, 0, 0, 0), 1, before), kRuleNone);
+  EXPECT_EQ(before.probes, 2u);
 
   // Stale-evict the only entry of the port+dst subtable (version skew);
   // the emptied subtable must be pruned, not probed forever.
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 80), 2, probed), kRuleNone);
+  ProbeTally stale;
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 80), 2, stale), kRuleNone);
   EXPECT_EQ(cache.subtable_count(), 1u);
   EXPECT_GE(cache.stats().subtables_pruned, 1u);
-  (void)cache.lookup(make_key(9, 0, 0, 0), 2, probed);
-  EXPECT_EQ(probed, 1u);  // shrank: the empty subtable no longer charges
+  ProbeTally after;
+  (void)cache.lookup(make_key(9, 0, 0, 0), 2, after);
+  EXPECT_EQ(after.probes, 1u);  // shrank: the empty subtable no longer charges
 }
 
 TEST(MegaflowCacheTest, CapacityEvictionPrunesEmptiedSubtable) {
@@ -403,9 +413,9 @@ TEST(MegaflowCacheTest, CapacityEvictionPrunesEmptiedSubtable) {
   // subtable goes with it.
   EXPECT_EQ(cache.entry_count(), 1u);
   EXPECT_EQ(cache.subtable_count(), 1u);
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 80), 1, probed), 11u);
-  EXPECT_EQ(probed, 1u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 80), 1, tally), 11u);
+  EXPECT_EQ(tally.probes, 1u);
 }
 
 TEST(MegaflowCacheTest, SignatureScanCountsHitsAndFalsePositives) {
@@ -414,8 +424,8 @@ TEST(MegaflowCacheTest, SignatureScanCountsHitsAndFalsePositives) {
   for (PortId p = 1; p <= 8; ++p) {
     cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
   }
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(5, 7, 7, 7), 1, probed), 5u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(5, 7, 7, 7), 1, tally), 5u);
   // The hit was confirmed through the signature prefilter, and the only
   // full compare performed was the confirming one (16-bit fingerprints
   // over 8 entries collide with probability ~ 8/65536).
@@ -457,56 +467,43 @@ TEST(MegaflowCacheTest, RepairInPlaceKeepsSignatureValid) {
   cache.on_table_change(
       change_event(FlowModCommand::kAdd, port3, 50, /*version=*/2));
 
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(raw, 2, probed), 42u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(raw, 2, tally), 42u);
   EXPECT_EQ(cache.stats().revalidated_kept, 1u);
   EXPECT_EQ(cache.stats().sig_hits, 1u);
   EXPECT_EQ(cache.stats().sig_false_positives, 0u);
   // Any other key with the same masked projection finds it too.
-  EXPECT_EQ(cache.lookup(make_key(3, 1, 0x0a0b0000, 80), 2, probed), 42u);
+  EXPECT_EQ(cache.lookup(make_key(3, 1, 0x0a0b0000, 80), 2, tally), 42u);
 }
 
-TEST(MegaflowCacheTest, SimdAndScalarSigScansAgree) {
-  // The SIMD block scan and the portable scalar loop must be
-  // bit-identical — same hits, same misses — including over the padded
-  // tail block (37 entries = 2 full blocks + a 5-lane tail).
-  MegaflowCache simd_cache;  // sig_scan_mode = kAuto
-  MegaflowCache scalar_cache(
-      MegaflowCacheConfig{.sig_scan_mode = SigScanMode::kScalar});
+TEST(MegaflowCacheTest, SignatureScanCoversThePaddedTailBlock) {
+  // 37 entries = 2 full blocks + a 5-lane tail: every entry, tail lanes
+  // included, must be found, and no padding lane may answer for a miss.
+  MegaflowCache cache;
   MaskSpec mask{.fields = openflow::kMatchInPort | openflow::kMatchIpDst,
                 .ip_dst_plen = 32};
   for (std::uint32_t i = 0; i < 37; ++i) {
-    const pkt::FlowKey key = make_key(1, 0, 0x0a000000u + i, 80);
-    simd_cache.insert(key, mask, i + 1, 1);
-    scalar_cache.insert(key, mask, i + 1, 1);
+    cache.insert(make_key(1, 0, 0x0a000000u + i, 80), mask, i + 1, 1);
   }
+  ProbeTally tally;
   for (std::uint32_t i = 0; i < 64; ++i) {  // 37 hits + 27 misses
     const pkt::FlowKey key = make_key(1, 0, 0x0a000000u + i, 80);
-    std::uint32_t probed = 0;
-    EXPECT_EQ(simd_cache.lookup(key, 1, probed),
-              scalar_cache.lookup(key, 1, probed))
+    EXPECT_EQ(cache.lookup(key, 1, tally), i < 37 ? i + 1 : kRuleNone)
         << "dst index " << i;
   }
-  // The scalar mode never touches the vector path; the auto mode uses it
-  // whenever this binary compiled a backend in.
-  EXPECT_EQ(scalar_cache.stats().simd_blocks, 0u);
-  if (simd::kSimdCompiledIn) {
-    EXPECT_GT(simd_cache.stats().simd_blocks, 0u);
-  } else {
-    EXPECT_EQ(simd_cache.stats().simd_blocks, 0u);
-  }
+  // Every build scans in 16-lane blocks, whichever hw::simd backend it
+  // compiled in.
+  EXPECT_GT(cache.stats().simd_blocks, 0u);
+  EXPECT_EQ(cache.stats().simd_blocks, tally.sig_blocks);
 }
 
 TEST(MegaflowCacheTest, SubtablePrefilterSkipsNonMatchingSubtablesOnLookup) {
   MegaflowCache cache;
-  MegaflowCache unfiltered(MegaflowCacheConfig{.subtable_prefilter = false});
   MaskSpec port_mask{.fields = openflow::kMatchInPort};
   MaskSpec port_l4_mask{.fields =
                             openflow::kMatchInPort | openflow::kMatchL4Dst};
-  for (MegaflowCache* c : {&cache, &unfiltered}) {
-    c->insert(make_key(1, 0, 0, 0), port_mask, 10, 1);
-    c->insert(make_key(2, 0, 0, 443), port_l4_mask, 20, 1);
-  }
+  cache.insert(make_key(1, 0, 0, 0), port_mask, 10, 1);
+  cache.insert(make_key(2, 0, 0, 443), port_l4_mask, 20, 1);
   // A key matching neither subtable: the Bloom provably lacks both
   // masked projections, so the probe skips both without touching a
   // signature array or a slot.
@@ -514,17 +511,12 @@ TEST(MegaflowCacheTest, SubtablePrefilterSkipsNonMatchingSubtablesOnLookup) {
   EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 7), 1, tally), kRuleNone);
   EXPECT_EQ(tally.probes, 2u);
   EXPECT_EQ(tally.prefilter_checks, 2u);
-  EXPECT_EQ(tally.sig_blocks + tally.sig_scalar, 0u);
+  EXPECT_EQ(tally.sig_blocks, 0u);
   EXPECT_EQ(tally.full_compares, 0u);
   EXPECT_EQ(cache.stats().subtables_skipped, 2u);
-  // Hits still resolve identically to the unfiltered cache.
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(1, 5, 5, 5), 1, probed), 10u);
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 443), 1, probed), 20u);
-  EXPECT_EQ(unfiltered.lookup(make_key(3, 0, 0, 7), 1, probed), kRuleNone);
-  EXPECT_EQ(unfiltered.lookup(make_key(1, 5, 5, 5), 1, probed), 10u);
-  EXPECT_EQ(unfiltered.lookup(make_key(2, 0, 0, 443), 1, probed), 20u);
-  EXPECT_EQ(unfiltered.stats().subtables_skipped, 0u);
+  // Hits still resolve.
+  EXPECT_EQ(cache.lookup(make_key(1, 5, 5, 5), 1, tally), 10u);
+  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 443), 1, tally), 20u);
 }
 
 TEST(MegaflowCacheTest, PrefilterSkipsRevalidatorScanForUntouchedSubtables) {
@@ -559,9 +551,9 @@ TEST(MegaflowCacheTest, PrefilterSkipsRevalidatorScanForUntouchedSubtables) {
   EXPECT_EQ(dirty.revalidated, 1u);
   EXPECT_EQ(dirty.evicted, 1u);
   EXPECT_EQ(cache.entry_count(), 3u);
-  std::uint32_t probed = 0;
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 3, probed), kRuleNone);
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 3, probed), 1u);
+  ProbeTally tally;
+  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 3, tally), kRuleNone);
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 3, tally), 1u);
 }
 
 TEST(MegaflowCacheTest, PrefilterTracksRuleIdsAcrossRepairAndOverwrite) {
@@ -647,8 +639,8 @@ TEST(MegaflowCacheTest, BatchLookupMatchesScalarResults) {
   ProbeTally tally;
   batch_cache.lookup_batch(keys, 1, out, tally);
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    std::uint32_t probed = 0;
-    EXPECT_EQ(out[i], scalar_cache.lookup(keys[i], 1, probed))
+    ProbeTally one;
+    EXPECT_EQ(out[i], scalar_cache.lookup(keys[i], 1, one))
         << "batch vs scalar diverged on key " << i;
   }
   EXPECT_EQ(batch_cache.stats().hits, 3u);
@@ -657,38 +649,41 @@ TEST(MegaflowCacheTest, BatchLookupMatchesScalarResults) {
 }
 
 TEST(MegaflowCacheTest, RankingMovesHotSubtableFirst) {
-  MegaflowCache cache(MegaflowCache::Config{.rank_interval = 64});
+  MegaflowCache cache;
   MaskSpec cold{.fields = openflow::kMatchInPort};
   MaskSpec hot{.fields = openflow::kMatchInPort | openflow::kMatchL4Dst};
   cache.insert(make_key(1, 0, 0, 0), cold, 1, 1);
   cache.insert(make_key(2, 0, 0, 80), hot, 2, 1);
   ASSERT_EQ(cache.subtable_masks().front(), cold);  // insertion order
-  std::uint32_t probed = 0;
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 80), 1, probed), 2u);
+  ProbeTally tally;
+  // Three rank windows of hot-only traffic.
+  for (std::uint32_t i = 0; i < 3 * MegaflowCache::kRankInterval; ++i) {
+    ASSERT_EQ(cache.lookup(make_key(2, 0, 0, 80), 1, tally), 2u);
   }
   // After EWMA re-ranking the hot subtable is probed first.
   EXPECT_EQ(cache.subtable_masks().front(), hot);
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 80), 1, probed), 2u);
-  EXPECT_EQ(probed, 1u);
+  ProbeTally after;
+  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 80), 1, after), 2u);
+  EXPECT_EQ(after.probes, 1u);
   EXPECT_GE(cache.stats().reranks, 1u);
 }
 
 TEST(MegaflowCacheTest, EwmaRankingAdaptsWhenTrafficMixShifts) {
-  MegaflowCache cache(MegaflowCache::Config{.rank_interval = 64});
+  MegaflowCache cache;
   MaskSpec a{.fields = openflow::kMatchInPort};
   MaskSpec b{.fields = openflow::kMatchInPort | openflow::kMatchL4Dst};
   cache.insert(make_key(1, 0, 0, 0), a, 1, 1);
   cache.insert(make_key(2, 0, 0, 80), b, 2, 1);
-  std::uint32_t probed = 0;
-  // Phase 1: subtable b is hot.
-  for (int i = 0; i < 300; ++i) {
-    (void)cache.lookup(make_key(2, 0, 0, 80), 1, probed);
+  ProbeTally tally;
+  // Phase 1: subtable b is hot for five rank windows.
+  for (std::uint32_t i = 0; i < 5 * MegaflowCache::kRankInterval; ++i) {
+    (void)cache.lookup(make_key(2, 0, 0, 80), 1, tally);
   }
   EXPECT_EQ(cache.subtable_masks().front(), b);
-  // Phase 2: traffic shifts to a; the EWMA decays b and promotes a.
-  for (int i = 0; i < 2000; ++i) {
-    (void)cache.lookup(make_key(1, 0, 0, 0), 1, probed);
+  // Phase 2: traffic shifts to a for thirty windows; the EWMA decays b
+  // and promotes a.
+  for (std::uint32_t i = 0; i < 30 * MegaflowCache::kRankInterval; ++i) {
+    (void)cache.lookup(make_key(1, 0, 0, 0), 1, tally);
   }
   EXPECT_EQ(cache.subtable_masks().front(), a);
 }
@@ -1043,20 +1038,18 @@ TEST_F(DpClassifierTest, QueueOverflowCountsFullFlushAndClearsEmc) {
     ASSERT_TRUE(
         table_.apply(openflow::make_p2p_flowmod(p, p + 10, 100, p)).is_ok());
   }
-  DpClassifierConfig config;
-  config.megaflow.revalidator_queue_limit = 2;
-  DpClassifier dp(table_, cost_, config);
+  DpClassifier dp(table_, cost_);
   const pkt::FlowKey key = make_key(1, 1, 2, 80);
   ASSERT_NE(lookup(dp, key), nullptr);
   ASSERT_EQ(dp.lookup(key, pkt::flow_key_hash(key), meter_).tier, Tier::kEmc);
   ASSERT_GT(dp.megaflow().entry_count(), 0u);
 
-  // A burst of FlowMods (far port — they intersect nothing cached)
-  // overflows the 2-deep queue before the owner thread touches the
+  // A burst of FlowMods (far port — they intersect nothing cached), one
+  // more than the queue holds, lands before the owner thread touches the
   // caches again: precise tracking is abandoned for one full flush.
   Match far_port;
   far_port.in_port(99);
-  for (int i = 0; i < 6; ++i) {
+  for (std::size_t i = 0; i <= MegaflowCache::kRevalidatorQueueLimit; ++i) {
     ASSERT_TRUE(
         table_
             .apply(add_rule(far_port, static_cast<std::uint16_t>(300 + i), 5))

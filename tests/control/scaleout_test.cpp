@@ -29,7 +29,6 @@ namespace hw {
 namespace {
 
 using classifier::DpClassifier;
-using classifier::DpClassifierConfig;
 using flowtable::FlowTable;
 using openflow::Action;
 using openflow::FlowMod;
@@ -167,9 +166,7 @@ TEST(ShardedChurnTest, FlowModInvalidatesOnAllEnginesWithZeroStaleServes) {
   constexpr std::uint32_t kEngines = 4;
   DpClassifier engine0(table, cost);
   DpClassifier engine1(table, cost);
-  DpClassifierConfig nopf_config;
-  nopf_config.megaflow.subtable_prefilter = false;
-  DpClassifier engine2(table, cost, nopf_config);  // scans every subtable
+  DpClassifier engine2(table, cost);
   DpClassifier engine3(table, cost);
   DpClassifier* engines[kEngines] = {&engine0, &engine1, &engine2, &engine3};
   RssTable rss(16, kEngines);

@@ -39,7 +39,6 @@ using openflow::FlowModCommand;
 
 constexpr std::uint64_t kWarmupPkts = 32'768;
 constexpr std::uint64_t kMeasurePkts = 131'072;
-constexpr std::uint64_t kEmcBuckets = 4096;
 
 /// Same rule shape as bench_workloads: a TCP-80 probe and an exact /32
 /// probe force the slow path to unwildcard the full 5-tuple, so every
@@ -150,7 +149,8 @@ TEST(WorkloadCacheTest, EmcHitRateClearsAnalyticBoundAndRisesWithSkew) {
   double prev_rate = 0.0;
   for (const double s : {0.9, 1.1, 1.3}) {
     const StreamResult r = run_stream(zipf_profile(s, 4096));
-    const double bound = emc_zipf_lower_bound(4096, s, kEmcBuckets, 64);
+    const double bound =
+        emc_zipf_lower_bound(4096, s, DpClassifier::kEmcBuckets, 64);
     EXPECT_GE(r.emc_rate, bound)
         << "s=" << s << ": measured EMC rate fell below the stationary "
         << "self-hit mass of the top-64 ranks";
@@ -229,7 +229,7 @@ TEST(WorkloadCacheTest, MegaflowAutoSizeTracksOfferedWorkingSet) {
   // Phase 2: the offered population collapses to 128 *fresh* flows
   // (disjoint 5-tuples, so the phase-1 entries go cold and the shrink
   // trim — FIFO within a subtable — sheds exactly them, never the live
-  // set). The EWMA must follow the collapse down toward min_entries.
+  // set). The EWMA must follow the collapse down toward kMinEntries.
   pkt::TrafficProfile narrow = wide;
   narrow.flow_count = 128;
   narrow.dst_ip_base = pkt::ipv4(10, 2, 0, 1);

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/latency.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "common/units.h"
@@ -143,6 +145,48 @@ TEST(Rng, ChanceIsRoughlyCalibrated) {
   for (int i = 0; i < 10000; ++i) hits += rng.chance(30, 100);
   EXPECT_GT(hits, 2600);
   EXPECT_LT(hits, 3400);
+}
+
+// ------------------------------------------------------------------- simd
+
+/// Per-lane reference for simd::match_mask_u16: bit i is set iff lane i
+/// is one of the first `valid` lanes and equals `needle`.
+std::uint32_t match_mask_reference(const std::uint16_t* block,
+                                   std::size_t valid, std::uint16_t needle) {
+  std::uint32_t mask = 0;
+  for (std::size_t lane = 0; lane < valid; ++lane) {
+    if (block[lane] == needle) mask |= 1u << lane;
+  }
+  return mask;
+}
+
+TEST(Simd, MatchMaskAgreesWithPerLaneReference) {
+  Rng rng(0x51d);
+  // Blocks holding the needle in 0, 1, several and all 16 lanes, at
+  // random positions; every other lane holds a random non-needle value.
+  for (const std::size_t needles : {0u, 1u, 5u, 16u}) {
+    for (int trial = 0; trial < 64; ++trial) {
+      const auto needle = static_cast<std::uint16_t>(rng.next());
+      std::uint16_t block[simd::kLanesU16];
+      std::size_t lanes[simd::kLanesU16];
+      for (std::size_t lane = 0; lane < simd::kLanesU16; ++lane) {
+        do {
+          block[lane] = static_cast<std::uint16_t>(rng.next());
+        } while (block[lane] == needle);
+        lanes[lane] = lane;
+      }
+      for (std::size_t i = 0; i < needles; ++i) {
+        std::swap(lanes[i], lanes[i + rng.next_below(simd::kLanesU16 - i)]);
+        block[lanes[i]] = needle;
+      }
+      for (std::size_t valid = 0; valid <= simd::kLanesU16; ++valid) {
+        EXPECT_EQ(simd::match_mask_u16(block, valid, needle),
+                  match_mask_reference(block, valid, needle))
+            << simd::kBackendName << " backend, " << needles
+            << " needle lanes, valid " << valid;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- latency
