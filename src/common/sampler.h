@@ -2,16 +2,19 @@
 
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
 
 /// \file sampler.h
 /// Random-variate samplers for the workload library: Zipfian rank
-/// selection, Poisson arrival processes, and ON-OFF burst gating. All
-/// state is O(1) so a generator can offer millions of distinct flows
-/// without materializing any per-flow table, and every sampler draws from
-/// an explicit Rng so runs are bit-for-bit reproducible.
+/// selection, Poisson arrival processes, and ON-OFF burst gating. The
+/// Poisson and ON-OFF state is O(1); the Zipf sampler may cache a
+/// per-rank table for the hottest ranks, capped at 1 MB, so a generator
+/// can offer millions of distinct flows without per-flow state. Every
+/// sampler draws from an explicit Rng, so runs are bit-for-bit
+/// reproducible.
 
 namespace hw {
 
@@ -22,20 +25,49 @@ namespace hw {
 /// By convexity of x^-s, the envelope mass of the unit cell around k,
 /// q_k = H(k+0.5) - H(k-0.5), satisfies q_k >= k^-s, so accepting a
 /// candidate k with probability k^-s / q_k yields the exact Zipf pmf.
-/// Acceptance is > 70% for all s in (0, 2]; there is no precomputed
-/// table, so `n` may differ on every call (needed when the active flow
-/// set churns).
+/// Acceptance is > 70% for all s in (0, 2], and `n` may differ on every
+/// call (needed when the active flow set churns).
+///
+/// Given a population bound, the constructor tabulates H(k+0.5) and k^-s
+/// for ranks up to min(bound, kMaxTableRanks), 16 B per rank, so a
+/// rejection step inside the table costs one pow (the envelope inverse)
+/// instead of four. Each entry is the expression draw() would otherwise
+/// evaluate, on the same input, so it is the same double: ranks drawn
+/// with and without the table are identical, draw for draw. Ranks above
+/// the table are evaluated inline.
 class ZipfSampler {
  public:
-  explicit ZipfSampler(double s) noexcept : s_(s) {}
+  /// Ranks tabulated at most: 65,536 ranks, 1 MB.
+  static constexpr std::uint64_t kMaxTableRanks = 65'536;
+
+  /// Tabulates ranks up to min(max_n, kMaxTableRanks); pass the largest
+  /// n draw() will see, or 0 for no table. draw() accepts any n either way.
+  explicit ZipfSampler(double s, std::uint64_t max_n = 0) : s_(s) {
+    const std::uint64_t ranks =
+        max_n < kMaxTableRanks ? max_n : kMaxTableRanks;
+    if (ranks == 0) return;
+    table_.resize(ranks + 1);
+    table_[0].h_hi = envelope(0.5);
+    for (std::uint64_t k = 1; k <= ranks; ++k) {
+      table_[k].h_hi = envelope(static_cast<double>(k) + 0.5);
+      table_[k].p = std::pow(static_cast<double>(k), -s_);
+    }
+  }
 
   [[nodiscard]] double s() const noexcept { return s_; }
+  /// Ranks covered by the table (0 = untabulated).
+  [[nodiscard]] std::uint64_t table_ranks() const noexcept {
+    return table_.empty() ? 0 : table_.size() - 1;
+  }
 
   /// Draws a rank in [0, n). Rank 0 is the most popular. n == 0 returns 0.
   [[nodiscard]] std::uint64_t draw(Rng& rng, std::uint64_t n) const noexcept {
     if (n <= 1) return 0;
-    const double h_lo = envelope(0.5);
-    const double h_hi = envelope(static_cast<double>(n) + 0.5);
+    const std::uint64_t tabulated = table_ranks();
+    const double h_lo = tabulated != 0 ? table_[0].h_hi : envelope(0.5);
+    const double h_hi = n <= tabulated
+                            ? table_[n].h_hi
+                            : envelope(static_cast<double>(n) + 0.5);
     for (;;) {
       const double u = h_lo + rng.next_double() * (h_hi - h_lo);
       const double x = envelope_inverse(u);
@@ -43,10 +75,17 @@ class ZipfSampler {
       auto k = static_cast<std::uint64_t>(x + 0.5);
       if (k < 1) k = 1;
       if (k > n) k = n;
-      const double qk =
-          envelope(static_cast<double>(k) + 0.5) -
-          envelope(static_cast<double>(k) - 0.5);
-      const double pk = std::pow(static_cast<double>(k), -s_);
+      double qk;
+      double pk;
+      if (k <= tabulated) {
+        // (k-1)+0.5 == k-0.5 exactly for any k below 2^52.
+        qk = table_[k].h_hi - table_[k - 1].h_hi;
+        pk = table_[k].p;
+      } else {
+        qk = envelope(static_cast<double>(k) + 0.5) -
+             envelope(static_cast<double>(k) - 0.5);
+        pk = std::pow(static_cast<double>(k), -s_);
+      }
       if (rng.next_double() * qk <= pk) return k - 1;
     }
   }
@@ -96,7 +135,13 @@ class ZipfSampler {
     return std::pow(1.0 + h * (1.0 - s_), 1.0 / (1.0 - s_));
   }
 
+  struct Rank {
+    double h_hi = 0.0;  ///< H(k + 0.5)
+    double p = 0.0;     ///< k^-s (unused at k = 0)
+  };
+
   double s_;
+  std::vector<Rank> table_;  ///< ranks 0..table_ranks(); empty = untabulated
 };
 
 /// Homogeneous Poisson process: exponentially distributed inter-arrival

@@ -10,7 +10,9 @@
 /// approximate top-k keys of a stream in O(capacity) memory regardless of
 /// how many distinct keys flow past. Used by the workload generator to
 /// report what fraction of offered load the hottest flows carry — the
-/// quantity EMC hit-rate should track under skew.
+/// quantity EMC hit-rate should track under skew. The generator offers
+/// it every 16th pick, since an offer that misses the tracked keys costs
+/// a linear min-scan plus a hash-map erase and emplace.
 
 namespace hw {
 

@@ -45,8 +45,10 @@ void TrafficSink::consume(std::span<mbuf::Mbuf* const> pkts) noexcept {
   for (mbuf::Mbuf* buf : pkts) {
     ++received_;
     bytes_ += buf->data_len;
-    if (buf->ts_ns <= now) latency_.record(now - buf->ts_ns);
+    // Only generated frames carry a stamp. Generators number frames from
+    // 1; a packet-out leaves Mbuf::reset() with seq 0 and ts_ns 0.
     if (buf->seq != 0) {
+      if (buf->ts_ns <= now) latency_.record(now - buf->ts_ns);
       const std::uint32_t hash = pkt::flow_hash_of(*buf);
       if (seq_track_.record(hash, buf->seq)) ++reorders_;
     }

@@ -20,6 +20,24 @@ constexpr std::uint32_t kMaxAdmitPerPoll = 256;
 /// O(active); per-packet deadline checks would be pure overhead).
 constexpr std::uint32_t kSweepEveryPolls = 64;
 
+/// Only every Nth pick is offered to the top-k sketch: an offer that
+/// misses the tracked slots costs a min-scan and a hash-map erase and
+/// emplace, more than the pick itself. Zipf and uniform picks are i.i.d.
+/// between population changes, so the sample's top-k share estimates the
+/// stream's. The sketch draws no random numbers, so the stride cannot
+/// move the offered stream.
+constexpr std::uint64_t kTopKSampleStride = 16;
+
+/// Largest population the Zipf sampler draws over; it tabulates the
+/// hottest ranks up to this bound. 0 (no table) for distributions that
+/// never draw from it.
+std::uint64_t zipf_population_bound(const TrafficProfile& profile) noexcept {
+  const WorkloadConfig& cfg = profile.workload;
+  if (cfg.distribution != FlowDistribution::kZipf) return 0;
+  if (cfg.churn == ChurnModel::kPoisson) return cfg.max_active_flows;
+  return profile.flow_count;
+}
+
 TimeNs arrival_gap_ns(double per_sec) noexcept {
   if (per_sec <= 0.0) return TimeNs{1} << 62;  // effectively never
   const double gap = 1e9 / per_sec;
@@ -32,7 +50,7 @@ WorkloadGen::WorkloadGen(const TrafficProfile& profile)
     : profile_(profile),
       cfg_(profile.workload),
       rng_(profile.seed ^ 0x5eedf00dULL),
-      zipf_(cfg_.zipf_s),
+      zipf_(cfg_.zipf_s, zipf_population_bound(profile)),
       arrivals_(arrival_gap_ns(cfg_.arrival_per_sec)),
       elephant_life_(cfg_.elephant_lifetime_ns == 0 ? 1
                                                     : cfg_.elephant_lifetime_ns),
@@ -174,8 +192,10 @@ std::uint64_t WorkloadGen::pick_flow() noexcept {
         profile_.flow_count == 0 ? 1 : profile_.flow_count;
     id = pick_rank(n);
   }
+  if (track_topk_ && stats_.offered % kTopKSampleStride == 0) {
+    topk_.offer(id);
+  }
   ++stats_.offered;
-  if (track_topk_) topk_.offer(id);
   return id;
 }
 

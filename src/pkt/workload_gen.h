@@ -17,9 +17,12 @@
 /// elephant lifetimes, ON-OFF gating), and synthesizes frames lazily from
 /// the profile's compact flow descriptor.
 ///
-/// Memory is O(active flows) for churn bookkeeping and O(1) for
-/// everything else — no per-flow template images — so a profile can offer
-/// millions of distinct 5-tuples. Synthesis is byte-identical to
+/// Memory is O(active flows) for churn bookkeeping, at most 1 MB for the
+/// Zipf sampler's table of the hottest ranks, and O(1) for everything
+/// else — no per-flow template images — so a profile can offer millions
+/// of distinct 5-tuples. Neither the table nor the top-k sketch, which
+/// sees every 16th pick, changes which flows are picked: the stream is
+/// fixed by the profile and its seed. Synthesis is byte-identical to
 /// build_frame(profile.flow_spec(id)): a prototype frame per L4 protocol
 /// is patched with the flow's MACs/IPs/ports and the IPv4 header checksum
 /// is recomputed (workload_test.cpp holds the byte-for-byte regression).
@@ -47,7 +50,8 @@ class WorkloadGen {
   [[nodiscard]] const WorkloadConfig& config() const noexcept { return cfg_; }
 
   /// Fraction of offered frames carried by the ~k hottest flows (exact
-  /// for round-robin, SpaceSaving estimate otherwise).
+  /// for a round-robin sweep of a fixed population; otherwise a
+  /// SpaceSaving estimate over every 16th pick).
   [[nodiscard]] double top_share(std::size_t k) const;
 
   [[nodiscard]] std::uint32_t frame_len() const noexcept {

@@ -83,10 +83,11 @@ std::uint32_t GenSinkApp::poll(exec::CycleMeter& meter) {
     const TimeNs now = runtime_->epoch_start_ns();
     for (std::uint16_t i = 0; i < n; ++i) {
       mbuf::Mbuf* pkt = buf_[i];
-      if (pkt->ts_ns != 0 && pkt->ts_ns <= now) {
-        latency_.record(now - pkt->ts_ns);
-      }
+      // Only generated frames carry a stamp. Generators number frames
+      // from 1; a packet-out leaves Mbuf::reset() with seq 0 and ts_ns 0.
+      // ts_ns 0 is a real stamp: the first epoch's frames carry it.
       if (pkt->seq != 0) {
+        if (pkt->ts_ns <= now) latency_.record(now - pkt->ts_ns);
         // Per-flow order check: sequence numbers are globally monotonic at
         // the generator, so they are monotonic within each flow too — but
         // across flows RSS shards may legally interleave, which a single

@@ -80,13 +80,13 @@ TEST(ZipfSamplerTest, DrawStaysInRangeForDegenerateAndHugeN) {
 }
 
 TEST(ZipfSamplerTest, HeadMassMatchesAnalyticTopKForMillionFlows) {
-  // The rejection sampler never materializes a table, so its correctness
-  // at n = 1M is exactly what the 1M-flow bench config leans on: the
-  // fraction of draws landing in the top-64 ranks must match the
-  // analytic top-k mass (the same quantity the smoke gate bounds).
-  Rng rng(0x51f020);
-  ZipfSampler zipf(1.1);
+  // At n = 1M the rank table is capped, so draws mix tabulated and inline
+  // ranks, as in the 1M-flow bench config: the fraction of draws landing
+  // in the top-64 ranks must match the analytic top-k mass (the same
+  // quantity the smoke gate bounds).
   constexpr std::uint64_t kN = 1'000'000;
+  Rng rng(0x51f020);
+  ZipfSampler zipf(1.1, kN);
   constexpr std::uint64_t kDraws = 100'000;
   std::uint64_t head = 0;
   for (std::uint64_t i = 0; i < kDraws; ++i) {
@@ -97,6 +97,40 @@ TEST(ZipfSamplerTest, HeadMassMatchesAnalyticTopKForMillionFlows) {
       static_cast<double>(head) / static_cast<double>(kDraws);
   // ~6 sigma for a binomial proportion at this sample size.
   EXPECT_NEAR(measured, expected, 0.01);
+}
+
+TEST(ZipfSamplerTest, RankTableLeavesEveryDrawUnchanged) {
+  // Each table entry is the expression draw() evaluates inline, on the
+  // same input, so a tabulated and an untabulated sampler on the same
+  // stream must return the same rank on every draw. n runs below, at and
+  // above the table, so draws cross from tabulated to inline ranks.
+  constexpr std::uint64_t kTable = 1000;
+  constexpr std::uint64_t kNs[] = {300, kTable, 4 * kTable};
+  constexpr std::uint64_t kDraws = 1'000'000;
+  for (const double s : {0.9, 1.0, 1.1, 1.3}) {  // 1.0 takes the log branch
+    const ZipfSampler plain(s);
+    const ZipfSampler tabulated(s, kTable);
+    ASSERT_EQ(tabulated.table_ranks(), kTable);
+    Rng plain_rng(0x51f030);
+    Rng table_rng(0x51f030);
+    std::uint64_t mismatches = 0;
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+      const std::uint64_t n = kNs[i % 3];
+      if (plain.draw(plain_rng, n) != tabulated.draw(table_rng, n)) {
+        ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "s=" << s;
+    EXPECT_EQ(plain_rng.next(), table_rng.next())
+        << "s=" << s << ": the samplers consumed different variates";
+  }
+}
+
+TEST(ZipfSamplerTest, RankTableIsOptionalAndCapped) {
+  EXPECT_EQ(ZipfSampler(1.1).table_ranks(), 0u);
+  EXPECT_EQ(ZipfSampler(1.1, 8192).table_ranks(), 8192u);
+  EXPECT_EQ(ZipfSampler(1.1, 1'048'576).table_ranks(),
+            ZipfSampler::kMaxTableRanks);
 }
 
 TEST(ZipfSamplerTest, HarmonicMatchesBruteForceSum) {

@@ -82,6 +82,25 @@ TEST_F(AppsTest, SinksRecordLatencyUnderTraffic) {
   EXPECT_GE(metrics.latency_max_ns, metrics.latency_p99_ns / 2);
 }
 
+TEST_F(AppsTest, SinkSamplesFramesGeneratedInTheFirstEpoch) {
+  // ts_ns == 0 is a real stamp: every frame generated in the first epoch
+  // carries it. Generated frames are numbered from 1, so the sink must
+  // take a latency sample from every one of them.
+  chain::ChainConfig config;
+  config.vm_count = 2;
+  config.enable_bypass = false;
+  config.bidirectional = false;
+  chain::ChainScenario chain(config);
+  ASSERT_TRUE(chain.build().is_ok());
+  ASSERT_EQ(chain.runtime().epoch_start_ns(), 0);
+  chain.runtime().step_epoch();  // the head generates in epoch 0 only
+  chain.head_endpoint()->set_generate(false);
+  chain.warmup(1'000'000);
+  const GenSinkApp* tail = chain.tail_endpoint();
+  ASSERT_GT(tail->counters().delivered, 0u);
+  EXPECT_EQ(tail->latency().count(), tail->counters().delivered);
+}
+
 TEST_F(AppsTest, SteadyStatePathDeliversInOrder) {
   // Path transitions may reorder once (normal-channel backlog vs new
   // bypass traffic); steady state afterwards must be strictly in order.

@@ -123,6 +123,21 @@ TEST_F(NicTest, SinkRecordsLatencyAndOrder) {
   EXPECT_EQ(pool_.in_use(), 0u);
 }
 
+TEST_F(NicTest, SinkTakesNoLatencySampleFromUnstampedFrames) {
+  // A packet-out leaves Mbuf::reset() with seq 0 and ts_ns 0: no
+  // generator stamped it, so it is counted but adds no latency sample.
+  TrafficSink sink("sink", pool_, runtime_);
+  runtime_.run_for(10'000);  // a bogus sample would read the whole 10 us
+  mbuf::Mbuf* frame = pool_.alloc();
+  frame->reset();
+  frame->data_len = 64;
+  mbuf::Mbuf* const frames[1] = {frame};
+  sink.consume(frames);
+  EXPECT_EQ(sink.received(), 1u);
+  EXPECT_EQ(sink.latency().count(), 0u);
+  EXPECT_EQ(pool_.in_use(), 0u);
+}
+
 TEST_F(NicTest, DetachedSourceStopsIngress) {
   SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_);
   TrafficSource source("gen", pool_, profile(64), runtime_);

@@ -15,8 +15,9 @@
 /// byte-identical to the retired per-flow template path (build_frame over
 /// make_flows()), a source must offer a million distinct 5-tuples without
 /// per-flow generator state, churn/gating must be visible at the source
-/// boundary, and the sink's per-flow order tracker must count intra-flow
-/// regressions while ignoring cross-flow interleave.
+/// boundary, the sink's per-flow order tracker must count intra-flow
+/// regressions while ignoring cross-flow interleave, and a profile's seed
+/// must fix its pick stream.
 
 namespace hw::nic {
 namespace {
@@ -213,6 +214,64 @@ TEST_F(WorkloadTest, StarvedSourceCountsAllocFailures) {
   EXPECT_EQ(source.produce(burst), 0u) << "pool fully drained";
   EXPECT_EQ(source.alloc_failures(), 2u);
   for (std::size_t i = 0; i < n; ++i) tiny.free(burst[i]);
+}
+
+/// FNV-1a over the little-endian bytes of `picks` successive pick_flow()
+/// ids, 32 picks per microsecond of virtual time (the churn clock).
+std::uint64_t pick_digest(const pkt::TrafficProfile& profile,
+                          std::uint64_t picks) {
+  pkt::WorkloadGen gen(profile);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  std::uint64_t done = 0;
+  for (TimeNs now = 0; done < picks; now += 1000) {
+    if (!gen.advance(now)) continue;
+    for (int i = 0; i < 32 && done < picks; ++i, ++done) {
+      const std::uint64_t id = gen.pick_flow();
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (id >> (8 * byte)) & 0xffU;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return digest;
+}
+
+TEST_F(WorkloadTest, PickStreamIsPinnedBySeed) {
+  // Host-time comparisons across commits rely on a seed fixing the work:
+  // hostbench runs two commits on the same seed and compares their CPU
+  // time. A change that moves a single pick fails here; such a change
+  // must be compared over many seeds, and say so, before these digests
+  // are pinned again.
+
+  // hostbench's forward profile for its seed 1 (profile seed 2*1 + 1).
+  pkt::TrafficProfile forward;
+  forward.flow_count = 8192;
+  forward.web_percent = 20;
+  forward.workload.distribution = pkt::FlowDistribution::kZipf;
+  forward.workload.zipf_s = 1.1;
+  forward.seed = 3;
+  EXPECT_EQ(pick_digest(forward, 100'000), 0xbc13f899c6a694e7ULL);
+
+  // Poisson churn: the population, and so n, changes between draws.
+  pkt::TrafficProfile churn;
+  churn.flow_count = 256;
+  churn.workload.distribution = pkt::FlowDistribution::kZipf;
+  churn.workload.churn = pkt::ChurnModel::kPoisson;
+  churn.workload.arrival_per_sec = 2'000'000.0;
+  churn.workload.mice_percent = 80;
+  churn.workload.mice_packets = 16;
+  churn.workload.elephant_lifetime_ns = 500'000;
+  churn.workload.max_active_flows = 1024;
+  churn.seed = 11;
+  EXPECT_EQ(pick_digest(churn, 100'000), 0xe84f5a606e248092ULL);
+
+  // A million flows: draws cross from the rank table to inline ranks.
+  pkt::TrafficProfile million;
+  million.flow_count = 1'048'576;
+  million.workload.distribution = pkt::FlowDistribution::kZipf;
+  million.workload.zipf_s = 1.1;
+  million.seed = 5;
+  EXPECT_EQ(pick_digest(million, 100'000), 0xe7431142a387bab7ULL);
 }
 
 }  // namespace
