@@ -128,14 +128,12 @@ Cycles DpClassifier::tally_cycles(const ProbeTally& tally,
                                   bool batched) const noexcept {
   // Per-probe base: a single-key probe pays mask + hash + dispatch per
   // subtable; the batch loop amortizes mask load, rank dispatch and EWMA
-  // accounting across the batch. Signature-block scans and full masked
+  // accounting across the batch. Cuckoo bucket reads and full masked
   // compares are charged identically at both rates.
   const std::uint32_t per_probe = batched ? cost_->megaflow_batch_packet
                                           : cost_->megaflow_per_subtable;
   return static_cast<Cycles>(tally.probes) * per_probe +
          static_cast<Cycles>(tally.sig_blocks) * cost_->megaflow_sig_block +
-         static_cast<Cycles>(tally.prefilter_checks) *
-             cost_->megaflow_prefilter_check +
          static_cast<Cycles>(tally.full_compares) *
              cost_->megaflow_full_compare;
 }
@@ -215,7 +213,7 @@ LookupOutcome DpClassifier::probe_caches(const pkt::FlowKey& key,
     }
   }
 
-  // Tier 2: megaflow tuple-space search (signature-prefiltered probes).
+  // Tier 2: megaflow tuple-space search (cuckoo-indexed subtables).
   if (config_.megaflow_enabled) {
     ProbeTally tally;
     const RuleId id = megaflow_.lookup(key, version, tally);

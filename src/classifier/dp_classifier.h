@@ -24,12 +24,14 @@ class MetricsRegistry;
 /// forwarding engine (like one EMC + dpcls pair per PMD thread):
 ///
 ///   1. exact-match cache   — O(1) direct-mapped, full-key compare;
-///   2. megaflow cache      — tuple-space search over masked keys, with a
-///                            per-subtable 16-bit signature array scanned
-///                            in 16-lane blocks (hw::simd) ahead of any
-///                            full masked compare, and a counting-Bloom
-///                            subtable prefilter that skips subtables
-///                            which provably cannot hold the masked key;
+///   2. megaflow cache      — tuple-space search over masked keys, each
+///                            subtable indexed by a two-choice cuckoo
+///                            table whose buckets are 16-lane blocks of
+///                            16-bit signatures (hw::simd): a probe reads
+///                            at most two blocks at any population (plus
+///                            an overflow stash for keys sharing one full
+///                            hash), and full-compares only signature
+///                            matches;
 ///   3. slow path           — priority-ordered wildcard table scan, which
 ///                            *installs* a megaflow covering every field
 ///                            it examined (the upcall's unwildcard set)
@@ -233,7 +235,7 @@ class DpClassifier {
   /// drains triggered inside megaflow lookup/insert).
   void charge_reval_work(exec::CycleMeter& meter);
   /// Converts a megaflow probe tally into cycles (single-key or batched
-  /// per-subtable base; signature-scan and compare charges are shared).
+  /// per-subtable base; bucket-read and compare charges are shared).
   [[nodiscard]] Cycles tally_cycles(const ProbeTally& tally,
                                     bool batched) const noexcept;
   /// One EMC probe: charge, lookup, hit/miss counting. The single

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 
 #include "analysis/annotate.h"
 
@@ -26,10 +27,6 @@ namespace {
   std::size_t p = 1;
   while (p < v) p <<= 1;
   return p;
-}
-
-[[nodiscard]] constexpr std::size_t block_ceil(std::size_t n) noexcept {
-  return (n + simd::kLanesU16 - 1) & ~(simd::kLanesU16 - 1);
 }
 
 /// Invokes `fn(field_bit, value)` for every *exact-valued* field the mask
@@ -88,58 +85,117 @@ constexpr double kSizeHeadroom = 2.0;
 
 }  // namespace
 
-std::size_t MegaflowCache::Subtable::find(const pkt::FlowKey& masked,
-                                          std::uint16_t sig,
-                                          ProbeTally& tally) const {
-  const std::size_t n = slots.size();
-  // Signature scan: one 16-lane compare per block (the array is padded
-  // to a block multiple; tail lanes are masked off inside
-  // match_mask_u16), then one full compare per surviving lane. Blocks
-  // are charged up to the match. Lanes rarely match, so the full
-  // compares stay off the block loop's straight-line path: the loop
-  // stays compact, and its host speed does not depend on where the
-  // linker places it.
-  std::size_t base = 0;
-  for (; base < n; base += simd::kLanesU16) {
-    std::uint32_t lanes = simd::match_mask_u16(
-        sigs.data() + base, std::min(simd::kLanesU16, n - base), sig);
-    if (lanes == 0) [[likely]] continue;
-    do {
-      const std::size_t index = base + std::countr_zero(lanes);
-      lanes &= lanes - 1;
-      ++tally.full_compares;
-      if (slots[index].key == masked) {
-        tally.sig_blocks +=
-            static_cast<std::uint32_t>(base / simd::kLanesU16 + 1);
-        return index;
-      }
-    } while (lanes != 0);
-  }
-  tally.sig_blocks += static_cast<std::uint32_t>(base / simd::kLanesU16);
-  return kNpos;
+bool MegaflowCache::Bucket::fill(std::uint32_t index,
+                                 std::uint32_t hash) noexcept {
+  if (used == 0xffffu) return false;
+  const auto lane = static_cast<unsigned>(std::countr_one(used));
+  sigs[lane] = flow_signature(hash);
+  slot[lane] = index;
+  used |= 1u << lane;
+  return true;
 }
 
-void MegaflowCache::Subtable::sig_push(std::uint16_t sig) {
-  if (slots.size() > sigs.size()) {
-    sigs.resize(sigs.size() + simd::kLanesU16, 0);
+unsigned MegaflowCache::Subtable::lane_in(std::size_t b,
+                                          const pkt::FlowKey& masked,
+                                          std::uint16_t sig,
+                                          ProbeTally& tally) const {
+  // One 16-lane signature compare, then one full compare per match.
+  const Bucket& bucket = buckets[b];
+  ++tally.sig_blocks;
+  std::uint32_t lanes =
+      simd::match_mask_u16_block(bucket.sigs.data(), sig) & bucket.used;
+  for (; lanes != 0; lanes &= lanes - 1) {
+    const auto lane = static_cast<unsigned>(std::countr_zero(lanes));
+    ++tally.full_compares;
+    if (slots[bucket.slot[lane]].key == masked) return lane;
   }
-  sigs[slots.size() - 1] = sig;
+  return kNoLane;
+}
+
+std::pair<std::size_t, unsigned> MegaflowCache::Subtable::locate(
+    const pkt::FlowKey& masked, std::uint32_t hash, ProbeTally& tally) const {
+  // At most two bucket reads. A key that would sit in one bucket twice
+  // (always, while the index has one bucket) costs one read.
+  const std::uint16_t sig = flow_signature(hash);
+  const std::size_t first = bucket1(hash);
+  const std::size_t second = bucket2(hash);
+  for (std::size_t b = first;; b = second) {
+    const unsigned lane = lane_in(b, masked, sig, tally);
+    if (lane != kNoLane) return {b, lane};
+    if (b == second) break;
+  }
+  if (buckets[first].stashed) [[unlikely]] {
+    for (std::size_t b = bucket_mask + 1; b < buckets.size(); ++b) {
+      const unsigned lane = lane_in(b, masked, sig, tally);
+      if (lane != kNoLane) return {b, lane};
+    }
+  }
+  return {kNpos, 0};
+}
+
+void MegaflowCache::Subtable::place(std::uint32_t index) {
+  // Cuckoo insert: a free lane in either bucket, else evict a resident
+  // to ITS other bucket and carry on with it, up to the kick limit. The
+  // victim lane comes from hash bits the bucket choice does not use and
+  // rotates with the walk, so two full buckets cannot trade the same
+  // pair of entries back and forth.
+  std::uint32_t hash = slots[index].hash;
+  std::size_t b = bucket1(hash);
+  for (std::uint32_t kick = 0;; ++kick) {
+    for (const std::size_t candidate : {b, b ^ bucket1(hash) ^ bucket2(hash)}) {
+      if (buckets[candidate].fill(index, hash)) return;
+    }
+    if (kick == kCuckooKickLimit) break;
+    Bucket& bucket = buckets[b];
+    const unsigned lane = ((hash >> 28) + kick) % simd::kLanesU16;
+    std::swap(bucket.slot[lane], index);
+    bucket.sigs[lane] = flow_signature(hash);
+    hash = slots[index].hash;
+    b = b ^ bucket1(hash) ^ bucket2(hash);  // the evicted entry's other bucket
+  }
+  // The walk failed: both buckets of the carried entry are full. Growth
+  // is left to the load bound, since keys sharing one full hash share
+  // their buckets at every table size. Stash the entry instead and flag
+  // its first bucket, so its probes scan the stash.
+  buckets[bucket1(hash)].stashed = true;
+  for (std::size_t s = bucket_mask + 1; s < buckets.size(); ++s) {
+    if (buckets[s].fill(index, hash)) return;
+  }
+  buckets.emplace_back().fill(index, hash);
+}
+
+void MegaflowCache::Subtable::push(const Slot& slot) {
+  slots.push_back(slot);
+  const std::size_t table = bucket_mask + 1;
+  if (slots.size() <= table * kBucketFillBound) {
+    place(static_cast<std::uint32_t>(slots.size() - 1));
+    return;
+  }
+  // Load bound: double the table (dropping the stash) and re-place
+  // every slot.
+  buckets.assign(table * 2, Bucket{});
+  bucket_mask = table * 2 - 1;
+  for (std::uint32_t i = 0; i < slots.size(); ++i) place(i);
 }
 
 void MegaflowCache::Subtable::erase_at(std::size_t index) {
   bloom_remove_slot(slots[index]);
+  ProbeTally unused;  // index upkeep, not a probe
+  const auto [b, lane] = locate(slots[index].key, slots[index].hash, unused);
+  assert(b != kNpos && "erased slot missing from the index");
+  buckets[b].used &= ~(1u << lane);
   const std::size_t last = slots.size() - 1;
-  sigs[index] = sigs[last];
-  sigs[last] = 0;  // padding lanes stay zero (masked off anyway)
-  slots[index] = std::move(slots.back());
-  slots.pop_back();
-  if (block_ceil(slots.size()) < sigs.size()) {
-    sigs.resize(block_ceil(slots.size()));
+  if (index != last) {
+    // The last slot moves into the hole: re-point its lane.
+    const auto [moved_b, moved_lane] =
+        locate(slots[last].key, slots[last].hash, unused);
+    buckets[moved_b].slot[moved_lane] = static_cast<std::uint32_t>(index);
+    slots[index] = std::move(slots.back());
   }
+  slots.pop_back();
 }
 
 void MegaflowCache::Subtable::bloom_add_slot(const Slot& slot) {
-  key_bloom.add(fp_signature(flow_signature(slot.key)));
   plan_bloom.add(fp_rule(slot.rule));
   for_each_exact_field(mask, slot.key,
                        [this](std::uint32_t field, std::uint32_t value) {
@@ -148,7 +204,6 @@ void MegaflowCache::Subtable::bloom_add_slot(const Slot& slot) {
 }
 
 void MegaflowCache::Subtable::bloom_remove_slot(const Slot& slot) {
-  key_bloom.remove(fp_signature(flow_signature(slot.key)));
   plan_bloom.remove(fp_rule(slot.rule));
   for_each_exact_field(mask, slot.key,
                        [this](std::uint32_t field, std::uint32_t value) {
@@ -163,15 +218,13 @@ void MegaflowCache::Subtable::bloom_update_rule(RuleId old_rule,
   plan_bloom.add(fp_rule(new_rule));
 }
 
-void MegaflowCache::Subtable::maybe_grow_blooms() {
-  if (slots.size() * 16 <= key_bloom.buckets()) return;
+void MegaflowCache::Subtable::maybe_grow_bloom() {
+  if (slots.size() * 16 <= plan_bloom.buckets()) return;
   // Rebuild at 32 buckets per slot: the next doubling is a population
-  // doubling away, and sig-absent probes keep a ~1-2% pass rate instead
-  // of saturating. Shrink is never needed — emptied subtables are
-  // pruned, and a trimmed population only makes the filter sparser.
-  const std::size_t target = pow2_ceil(slots.size() * 32);
-  key_bloom.reset(target);
-  plan_bloom.reset(target);
+  // doubling away, and absent fingerprints keep a ~1-2% pass rate
+  // instead of saturating. Shrink is never needed — emptied subtables
+  // are pruned, and a trimmed population only makes the filter sparser.
+  plan_bloom.reset(pow2_ceil(slots.size() * 32));
   for (const Slot& slot : slots) bloom_add_slot(slot);
 }
 
@@ -199,17 +252,10 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
                                           const pkt::FlowKey& masked,
                                           ProbeTally& tally) {
   ++tally.probes;
-  const std::uint16_t sig = flow_signature(masked);
-  // Whole-subtable skip: a masked key whose signature the counting Bloom
-  // provably lacks cannot be stored here — don't touch the arrays at all.
-  ++tally.prefilter_checks;
-  if (!subtable.key_bloom.may_contain(fp_signature(sig))) {
-    ++stats_.subtables_skipped;
-    return kNpos;
-  }
   const std::uint32_t blocks_before = tally.sig_blocks;
   const std::uint32_t compares_before = tally.full_compares;
-  const std::size_t index = subtable.find(masked, sig, tally);
+  const std::size_t index =
+      subtable.find(masked, pkt::flow_key_hash(masked), tally);
   stats_.simd_blocks += tally.sig_blocks - blocks_before;
   // Every fingerprint match that failed its full compare is a false
   // positive; a confirmed match is a signature hit.
@@ -219,9 +265,6 @@ std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
     stats_.sig_false_positives += compares - 1;
   } else {
     stats_.sig_false_positives += compares;
-    // The Bloom let the scan through but nothing matched — the skip
-    // opportunity a collision (or a same-signature key) wasted.
-    ++stats_.prefilter_false_positives;
   }
   return index;
 }
@@ -282,9 +325,9 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
   (void)revalidate();
   Subtable& subtable = subtable_for(mask);
   const pkt::FlowKey masked = apply(mask, key);
-  const std::uint16_t sig = flow_signature(masked);
-  ProbeTally scratch;  // dup-scan work is covered by the caller's insert charge
-  const std::size_t existing = subtable.find(masked, sig, scratch);
+  const std::uint32_t hash = pkt::flow_key_hash(masked);
+  ProbeTally scratch;  // dup-probe work is covered by the caller's insert charge
+  const std::size_t existing = subtable.find(masked, hash, scratch);
   if (existing != kNpos) {
     subtable.bloom_update_rule(subtable.slots[existing].rule, rule);
     subtable.slots[existing].rule = rule;
@@ -292,11 +335,9 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
     ++stats_.overwrites;
     return;
   }
-  Slot slot{masked, rule, table_version, size_epoch_};
-  subtable.slots.push_back(slot);
-  subtable.sig_push(sig);
+  subtable.push(Slot{masked, rule, table_version, size_epoch_, hash});
   subtable.bloom_add_slot(subtable.slots.back());
-  subtable.maybe_grow_blooms();
+  subtable.maybe_grow_bloom();
   ++stats_.inserts;
   ++entries_;
   ++window_distinct_;  // a fresh entry is part of the working set
@@ -473,7 +514,8 @@ void MegaflowCache::revalidate_coalesced(
         // resolves to the same new winner. A wider set means the cover
         // set is no longer uniform — evict and let the slow path carve
         // finer megaflows. The repair rewrites rule/version only; the
-        // masked key — and therefore its signature — is untouched.
+        // masked key — and therefore its hash and index lane — is
+        // untouched.
         if (res.found && subsumes(subtable->mask, res.unwildcarded)) {
           subtable->bloom_update_rule(slot.rule, res.rule);
           slot.rule = res.rule;

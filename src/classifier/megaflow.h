@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "classifier/mask.h"
@@ -23,28 +24,30 @@
 /// re-ranked, like OVS's per-PMD subtable sorting) and compare masked
 /// keys.
 ///
-/// Signature scan: each subtable keeps a contiguous array of 16-bit
-/// signatures (hash fingerprints of the *masked* keys) parallel to its
-/// entry slots, padded to a 16-lane block multiple. A probe scans the
-/// signature array one 16-lane block at a time (hw::simd picks SSE2,
-/// NEON or its portable block at compile time; every build runs the
-/// same loop and charges the same work) and runs the full masked compare
-/// only on signature matches, so a probe that misses touches one
-/// contiguous array instead of N candidate entries. Classification is
-/// batched (lookup_batch): each subtable is probed for the whole batch in
-/// one pass, amortizing rank dispatch and EWMA accounting, which is how
-/// DPDK's dpcls keeps up with line rate once the EMC thrashes. A one-key
-/// lookup() is a batch of one.
+/// Cuckoo index: each subtable keeps its entries in a dense `slots`
+/// array and indexes them with a two-choice bucketed cuckoo table, the
+/// structure OVS-DPDK's dpcls subtables (`cmap`) use. A bucket is one
+/// 16-lane hw::simd block of 16-bit signatures (hash fingerprints of the
+/// *masked* keys) plus the 16 slot indices they stand for. A key lives in
+/// one of two buckets derived from its masked-key hash, so a probe reads
+/// at most two blocks at any population (one while the subtable fits one
+/// bucket) and runs the full masked compare only on signature matches.
+/// The index grows with the population alone. An entry whose cuckoo walk
+/// fails (in practice: more keys share one hash than two buckets hold,
+/// which no table size separates) goes to an overflow stash behind the
+/// table, and only probes starting at that entry's first bucket scan it.
+/// Classification is batched (lookup_batch): each subtable is probed for
+/// the whole batch in one pass, amortizing rank dispatch and EWMA
+/// accounting, which is how DPDK's dpcls keeps up with line rate once the
+/// EMC thrashes. A one-key lookup() is a batch of one.
 ///
-/// Subtable prefilter: each subtable also maintains a counting Bloom
-/// summary of its contents — masked-key signatures, rule ids, and
-/// exact-field values — so a probe (or the revalidator's suspect scan,
-/// below) skips a whole subtable that provably cannot contain a matching
-/// entry (or a suspect) without touching its arrays. The filter is
-/// *counting*, updated on every insert/erase/repair, so it has no false
-/// negatives by construction: a skip is always sound, and the only cost
-/// of a collision is a wasted scan (counted as
-/// `prefilter_false_positives`).
+/// Revalidator prefilter: each subtable also maintains a counting Bloom
+/// summary of its rule ids and exact-field values, so the revalidator's
+/// suspect scan (below) skips a whole subtable that provably holds no
+/// suspect without touching its slots. The filter is *counting*, updated
+/// on every insert/erase/repair, so it has no false negatives by
+/// construction: a skip is always sound, and the only cost of a
+/// collision is a wasted scan (counted as `prefilter_false_positives`).
 ///
 /// Staleness is handled by an OVS-style *revalidator* instead of a
 /// whole-cache flush: FlowTable change notifications arrive as structured
@@ -69,8 +72,10 @@
 /// Sizing follows the measured working set: an EWMA of distinct entries
 /// touched per sizing window drives the effective entry cap between
 /// kMinEntries and `max_entries`, shedding cold entries when the working
-/// set shrinks so revalidator scans stay proportional to what the
-/// traffic actually uses.
+/// set shrinks. Probes cost the same at any population, so what the cap
+/// bounds is revalidation work: each drain's suspect scan examines every
+/// entry of the subtables it cannot skip, and more cached megaflows mean
+/// more real suspects to re-resolve.
 
 namespace hw::classifier {
 
@@ -96,10 +101,10 @@ struct MegaflowStats {
   std::uint64_t reval_entries_scanned = 0; ///< entries examined by scans
   std::uint64_t reval_coalesced_events = 0;///< events folded into a shared pass
   std::uint64_t cache_resizes = 0;         ///< effective-capacity changes
-  // Signature-scan + subtable-prefilter telemetry (see docs/COUNTERS.md).
-  std::uint64_t simd_blocks = 0;           ///< 16-signature blocks scanned
-  std::uint64_t subtables_skipped = 0;     ///< whole-subtable prefilter skips
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found nothing
+  // Cuckoo-probe + revalidator-prefilter telemetry (see docs/COUNTERS.md).
+  std::uint64_t simd_blocks = 0;           ///< 16-signature buckets read by probes
+  std::uint64_t subtables_skipped = 0;     ///< suspect scans the prefilter skipped
+  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found no suspect
   std::uint64_t reval_term_tests = 0;      ///< per-entry merged-ADD-term intersect tests
   std::uint64_t reval_prefilter_checks = 0;///< Bloom consults by suspect-scan skips
 };
@@ -115,22 +120,30 @@ struct MegaflowCacheConfig {
 /// before the call to charge per-call deltas.
 struct ProbeTally {
   std::uint32_t probes = 0;         ///< per-key subtable probes
-  std::uint32_t sig_blocks = 0;     ///< 16-signature blocks scanned
+  std::uint32_t sig_blocks = 0;     ///< 16-signature buckets read
   std::uint32_t full_compares = 0;  ///< full masked-key compares
-  std::uint32_t prefilter_checks = 0; ///< subtable-Bloom consults
 };
 
-/// 16-bit hash fingerprint of a *masked* key — the per-entry signature
-/// scanned ahead of any full compare. It MUST be computed from the masked
-/// key (mask applied before hashing): the stored slot key is the masked
-/// key and never changes across a repair-in-place, so the signature can
-/// never go stale under revalidation. Hashing the raw key instead would
-/// leave lookups (which only have the masked projection) unable to find
-/// repaired entries.
-[[nodiscard]] inline std::uint16_t flow_signature(
-    const pkt::FlowKey& masked) noexcept {
-  const std::uint32_t h = pkt::flow_key_hash(masked);
-  return static_cast<std::uint16_t>(h ^ (h >> 16));
+/// 16-bit fingerprint of a *masked* key's flow_key_hash — the per-entry
+/// signature compared ahead of any full compare. The hash MUST be of the
+/// masked key (mask applied before hashing): the stored slot key is the
+/// masked key and never changes across a repair-in-place, so neither the
+/// signature nor the two buckets the hash selects can go stale under
+/// revalidation. Hashing the raw key instead would leave lookups (which
+/// only have the masked projection) unable to find repaired entries.
+[[nodiscard]] inline std::uint16_t flow_signature(std::uint32_t hash) noexcept {
+  return static_cast<std::uint16_t>(hash ^ (hash >> 16));
+}
+
+/// splitmix32 finalizer: cheap, good avalanche. Picks a key's second
+/// cuckoo bucket and the subtable Bloom's counter positions.
+[[nodiscard]] inline std::uint32_t mix32(std::uint32_t x) noexcept {
+  x ^= x >> 16;
+  x *= 0x7feb352du;
+  x ^= x >> 15;
+  x *= 0x846ca68bu;
+  x ^= x >> 16;
+  return x;
 }
 
 class MegaflowCache {
@@ -183,6 +196,16 @@ class MegaflowCache {
   /// to a power of two. Shrinking sheds the coldest entries.
   static constexpr std::uint32_t kSizeInterval = 4096;
   static constexpr std::size_t kMinEntries = 1024;
+  /// Cuckoo index: an insert that finds both of its buckets full moves
+  /// resident entries to their other bucket, at most this many times,
+  /// before the entry the walk carries goes to the overflow stash.
+  static constexpr std::uint32_t kCuckooKickLimit = 64;
+  /// Cuckoo index load bound: the index doubles its buckets and re-places
+  /// every slot before it would average more than this many of a bucket's
+  /// 16 lanes (7/8 full), so a subtable of up to 14 entries is one bucket
+  /// and one block read per probe. It is the only reason the index grows,
+  /// so the index never outgrows its population.
+  static constexpr std::size_t kBucketFillBound = 14;
 
   explicit MegaflowCache(Config config = {})
       : config_(config), effective_capacity_(config.max_entries) {}
@@ -198,7 +221,7 @@ class MegaflowCache {
   /// entries provably current are served: revalidated up to
   /// `table_version` or installed at exactly that version; unproven
   /// entries found along the way are evicted, never returned. `tally`
-  /// accumulates the probe / signature-scan / compare work, which the
+  /// accumulates the probe / bucket-read / compare work, which the
   /// caller converts to cycles on its meter.
   void lookup_batch(std::span<const pkt::FlowKey> keys,
                     std::uint64_t table_version, std::span<RuleId> out,
@@ -262,15 +285,16 @@ class MegaflowCache {
   [[nodiscard]] std::vector<MaskSpec> subtable_masks() const;
 
  public:
-  /// Counting Bloom summary of (part of) one subtable's contents. Two
-  /// counter positions per fingerprint; add/remove are exact inverses, so
+  /// Counting Bloom summary of one subtable's rule ids and exact-field
+  /// values, consulted by the revalidator's suspect scan. Two counter
+  /// positions per fingerprint; add/remove are exact inverses, so
   /// `may_contain` can never answer "absent" for a fingerprint that is
   /// still present (no false negatives — a skip is always sound). The
-  /// fingerprint spaces (masked-key signature, rule id, exact-field
-  /// value) are tag-separated before mixing. The bucket count is a power
-  /// of two sized relative to the subtable's population (the owner
-  /// rebuilds on growth, see maybe_grow_blooms) — a fixed-size filter
-  /// would saturate at high fill and silently stop skipping.
+  /// fingerprint spaces (rule id, exact-field value) are tag-separated
+  /// before mixing. The bucket count is a power of two sized relative to
+  /// the subtable's population (the owner rebuilds on growth, see
+  /// maybe_grow_bloom) — a fixed-size filter would saturate at high fill
+  /// and silently stop skipping.
   class SubtableBloom {
    public:
     static constexpr std::size_t kMinBuckets = 256;
@@ -299,20 +323,11 @@ class MegaflowCache {
     }
 
    private:
-    // splitmix32 finalizer: cheap, good avalanche over tagged inputs.
-    [[nodiscard]] static std::uint32_t mix(std::uint32_t x) noexcept {
-      x ^= x >> 16;
-      x *= 0x7feb352du;
-      x ^= x >> 15;
-      x *= 0x846ca68bu;
-      x ^= x >> 16;
-      return x;
-    }
     [[nodiscard]] std::size_t pos1(std::uint32_t fp) const noexcept {
-      return mix(fp) & (counts_.size() - 1);
+      return mix32(fp) & (counts_.size() - 1);
     }
     [[nodiscard]] std::size_t pos2(std::uint32_t fp) const noexcept {
-      return mix(fp ^ 0x9e3779b9u) & (counts_.size() - 1);
+      return mix32(fp ^ 0x9e3779b9u) & (counts_.size() - 1);
     }
     // 32-bit counters: repeated IDENTICAL fingerprints all land on the
     // same two buckets (e.g. a subtable masked on eth_type adds one
@@ -324,9 +339,6 @@ class MegaflowCache {
   };
 
   // Tag-separated Bloom fingerprint constructors.
-  [[nodiscard]] static std::uint32_t fp_signature(std::uint16_t sig) noexcept {
-    return 0x53490000u | sig;  // "SI" | signature
-  }
   [[nodiscard]] static std::uint32_t fp_rule(RuleId rule) noexcept {
     return 0xa5000000u ^ (rule * 2654435761u);
   }
@@ -339,55 +351,101 @@ class MegaflowCache {
   static constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
   /// One megaflow entry. `key` is the MASKED key (the mask was applied
-  /// before storing), so `sigs[i] == flow_signature(slots[i].key)` holds
-  /// for the subtable's whole lifetime — including across repair-in-place,
-  /// which rewrites rule/version but never the key.
+  /// before storing) and `hash` its flow_key_hash, so the entry's
+  /// signature and buckets hold for the subtable's whole lifetime —
+  /// including across repair-in-place, which rewrites rule/version but
+  /// never the key. `hash` sits in what would be tail padding, so a slot
+  /// is 40 B.
   struct Slot {
     pkt::FlowKey key;
     RuleId rule = kRuleNone;
     std::uint64_t version = 0;     ///< install/repair version
     std::uint32_t touch_epoch = 0; ///< last sizing window this entry hit in
+    std::uint32_t hash = 0;        ///< flow_key_hash(key)
+  };
+  static_assert(sizeof(Slot) <= 40, "hash must fit the slot's padding");
+  /// One cuckoo bucket (104 B): a 16-lane signature block and the slot
+  /// index each lane stands for. `used` masks off empty lanes, whose
+  /// signature and slot values mean nothing.
+  struct Bucket {
+    std::array<std::uint16_t, simd::kLanesU16> sigs{};
+    std::uint32_t used = 0;  ///< bit i set: lane i holds a slot
+    /// Table buckets only: an entry whose first bucket this is sits in
+    /// the stash, so probes starting here scan the stash too.
+    bool stashed = false;
+    std::array<std::uint32_t, simd::kLanesU16> slot{};
+
+    /// Takes a free lane for slot `index`, whose hash is `hash`; false
+    /// when all 16 are in use.
+    bool fill(std::uint32_t index, std::uint32_t hash) noexcept;
   };
   struct Subtable {
     explicit Subtable(MaskSpec m) : mask(m) {}
     MaskSpec mask;
-    /// Contiguous signature array, parallel to `slots` but padded with
-    /// zeros to a 16-lane block multiple so the SIMD scan can always
-    /// load full blocks; padding lanes are masked off before use.
-    std::vector<std::uint16_t> sigs;
+    /// Dense entry array. Insert appends and erase swaps in the last
+    /// slot, so slot order is independent of the index below.
     std::vector<Slot> slots;
+    /// Two-choice cuckoo index over `slots`. Buckets [0, bucket_mask]
+    /// are the table, a power-of-two count that only grows (an emptied
+    /// subtable is pruned instead); any buckets after them are the
+    /// overflow stash, refilled from scratch at every doubling.
+    std::vector<Bucket> buckets = std::vector<Bucket>(1);
+    std::size_t bucket_mask = 0;
     std::uint64_t window_hits = 0;  ///< hits in the current rank window
     double rank = 0.0;              ///< hit EWMA across rank windows
-    /// Counting summaries the prefilter consults to skip this subtable:
-    /// key_bloom holds the masked-key signatures (probe skip),
-    /// plan_bloom the rule ids and exact-field values (revalidator
-    /// skip). Split so neither test pays the other's load, both resized
-    /// with the population (maybe_grow_blooms).
-    SubtableBloom key_bloom;
+    /// Counting summary of the slots' rule ids and exact-field values,
+    /// resized with the population (maybe_grow_bloom): what lets the
+    /// revalidator skip this subtable.
     SubtableBloom plan_bloom;
 
-    /// Index of the slot whose masked key equals `masked`, or kNpos.
-    /// Scans `sigs` one 16-lane block at a time and full-compares
-    /// signature matches only. Work is tallied into `tally`.
+    /// Index of the slot whose masked key equals `masked` (whose
+    /// flow_key_hash is `hash`), or kNpos. Work is tallied into `tally`.
     [[nodiscard]] std::size_t find(const pkt::FlowKey& masked,
-                                   std::uint16_t sig,
-                                   ProbeTally& tally) const;
-    /// Appends `sig` for the slot just pushed onto `slots`, keeping the
-    /// block padding invariant.
-    void sig_push(std::uint16_t sig);
-    /// Swap-with-last removal keeping sigs/slots parallel, dense and
-    /// block-padded, and the Bloom summary exact.
+                                   std::uint32_t hash,
+                                   ProbeTally& tally) const {
+      const auto [b, lane] = locate(masked, hash, tally);
+      return b == kNpos ? kNpos : buckets[b].slot[lane];
+    }
+    /// Indexes `slot`, appended as the new last slot: doubles the table
+    /// first if the load bound requires it, then places the slot.
+    void push(const Slot& slot);
+    /// Swap-with-last removal keeping `slots` dense, the index pointing
+    /// at the right slots and the Bloom summary exact.
     void erase_at(std::size_t index);
-    // Bloom bookkeeping: every slot's fingerprints (signature, rule id,
-    // exact-field values under this subtable's mask) enter on insert and
-    // leave on erase; a repair/overwrite swaps only the rule fingerprint.
+    // Bloom bookkeeping: every slot's fingerprints (rule id, exact-field
+    // values under this subtable's mask) enter on insert and leave on
+    // erase; a repair/overwrite swaps only the rule fingerprint.
     void bloom_add_slot(const Slot& slot);
     void bloom_remove_slot(const Slot& slot);
     void bloom_update_rule(RuleId old_rule, RuleId new_rule);
-    /// Keeps the filters ≥ 16 buckets per slot (growing to 32× for
-    /// hysteresis): rebuilds both from the live slots when the
-    /// population outgrows them, so skip efficacy survives high fill.
-    void maybe_grow_blooms();
+    /// Keeps the filter ≥ 16 buckets per slot (growing to 32× for
+    /// hysteresis): rebuilds it from the live slots when the population
+    /// outgrows it, so skip efficacy survives high fill.
+    void maybe_grow_bloom();
+
+   private:
+    [[nodiscard]] std::size_t bucket1(std::uint32_t hash) const noexcept {
+      return hash & bucket_mask;
+    }
+    [[nodiscard]] std::size_t bucket2(std::uint32_t hash) const noexcept {
+      return mix32(hash) & bucket_mask;
+    }
+    static constexpr unsigned kNoLane = simd::kLanesU16;
+    /// Lane of bucket `b` holding the entry keyed `masked` (signature
+    /// `sig`), or kNoLane.
+    [[nodiscard]] unsigned lane_in(std::size_t b, const pkt::FlowKey& masked,
+                                   std::uint16_t sig, ProbeTally& tally) const;
+    /// Index position (bucket, lane) of the entry keyed `masked`, or
+    /// {kNpos, 0}. Reads the key's first bucket, then its second unless
+    /// that is the same bucket, then the stash if the first bucket is
+    /// flagged, and full-compares signature matches only.
+    [[nodiscard]] std::pair<std::size_t, unsigned> locate(
+        const pkt::FlowKey& masked, std::uint32_t hash,
+        ProbeTally& tally) const;
+    /// Places slot `index` without growing: a free lane of either bucket,
+    /// else up to kCuckooKickLimit displacements; the entry the walk
+    /// carries when it fails goes to the stash.
+    void place(std::uint32_t index);
   };
 
   /// True iff some entry of `subtable` could intersect `match` — the
@@ -398,7 +456,7 @@ class MegaflowCache {
       const Subtable& subtable, const openflow::Match& match,
       std::uint64_t& checks);
 
-  /// Probes one subtable for `key`, tallying work and signature stats.
+  /// Probes one subtable for `masked`, tallying work and signature stats.
   [[nodiscard]] std::size_t probe_subtable(const Subtable& subtable,
                                            const pkt::FlowKey& masked,
                                            ProbeTally& tally);

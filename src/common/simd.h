@@ -4,11 +4,11 @@
 #include <cstdint>
 
 /// \file simd.h
-/// Minimal SIMD wrapper for the hot-path scans (hw::simd). The only
+/// Minimal SIMD wrapper for the hot-path probes (hw::simd). The only
 /// primitive the datapath needs is "which of these 16 contiguous 16-bit
 /// lanes equal this value?" — one vector compare + movemask per 16-entry
-/// block, the operation DPDK-style vector classifiers build their
-/// signature prefilters on.
+/// block, the operation DPDK-style vector classifiers (and the signature
+/// buckets of DPDK's rte_hash) build on.
 ///
 /// Backend selection is a build-time decision, and the only one:
 ///   * x86 with SSE2      → _mm_cmpeq_epi16 + _mm_movemask_epi8
@@ -16,9 +16,10 @@
 ///   * anything else, or  → a portable 16-lane block (bit-identical)
 ///     -DHW_FORCE_SCALAR=ON
 ///
-/// Callers scan in 16-lane blocks whatever the backend, so every build
-/// runs the same loop, tallies the same blocks and charges the same
-/// virtual cycles; only the host instructions differ. `kBackendName`
+/// Callers read whole 16-lane buckets whatever the backend (the megaflow
+/// cache's cuckoo buckets are exactly one block, and mask off empty lanes
+/// themselves), so every build reads the same blocks and charges the
+/// same virtual cycles; only the host instructions differ. `kBackendName`
 /// reports which backend this binary compiled in. The backends agree
 /// lane for lane: Simd.MatchMaskAgreesWithPerLaneReference checks the
 /// compiled-in one against a per-lane loop.
@@ -38,7 +39,7 @@
 
 namespace hw::simd {
 
-/// Lanes per block: every block-oriented scan in the tree works in units
+/// Lanes per block: every block-oriented probe in the tree works in units
 /// of 16 × 16-bit signatures (32 bytes — one or two vector registers).
 inline constexpr std::size_t kLanesU16 = 16;
 
@@ -46,8 +47,7 @@ inline constexpr std::size_t kLanesU16 = 16;
 inline constexpr const char* kBackendName = "sse2";
 
 /// Bitmask (bit i = lane i) of the lanes in block[0..16) equal to
-/// `needle`. `block` must be readable for 16 lanes; callers mask off
-/// tail lanes themselves (see match_mask_u16 with `valid`).
+/// `needle`. `block` must be readable for all 16 lanes.
 [[nodiscard]] inline std::uint32_t match_mask_u16_block(
     const std::uint16_t* block, std::uint16_t needle) noexcept {
   const __m128i n = _mm_set1_epi16(static_cast<short>(needle));
@@ -93,19 +93,5 @@ inline constexpr const char* kBackendName = "scalar";
   return mask;
 }
 #endif
-
-/// Block scan with a tail guard: bitmask of the first `valid` (≤ 16)
-/// lanes equal to `needle`. The load still touches all 16 lanes, so the
-/// storage must be padded to a block multiple (the classifier pads its
-/// signature arrays); padding lanes can hold anything — their compare
-/// bits are masked off here, never interpreted.
-[[nodiscard]] inline std::uint32_t match_mask_u16(const std::uint16_t* block,
-                                                  std::size_t valid,
-                                                  std::uint16_t needle)
-    noexcept {
-  std::uint32_t mask = match_mask_u16_block(block, needle);
-  if (valid < kLanesU16) mask &= (1u << valid) - 1u;
-  return mask;
-}
 
 }  // namespace hw::simd

@@ -39,16 +39,15 @@ struct CostModel {
   std::uint32_t emc_hit = 55;              ///< exact-match cache probe
   std::uint32_t megaflow_per_subtable = 70;  ///< single-key dpcls probe: mask + hash + dispatch
   // Subtable compare work, charged on top of the per-probe base. A probe
-  // first consults the subtable's counting-Bloom summary (one hash + two
-  // counter loads) and may skip the subtable outright; otherwise it
-  // scans the contiguous 16-bit signature array, one 16-lane compare per
-  // block (hw::simd, the same charge in every build), and full-compares
-  // only signature matches.
-  std::uint32_t megaflow_sig_block = 4;      ///< one 16-lane signature block
+  // reads the key's one or two cuckoo buckets (and the overflow stash's,
+  // if its first bucket overflowed), one 16-lane signature compare each
+  // (hw::simd, the same charge in every build), and full-compares only
+  // signature matches.
+  std::uint32_t megaflow_sig_block = 4;      ///< one 16-lane bucket read
   /// Charged nowhere; kept only because hostbench/src/chain.cpp lists
   /// every CostModel field.
   std::uint32_t megaflow_sig_scalar = 2;
-  std::uint32_t megaflow_prefilter_check = 6;///< one subtable-Bloom consult
+  std::uint32_t megaflow_prefilter_check = 6;///< one suspect-scan Bloom consult
   std::uint32_t megaflow_full_compare = 20;  ///< full masked-key compare
   // Batched classification (dpcls batch loop): probing one subtable for a
   // whole batch amortizes mask load, rank lookup and EWMA accounting, so

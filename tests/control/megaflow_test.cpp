@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "classifier/dp_classifier.h"
@@ -476,47 +478,250 @@ TEST(MegaflowCacheTest, RepairInPlaceKeepsSignatureValid) {
   EXPECT_EQ(cache.lookup(make_key(3, 1, 0x0a0b0000, 80), 2, tally), 42u);
 }
 
-TEST(MegaflowCacheTest, SignatureScanCoversThePaddedTailBlock) {
-  // 37 entries = 2 full blocks + a 5-lane tail: every entry, tail lanes
-  // included, must be found, and no padding lane may answer for a miss.
-  MegaflowCache cache;
-  MaskSpec mask{.fields = openflow::kMatchInPort | openflow::kMatchIpDst,
-                .ip_dst_plen = 32};
-  for (std::uint32_t i = 0; i < 37; ++i) {
-    cache.insert(make_key(1, 0, 0x0a000000u + i, 80), mask, i + 1, 1);
-  }
+/// CUCKOO INDEX ORACLE. One mask, a reference map of the masked keys the
+/// cache should hold, and batches of random steps: fresh inserts,
+/// overwrites, stale evictions (a lookup at a newer table version),
+/// revalidation evictions (a DELETE of live rule ids, no resolver) and
+/// capacity evictions (at `max_entries`, and the working-set sizer's
+/// trims). After every batch, one batched lookup of every key the
+/// reference holds must return its rule, and keys the cache cannot hold
+/// must miss. Capacity victims are the cache's choice, so the reference
+/// learns them as misses — but their count must match what the cache
+/// reported evicting: it may lose no entry it did not evict. Populations
+/// cross bucket doublings up to `max_entries`, and no probe reads more
+/// than two signature blocks at any of them.
+class MegaflowIndexTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MegaflowIndexTest, EveryLiveKeyHitsAndEveryAbsentKeyMisses) {
+  const std::size_t target = GetParam();
+  MegaflowCache cache(MegaflowCache::Config{.max_entries = target});
+  const MaskSpec mask{.fields = openflow::kMatchInPort |
+                                openflow::kMatchIpDst |
+                                openflow::kMatchL4Dst,
+                      .ip_dst_plen = 32};
+  Rng rng(0x1dc0 + target);
+  // Distinct ids give distinct masked keys; the source fields are random
+  // and wildcarded away.
+  const auto raw_key = [&rng](std::uint32_t id) {
+    return make_key(static_cast<PortId>(1 + (id & 3)),
+                    static_cast<std::uint32_t>(rng.next()),
+                    0x0a000000u + (id >> 2), 80);
+  };
+  const auto masked_key = [&](std::uint32_t id) {
+    return apply(mask, raw_key(id));
+  };
+  const auto random_rule = [&] {
+    return static_cast<RuleId>(1 + rng.next_below(2 * target));
+  };
+  constexpr std::uint64_t kVersion = 1;
+
+  std::unordered_map<pkt::FlowKey, RuleId> ref;
+  std::vector<pkt::FlowKey> gone;   // removed keys, unless re-installed
+  std::uint64_t found_missing = 0;  // capacity victims the reference learned
+  std::uint32_t next_id = 0;
+  std::size_t peak = 0;
   ProbeTally tally;
-  for (std::uint32_t i = 0; i < 64; ++i) {  // 37 hits + 27 misses
-    const pkt::FlowKey key = make_key(1, 0, 0x0a000000u + i, 80);
-    EXPECT_EQ(cache.lookup(key, 1, tally), i < 37 ? i + 1 : kRuleNone)
-        << "dst index " << i;
+  const auto random_id = [&] {
+    return static_cast<std::uint32_t>(rng.next_below(next_id));
+  };
+  const auto forget = [&](const pkt::FlowKey& key) {
+    ref.erase(key);
+    gone.push_back(key);
+  };
+  // The reference holds every key the cache holds, plus the capacity
+  // victims it has not learned of yet.
+  const auto check_population = [&] {
+    ASSERT_LE(found_missing, cache.stats().capacity_evictions)
+        << "lost entries it never evicted";
+    ASSERT_EQ(ref.size() - cache.entry_count(),
+              cache.stats().capacity_evictions - found_missing);
+  };
+
+  const std::size_t fresh_per_batch = std::max<std::size_t>(4, target / 16);
+  for (int batch = 0;; ++batch) {
+    SCOPED_TRACE(testing::Message() << "batch " << batch);
+    ASSERT_LT(batch, 64) << "never reached the cap";
+    for (std::size_t n = 0; n < fresh_per_batch; ++n) {
+      const std::uint32_t id = next_id++;
+      const RuleId rule = random_rule();
+      cache.insert(raw_key(id), mask, rule, kVersion);
+      ref[masked_key(id)] = rule;
+      peak = std::max(peak, cache.entry_count());
+    }
+    // Overwrites: re-install earlier keys under new rules. The cache's
+    // insert/overwrite split says whether each one was still held.
+    for (std::size_t n = 0; n < fresh_per_batch / 4 + 1; ++n) {
+      const std::uint32_t id = random_id();
+      const pkt::FlowKey key = masked_key(id);
+      const RuleId rule = random_rule();
+      const std::uint64_t overwrites = cache.stats().overwrites;
+      cache.insert(raw_key(id), mask, rule, kVersion);
+      if (cache.stats().overwrites > overwrites) {
+        ASSERT_TRUE(ref.contains(key)) << "held a key it was never given";
+      } else if (ref.contains(key)) {
+        ++found_missing;  // a capacity victim, installed afresh
+      }
+      ref[key] = rule;
+    }
+    // Stale evictions: a lookup at a newer table version evicts the
+    // entry it finds instead of serving it.
+    for (std::size_t n = 0; n < fresh_per_batch / 16 + 1; ++n) {
+      const pkt::FlowKey key = masked_key(random_id());
+      const std::uint64_t stale = cache.stats().stale_evictions;
+      ASSERT_EQ(cache.lookup(key, kVersion + 1, tally), kRuleNone);
+      if (cache.stats().stale_evictions > stale) {
+        ASSERT_TRUE(ref.contains(key)) << "evicted a key it was never given";
+      } else if (ref.contains(key)) {
+        ++found_missing;
+      }
+      if (ref.contains(key)) forget(key);
+    }
+    // Revalidation evictions: DELETE the rules of some live keys; with
+    // no resolver, every entry carrying one of them is evicted.
+    TableChangeEvent del =
+        change_event(FlowModCommand::kDeleteStrict, Match{}, 1, kVersion);
+    for (std::size_t n = 0; n < fresh_per_batch / 16 + 1; ++n) {
+      const auto it = ref.find(masked_key(random_id()));
+      if (it != ref.end()) del.removed.push_back(it->second);
+    }
+    std::vector<pkt::FlowKey> deleted;
+    for (const auto& [key, rule] : ref) {
+      if (std::find(del.removed.begin(), del.removed.end(), rule) !=
+          del.removed.end()) {
+        deleted.push_back(key);
+      }
+    }
+    const std::uint64_t reval = cache.stats().revalidated_evicted;
+    cache.on_table_change(del);
+    (void)cache.revalidate();
+    const std::uint64_t evicted = cache.stats().revalidated_evicted - reval;
+    ASSERT_LE(evicted, deleted.size());
+    found_missing += deleted.size() - evicted;
+    for (const pkt::FlowKey& key : deleted) forget(key);
+    check_population();
+
+    // One batch over every key the reference holds...
+    std::vector<pkt::FlowKey> keys;
+    for (const auto& [key, rule] : ref) keys.push_back(key);
+    std::vector<RuleId> out(keys.size(), kRuleNone);
+    cache.lookup_batch(keys, kVersion, out, tally);
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      if (out[i] == ref.at(keys[i])) continue;
+      ASSERT_EQ(out[i], kRuleNone) << "served a wrong rule";
+      ++found_missing;
+      forget(keys[i]);
+    }
+    check_population();
+    // ...and one over keys it cannot hold: ids never installed, and the
+    // latest removed keys.
+    std::vector<pkt::FlowKey> absent;
+    for (std::uint32_t id = next_id; id < next_id + 32; ++id) {
+      absent.push_back(masked_key(id));
+    }
+    for (std::size_t i = gone.size() > 256 ? gone.size() - 256 : 0;
+         i < gone.size(); ++i) {
+      if (!ref.contains(gone[i])) absent.push_back(gone[i]);
+    }
+    out.assign(absent.size(), kRuleNone);
+    cache.lookup_batch(absent, kVersion, out, tally);
+    for (std::size_t i = 0; i < absent.size(); ++i) {
+      ASSERT_EQ(out[i], kRuleNone) << "absent key " << i << " hit";
+    }
+    ASSERT_LE(cache.stats().simd_blocks, 2u * tally.probes)
+        << "a probe read more than two buckets";
+    if (peak == target &&
+        cache.stats().capacity_evictions >= fresh_per_batch) {
+      break;
+    }
   }
-  // Every build scans in 16-lane blocks, whichever hw::simd backend it
-  // compiled in.
-  EXPECT_GT(cache.stats().simd_blocks, 0u);
   EXPECT_EQ(cache.stats().simd_blocks, tally.sig_blocks);
+  EXPECT_GT(cache.stats().overwrites, 0u);
+  EXPECT_GT(cache.stats().stale_evictions, 0u);
+  EXPECT_GT(cache.stats().revalidated_evicted, 0u);
+  EXPECT_EQ(cache.stats().flushes, 0u);
 }
 
-TEST(MegaflowCacheTest, SubtablePrefilterSkipsNonMatchingSubtablesOnLookup) {
+// 37 entries: one bucket, then two, then four, the size of the small
+// subtables the paper-figure chains build. 65,536: every doubling up to
+// 8,192 buckets.
+INSTANTIATE_TEST_SUITE_P(Populations, MegaflowIndexTest,
+                         ::testing::Values(37, 65'536));
+
+/// Keys built to share one full flow_key_hash: under this mask the hash
+/// XORs dst_port << 16 onto dst_ip's upper half, so flipping both by the
+/// same k leaves it unchanged. No table size separates them, and 48 of
+/// them are more than their two buckets' 32 lanes hold: the rest must
+/// live in the overflow stash, while ordinary keys grow the table around
+/// them (each doubling re-places the stash). Every held key must hit,
+/// absent keys with the shared hash must miss, and erasing must keep
+/// every slot it moves reachable, stashed slots included.
+TEST(MegaflowCacheTest, KeysSharingOneHashOverflowIntoTheStash) {
   MegaflowCache cache;
-  MaskSpec port_mask{.fields = openflow::kMatchInPort};
-  MaskSpec port_l4_mask{.fields =
-                            openflow::kMatchInPort | openflow::kMatchL4Dst};
-  cache.insert(make_key(1, 0, 0, 0), port_mask, 10, 1);
-  cache.insert(make_key(2, 0, 0, 443), port_l4_mask, 20, 1);
-  // A key matching neither subtable: the Bloom provably lacks both
-  // masked projections, so the probe skips both without touching a
-  // signature array or a slot.
+  const MaskSpec mask{.fields = openflow::kMatchInPort |
+                                openflow::kMatchIpDst |
+                                openflow::kMatchL4Dst,
+                      .ip_dst_plen = 32};
+  constexpr std::uint16_t kColliding = 48;
+  constexpr std::uint32_t kOrdinary = 300;
+  const auto colliding = [](std::uint16_t k) {
+    return make_key(1, 0, 0x0a000000u ^ (std::uint32_t{k} << 16), k);
+  };
+  const auto ordinary = [](std::uint32_t i) {
+    return make_key(2, 0, 0x0b000000u + i, 80);
+  };
+  const std::uint32_t shared = pkt::flow_key_hash(apply(mask, colliding(0)));
+  for (std::uint16_t k = 0; k < 2 * kColliding; ++k) {
+    ASSERT_EQ(pkt::flow_key_hash(apply(mask, colliding(k))), shared)
+        << "flow_key_hash no longer folds dst_port onto dst_ip: build "
+           "keys with one shared hash another way";
+  }
+  for (std::uint32_t i = 0; i < kOrdinary; ++i) {
+    if (i < kColliding) cache.insert(colliding(i), mask, 1 + i, 1);
+    cache.insert(ordinary(i), mask, 1000 + i, 1);
+  }
+  ASSERT_EQ(cache.entry_count(), kColliding + kOrdinary);
+
+  std::vector<bool> held(kColliding, true);
+  std::uint32_t ordinary_held = kOrdinary;
+  const auto expect_held = [&] {
+    ProbeTally tally;
+    for (std::uint16_t k = 0; k < kColliding; ++k) {
+      EXPECT_EQ(cache.lookup(colliding(k), 1, tally),
+                held[k] ? RuleId{1u + k} : kRuleNone)
+          << "colliding key " << k;
+    }
+    for (std::uint16_t k = kColliding; k < 2 * kColliding; ++k) {
+      EXPECT_EQ(cache.lookup(colliding(k), 1, tally), kRuleNone)
+          << "absent colliding key " << k;
+    }
+    for (std::uint32_t i = 0; i < kOrdinary; ++i) {
+      EXPECT_EQ(cache.lookup(ordinary(i), 1, tally),
+                i < ordinary_held ? 1000 + i : kRuleNone)
+          << "ordinary key " << i;
+    }
+  };
+  expect_held();
+
+  // A lookup at a newer version evicts what it finds. Once no ordinary
+  // key is left, each erasure swaps the colliding key at the back of the
+  // slot array into its hole, stashed ones included.
   ProbeTally tally;
-  EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 7), 1, tally), kRuleNone);
-  EXPECT_EQ(tally.probes, 2u);
-  EXPECT_EQ(tally.prefilter_checks, 2u);
-  EXPECT_EQ(tally.sig_blocks, 0u);
-  EXPECT_EQ(tally.full_compares, 0u);
-  EXPECT_EQ(cache.stats().subtables_skipped, 2u);
-  // Hits still resolve.
-  EXPECT_EQ(cache.lookup(make_key(1, 5, 5, 5), 1, tally), 10u);
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 443), 1, tally), 20u);
+  for (; ordinary_held > 0; --ordinary_held) {
+    ASSERT_EQ(cache.lookup(ordinary(ordinary_held - 1), 2, tally), kRuleNone);
+  }
+  for (std::uint16_t k = 0; k < kColliding / 2; ++k) {
+    ASSERT_EQ(cache.lookup(colliding(k), 2, tally), kRuleNone);
+    held[k] = false;
+  }
+  EXPECT_EQ(cache.stats().stale_evictions, kOrdinary + kColliding / 2);
+  expect_held();
+  // Re-installed, they take the freed lanes and slots back.
+  for (std::uint16_t k = 0; k < kColliding / 2; ++k) {
+    cache.insert(colliding(k), mask, 1 + k, 1);
+    held[k] = true;
+  }
+  expect_held();
+  EXPECT_EQ(cache.entry_count(), kColliding);
 }
 
 TEST(MegaflowCacheTest, PrefilterSkipsRevalidatorScanForUntouchedSubtables) {

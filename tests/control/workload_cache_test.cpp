@@ -24,7 +24,9 @@
 ///   * Poisson flow churn may dilute but not destroy that locality;
 ///   * the megaflow cache's working-set EWMA auto-sizing must converge
 ///     to the offered distinct-flow population — and shrink again when
-///     the population shrinks.
+///     the population shrinks;
+///   * a fixed wide Zipf stream must hit, upcall and evict exactly the
+///     pinned counts, whatever the probe's data structure.
 ///
 /// Seeds are fixed through TrafficProfile, so every stream is
 /// deterministic in every build config.
@@ -98,6 +100,8 @@ struct StreamResult {
   double emc_rate = 0.0;
   double top16_share = 0.0;
   pkt::WorkloadStats stats;
+  TierCounters total;      ///< over warm-up and measurement
+  MegaflowStats megaflow;  ///< likewise
 };
 
 /// Drives `warmup + measure` workload-engine packets through a fresh
@@ -134,6 +138,8 @@ StreamResult run_stream(const pkt::TrafficProfile& profile,
       static_cast<double>(emc) / static_cast<double>(measure);
   result.top16_share = gen.top_share(16);
   result.stats = gen.stats();
+  result.total = total;
+  result.megaflow = dp.megaflow().stats();
   return result;
 }
 
@@ -189,6 +195,23 @@ TEST(WorkloadCacheTest, PoissonChurnDilutesButKeepsZipfLocality) {
   // EMC keeps the bulk of its locality.
   EXPECT_GE(r.emc_rate, 0.8 * steady.emc_rate);
   EXPECT_GT(r.top16_share, 0.3);
+}
+
+/// PINNED STREAM. Host-time comparisons across commits (hostbench's
+/// trajectory) assume the same megaflows are cached and evicted on the
+/// same stream, so that a faster probe cannot buy its speed by caching
+/// something else. A default classifier (EMC on, working-set sizing on)
+/// classifies a fixed Zipf(1.1) stream over 65,536 flows, wide enough
+/// that sizing retargets the cap and capacity eviction runs, and every
+/// tier outcome is pinned to a constant. A change that moves one of them
+/// changes what the cache holds: it must say so and re-pin.
+TEST(WorkloadCacheTest, PinnedZipfStreamCachesAndEvictsTheSameEntries) {
+  const StreamResult r = run_stream(zipf_profile(1.1, 65'536));
+  EXPECT_EQ(r.total.emc_hits, 121'196u);
+  EXPECT_EQ(r.total.megaflow_hits, 14'894u);
+  EXPECT_EQ(r.total.slow_path_lookups, 27'750u);
+  EXPECT_EQ(r.megaflow.capacity_evictions, 19'558u);
+  EXPECT_EQ(r.total.cache_resizes, 1u);
 }
 
 TEST(WorkloadCacheTest, MegaflowAutoSizeTracksOfferedWorkingSet) {
