@@ -8,6 +8,17 @@ namespace hw::chain {
 
 using openflow::FlowMod;
 
+namespace {
+
+/// The one mempool every port, ring and generator of a scenario draws from.
+constexpr std::size_t kMempoolSize = 32 * 1024;
+/// Line rate of each of Figure 3(b)'s two NICs: 10 Gb/s.
+constexpr std::uint64_t kNicBitsPerSec = 10'000'000'000ULL;
+/// Metrics sampling period: 1 ms of virtual time.
+constexpr TimeNs kSampleIntervalNs = 1'000'000;
+
+}  // namespace
+
 ChainScenario::ChainScenario(ChainConfig config)
     : config_(std::move(config)) {}
 
@@ -44,7 +55,7 @@ Status ChainScenario::build() {
         "memory-only chains need >= 2 VMs (source and sink)");
   }
 
-  pool_ = std::make_unique<mbuf::Mempool>("mb0", config_.mempool_size);
+  pool_ = std::make_unique<mbuf::Mempool>("mb0", kMempoolSize);
   runtime_ = std::make_unique<exec::SimRuntime>(
       exec::SimConfig{.epoch_ns = config_.epoch_ns, .cost = config_.cost});
 
@@ -74,7 +85,7 @@ Status ChainScenario::build() {
 
   // --- NICs (Figure 3b) -------------------------------------------------
   if (config_.use_nics) {
-    const nic::NicConfig nic_config{.bits_per_sec = config_.nic_bps,
+    const nic::NicConfig nic_config{.bits_per_sec = kNicBitsPerSec,
                                     .ring_capacity = config_.ring_capacity,
                                     .burst = config_.burst};
     nic1_ = std::make_unique<nic::SimNic>("nic0", nic_config, *runtime_,
@@ -212,7 +223,7 @@ void ChainScenario::wire_telemetry() {
   });
 
   sampler_ = std::make_unique<telemetry::MetricsSampler>(*metrics_);
-  sampler_->start(*runtime_, config_.telemetry.sample_interval_ns);
+  sampler_->start(*runtime_, kSampleIntervalNs);
 }
 
 pkt::WorkloadStats ChainScenario::offered_stats() const {

@@ -61,11 +61,9 @@ struct ChainConfig {
   std::uint64_t gen_rate_pps = 0;
   std::uint32_t vm_extra_cycles = 0;  ///< heavier VNFs
 
-  std::size_t mempool_size = 32 * 1024;
   TimeNs epoch_ns = 1000;
   exec::CostModel cost{};
   agent::HotplugLatencyModel hotplug{};
-  std::uint64_t nic_bps = 10'000'000'000ULL;
 
   /// Observability (docs/OBSERVABILITY.md). Everything defaults OFF, in
   /// which case the scenario runs the exact pre-telemetry schedule.

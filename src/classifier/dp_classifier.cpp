@@ -150,7 +150,6 @@ TierCounters DpClassifier::counters() const noexcept {
   out.reval_batches = stats.reval_batches;
   out.reval_entries_scanned = stats.reval_entries_scanned + emc_accum_.scanned;
   out.reval_coalesced_events = stats.reval_coalesced_events;
-  out.cache_resizes = stats.cache_resizes;
   out.simd_blocks = stats.simd_blocks;
   out.subtables_skipped = stats.subtables_skipped;
   out.prefilter_false_positives = stats.prefilter_false_positives;

@@ -100,7 +100,8 @@ struct LookupOutcome {
   X(reval_batches, "reval_batches")                  \
   X(reval_entries_scanned, "reval_scanned")          \
   X(reval_coalesced_events, "reval_coalesced")       \
-  X(cache_resizes, "cache_resizes")                  \
+  /* always 0: no sizer retargets the cap; hostbench still reads it */ \
+  X(cache_resizes, nullptr)                          \
   X(simd_blocks, "simd_blocks")                      \
   X(subtables_skipped, "subt_skipped")               \
   X(prefilter_false_positives, "prefilter_fp")

@@ -78,10 +78,6 @@ constexpr std::uint32_t kExactFields =
 
 /// EWMA weight of the newest window when re-ranking subtables.
 constexpr double kRankEwmaAlpha = 0.25;
-/// Working-set sizing: EWMA weight of the newest window, and the slack
-/// the effective cap keeps above the measured working set.
-constexpr double kSizeEwmaAlpha = 0.25;
-constexpr double kSizeHeadroom = 2.0;
 
 }  // namespace
 
@@ -305,7 +301,7 @@ void MegaflowCache::lookup_batch(std::span<const pkt::FlowKey> keys,
         continue;
       }
       out[i] = subtable->slots[index].rule;
-      touch(subtable->slots[index]);
+      subtable->slots[index].referenced = true;
       ++subtable->window_hits;
       batch_pending_[p] = batch_pending_.back();
       batch_pending_.pop_back();
@@ -316,7 +312,6 @@ void MegaflowCache::lookup_batch(std::span<const pkt::FlowKey> keys,
   stats_.misses += batch_pending_.size();
   if (evicted) prune_empty_subtables();
   maybe_rerank(static_cast<std::uint32_t>(keys.size()));
-  maybe_resize(static_cast<std::uint32_t>(keys.size()));
 }
 
 void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
@@ -335,13 +330,12 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
     ++stats_.overwrites;
     return;
   }
-  subtable.push(Slot{masked, rule, table_version, size_epoch_, hash});
+  subtable.push(Slot{masked, rule, table_version, hash});
   subtable.bloom_add_slot(subtable.slots.back());
   subtable.maybe_grow_bloom();
   ++stats_.inserts;
   ++entries_;
-  ++window_distinct_;  // a fresh entry is part of the working set
-  if (entries_ > effective_capacity_) evict_one(&subtable);
+  if (entries_ > config_.max_entries) evict_one(subtable);
 }
 
 void MegaflowCache::on_table_change(const TableChangeEvent& event) {
@@ -576,45 +570,6 @@ void MegaflowCache::maybe_rerank(std::uint32_t lookups) {
                    });
 }
 
-void MegaflowCache::maybe_resize(std::uint32_t lookups) {
-  lookups_since_resize_ += lookups;
-  if (lookups_since_resize_ < kSizeInterval) return;
-  lookups_since_resize_ = 0;
-
-  // Working set this window: distinct entries hit plus fresh installs
-  // (each a new member of the set). The distinct-hit estimate cannot see
-  // past the window length, so a near-saturated window means "at least
-  // this much" — never shrink below the current population on it.
-  const std::size_t ws = window_distinct_;
-  working_set_ewma_ = working_set_ewma_ == 0.0
-                          ? static_cast<double>(ws)
-                          : (1.0 - kSizeEwmaAlpha) * working_set_ewma_ +
-                                kSizeEwmaAlpha * static_cast<double>(ws);
-  const double demand =
-      std::max(static_cast<double>(ws), working_set_ewma_) * kSizeHeadroom;
-  const std::size_t floor_entries =
-      std::min(kMinEntries, config_.max_entries);
-  std::size_t target = pow2_ceil(static_cast<std::size_t>(demand));
-  target = std::clamp(target, floor_entries, config_.max_entries);
-  const bool saturated = static_cast<double>(ws) * kSizeHeadroom >=
-                         static_cast<double>(kSizeInterval);
-  if (saturated) {
-    target = std::clamp(pow2_ceil(std::max(target, entries_)), floor_entries,
-                        config_.max_entries);
-  }
-  if (target != effective_capacity_) {
-    effective_capacity_ = target;
-    ++stats_.cache_resizes;
-  }
-  // Shed down to the new cap from the coldest subtables; the shrink is
-  // what keeps suspect scans proportional to the live working set.
-  while (entries_ > effective_capacity_) evict_one(nullptr);
-
-  ++size_epoch_;
-  if (size_epoch_ == 0) size_epoch_ = 1;  // 0 marks "never touched"
-  window_distinct_ = 0;
-}
-
 MegaflowCache::Subtable& MegaflowCache::subtable_for(const MaskSpec& mask) {
   for (auto& subtable : subtables_) {
     if (subtable->mask == mask) return *subtable;
@@ -623,37 +578,35 @@ MegaflowCache::Subtable& MegaflowCache::subtable_for(const MaskSpec& mask) {
   return *subtables_.back();
 }
 
-void MegaflowCache::evict_one(const Subtable* protect) {
+void MegaflowCache::evict_one(const Subtable& protect) {
   // Shed from the coldest subtable holding entries (probe order is rank
   // order, so walk from the back) — but never the freshly appended entry
   // at the back of the caller's subtable.
   for (auto it = subtables_.rbegin(); it != subtables_.rend(); ++it) {
     Subtable& subtable = **it;
-    if (subtable.slots.empty()) continue;
-    if (&subtable == protect && subtable.slots.size() == 1) {
-      continue;  // only the just-inserted entry lives here
-    }
-    // Victim choice is a second-chance clock hand over the slots,
-    // preferring entries not touched in the current sizing window.
-    // erase_at() swap-fills the hole from the back, so a fixed victim
-    // index would consume the subtable's *tail* — the newest entries,
-    // which under flow churn are exactly the live working set. A shrink
-    // trim would then evict what the traffic is using, the re-upcalls
-    // would re-inflate the working-set EWMA, and the auto-sizer would
-    // oscillate instead of converging (the workload_cache_test
-    // convergence oracle catches this).
-    const std::size_t limit = &subtable == protect
+    const std::size_t limit = &subtable == &protect
                                   ? subtable.slots.size() - 1
                                   : subtable.slots.size();
-    std::size_t victim = evict_cursor_ % limit;
+    if (limit == 0) continue;  // empty, or only the just-inserted entry
+    // Victim choice is a second-chance clock hand over the slots: an
+    // entry hit since the hand last passed it loses its `referenced` bit
+    // and is skipped, at most kClockProbeMax times; the first entry
+    // without the bit is the victim, or the hand's own slot when every
+    // probed entry had it. erase_at() swap-fills the hole from the back,
+    // so a fixed victim index would consume the subtable's *tail* — the
+    // newest entries, which under flow churn are the live working set.
+    const std::size_t hand = evict_cursor_ % limit;
+    std::size_t victim = hand;
     constexpr std::size_t kClockProbeMax = 8;
     for (std::size_t probe = 0; probe < kClockProbeMax && probe < limit;
          ++probe) {
-      const std::size_t i = (victim + probe) % limit;
-      if (subtable.slots[i].touch_epoch != size_epoch_) {
+      const std::size_t i = (hand + probe) % limit;
+      Slot& slot = subtable.slots[i];
+      if (!slot.referenced) {
         victim = i;
         break;
       }
+      slot.referenced = false;
     }
     evict_cursor_ = victim + 1;
     subtable.erase_at(victim);

@@ -69,13 +69,13 @@
 /// per-entry version stamp remains the safety net for version skew the
 /// queue has not explained.
 ///
-/// Sizing follows the measured working set: an EWMA of distinct entries
-/// touched per sizing window drives the effective entry cap between
-/// kMinEntries and `max_entries`, shedding cold entries when the working
-/// set shrinks. Probes cost the same at any population, so what the cap
-/// bounds is revalidation work: each drain's suspect scan examines every
-/// entry of the subtables it cannot skip, and more cached megaflows mean
-/// more real suspects to re-resolve.
+/// Flow limit: the cache holds at most `max_entries` entries (OVS's
+/// `flow-limit`). An insert past it evicts one entry from the coldest
+/// subtable, chosen by a second-chance clock hand (evict_one). Probes
+/// cost the same at any population, so what the limit bounds is
+/// revalidation work: each drain's suspect scan examines every entry of
+/// the subtables it cannot skip, and more cached megaflows mean more real
+/// suspects to re-resolve.
 
 namespace hw::classifier {
 
@@ -100,7 +100,6 @@ struct MegaflowStats {
   std::uint64_t reval_batches = 0;         ///< suspect-scan passes executed
   std::uint64_t reval_entries_scanned = 0; ///< entries examined by scans
   std::uint64_t reval_coalesced_events = 0;///< events folded into a shared pass
-  std::uint64_t cache_resizes = 0;         ///< effective-capacity changes
   // Cuckoo-probe + revalidator-prefilter telemetry (see docs/COUNTERS.md).
   std::uint64_t simd_blocks = 0;           ///< 16-signature buckets read by probes
   std::uint64_t subtables_skipped = 0;     ///< suspect scans the prefilter skipped
@@ -110,9 +109,9 @@ struct MegaflowStats {
 };
 
 struct MegaflowCacheConfig {
-  /// Entry cap across subtables (OVS's `flow-limit`): the most the
-  /// working-set sizing may grow the cache to.
-  std::size_t max_entries = 1u << 16;
+  /// Entry cap across subtables (OVS's `flow-limit`): an insert past it
+  /// evicts one entry (see evict_one).
+  std::size_t max_entries = 1u << 13;
 };
 
 /// Work tallies of one (or one batch of) megaflow lookups — the cost
@@ -190,12 +189,6 @@ class MegaflowCache {
   static constexpr std::uint32_t kRankInterval = 1024;
   /// Bounded revalidator queue; overflowing falls back to a full flush.
   static constexpr std::size_t kRevalidatorQueueLimit = 128;
-  /// Working-set sizing: every kSizeInterval lookups, the effective entry
-  /// cap follows an EWMA of the distinct entries touched per window (with
-  /// 2x headroom), clamped to [kMinEntries, max_entries] and rounded up
-  /// to a power of two. Shrinking sheds the coldest entries.
-  static constexpr std::uint32_t kSizeInterval = 4096;
-  static constexpr std::size_t kMinEntries = 1024;
   /// Cuckoo index: an insert that finds both of its buckets full moves
   /// resident entries to their other bucket, at most this many times,
   /// before the entry the walk carries goes to the overflow stash.
@@ -207,8 +200,7 @@ class MegaflowCache {
   /// so the index never outgrows its population.
   static constexpr std::size_t kBucketFillBound = 14;
 
-  explicit MegaflowCache(Config config = {})
-      : config_(config), effective_capacity_(config.max_entries) {}
+  explicit MegaflowCache(Config config = {}) : config_(config) {}
 
   MegaflowCache(const MegaflowCache&) = delete;
   MegaflowCache& operator=(const MegaflowCache&) = delete;
@@ -268,12 +260,6 @@ class MegaflowCache {
 
   [[nodiscard]] bool has_pending_changes() const noexcept {
     return events_pending_.load(std::memory_order_relaxed);
-  }
-
-  /// Current effective entry cap: config.max_entries until the first
-  /// sizing window closes, the working-set target after.
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return effective_capacity_;
   }
 
   [[nodiscard]] const MegaflowStats& stats() const noexcept { return stats_; }
@@ -354,16 +340,18 @@ class MegaflowCache {
   /// before storing) and `hash` its flow_key_hash, so the entry's
   /// signature and buckets hold for the subtable's whole lifetime —
   /// including across repair-in-place, which rewrites rule/version but
-  /// never the key. `hash` sits in what would be tail padding, so a slot
-  /// is 40 B.
+  /// never the key. `hash` and `referenced` sit in what would be tail
+  /// padding, so a slot is 40 B.
   struct Slot {
     pkt::FlowKey key;
     RuleId rule = kRuleNone;
-    std::uint64_t version = 0;     ///< install/repair version
-    std::uint32_t touch_epoch = 0; ///< last sizing window this entry hit in
-    std::uint32_t hash = 0;        ///< flow_key_hash(key)
+    std::uint64_t version = 0;  ///< install/repair version
+    std::uint32_t hash = 0;     ///< flow_key_hash(key)
+    /// Hit since the clock hand last passed this entry (evict_one).
+    bool referenced = false;
   };
-  static_assert(sizeof(Slot) <= 40, "hash must fit the slot's padding");
+  static_assert(sizeof(Slot) <= 40,
+                "hash and referenced must fit the slot's padding");
   /// One cuckoo bucket (104 B): a 16-lane signature block and the slot
   /// index each lane stands for. `used` masks off empty lanes, whose
   /// signature and slot values mean nothing.
@@ -461,16 +449,6 @@ class MegaflowCache {
                                            const pkt::FlowKey& masked,
                                            ProbeTally& tally);
   void maybe_rerank(std::uint32_t lookups);
-  /// Working-set sizing: every kSizeInterval lookups, fold the window's
-  /// distinct-touch count into the EWMA and retarget the effective cap.
-  void maybe_resize(std::uint32_t lookups);
-  /// Marks a served entry touched in the current sizing window.
-  void touch(Slot& slot) noexcept {
-    if (slot.touch_epoch != size_epoch_) {
-      slot.touch_epoch = size_epoch_;
-      ++window_distinct_;
-    }
-  }
   /// Coalesced pass: one suspect scan applying every drained event.
   void revalidate_coalesced(std::span<const flowtable::TableChangeEvent> events,
                             const Resolver* resolver,
@@ -479,9 +457,8 @@ class MegaflowCache {
   void prune_empty_subtables();
   Subtable& subtable_for(const MaskSpec& mask);
   /// Evicts one entry, preferring the coldest subtable but never the
-  /// freshly appended entry at the back of `protect` (pass nullptr when
-  /// no entry needs protecting, e.g. a sizing trim).
-  void evict_one(const Subtable* protect);
+  /// freshly appended entry at the back of `protect`.
+  void evict_one(const Subtable& protect);
 
   Config config_;
   Resolver resolver_;  ///< empty: evict suspects instead of repairing
@@ -502,14 +479,6 @@ class MegaflowCache {
   // before revalidate_coalesced() returns — never read it elsewhere.
   std::vector<RuleId> plan_removed_;
   std::vector<const openflow::Match*> plan_adds_;
-
-  // Working-set sizing state: distinct entries touched per window, its
-  // EWMA, and the resulting effective cap.
-  std::size_t effective_capacity_ = 0;  ///< set from config in ctor
-  std::uint32_t size_epoch_ = 1;
-  std::uint32_t lookups_since_resize_ = 0;
-  std::size_t window_distinct_ = 0;
-  double working_set_ewma_ = 0.0;
   /// Clock hand for capacity eviction: spreads victims across a
   /// subtable's slots (see evict_one) instead of eating the swap-filled
   /// tail, which holds the newest — i.e. live — entries under churn.

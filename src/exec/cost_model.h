@@ -11,12 +11,20 @@
 /// Every constant here is set by hand, not fitted to any measurement. The
 /// anchors they were set against are published figures:
 ///  * OVS-DPDK with EMC hits is widely reported at ~11–16 Mpps per PMD
-///    core for port-to-port forwarding. Our per-packet switch cost is
-///    deq + emc + action + enq ≈ 190 cycles → ~15.8 Mpps/core.
+///    core for port-to-port forwarding. Our EMC-hit switch path charges
+///    120 cycles per packet (ring_deq_per_pkt 10 + parse_per_pkt 25 +
+///    emc_hit 55 + action_per_pkt 20 + ring_enq_per_pkt 10) and 100 per
+///    burst (ring_deq_base 30 + classify_batch_base 40 + ring_enq_base
+///    30): ≈ 123 cycles per packet at a 32-packet burst → ~24 Mpps/core,
+///    above the range it cites.
 ///  * A trivial DPDK l2fwd-style VM app (ring→ring, touch headers) runs at
-///    several tens of Mpps; our per-packet VM cost ≈ 80 cycles → ~37 Mpps.
+///    several tens of Mpps. Our VM forwarder charges 50 cycles per packet
+///    (ring_deq_per_pkt 10 + vm_app_per_pkt 30 + ring_enq_per_pkt 10) and
+///    60 per burst (ring_deq_base 30 + ring_enq_base 30, plus 30 per
+///    bypass ring polled): ≈ 52 cycles per packet at a 32-packet burst →
+///    ~58 Mpps.
 /// Fitting the ratios to per-layer host timings is open work (ROADMAP.md
-/// item 1, the wall-clock layer harness). Until then absolute numbers are
+/// item 3, the calibrated cost model). Until then absolute numbers are
 /// indicative; the reproduced *shapes* come from which virtual core
 /// executes which per-hop work.
 

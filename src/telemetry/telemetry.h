@@ -1,8 +1,6 @@
 #pragma once
 
-#include <cstdint>
-
-#include "common/types.h"
+#include <cstddef>
 
 /// \file telemetry.h
 /// Scenario-level switches for the telemetry subsystem. Everything
@@ -18,9 +16,9 @@ struct TelemetryConfig {
   bool tracing = false;
   std::size_t trace_capacity = 16384;  ///< span ring entries
 
-  /// Metrics registry + periodic sampling of chain-level gauges.
+  /// Metrics registry + sampling of chain-level gauges every 1 ms of
+  /// virtual time.
   bool metrics = false;
-  TimeNs sample_interval_ns = 1'000'000;  ///< 1 ms of virtual time
 
   /// INT hop-stamping at every GuestPmd, collection at the sink.
   bool int_stamping = false;

@@ -309,53 +309,6 @@ TEST(MegaflowCacheTest, OverlappingAddMasksResolveEachSuspectOnce) {
   EXPECT_EQ(cache.stats().revalidated_kept, 1u);
 }
 
-TEST(MegaflowCacheTest, WorkingSetEwmaResizesCapacity) {
-  MegaflowCache cache;
-  const std::size_t max_entries = MegaflowCacheConfig{}.max_entries;
-  MaskSpec mask{.fields = openflow::kMatchInPort | openflow::kMatchL4Dst};
-  auto key_for = [](std::uint32_t i) {
-    return make_key(static_cast<PortId>(1 + (i % 6)), 9, 9,
-                    static_cast<std::uint16_t>(1000 + i));
-  };
-  // A hot set above the sizing floor, so the cap has room to shrink.
-  constexpr std::uint32_t kHot = 2000;
-  static_assert(kHot > MegaflowCache::kMinEntries);
-  for (std::uint32_t i = 0; i < kHot; ++i) {
-    cache.insert(key_for(i), mask, 100 + i, 1);
-  }
-  ASSERT_EQ(cache.entry_count(), kHot);
-  EXPECT_EQ(cache.capacity(), max_entries);  // first window pending
-
-  ProbeTally tally;
-  // Phase 1: the whole population is hot for three sizing windows — the
-  // capacity tracks the measured working set (with headroom) instead of
-  // the configured max, but never dips below what the traffic uses.
-  for (std::uint32_t n = 0; n < 3 * MegaflowCache::kSizeInterval; ++n) {
-    const std::uint32_t i = n % kHot;
-    ASSERT_EQ(cache.lookup(key_for(i), 1, tally), 100u + i);
-  }
-  EXPECT_LT(cache.capacity(), max_entries);
-  EXPECT_GE(cache.capacity(), cache.entry_count());
-  EXPECT_GE(cache.stats().cache_resizes, 1u);
-  EXPECT_EQ(cache.entry_count(), kHot);  // nothing trimmed while hot
-
-  // Phase 2: traffic narrows to one flow; the EWMA decays window by
-  // window and the cache trims down to the floor, shedding cold entries
-  // — which is exactly what keeps later suspect scans proportional to
-  // live use.
-  for (int window = 0;
-       window < 32 && cache.capacity() > MegaflowCache::kMinEntries;
-       ++window) {
-    for (std::uint32_t n = 0; n < MegaflowCache::kSizeInterval; ++n) {
-      (void)cache.lookup(key_for(0), 1, tally);
-    }
-  }
-  EXPECT_EQ(cache.capacity(), MegaflowCache::kMinEntries);
-  EXPECT_LE(cache.entry_count(), MegaflowCache::kMinEntries);
-  EXPECT_GE(cache.stats().cache_resizes, 2u);
-  EXPECT_GT(cache.stats().capacity_evictions, 0u);
-}
-
 TEST(MegaflowCacheTest, CapacityEvictionKeepsBound) {
   MegaflowCache cache(MegaflowCache::Config{.max_entries = 4});
   MaskSpec mask{.fields = openflow::kMatchInPort};
@@ -364,6 +317,42 @@ TEST(MegaflowCacheTest, CapacityEvictionKeepsBound) {
   }
   EXPECT_LE(cache.entry_count(), 4u);
   EXPECT_EQ(cache.stats().capacity_evictions, 6u);
+}
+
+/// CLOCK ORACLE. One subtable holds its entries in insertion order (the
+/// slot order the hand walks), and the hand starts at the first slot. A
+/// hit sets an entry's `referenced` bit; the hand clears it in passing
+/// and evicts the next entry without one, so a recently hit entry gets a
+/// second chance, and only one.
+TEST(MegaflowCacheTest, CapacityEvictionGivesRecentlyHitEntriesASecondChance) {
+  MegaflowCache cache(MegaflowCache::Config{.max_entries = 4});
+  const MaskSpec mask{.fields = openflow::kMatchInPort};
+  const auto key = [](PortId port) { return make_key(port, 0, 0, 0); };
+  ProbeTally tally;
+  // Slots A B C D (ports 1-4); the hand points at A.
+  for (PortId p = 1; p <= 4; ++p) cache.insert(key(p), mask, p, 1);
+  ASSERT_EQ(cache.lookup(key(1), 1, tally), 1u);  // A referenced
+
+  // E overflows the cap: the hand clears A's bit and evicts B. Slots
+  // A E C D; the hand points at C.
+  cache.insert(key(5), mask, 5, 1);
+  EXPECT_EQ(cache.stats().capacity_evictions, 1u);
+  EXPECT_EQ(cache.entry_count(), 4u);
+  EXPECT_EQ(cache.lookup(key(2), 1, tally), kRuleNone)
+      << "the hit entry was evicted instead of another";
+
+  // Every entry but A is hit again; A's bit is still clear, so F's
+  // insert passes C and D and evicts A.
+  for (const PortId p : {3, 4, 5}) {
+    ASSERT_EQ(cache.lookup(key(p), 1, tally), static_cast<RuleId>(p));
+  }
+  cache.insert(key(6), mask, 6, 1);
+  EXPECT_EQ(cache.stats().capacity_evictions, 2u);
+  EXPECT_EQ(cache.lookup(key(1), 1, tally), kRuleNone)
+      << "the hand passed A without a new hit, yet A survived";
+  for (const PortId p : {3, 4, 5, 6}) {
+    EXPECT_EQ(cache.lookup(key(p), 1, tally), static_cast<RuleId>(p)) << p;
+  }
 }
 
 TEST(MegaflowCacheTest, OverwriteOfExistingKeyCountedSeparately) {
@@ -482,14 +471,14 @@ TEST(MegaflowCacheTest, RepairInPlaceKeepsSignatureValid) {
 /// cache should hold, and batches of random steps: fresh inserts,
 /// overwrites, stale evictions (a lookup at a newer table version),
 /// revalidation evictions (a DELETE of live rule ids, no resolver) and
-/// capacity evictions (at `max_entries`, and the working-set sizer's
-/// trims). After every batch, one batched lookup of every key the
-/// reference holds must return its rule, and keys the cache cannot hold
-/// must miss. Capacity victims are the cache's choice, so the reference
-/// learns them as misses — but their count must match what the cache
-/// reported evicting: it may lose no entry it did not evict. Populations
-/// cross bucket doublings up to `max_entries`, and no probe reads more
-/// than two signature blocks at any of them.
+/// capacity evictions (at `max_entries`). After every batch, one batched
+/// lookup of every key the reference holds must return its rule, and
+/// keys the cache cannot hold must miss. Capacity victims are the
+/// cache's choice, so the reference learns them as misses — but their
+/// count must match what the cache reported evicting: it may lose no
+/// entry it did not evict. Populations cross bucket doublings up to
+/// `max_entries`, and no probe reads more than two signature blocks at
+/// any of them.
 class MegaflowIndexTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(MegaflowIndexTest, EveryLiveKeyHitsAndEveryAbsentKeyMisses) {
@@ -918,17 +907,18 @@ TEST(TierCountersTest, ListDeclaresEachFieldOnceWithTheBenchColumns) {
   EXPECT_EQ(names.size(), 22u);
   EXPECT_EQ(std::size(kTierCounterFields), 22u);
   EXPECT_EQ(sizeof(TierCounters), 22 * sizeof(std::uint64_t));
-  // The published columns, in list order, are exactly these 16.
+  // The published columns, in list order, are exactly these 15.
   const std::vector<std::string_view> expected_columns = {
       "emc_hits", "mf_hits", "mf_inserts", "mf_invalidations",
       "mf_revalidations", "slow_lookups", "sig_hits", "sig_fp",
       "batches", "reval_batches", "reval_scanned", "reval_coalesced",
-      "cache_resizes", "simd_blocks", "subt_skipped", "prefilter_fp"};
+      "simd_blocks", "subt_skipped", "prefilter_fp"};
   EXPECT_EQ(columns, expected_columns);
-  // The six counters no bench table carries stay unpublished.
+  // The seven counters no bench table carries stay unpublished.
   const std::vector<std::string_view> expected_unpublished = {
       "emc_misses", "megaflow_misses", "megaflow_revalidation_evictions",
-      "emc_revalidations", "slow_path_misses", "batch_packets"};
+      "emc_revalidations", "slow_path_misses", "batch_packets",
+      "cache_resizes"};
   EXPECT_EQ(unpublished, expected_unpublished);
 }
 
