@@ -59,20 +59,19 @@ MegaflowCache::Resolution DpClassifier::resolve(const pkt::FlowKey& key,
   // Mirrors the OVS upcall: accumulate the unwildcard set over *every*
   // rule examined, so the installed/repaired megaflow is exactly as wide
   // as this lookup's evidence allows. A coarser mask could swallow
-  // packets a higher-priority rule would have claimed.
+  // packets a higher-priority rule would have claimed. The winner comes
+  // from the table's compiled tests; the rules examined are every entry
+  // up to and including it (all of them on a miss).
   MegaflowCache::Resolution res;
-  std::uint32_t n = 0;
-  for (FlowEntry& entry :
-       const_cast<std::vector<FlowEntry>&>(table_->entries())) {
-    ++n;
-    unite(res.unwildcarded, entry.match);
-    if (entry.match.matches(key)) {
-      res.found = true;
-      res.rule = entry.id;
-      break;
-    }
+  const std::vector<FlowEntry>& entries = table_->entries();
+  const std::size_t hit = table_->first_match(openflow::pack(key));
+  res.found = hit < entries.size();
+  const std::size_t n = res.found ? hit + 1 : entries.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    unite(res.unwildcarded, entries[i].match);
   }
-  if (visited != nullptr) *visited = n;
+  if (res.found) res.rule = entries[hit].id;
+  if (visited != nullptr) *visited = static_cast<std::uint32_t>(n);
   return res;
 }
 

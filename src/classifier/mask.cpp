@@ -83,6 +83,16 @@ bool may_intersect(const MaskSpec& mask, const pkt::FlowKey& masked_key,
   return true;
 }
 
+openflow::CompiledMatch compile_intersect(
+    const MaskSpec& mask, const openflow::Match& match) noexcept {
+  // The match's own test, read only where the subtable pins bits too:
+  // the fields both sides constrain and, of an IPv4 address, the shorter
+  // of the two prefixes. Projecting an all-ones key yields those bits.
+  constexpr pkt::FlowKey kAllOnes{0xffff, 0xffff, 0xffffffffu, 0xffffffffu,
+                                  0xff,   0xffff, 0xffff};
+  return match.compile().within(openflow::pack(apply(mask, kAllOnes)));
+}
+
 bool subsumes(const MaskSpec& outer, const MaskSpec& inner) noexcept {
   if ((inner.fields & outer.fields) != inner.fields) return false;
   if ((inner.fields & kMatchIpSrc) && outer.ip_src_plen < inner.ip_src_plen) {

@@ -53,6 +53,14 @@ void unite(MaskSpec& mask, const openflow::Match& match) noexcept;
                                  const pkt::FlowKey& masked_key,
                                  const openflow::Match& match) noexcept;
 
+/// may_intersect compiled for one (subtable mask, match) pair:
+/// compile_intersect(mask, match).matches(openflow::pack(key)) ==
+/// may_intersect(mask, key, match) for every key. The revalidator
+/// compiles each merged ADD term once per subtable it scans and tests
+/// every entry of that subtable with it.
+[[nodiscard]] openflow::CompiledMatch compile_intersect(
+    const MaskSpec& mask, const openflow::Match& match) noexcept;
+
 /// True iff `outer` constrains every field `inner` does, at least as
 /// specifically (prefix lengths ≥). The revalidator may repair a megaflow
 /// in place only when the re-lookup's unwildcard set is subsumed by the

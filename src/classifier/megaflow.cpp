@@ -371,14 +371,15 @@ MegaflowCache::RevalidateReport MegaflowCache::revalidate() {
   HW_ATOMIC_READ(&events_pending_);
   if (!events_pending_.load(std::memory_order_acquire)) return report;
 
-  std::vector<TableChangeEvent> events;
   bool overflowed = false;
   std::uint64_t overflow_version = 0;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
     HW_SYNC_SCOPE(&queue_mutex_);
     HW_SHARED_WRITE(&queue_);
-    events.swap(queue_);
+    // The queue takes over the previous batch's emptied storage, so
+    // neither vector regrows from zero after a drain.
+    drained_.swap(queue_);
     overflowed = queue_overflowed_;
     overflow_version = overflow_version_;
     queue_overflowed_ = false;
@@ -394,9 +395,10 @@ MegaflowCache::RevalidateReport MegaflowCache::revalidate() {
     synced_version_ = std::max(synced_version_, overflow_version);
     if (flush_sink_) flush_sink_();
   }
-  revalidate_coalesced(events, resolver_ ? &resolver_ : nullptr, report);
-  report.events = events.size();
-  if (events_sink_ && !events.empty()) events_sink_(events);
+  revalidate_coalesced(drained_, resolver_ ? &resolver_ : nullptr, report);
+  report.events = drained_.size();
+  if (events_sink_ && !drained_.empty()) events_sink_(drained_);
+  drained_.clear();
   if (report.evicted > 0) prune_empty_subtables();
   return report;
 }
@@ -442,11 +444,17 @@ void MegaflowCache::revalidate_coalesced(
   }
   stats_.reval_coalesced_events += scan_events - 1;
   std::sort(plan_removed_.begin(), plan_removed_.end());
+  // One bit per removed id modulo 64: an entry whose bit is clear skips
+  // the set probe, a branch that mispredicts on most entries.
+  std::uint64_t removed_bits = 0;
+  for (const RuleId removed : plan_removed_) {
+    removed_bits |= std::uint64_t{1} << (removed & 63);
+  }
 
   // ONE suspect scan over the cache, whatever the burst size was. The
   // per-entry suspect test is a sorted-set membership probe (charged as
-  // revalidate_per_entry) plus one intersect test per merged ADD mask
-  // actually examined (each charged as revalidate_per_term). Whole
+  // revalidate_per_entry) plus one compiled intersect test per merged ADD
+  // term actually examined (each charged as revalidate_per_term). Whole
   // subtables whose Bloom summary provably contains no removed rule id
   // and no entry an ADD term could intersect are skipped without
   // touching their entries — the scan is O(entries in intersecting
@@ -476,22 +484,29 @@ void MegaflowCache::revalidate_coalesced(
       ++report.subtables_skipped;
       continue;
     }
+    // The merged ADD terms, compiled for this subtable's mask: each entry
+    // is then packed once and tested with masked word compares.
+    plan_terms_.clear();
+    for (const openflow::Match* match : plan_adds_) {
+      plan_terms_.push_back(compile_intersect(subtable->mask, *match));
+    }
     std::size_t suspects_here = 0;
+    std::size_t scanned = 0;
+    std::size_t term_tests = 0;
     for (std::size_t i = 0; i < subtable->slots.size();) {
       Slot& slot = subtable->slots[i];
-      ++stats_.reval_entries_scanned;
-      ++report.entries_scanned;
-      bool suspect = std::binary_search(plan_removed_.begin(),
+      ++scanned;
+      bool suspect = ((removed_bits >> (slot.rule & 63)) & 1) != 0 &&
+                     std::binary_search(plan_removed_.begin(),
                                         plan_removed_.end(), slot.rule);
-      if (!suspect) {
-        for (const openflow::Match* match : plan_adds_) {
-          ++stats_.reval_term_tests;
-          ++report.term_tests;
-          if (may_intersect(subtable->mask, slot.key, *match)) {
-            suspect = true;
-            break;
-          }
-        }
+      if (!suspect && !plan_terms_.empty()) {
+        // Terms in merge order up to the first hit: what
+        // reval_term_tests counts and revalidate_per_term charges.
+        const openflow::PackedKey key = openflow::pack(slot.key);
+        std::size_t t = 0;
+        while (t < plan_terms_.size() && !plan_terms_[t].matches(key)) ++t;
+        suspect = t < plan_terms_.size();
+        term_tests += suspect ? t + 1 : t;
       }
       if (!suspect) {
         ++i;
@@ -528,6 +543,10 @@ void MegaflowCache::revalidate_coalesced(
         --entries_;
       }
     }
+    stats_.reval_entries_scanned += scanned;
+    report.entries_scanned += scanned;
+    stats_.reval_term_tests += term_tests;
+    report.term_tests += term_tests;
     if (suspects_here == 0) {
       // The Bloom let this subtable's scan through but no entry turned
       // out suspect — the skip a collision wasted.

@@ -63,7 +63,10 @@
 /// burst of N FlowMods costs one O(entries) pass instead of N — the
 /// single-threaded analogue of OVS's dedicated revalidator threads, which
 /// wake on a cadence and sweep the whole burst at once. Cost is charged
-/// per entry examined (see exec::CostModel), not per event.
+/// per entry examined (see exec::CostModel), not per event. The merged
+/// ADD terms are compiled once per subtable the scan enters
+/// (compile_intersect), so an entry's suspect test is a few masked word
+/// compares over its packed key rather than a branch per field.
 ///
 /// Queue overflow falls back to a full flush (counted separately), and a
 /// per-entry version stamp remains the safety net for version skew the
@@ -475,10 +478,13 @@ class MegaflowCache {
   std::vector<std::uint32_t> batch_pending_;
   // Scratch for the coalesced drain plan. Capacity is kept across
   // drains to avoid reallocation, but plan_adds_ holds pointers into
-  // the drain's local event batch and is therefore always cleared
+  // the drained batch (drained_) and is therefore always cleared
   // before revalidate_coalesced() returns — never read it elsewhere.
   std::vector<RuleId> plan_removed_;
   std::vector<const openflow::Match*> plan_adds_;
+  /// plan_adds_ compiled for the subtable being scanned (compile_intersect),
+  /// as many as the drain merged.
+  std::vector<openflow::CompiledMatch> plan_terms_;
   /// Clock hand for capacity eviction: spreads victims across a
   /// subtable's slots (see evict_one) instead of eating the swap-filled
   /// tail, which holds the newest — i.e. live — entries under churn.
@@ -490,6 +496,10 @@ class MegaflowCache {
   // is the table version the surviving entries are proven current for.
   std::mutex queue_mutex_;
   std::vector<flowtable::TableChangeEvent> queue_;
+  /// The batch being drained (owner thread only). Its storage and the
+  /// queue's trade places under queue_mutex_ at each drain, so both keep
+  /// their capacity across drains.
+  std::vector<flowtable::TableChangeEvent> drained_;
   bool queue_overflowed_ = false;
   std::uint64_t overflow_version_ = 0;
   std::atomic<bool> events_pending_{false};

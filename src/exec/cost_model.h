@@ -72,7 +72,7 @@ struct CostModel {
   // whole event burst into ONE suspect scan over the cache, charged per
   // entry *examined*, never per event — and the per-entry suspect test is
   // itself charged exactly: a sorted-id membership probe per entry
-  // (revalidate_per_entry) plus one intersect test per merged ADD mask
+  // (revalidate_per_entry) plus one intersect test per merged ADD term
   // actually examined for that entry (revalidate_per_term), so bursts
   // whose ADD masks defy containment-merging pay their true O(terms)
   // cost instead of the old O(1)-per-entry simplification. The subtable
@@ -81,6 +81,8 @@ struct CostModel {
   // Only the suspects then pay a wildcard re-lookup, anchored to the slow
   // path: about an upcall minus the fixed boundary crossing, repair and
   // evict split so the two outcomes are separately visible in ablations.
+  // Host cost per entry examined still exceeds revalidate_per_entry +
+  // per_term; these constants wait for ROADMAP item 3's fit.
   std::uint32_t revalidate_per_entry = 8;  ///< membership probe per entry examined
   std::uint32_t revalidate_per_term = 3;   ///< one merged-ADD-mask intersect test
   std::uint32_t revalidate_repair = 130;   ///< re-lookup + repair in place

@@ -101,14 +101,6 @@ Result<FlowModResult> FlowTable::apply(const FlowMod& mod, TimeNs now_ns) {
   return Status::invalid_argument("unknown flowmod command");
 }
 
-FlowEntry* FlowTable::lookup(const pkt::FlowKey& key) noexcept {
-  // entries_ is kept sorted by priority desc, id asc: first hit wins.
-  for (FlowEntry& entry : entries_) {
-    if (entry.match.matches(key)) return &entry;
-  }
-  return nullptr;
-}
-
 void FlowTable::account(RuleId id, std::uint64_t packets,
                         std::uint64_t bytes) noexcept {
   if (FlowEntry* entry = find(id)) {
@@ -129,10 +121,14 @@ void FlowTable::commit(TableChangeEvent& event) {
 }
 
 void FlowTable::rebuild_index() {
+  // entries_ is kept sorted by priority desc, id asc, so the first
+  // compiled test a key passes names the winner.
   index_.clear();
   index_.reserve(entries_.size());
+  compiled_.clear();
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     index_.emplace(entries_[i].id, i);
+    compiled_.push_back(entries_[i].match.compile());
   }
 }
 
@@ -153,19 +149,22 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
   RevalidateCounts counts;
   if (events.empty()) return counts;
   HW_SHARED_WRITE(&slots_);
+  event_tests_.clear();
+  for (const TableChangeEvent& event : events) {
+    event_tests_.push_back(event.match.compile());
+  }
   for (Slot& slot : slots_) {
     if (slot.rule == kRuleNone) continue;
     ++counts.scanned;
     // Suspect iff ANY drained event's match covers the cached key; one
     // re-resolution against the (already fully updated) table then lands
     // on the winner the last event left behind.
-    bool suspect = false;
-    for (const TableChangeEvent& event : events) {
-      if (event.match.matches(slot.key)) {
-        suspect = true;
-        break;
-      }
-    }
+    const openflow::PackedKey key = openflow::pack(slot.key);
+    const bool suspect = std::any_of(
+        event_tests_.begin(), event_tests_.end(),
+        [&key](const openflow::CompiledMatch& test) {
+          return test.matches(key);
+        });
     if (!suspect) continue;
     FlowEntry* winner = table.lookup(slot.key);
     if (winner == nullptr) {

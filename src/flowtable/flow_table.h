@@ -99,7 +99,21 @@ class FlowTable {
   /// Highest-priority entry matching the key; nullptr on miss. Ties are
   /// broken by lowest rule id (deterministic, mirrors OVS's "undefined but
   /// stable" behaviour). Hot path: no allocation.
-  [[nodiscard]] FlowEntry* lookup(const pkt::FlowKey& key) noexcept;
+  [[nodiscard]] FlowEntry* lookup(const pkt::FlowKey& key) noexcept {
+    const std::size_t i = first_match(openflow::pack(key));
+    return i < entries_.size() ? &entries_[i] : nullptr;
+  }
+
+  /// Index into entries() of the first (winning) entry whose match the
+  /// packed key satisfies, or size() on miss. Scans one compiled test
+  /// per rule (Match::compile), kept beside entries() and rebuilt on
+  /// every table change.
+  [[nodiscard]] std::size_t first_match(
+      const openflow::PackedKey& key) const noexcept {
+    std::size_t i = 0;
+    while (i < compiled_.size() && !compiled_[i].matches(key)) ++i;
+    return i;
+  }
 
   /// Adds `packets`/`bytes` to the rule's counters (forwarding engine).
   void account(RuleId id, std::uint64_t packets, std::uint64_t bytes) noexcept;
@@ -137,7 +151,8 @@ class FlowTable {
 
  private:
   /// Bumps the version, stamps generations of added/modified rules,
-  /// rebuilds the id index and notifies every subscriber.
+  /// rebuilds the id index and compiled tests and notifies every
+  /// subscriber.
   void commit(TableChangeEvent& event);
   void rebuild_index();
 
@@ -153,6 +168,8 @@ class FlowTable {
   std::vector<FlowEntry> entries_;
   // id → index into entries_, rebuilt on every structural change.
   std::unordered_map<RuleId, std::size_t> index_;
+  // compiled_[i] is entries_[i].match compiled; rebuilt with index_.
+  std::vector<openflow::CompiledMatch> compiled_;
   std::vector<Listener> listeners_;
 };
 
@@ -218,9 +235,10 @@ class ExactMatchCache {
   /// updated table and repaired (new winner / fresh generation) or
   /// evicted. Slots no change can affect are untouched, so a FlowMod no
   /// longer costs the whole exact-match tier and a burst of N FlowMods
-  /// costs one scan instead of N. `scanned` counts slots examined (what
-  /// the per-entry cost is charged on); repaired/evicted count
-  /// re-resolutions.
+  /// costs one scan instead of N. Each event's match is compiled once
+  /// per drain, so a slot's test is masked word compares over its packed
+  /// key. `scanned` counts slots examined (what the per-entry cost is
+  /// charged on); repaired/evicted count re-resolutions.
   RevalidateCounts revalidate_batch(std::span<const TableChangeEvent> events,
                                     FlowTable& table);
 
@@ -243,6 +261,8 @@ class ExactMatchCache {
   };
   std::size_t buckets_;
   std::vector<Slot> slots_;
+  /// The drained events' matches, compiled (revalidate_batch scratch).
+  std::vector<openflow::CompiledMatch> event_tests_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stale_rejects_ = 0;

@@ -106,7 +106,8 @@ void write_match(ByteWriter& writer, const Match& match) {
   writer.u16(match.l4_dst_value());
 }
 
-Match read_match(ByteReader& reader) {
+/// The match, or an error for an IPv4 prefix length above 32.
+Result<Match> read_match(ByteReader& reader) {
   const std::uint32_t fields = reader.u32();
   const auto in_port = static_cast<PortId>(reader.u16());
   const std::uint16_t eth_type = reader.u16();
@@ -118,6 +119,9 @@ Match read_match(ByteReader& reader) {
   const std::uint32_t ip_dst = reader.u32();
   const std::uint16_t l4_src = reader.u16();
   const std::uint16_t l4_dst = reader.u16();
+  if (src_plen > 32 || dst_plen > 32) {
+    return Status::invalid_argument("IPv4 prefix length above 32");
+  }
 
   Match match;
   if (fields & kMatchInPort) match.in_port(in_port);
@@ -212,7 +216,9 @@ Result<FlowMod> decode_flow_mod(std::span<const std::byte> data) {
   r.u8();
   mod.priority = r.u16();
   mod.cookie = r.u64();
-  mod.match = read_match(r);
+  auto match = read_match(r);
+  if (!match.is_ok()) return match.status();
+  mod.match = match.value();
   mod.actions = read_actions(r);
   if (!r.ok()) return short_message();
   return mod;
@@ -274,7 +280,9 @@ Result<std::vector<FlowStatsEntry>> decode_flow_stats_reply(
   entries.reserve(count);
   for (std::uint16_t i = 0; i < count && r.ok(); ++i) {
     FlowStatsEntry entry;
-    entry.match = read_match(r);
+    auto match = read_match(r);
+    if (!match.is_ok()) return match.status();
+    entry.match = match.value();
     entry.priority = r.u16();
     entry.cookie = r.u64();
     entry.packet_count = r.u64();

@@ -24,6 +24,28 @@ bool Match::matches(const pkt::FlowKey& key) const noexcept {
   return true;
 }
 
+CompiledMatch Match::compile() const noexcept {
+  // matches() field by field: an exact field reads all its bits, an IPv4
+  // address its prefix, an unconstrained field none.
+  pkt::FlowKey bits;
+  if (has(kMatchInPort)) bits.in_port = 0xffff;
+  if (has(kMatchEthType)) bits.ether_type = 0xffff;
+  if (has(kMatchIpProto)) bits.ip_proto = 0xff;
+  if (has(kMatchIpSrc)) bits.src_ip = prefix_mask(ip_src_plen_);
+  if (has(kMatchIpDst)) bits.dst_ip = prefix_mask(ip_dst_plen_);
+  if (has(kMatchL4Src)) bits.src_port = 0xffff;
+  if (has(kMatchL4Dst)) bits.dst_port = 0xffff;
+  pkt::FlowKey value;
+  value.in_port = in_port_;
+  value.ether_type = eth_type_;
+  value.ip_proto = ip_proto_;
+  value.src_ip = ip_src_;
+  value.dst_ip = ip_dst_;
+  value.src_port = l4_src_;
+  value.dst_port = l4_dst_;
+  return {bits, value};
+}
+
 bool Match::overlaps(const Match& other) const noexcept {
   // Two matches are disjoint iff some field is constrained by both to
   // incompatible values. Anything else conservatively overlaps.

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -10,8 +12,75 @@
 /// OpenFlow-style match with per-field presence bits and IPv4 prefix
 /// masks. This is the structure the p-2-p link detector reasons about: a
 /// "port-to-port steering rule" is a match that constrains *only* in_port.
+///
+/// Compiled tests: Match::matches() and classifier::may_intersect() read
+/// field by field, a branch per constrained field. The scans that run
+/// them thousands of times per FlowMod burst (the revalidator's suspect
+/// scans, the wildcard table scan) use a CompiledMatch instead: the test
+/// reduced once to (mask, value) words over a PackedKey, so testing one
+/// key is three AND/XORs and one compare, whatever the fields. The
+/// field-by-field functions stay as the reference the compiled tests are
+/// checked against (tests/control/compiled_match_test.cpp).
 
 namespace hw::openflow {
+
+/// A FlowKey packed field by field into fixed 64-bit words, the operand
+/// of CompiledMatch. The fields are copied one at a time, never the
+/// struct, whose padding bytes hold no defined value:
+///   word 0: src_ip << 32 | dst_ip
+///   word 1: in_port << 48 | ether_type << 32 | src_port << 16 | dst_port
+///   word 2: ip_proto
+struct PackedKey {
+  std::array<std::uint64_t, 3> words{};
+};
+
+[[nodiscard]] inline PackedKey pack(const pkt::FlowKey& key) noexcept {
+  return {{(std::uint64_t{key.src_ip} << 32) | key.dst_ip,
+           (std::uint64_t{key.in_port} << 48) |
+               (std::uint64_t{key.ether_type} << 32) |
+               (std::uint64_t{key.src_port} << 16) | key.dst_port,
+           key.ip_proto}};
+}
+
+/// A key test compiled to masked word compares: a key passes iff its
+/// packed words equal `value` on every bit of `mask`. A default-built
+/// test has an empty mask and passes every key.
+class CompiledMatch {
+ public:
+  CompiledMatch() = default;
+  /// `mask` holds, per field, the bits the test reads (0: wildcard);
+  /// `value` the values those bits must have. Bits of `value` outside
+  /// `mask` are ignored.
+  CompiledMatch(const pkt::FlowKey& mask, const pkt::FlowKey& value) noexcept
+      : mask_(pack(mask)), value_(pack(value)) {
+    for (std::size_t w = 0; w < value_.words.size(); ++w) {
+      value_.words[w] &= mask_.words[w];
+    }
+  }
+
+  [[nodiscard]] bool matches(const PackedKey& key) const noexcept {
+    std::uint64_t diff = 0;
+    for (std::size_t w = 0; w < key.words.size(); ++w) {
+      diff |= (key.words[w] & mask_.words[w]) ^ value_.words[w];
+    }
+    return diff == 0;
+  }
+
+  /// This test restricted to `bits` (a packed per-field mask, as above):
+  /// it reads only the bits both masks read.
+  [[nodiscard]] CompiledMatch within(const PackedKey& bits) const noexcept {
+    CompiledMatch out = *this;
+    for (std::size_t w = 0; w < bits.words.size(); ++w) {
+      out.mask_.words[w] &= bits.words[w];
+      out.value_.words[w] &= bits.words[w];
+    }
+    return out;
+  }
+
+ private:
+  PackedKey mask_;
+  PackedKey value_;
+};
 
 /// Bit flags marking which fields a Match constrains.
 enum MatchField : std::uint32_t {
@@ -97,6 +166,10 @@ class Match {
 
   /// True iff the packet key satisfies every constrained field.
   [[nodiscard]] bool matches(const pkt::FlowKey& key) const noexcept;
+
+  /// matches() compiled: compile().matches(pack(key)) == matches(key)
+  /// for every key.
+  [[nodiscard]] CompiledMatch compile() const noexcept;
 
   /// True iff this match constrains exactly {in_port} and nothing else —
   /// the shape of a point-to-point steering rule.

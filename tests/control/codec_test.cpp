@@ -92,6 +92,35 @@ TEST(Codec, FlowModRejectsWrongType) {
   EXPECT_FALSE(decode_flow_mod(encode_packet_out(po)).is_ok());
 }
 
+TEST(Codec, RejectsIpv4PrefixLongerThan32) {
+  // The match's prefix lengths follow its fields (4 bytes), in_port,
+  // eth_type (2 each) and ip_proto (1); a FlowMod's match starts after
+  // command, pad, priority and cookie (12 bytes), a stats reply's after
+  // its entry count (2 bytes).
+  constexpr std::size_t kModSrcPlen = kMsgHeaderLen + 12 + 9;
+  const auto good = encode_flow_mod(sample_flow_mod());
+  ASSERT_EQ(std::to_integer<int>(good[kModSrcPlen]), 24);
+  ASSERT_EQ(std::to_integer<int>(good[kModSrcPlen + 1]), 32);
+  for (const std::size_t at : {kModSrcPlen, kModSrcPlen + 1}) {
+    for (const int plen : {33, 40, 255}) {
+      auto bytes = good;
+      bytes[at] = static_cast<std::byte>(plen);
+      EXPECT_FALSE(decode_flow_mod(bytes).is_ok())
+          << "offset " << at << " plen " << plen;
+    }
+  }
+
+  std::vector<FlowStatsEntry> entries(1);
+  entries[0].match.ip_dst(pkt::ipv4(10, 0, 0, 0), 8);
+  entries[0].actions = {Action::output(2)};
+  auto stats = encode_flow_stats_reply(entries);
+  constexpr std::size_t kStatsDstPlen = kMsgHeaderLen + 2 + 10;
+  ASSERT_EQ(std::to_integer<int>(stats[kStatsDstPlen]), 8);
+  ASSERT_TRUE(decode_flow_stats_reply(stats).is_ok());
+  stats[kStatsDstPlen] = std::byte{33};
+  EXPECT_FALSE(decode_flow_stats_reply(stats).is_ok());
+}
+
 TEST(Codec, PacketOutRoundTrip) {
   PacketOut po;
   po.out_port = 13;

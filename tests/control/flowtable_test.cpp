@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "common/rng.h"
 #include "flowtable/flow_table.h"
@@ -440,7 +441,35 @@ TEST(ExactMatchCache, BatchRevalidateCoalescesEventsIntoOnePass) {
 }
 
 /// Property: lookup() equals a brute-force reference over random tables.
+/// Each rule constrains each of the seven match fields three times in
+/// four, IPv4 fields at prefix lengths 0, 1, 8, 30, 31 or 32; rule and
+/// key values come from small domains so that every field decides some
+/// lookups and some keys miss.
 class FlowTableModelTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+std::uint32_t draw_model_ip(Rng& rng) {
+  return (rng.chance(1, 4) ? pkt::ipv4(138, 0, 0, 0) : pkt::ipv4(10, 0, 0, 0)) |
+         static_cast<std::uint32_t>(rng.next_below(8));
+}
+
+openflow::Match draw_model_match(Rng& rng) {
+  constexpr std::array<std::uint8_t, 6> kPlens = {0, 1, 8, 30, 31, 32};
+  openflow::Match m;
+  if (rng.chance(3, 4)) m.in_port(static_cast<PortId>(rng.next_below(4)));
+  if (rng.chance(3, 4)) m.eth_type(pkt::kEtherTypeIpv4);
+  if (rng.chance(3, 4)) {
+    m.ip_proto(rng.chance(1, 2) ? pkt::kIpProtoUdp : pkt::kIpProtoTcp);
+  }
+  if (rng.chance(3, 4)) {
+    m.ip_src(draw_model_ip(rng), kPlens[rng.next_below(kPlens.size())]);
+  }
+  if (rng.chance(3, 4)) {
+    m.ip_dst(draw_model_ip(rng), kPlens[rng.next_below(kPlens.size())]);
+  }
+  if (rng.chance(3, 4)) m.l4_src(static_cast<std::uint16_t>(rng.next_below(3)));
+  if (rng.chance(3, 4)) m.l4_dst(static_cast<std::uint16_t>(rng.next_below(3)));
+  return m;
+}
 
 TEST_P(FlowTableModelTest, LookupMatchesBruteForce) {
   Rng rng(GetParam());
@@ -449,23 +478,20 @@ TEST_P(FlowTableModelTest, LookupMatchesBruteForce) {
     FlowMod mod;
     mod.command = FlowModCommand::kAdd;
     mod.priority = static_cast<std::uint16_t>(rng.next_below(8));
-    mod.match.in_port(static_cast<PortId>(rng.next_below(4)));
-    if (rng.chance(1, 2)) {
-      mod.match.l4_dst(static_cast<std::uint16_t>(rng.next_below(3)));
-    }
-    if (rng.chance(1, 3)) {
-      mod.match.ip_proto(rng.chance(1, 2) ? pkt::kIpProtoUdp
-                                          : pkt::kIpProtoTcp);
-    }
+    mod.match = draw_model_match(rng);
     mod.actions = {Action::output(static_cast<PortId>(rng.next_below(8)))};
     ASSERT_TRUE(table.apply(mod).is_ok());
   }
 
+  std::size_t misses = 0;
   for (int i = 0; i < 2000; ++i) {
     pkt::FlowKey key;
     key.in_port = static_cast<PortId>(rng.next_below(4));
-    key.ether_type = pkt::kEtherTypeIpv4;
+    key.ether_type = rng.chance(7, 8) ? pkt::kEtherTypeIpv4 : 0;
     key.ip_proto = rng.chance(1, 2) ? pkt::kIpProtoUdp : pkt::kIpProtoTcp;
+    key.src_ip = draw_model_ip(rng);
+    key.dst_ip = draw_model_ip(rng);
+    key.src_port = static_cast<std::uint16_t>(rng.next_below(3));
     key.dst_port = static_cast<std::uint16_t>(rng.next_below(3));
 
     // Brute-force reference: max priority, then min id.
@@ -481,11 +507,14 @@ TEST_P(FlowTableModelTest, LookupMatchesBruteForce) {
     FlowEntry* actual = table.lookup(key);
     if (expected == nullptr) {
       ASSERT_EQ(actual, nullptr);
+      ++misses;
     } else {
       ASSERT_NE(actual, nullptr);
       ASSERT_EQ(actual->id, expected->id);
     }
   }
+  EXPECT_GT(misses, 0u);  // both outcomes occur
+  EXPECT_LT(misses, 2000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableModelTest,

@@ -1,0 +1,232 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
+
+#include "classifier/dp_classifier.h"
+#include "common/rng.h"
+#include "common/sampler.h"
+#include "exec/cost_model.h"
+#include "flowtable/flow_table.h"
+#include "openflow/messages.h"
+#include "pkt/headers.h"
+#include "pkt/traffic_profile.h"
+
+/// \file reval_work_test.cpp
+/// PINNED DRAIN WORK. The revalidator's cost is charged from what its
+/// drains did: entries examined, merged-ADD terms tested, suspects
+/// repaired or evicted, subtables skipped, EMC slots re-resolved. A
+/// faster suspect test must find exactly the same suspects and do
+/// exactly the same counted work, or every virtual-time table moves and
+/// host-time comparisons compare different work.
+///
+/// The stream mirrors hostbench's reconfig_churn policy hop: two
+/// directions of a Zipf(1.1) stream over 8,192 flows each, four policy
+/// rules and a steering rule per direction, and after every slice of
+/// traffic a burst of 8 FlowMods that ADD a fresh /26 destination rule
+/// under a direction's in_port or strictly DELETE a live one. One burst
+/// carries kRevalidatorQueueLimit - 1 events, the most one drain can
+/// receive without the overflow flush. The constants below were computed
+/// with the field-by-field reference tests (Match::matches,
+/// may_intersect) doing the suspect scans; a change that moves one of
+/// them changes the work, and must say so.
+
+namespace hw::classifier {
+namespace {
+
+using flowtable::FlowTable;
+using openflow::Action;
+using openflow::FlowMod;
+using openflow::FlowModCommand;
+using openflow::Match;
+
+constexpr std::uint32_t kFlows = 8192;
+constexpr double kZipfS = 1.1;
+constexpr std::uint8_t kChurnPrefix = 26;
+constexpr std::uint32_t kChurnBlock = 1u << (32 - kChurnPrefix);
+constexpr std::size_t kLiveMin = 8;
+constexpr std::size_t kLiveMax = 24;
+constexpr std::uint32_t kBurst = 8;
+constexpr std::uint32_t kBatchesPerSlice = 18;
+constexpr std::uint32_t kSlices = 320;
+constexpr std::uint32_t kBigBurstSlice = 240;
+
+struct Direction {
+  PortId in = 0;
+  PortId out = 0;
+  pkt::TrafficProfile profile;
+  std::uint32_t dst_base = 0;          ///< first /26 block of the flows
+  std::vector<std::uint32_t> live;     ///< installed churn blocks
+};
+
+FlowMod rule(FlowModCommand command, std::uint16_t priority, Match match,
+             PortId out) {
+  FlowMod mod;
+  mod.command = command;
+  mod.priority = priority;
+  mod.match = match;
+  mod.actions = {Action::output(out)};
+  return mod;
+}
+
+Direction make_direction(bool forward) {
+  Direction d;
+  d.in = forward ? 2 : 3;
+  d.out = forward ? 3 : 2;
+  d.profile.flow_count = kFlows;
+  d.profile.web_percent = 20;
+  if (forward) {
+    d.profile.src_ip_base = pkt::ipv4(10, 0, 0, 1);
+    d.profile.dst_ip_base = pkt::ipv4(10, 1, 0, 1);
+  } else {
+    d.profile.src_ip_base = pkt::ipv4(10, 1, 0, 1);
+    d.profile.dst_ip_base = pkt::ipv4(10, 0, 0, 1);
+    d.profile.base_src_port = 5000;
+    d.profile.base_dst_port = 6000;
+  }
+  d.dst_base = d.profile.dst_ip_base & ~(kChurnBlock - 1);
+  return d;
+}
+
+/// Policy above steering, as on the hop hostbench churns: a /28
+/// destination and an exact L4 source port make the megaflows per-flow.
+void install_policy(FlowTable& table, const Direction& d, Rng& rng) {
+  const pkt::TrafficProfile& p = d.profile;
+  const auto dst28 = static_cast<std::uint32_t>(
+      (p.dst_ip_base & ~15u) + 16 * rng.next_below(kFlows / 16));
+  const auto sport =
+      static_cast<std::uint16_t>(p.base_src_port + rng.next_below(kFlows));
+  for (const FlowMod& mod :
+       {rule(FlowModCommand::kAdd, 140,
+             Match{}.in_port(d.in).ip_proto(pkt::kIpProtoTcp).l4_dst(80),
+             d.out),
+        rule(FlowModCommand::kAdd, 130, Match{}.in_port(d.in).ip_dst(dst28, 28),
+             d.out),
+        rule(FlowModCommand::kAdd, 120, Match{}.in_port(d.in).l4_src(sport),
+             d.out),
+        rule(FlowModCommand::kAdd, 110,
+             Match{}.in_port(d.in).ip_src(p.src_ip_base & 0xffff0000u, 16),
+             d.out),
+        rule(FlowModCommand::kAdd, 100, Match{}.in_port(d.in), d.out)}) {
+    ASSERT_TRUE(table.apply(mod).is_ok());
+  }
+}
+
+/// One churn FlowMod on `d`: ADD a /26 not yet live, or strictly DELETE a
+/// live one (the same choice rule as hostbench's churn planner).
+void churn_one(FlowTable& table, Direction& d, Rng& rng) {
+  const bool add = d.live.size() < kLiveMin ||
+                   (d.live.size() < kLiveMax && rng.chance(1, 2));
+  std::uint32_t block = 0;
+  if (add) {
+    do {
+      block = static_cast<std::uint32_t>(
+          rng.next_below(kFlows / kChurnBlock + 1));
+    } while (std::find(d.live.begin(), d.live.end(), block) != d.live.end());
+    d.live.push_back(block);
+  } else {
+    const auto at = rng.next_below(d.live.size());
+    block = d.live[at];
+    d.live[at] = d.live.back();
+    d.live.pop_back();
+  }
+  const Match match = Match{}.in_port(d.in).ip_dst(
+      d.dst_base + block * kChurnBlock, kChurnPrefix);
+  ASSERT_TRUE(table
+                  .apply(rule(add ? FlowModCommand::kAdd
+                                  : FlowModCommand::kDeleteStrict,
+                              150, match, d.out))
+                  .is_ok());
+}
+
+pkt::FlowKey key_of(const Direction& d, std::uint64_t flow) {
+  const pkt::FrameSpec spec = d.profile.flow_spec(flow);
+  pkt::FlowKey key;
+  key.in_port = d.in;
+  key.ether_type = pkt::kEtherTypeIpv4;
+  key.ip_proto = spec.ip_proto;
+  key.src_ip = spec.src_ip;
+  key.dst_ip = spec.dst_ip;
+  key.src_port = spec.src_port;
+  key.dst_port = spec.dst_port;
+  return key;
+}
+
+struct DrainWork {
+  TierCounters counters;
+  MegaflowStats megaflow;
+  TierCounters big_burst;  ///< the window of the one 127-event drain
+};
+
+DrainWork run_churn_stream(std::uint64_t seed) {
+  exec::CostModel cost;
+  FlowTable table;
+  std::array<Direction, 2> dirs = {make_direction(true),
+                                   make_direction(false)};
+  Rng rule_rng(seed ^ 0x72756c6573ULL);
+  for (const Direction& d : dirs) install_policy(table, d, rule_rng);
+  DpClassifier dp(table, cost);
+  exec::CycleMeter meter;
+
+  const ZipfSampler zipf(kZipfS, kFlows);
+  Rng pick_rng(seed);
+  Rng churn_rng(seed ^ 0x636875726eULL);
+  std::uint32_t churn_turn = 0;
+  std::array<pkt::FlowKey, 32> keys{};
+  std::array<std::uint32_t, 32> hashes{};
+  std::array<LookupOutcome, 32> out{};
+  DrainWork work;
+  TierCounters before_big;
+  for (std::uint32_t slice = 0; slice < kSlices; ++slice) {
+    for (std::uint32_t b = 0; b < kBatchesPerSlice; ++b) {
+      const Direction& d = dirs[b % 2];
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        keys[i] = key_of(d, zipf.draw(pick_rng, kFlows));
+        hashes[i] = pkt::flow_key_hash(keys[i]);
+      }
+      dp.lookup_batch(keys, hashes, out, meter);
+      if (slice == kBigBurstSlice + 1 && b == 0) {
+        work.big_burst = dp.counters() - before_big;
+      }
+    }
+    const std::uint32_t burst =
+        slice == kBigBurstSlice
+            ? static_cast<std::uint32_t>(MegaflowCache::kRevalidatorQueueLimit -
+                                         1)
+            : kBurst;
+    if (slice == kBigBurstSlice) before_big = dp.counters();
+    for (std::uint32_t n = 0; n < burst; ++n) {
+      churn_one(table, dirs[churn_turn++ % dirs.size()], churn_rng);
+    }
+  }
+  work.counters = dp.counters();
+  work.megaflow = dp.megaflow().stats();
+  return work;
+}
+
+TEST(RevalidationWorkTest, PinnedChurnBurstsDrainTheSameWork) {
+  const DrainWork w = run_churn_stream(7);
+  // The big burst drained as one batch, without the overflow flush.
+  EXPECT_EQ(w.counters.megaflow_invalidations, 0u);
+  EXPECT_EQ(w.megaflow.queue_overflows, 0u);
+  EXPECT_GT(w.big_burst.reval_entries_scanned, 0u);
+
+  EXPECT_EQ(w.counters.megaflow_revalidations, 64'260u);
+  EXPECT_EQ(w.megaflow.revalidated_kept, 63'851u);
+  EXPECT_EQ(w.megaflow.revalidated_evicted, 409u);
+  EXPECT_EQ(w.counters.reval_entries_scanned, 3'159'272u);
+  EXPECT_EQ(w.megaflow.reval_term_tests, 8'446'446u);
+  EXPECT_EQ(w.counters.subtables_skipped, 7u);
+  EXPECT_EQ(w.counters.emc_revalidations, 34'332u);
+  // The 127-event drain alone.
+  EXPECT_EQ(w.big_burst.megaflow_revalidations, 2'555u);
+  EXPECT_EQ(w.big_burst.reval_entries_scanned, 12'031u);
+  EXPECT_EQ(w.big_burst.emc_revalidations, 1'105u);
+  // Sanity of the regime: the cache ran at its flow limit.
+  EXPECT_GT(w.megaflow.capacity_evictions, 0u);
+}
+
+}  // namespace
+}  // namespace hw::classifier
