@@ -51,10 +51,11 @@ std::uint32_t SimNic::poll(exec::CycleMeter& meter) {
       const std::size_t accepted = host_rx().enqueue_burst(
           std::span<mbuf::Mbuf* const>(scratch_.data(), produced));
       counters_.rx_admitted += accepted;
-      // Host ring full: real NICs count these as rx_missed and drop.
-      for (std::size_t i = accepted; i < produced; ++i) {
-        pool_->free(scratch_[i]);
-        ++counters_.rx_missed;
+      if (accepted < produced) {
+        // Host ring full: real NICs count these as rx_missed and drop.
+        pool_->free_bulk(std::span<mbuf::Mbuf* const>(
+            scratch_.data() + accepted, produced - accepted));
+        counters_.rx_missed += produced - accepted;
       }
       work += static_cast<std::uint32_t>(produced);
       if (produced < want) break;  // generator ran out (pool exhausted)

@@ -52,8 +52,8 @@ void TrafficSink::consume(std::span<mbuf::Mbuf* const> pkts) noexcept {
       const std::uint32_t hash = pkt::flow_hash_of(*buf);
       if (seq_track_.record(hash, buf->seq)) ++reorders_;
     }
-    pool_->free(buf);
   }
+  pool_->free_bulk(pkts);
 }
 
 }  // namespace hw::nic

@@ -33,9 +33,10 @@ std::uint32_t ForwarderApp::pump(pmd::GuestPmd& from, pmd::GuestPmd& to,
                (cost_->vm_app_per_pkt + extra_cycles_));
   const std::uint16_t sent =
       to.tx_burst(std::span<mbuf::Mbuf* const>(buf_.data(), n), meter);
-  for (std::uint16_t i = sent; i < n; ++i) {
-    pool_->free(buf_[i]);
-    ++counters_.tx_drops;
+  if (sent < n) {
+    pool_->free_bulk(
+        std::span<mbuf::Mbuf* const>(buf_.data() + sent, n - sent));
+    counters_.tx_drops += n - sent;
   }
   counters_.forwarded += sent;
   return n;
@@ -113,8 +114,8 @@ std::uint32_t GenSinkApp::poll(exec::CycleMeter& meter) {
         }
       }
       meter.charge(cost_->mbuf_free);
-      pool_->free(pkt);
     }
+    pool_->free_bulk(std::span<mbuf::Mbuf* const>(buf_.data(), n));
     counters_.delivered += n;
     work += n;
   }
@@ -152,9 +153,10 @@ std::uint32_t GenSinkApp::poll(exec::CycleMeter& meter) {
       }
       const std::uint16_t sent = port_->tx_burst(
           std::span<mbuf::Mbuf* const>(buf_.data(), got), meter);
-      for (std::size_t i = sent; i < got; ++i) {
+      if (sent < got) {
         // Backpressure at the source: the chain is saturated. Not a loss.
-        pool_->free(buf_[i]);
+        pool_->free_bulk(
+            std::span<mbuf::Mbuf* const>(buf_.data() + sent, got - sent));
       }
       if (rate_pps_ != 0) tokens_ -= static_cast<double>(sent);
       counters_.generated += sent;

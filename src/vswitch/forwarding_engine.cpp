@@ -140,11 +140,12 @@ void ForwardingEngine::distribute(RssHomePort& home,
     const std::size_t accepted = home.queues[e]->enqueue_burst(
         std::span<mbuf::Mbuf* const>(stage.data(), stage.size()));
     meter.charge(static_cast<Cycles>(accepted) * cost_->ring_enq_per_pkt);
-    for (std::size_t i = accepted; i < stage.size(); ++i) {
+    if (accepted < stage.size()) {
       // Full per-engine queue: the rx-side drop NIC RSS would take.
-      ++counters_.rss_queue_drops;
-      ++acc(*home.port).rx_dropped;
-      pool_->free(stage[i]);
+      const std::size_t dropped = stage.size() - accepted;
+      counters_.rss_queue_drops += dropped;
+      acc(*home.port).rx_dropped += dropped;
+      pool_->free_bulk(std::span<mbuf::Mbuf* const>(stage).subspan(accepted));
     }
   }
 
@@ -287,10 +288,11 @@ void ForwardingEngine::flush_to(PortId out_port,
     shard.tx_bytes += bytes;
   }
   counters_.tx_packets += accepted;
-  for (std::size_t i = accepted; i < pkts.size(); ++i) {
-    ++counters_.tx_ring_full;
-    if (dst != nullptr) ++acc(*dst).tx_dropped;
-    pool_->free(pkts[i]);
+  if (accepted < pkts.size()) {
+    const std::size_t dropped = pkts.size() - accepted;
+    counters_.tx_ring_full += dropped;
+    if (dst != nullptr) acc(*dst).tx_dropped += dropped;
+    pool_->free_bulk(pkts.subspan(accepted));
   }
 }
 

@@ -9,13 +9,13 @@
 #include "classifier/mask.h"
 #include "classifier/megaflow.h"
 #include "common/log.h"
+#include "common/rng.h"
 #include "flowtable/flow_table.h"
 #include "mbuf/mempool.h"
 #include "openflow/match.h"
 #include "pkt/headers.h"
 #include "pmd/channel.h"
 #include "pmd/shared_stats.h"
-#include "ring/mpmc_ring.h"
 #include "ring/spsc_ring.h"
 #include "shm/shm.h"
 #include "vswitch/rss.h"
@@ -35,59 +35,6 @@ namespace {
 /// cross-thread handoff edge thousands of times.
 
 constexpr std::size_t kStormOps = 20'000;
-
-// ------------------------------------------------------------ MPMC ring
-
-TEST(ConcurrencyLitmus, MpmcRingStorm) {
-  ring::OwnedMpmcRing<std::uint64_t> ring(256);
-  constexpr std::size_t kProducers = 2;
-  constexpr std::size_t kConsumers = 2;
-
-  std::atomic<std::uint64_t> produced_sum{0};
-  std::atomic<std::uint64_t> consumed_sum{0};
-  std::atomic<std::uint64_t> produced_count{0};
-  std::atomic<std::uint64_t> consumed_count{0};
-  std::atomic<bool> done{false};
-
-  std::vector<std::jthread> threads;
-  for (std::size_t p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (std::size_t i = 0; i < kStormOps; ++i) {
-        const std::uint64_t value = p * kStormOps + i + 1;
-        while (!ring->enqueue(value)) std::this_thread::yield();
-        produced_sum.fetch_add(value, std::memory_order_relaxed);
-        produced_count.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::size_t c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      std::uint64_t value = 0;
-      while (true) {
-        if (ring->dequeue(value)) {
-          consumed_sum.fetch_add(value, std::memory_order_relaxed);
-          consumed_count.fetch_add(1, std::memory_order_relaxed);
-        } else if (done.load(std::memory_order_acquire)) {
-          // One final sweep after the producers finished.
-          while (ring->dequeue(value)) {
-            consumed_sum.fetch_add(value, std::memory_order_relaxed);
-            consumed_count.fetch_add(1, std::memory_order_relaxed);
-          }
-          return;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (std::size_t p = 0; p < kProducers; ++p) threads[p].join();
-  done.store(true, std::memory_order_release);
-  threads.clear();
-
-  EXPECT_EQ(produced_count.load(), kProducers * kStormOps);
-  EXPECT_EQ(consumed_count.load(), produced_count.load());
-  EXPECT_EQ(consumed_sum.load(), produced_sum.load());
-}
 
 // ------------------------------------------------------------ SPSC ring
 
@@ -116,23 +63,92 @@ TEST(ConcurrencyLitmus, SpscRingStormPreservesFifoOrder) {
 // -------------------------------------------------------------- mempool
 
 TEST(ConcurrencyLitmus, MempoolAllocFreeStorm) {
+  // Four threads take random bursts (1-32 buffers, by single and bulk
+  // calls) and hand them back in random chunks, while a reader polls
+  // in_use(). An owner flag per buffer, set on alloc and cleared before
+  // free, catches a buffer handed to a second owner; the payload touch
+  // shows TSan the same hand-off.
   mbuf::Mempool pool("litmus", 512);
   constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kMaxBurst = 32;
+  constexpr std::size_t kCycles = kStormOps / 4;
+
+  std::vector<std::atomic<std::uint8_t>> owned(pool.capacity());
+  std::atomic<std::uint64_t> double_owned{0};
+  std::atomic<std::uint64_t> freed_unowned{0};
+  std::atomic<bool> done{false};
+
+  // in_use() may lag the storm but must never leave [0, capacity]; an
+  // underflow wraps to ~2^64.
+  std::uint64_t reads = 0;
+  std::uint64_t out_of_range = 0;
+  std::size_t worst = 0;
+  std::jthread reader([&] {
+    do {
+      const std::size_t n = pool.in_use();
+      ++reads;
+      if (n > pool.capacity()) {
+        ++out_of_range;
+        worst = n;
+      }
+    } while (!done.load(std::memory_order_acquire));
+  });
 
   std::vector<std::jthread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      mbuf::Mbuf* bufs[8] = {};
-      for (std::size_t i = 0; i < kStormOps / kThreads; ++i) {
-        const std::size_t got = pool.alloc_bulk(std::span(bufs));
-        // Touch the payloads: ownership handoff must make this safe.
-        for (std::size_t j = 0; j < got; ++j) bufs[j]->data_len = 64;
-        pool.free_bulk(std::span<mbuf::Mbuf* const>(bufs, got));
+    threads.emplace_back([&, t] {
+      Rng rng(0x11f0 + t);
+      std::vector<mbuf::Mbuf*> held;
+      mbuf::Mbuf* burst[kMaxBurst] = {};
+      auto take = [&](mbuf::Mbuf* buf) {
+        if (owned[buf->pool_index].exchange(1, std::memory_order_relaxed)) {
+          double_owned.fetch_add(1, std::memory_order_relaxed);
+        }
+        buf->data_len = 64;
+        held.push_back(buf);
+      };
+      for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+        const std::size_t want = 1 + rng.next_below(kMaxBurst);
+        while (held.size() < want) {
+          if (rng.chance(1, 2)) {
+            mbuf::Mbuf* buf = pool.alloc();
+            if (buf == nullptr) break;
+            take(buf);
+          } else {
+            const std::size_t got = pool.alloc_bulk(
+                std::span(burst, 1 + rng.next_below(want - held.size())));
+            for (std::size_t j = 0; j < got; ++j) take(burst[j]);
+            if (got == 0) break;
+          }
+        }
+        while (!held.empty()) {
+          const std::size_t k =
+              rng.chance(1, 2) ? 1 : 1 + rng.next_below(held.size());
+          const std::span<mbuf::Mbuf* const> chunk(
+              held.data() + held.size() - k, k);
+          for (mbuf::Mbuf* buf : chunk) {
+            if (!owned[buf->pool_index].exchange(0,
+                                                 std::memory_order_relaxed)) {
+              freed_unowned.fetch_add(1, std::memory_order_relaxed);
+            }
+          }
+          if (k == 1) {
+            pool.free(chunk.front());
+          } else {
+            pool.free_bulk(chunk);
+          }
+          held.resize(held.size() - k);
+        }
       }
     });
   }
   threads.clear();
+  done.store(true, std::memory_order_release);
+  reader.join();
 
+  EXPECT_EQ(double_owned.load(), 0u) << "a buffer had two owners";
+  EXPECT_EQ(freed_unowned.load(), 0u);
+  EXPECT_EQ(out_of_range, 0u) << "of " << reads << " reads, e.g. " << worst;
   EXPECT_EQ(pool.in_use(), 0u);
   EXPECT_EQ(pool.stats().allocs, pool.stats().frees);
 }

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "ring/mpmc_ring.h"
 #include "ring/spsc_ring.h"
 
 namespace hw::ring {
@@ -139,79 +138,6 @@ TEST(SpscRing, TwoThreadStressPreservesFifo) {
   }
   producer.join();
   EXPECT_TRUE(ring->empty());
-}
-
-// ------------------------------------------------------------------- MPMC
-
-TEST(MpmcRing, BasicOps) {
-  OwnedMpmcRing<int> ring(8);
-  EXPECT_EQ(ring->capacity(), 8u);
-  EXPECT_TRUE(ring->enqueue(7));
-  int out = 0;
-  EXPECT_TRUE(ring->dequeue(out));
-  EXPECT_EQ(out, 7);
-  EXPECT_FALSE(ring->dequeue(out));
-}
-
-TEST(MpmcRing, FullAndEmpty) {
-  OwnedMpmcRing<int> ring(4);
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring->enqueue(i));
-  EXPECT_FALSE(ring->enqueue(4));
-  int out = 0;
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring->dequeue(out));
-    EXPECT_EQ(out, i);  // single-threaded use is FIFO
-  }
-  EXPECT_FALSE(ring->dequeue(out));
-}
-
-TEST(MpmcRing, RejectsNonPowerOfTwo) {
-  alignas(kCacheLineSize) std::byte mem[8192];
-  EXPECT_EQ(MpmcRing<int>::init_at(mem, 5), nullptr);
-}
-
-TEST(MpmcRing, BurstOps) {
-  OwnedMpmcRing<int> ring(8);
-  const int items[5] = {1, 2, 3, 4, 5};
-  EXPECT_EQ(ring->enqueue_burst(items), 5u);
-  int out[8];
-  EXPECT_EQ(ring->dequeue_burst(out), 5u);
-  EXPECT_EQ(out[0], 1);
-  EXPECT_EQ(out[4], 5);
-}
-
-TEST(MpmcRing, TwoProducersTwoConsumersConserveItems) {
-  OwnedMpmcRing<std::uint64_t> ring(1024);
-  constexpr std::uint64_t kPerProducer = 50'000;
-  std::atomic<std::uint64_t> consumed{0};
-  std::atomic<std::uint64_t> sum{0};
-
-  auto produce = [&](std::uint64_t base) {
-    for (std::uint64_t i = 0; i < kPerProducer;) {
-      if (ring->enqueue(base + i)) ++i;
-    }
-  };
-  auto consume = [&] {
-    std::uint64_t out = 0;
-    while (consumed.load(std::memory_order_relaxed) < 2 * kPerProducer) {
-      if (ring->dequeue(out)) {
-        sum.fetch_add(out, std::memory_order_relaxed);
-        consumed.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::thread p1(produce, 0);
-  std::thread p2(produce, kPerProducer);
-  std::thread c1(consume);
-  consume();
-  p1.join();
-  p2.join();
-  c1.join();
-
-  EXPECT_EQ(consumed.load(), 2 * kPerProducer);
-  // Sum of 0..2*kPerProducer-1.
-  const std::uint64_t n = 2 * kPerProducer;
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
 }
 
 }  // namespace

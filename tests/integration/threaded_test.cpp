@@ -18,7 +18,7 @@ namespace {
 /// instead of virtual cores. Volumes are tiny — this host may have a
 /// single CPU — but every cross-thread handoff path is exercised:
 /// producer thread → SPSC ring → switch PMD thread → SPSC ring → consumer
-/// thread, with MPMC mempool alloc/free on both sides.
+/// thread, with lock-free mempool alloc/free on both sides.
 
 class ProducerApp final : public exec::Context {
  public:
@@ -75,8 +75,8 @@ class ConsumerApp final : public exec::Context {
 };
 
 /// Producer → switch → consumer on real threads until 5000 frames arrive,
-/// then checks conservation. `pool_size` sets how soon a freed mbuf is
-/// handed out again (the free list is FIFO).
+/// then checks conservation. `pool_size` bounds the frames in flight; the
+/// free list is LIFO, so a freed mbuf is the next one handed out.
 void forward_through_switch(std::size_t pool_size) {
   set_log_level(LogLevel::kError);
   shm::ShmManager shm;
@@ -136,8 +136,8 @@ TEST(ThreadedIntegration, RealThreadsForwardThroughTheSwitch) {
   forward_through_switch(512);
 }
 
-// A pool of two bursts: an mbuf the consumer frees comes back to the
-// producer within a burst or two, while the engine may still be
+// A pool of two bursts: the producer runs dry, so an mbuf the consumer
+// frees goes straight back to it, while the engine may still be
 // finishing the flush that handed it over. Under TSan this catches any
 // read of an mbuf after the engine's tx_burst published it.
 TEST(ThreadedIntegration, RecycledMbufsAreNotReadAfterHandoff) {
