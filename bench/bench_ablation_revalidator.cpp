@@ -4,18 +4,19 @@
 ///
 /// The drain folds the whole burst into one plan (DELETE rule-id sets
 /// unioned, overlapping ADD matches merged by containment) and charges
-/// ONE pass over the megaflow cache, per entry examined plus per
-/// merged-ADD term tested — flat in burst size.
+/// ONE pass over the suspects, per index probe, per entry examined and
+/// per merged-ADD term tested — flat in burst size.
 ///
-/// Before scanning a subtable's entries, the drain asks the subtable's
-/// counting-Bloom prefilter whether any removed rule id could live there
-/// and whether any merged ADD term's exact-field values could intersect
-/// any entry. The measured traffic carves megaflows across FIVE
-/// subtables (staggered-priority steering rules interleave
-/// mask-diversifier rules, so different ports accumulate different
-/// unwildcard sets), all on ports the churn never names — the prefilter
-/// skips every one, turning the O(entries) scan into
-/// O(entries-in-intersecting-subtables) ≈ 0.
+/// Each subtable finds the entries a query (a merged ADD term, or a
+/// DELETE's own match) can touch by looking up the query's bucket in a
+/// revalidation index of its shape (openflow::ShapeIndexSet). The
+/// measured traffic carves megaflows across FIVE subtables
+/// (staggered-priority steering rules interleave mask-diversifier rules,
+/// so different ports accumulate different unwildcard sets), all on
+/// ports the churn never names. The first drain of a shape examines
+/// every entry of each subtable and builds its index; from then on every
+/// bucket the churn looks up is empty, so a drain examines ≈ 0 entries
+/// and the per-drain average falls with the number of rounds.
 ///
 /// Methodology: the classifier is driven directly (no chain topology),
 /// one key per lookup; the EMC is disabled so the megaflow tier's drain
@@ -63,14 +64,14 @@ std::uint64_t g_rounds = 24;
 /// Rule set shaped so every traffic flow carves its own megaflow entry:
 /// high-priority exact-ip_dst rules on the churn port are examined first
 /// by every upcall, unwildcarding ip_dst/32 — so cache fill == flow
-/// count, the regime where the suspect scan's O(entries) term matters.
+/// count, the regime where a pass over every entry would matter.
 ///
 /// The steering rules are priority-staggered with *mask diversifier*
 /// rules (matching no traffic) interleaved between them: a port-p flow's
 /// upcall examines every rule above its own steering rule, so each
 /// deeper port unites one more field into its unwildcard set — the fill
-/// spreads over five distinct subtables instead of one, which is what
-/// makes the prefilter's whole-subtable skip measurable.
+/// spreads over five distinct subtables instead of one, each with its
+/// own revalidation indexes.
 void install_base_rules(FlowTable& table) {
   for (std::uint32_t j = 0; j < 8; ++j) {
     FlowMod carve;
@@ -296,12 +297,13 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nThe coalescing drain folds a FlowMod burst into one plan (DELETE\n"
-      "ids unioned, ADD masks merged by containment) and scans the cache\n"
-      "once — flat in burst size, charged per entry examined plus per\n"
-      "merged-ADD term tested. Each subtable's counting-Bloom prefilter\n"
-      "first says whether any plan term could touch it at all: churn on\n"
-      "ports the traffic never uses skips every subtable, so the scan\n"
-      "examines ~zero entries regardless of fill.\n");
+      "ids unioned, ADD masks merged by containment) and makes one pass\n"
+      "over the suspects — flat in burst size, charged per index probe,\n"
+      "per entry examined and per merged-ADD term tested. Each subtable\n"
+      "looks its suspects up in revalidation indexes: after the first\n"
+      "drain has built them, churn on ports the traffic never uses finds\n"
+      "every bucket empty, so a drain examines ~zero entries regardless\n"
+      "of fill.\n");
   bool ok = true;
   if (gate_row != nullptr) {
     const bool pass = gate_row->scanned <= 0.5 * gate_row->held;

@@ -29,6 +29,7 @@ DpClassifier::DpClassifier(flowtable::FlowTable& table,
         // pass over the slots for the whole drained batch.
         const auto counts = emc_.revalidate_batch(events, *table_);
         emc_accum_.scanned += counts.scanned;
+        emc_accum_.index_probes += counts.index_probes;
         emc_accum_.repaired += counts.repaired;
         emc_accum_.evicted += counts.evicted;
         counters_.emc_revalidations += counts.repaired + counts.evicted;
@@ -99,22 +100,22 @@ void DpClassifier::drain_table_changes(exec::CycleMeter& meter) {
 void DpClassifier::charge_reval_work(exec::CycleMeter& meter) {
   // Bill the delta of revalidation work since the last call — whatever
   // path performed it (explicit drain, or a drain triggered inside a
-  // megaflow lookup/insert): cheap suspect test per entry examined, full
-  // re-lookup per repair/evict, both tiers.
+  // megaflow lookup/insert): one lookup per index bucket probed, cheap
+  // suspect test per entry examined, full re-lookup per repair/evict,
+  // both tiers.
   const MegaflowStats& stats = megaflow_.stats();
   RevalWork now;
   now.scanned = stats.reval_entries_scanned + emc_accum_.scanned;
   now.repaired = stats.revalidated_kept + emc_accum_.repaired;
   now.evicted = stats.revalidated_evicted + emc_accum_.evicted;
   now.term_tests = stats.reval_term_tests;
-  now.prefilter_checks = stats.reval_prefilter_checks;
+  now.index_probes = stats.reval_index_probes + emc_accum_.index_probes;
   meter.charge(
       static_cast<Cycles>(now.scanned - reval_seen_.scanned) *
           cost_->revalidate_per_entry +
       static_cast<Cycles>(now.term_tests - reval_seen_.term_tests) *
           cost_->revalidate_per_term +
-      static_cast<Cycles>(now.prefilter_checks -
-                          reval_seen_.prefilter_checks) *
+      static_cast<Cycles>(now.index_probes - reval_seen_.index_probes) *
           cost_->megaflow_prefilter_check +
       static_cast<Cycles>(now.repaired - reval_seen_.repaired) *
           cost_->revalidate_repair +

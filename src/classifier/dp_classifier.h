@@ -49,15 +49,17 @@ class MetricsRegistry;
 ///
 /// Staleness safety: the classifier subscribes to FlowTable changes and
 /// runs an OVS-style *coalescing* revalidator on its own thread — each
-/// drain folds the whole pending event burst into one suspect scan over
-/// both cache tiers (suspect entries re-looked-up and repaired or
-/// evicted; untouched entries keep serving), with per-rule generation
-/// stamps (EMC) and per-entry version stamps (megaflow) as the safety
-/// net. A stale rule is therefore never served, a FlowMod no longer
-/// costs the whole cache, and a burst of N FlowMods costs one scan
-/// instead of N. Cost is charged per entry examined plus per
-/// repair/evict (exec::CostModel), mirroring how empirical OVS delay
-/// models attribute cache-maintenance cost under control-plane churn.
+/// drain folds the whole pending event burst into one pass over the
+/// suspects of both cache tiers (suspect entries re-looked-up and
+/// repaired or evicted; untouched entries keep serving), with per-rule
+/// generation stamps (EMC) and per-entry version stamps (megaflow) as the
+/// safety net. Each tier finds its suspects through revalidation indexes
+/// (openflow::ShapeIndexSet) rather than by testing every entry. A stale
+/// rule is therefore never served, a FlowMod no longer costs the whole
+/// cache, and a burst of N FlowMods costs one pass instead of N. Cost is
+/// charged per index probe, per entry examined and per repair/evict
+/// (exec::CostModel), mirroring how empirical OVS delay models attribute
+/// cache-maintenance cost under control-plane churn.
 
 namespace hw::classifier {
 
@@ -103,6 +105,7 @@ struct LookupOutcome {
   /* always 0: no sizer retargets the cap; hostbench still reads it */ \
   X(cache_resizes, nullptr)                          \
   X(simd_blocks, "simd_blocks")                      \
+  /* revalidation-index outcomes per subtable; hostbench reads both */ \
   X(subtables_skipped, "subt_skipped")               \
   X(prefilter_false_positives, "prefilter_fp")
 
@@ -278,8 +281,8 @@ class DpClassifier {
     std::uint64_t scanned = 0;   ///< entries examined (megaflow + EMC)
     std::uint64_t repaired = 0;
     std::uint64_t evicted = 0;
-    std::uint64_t term_tests = 0;       ///< merged-ADD-term intersect tests
-    std::uint64_t prefilter_checks = 0; ///< revalidator Bloom consults
+    std::uint64_t term_tests = 0;    ///< merged-ADD-term intersect tests
+    std::uint64_t index_probes = 0;  ///< revalidation-index buckets looked up
   };
   RevalWork emc_accum_;
   RevalWork reval_seen_;

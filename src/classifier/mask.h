@@ -56,8 +56,9 @@ void unite(MaskSpec& mask, const openflow::Match& match) noexcept;
 /// may_intersect compiled for one (subtable mask, match) pair:
 /// compile_intersect(mask, match).matches(openflow::pack(key)) ==
 /// may_intersect(mask, key, match) for every key. The revalidator
-/// compiles each merged ADD term once per subtable it scans and tests
-/// every entry of that subtable with it.
+/// compiles each merged ADD term and DELETE match once per subtable,
+/// looks up the entries it can pass in the subtable's revalidation
+/// index of its shape, and tests those entries with it.
 [[nodiscard]] openflow::CompiledMatch compile_intersect(
     const MaskSpec& mask, const openflow::Match& match) noexcept;
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <numeric>
+#include <optional>
 
 #include "analysis/annotate.h"
 
@@ -22,59 +24,6 @@ namespace {
   return command == FlowModCommand::kModify ||
          command == FlowModCommand::kModifyStrict;
 }
-
-[[nodiscard]] std::size_t pow2_ceil(std::size_t v) noexcept {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
-
-/// Invokes `fn(field_bit, value)` for every *exact-valued* field the mask
-/// constrains (IPv4 prefixes are excluded: their per-entry values are not
-/// set-membership-testable under differing prefix lengths). These are the
-/// value fingerprints the subtable Bloom carries for the revalidator's
-/// subtable-level may-intersect test.
-template <typename F>
-void for_each_exact_field(const MaskSpec& mask, const pkt::FlowKey& masked,
-                          F&& fn) {
-  if (mask.fields & openflow::kMatchInPort) {
-    fn(openflow::kMatchInPort, static_cast<std::uint32_t>(masked.in_port));
-  }
-  if (mask.fields & openflow::kMatchEthType) {
-    fn(openflow::kMatchEthType, static_cast<std::uint32_t>(masked.ether_type));
-  }
-  if (mask.fields & openflow::kMatchIpProto) {
-    fn(openflow::kMatchIpProto, static_cast<std::uint32_t>(masked.ip_proto));
-  }
-  if (mask.fields & openflow::kMatchL4Src) {
-    fn(openflow::kMatchL4Src, static_cast<std::uint32_t>(masked.src_port));
-  }
-  if (mask.fields & openflow::kMatchL4Dst) {
-    fn(openflow::kMatchL4Dst, static_cast<std::uint32_t>(masked.dst_port));
-  }
-}
-
-/// The exact-field value `match` pins for `field`, for the same
-/// fingerprint space as for_each_exact_field.
-[[nodiscard]] std::uint32_t match_field_value(const openflow::Match& match,
-                                              std::uint32_t field) noexcept {
-  switch (field) {
-    case openflow::kMatchInPort:
-      return match.in_port_value();
-    case openflow::kMatchEthType:
-      return match.eth_type_value();
-    case openflow::kMatchIpProto:
-      return match.ip_proto_value();
-    case openflow::kMatchL4Src:
-      return match.l4_src_value();
-    default:
-      return match.l4_dst_value();
-  }
-}
-
-constexpr std::uint32_t kExactFields =
-    openflow::kMatchInPort | openflow::kMatchEthType |
-    openflow::kMatchIpProto | openflow::kMatchL4Src | openflow::kMatchL4Dst;
 
 /// EWMA weight of the newest window when re-ranking subtables.
 constexpr double kRankEwmaAlpha = 0.25;
@@ -162,6 +111,10 @@ void MegaflowCache::Subtable::place(std::uint32_t index) {
 
 void MegaflowCache::Subtable::push(const Slot& slot) {
   slots.push_back(slot);
+  if (!indexes.empty()) {
+    indexes.link(static_cast<std::uint32_t>(slots.size() - 1),
+                 openflow::pack(slot.key));
+  }
   const std::size_t table = bucket_mask + 1;
   if (slots.size() <= table * kBucketFillBound) {
     place(static_cast<std::uint32_t>(slots.size() - 1));
@@ -175,73 +128,25 @@ void MegaflowCache::Subtable::push(const Slot& slot) {
 }
 
 void MegaflowCache::Subtable::erase_at(std::size_t index) {
-  bloom_remove_slot(slots[index]);
   ProbeTally unused;  // index upkeep, not a probe
   const auto [b, lane] = locate(slots[index].key, slots[index].hash, unused);
   assert(b != kNpos && "erased slot missing from the index");
   buckets[b].used &= ~(1u << lane);
   const std::size_t last = slots.size() - 1;
+  if (!indexes.empty()) indexes.unlink(static_cast<std::uint32_t>(index));
   if (index != last) {
-    // The last slot moves into the hole: re-point its lane.
+    // The last slot moves into the hole: re-point its lane and re-link
+    // it in the revalidation indexes.
     const auto [moved_b, moved_lane] =
         locate(slots[last].key, slots[last].hash, unused);
     buckets[moved_b].slot[moved_lane] = static_cast<std::uint32_t>(index);
+    if (!indexes.empty()) {
+      indexes.move(static_cast<std::uint32_t>(last),
+                   static_cast<std::uint32_t>(index));
+    }
     slots[index] = std::move(slots.back());
   }
   slots.pop_back();
-}
-
-void MegaflowCache::Subtable::bloom_add_slot(const Slot& slot) {
-  plan_bloom.add(fp_rule(slot.rule));
-  for_each_exact_field(mask, slot.key,
-                       [this](std::uint32_t field, std::uint32_t value) {
-                         plan_bloom.add(fp_field(field, value));
-                       });
-}
-
-void MegaflowCache::Subtable::bloom_remove_slot(const Slot& slot) {
-  plan_bloom.remove(fp_rule(slot.rule));
-  for_each_exact_field(mask, slot.key,
-                       [this](std::uint32_t field, std::uint32_t value) {
-                         plan_bloom.remove(fp_field(field, value));
-                       });
-}
-
-void MegaflowCache::Subtable::bloom_update_rule(RuleId old_rule,
-                                                RuleId new_rule) {
-  if (old_rule == new_rule) return;
-  plan_bloom.remove(fp_rule(old_rule));
-  plan_bloom.add(fp_rule(new_rule));
-}
-
-void MegaflowCache::Subtable::maybe_grow_bloom() {
-  if (slots.size() * 16 <= plan_bloom.buckets()) return;
-  // Rebuild at 32 buckets per slot: the next doubling is a population
-  // doubling away, and absent fingerprints keep a ~1-2% pass rate
-  // instead of saturating. Shrink is never needed — emptied subtables
-  // are pruned, and a trimmed population only makes the filter sparser.
-  plan_bloom.reset(pow2_ceil(slots.size() * 32));
-  for (const Slot& slot : slots) bloom_add_slot(slot);
-}
-
-bool MegaflowCache::subtable_may_intersect(const Subtable& subtable,
-                                           const openflow::Match& match,
-                                           std::uint64_t& checks) {
-  // A per-entry may_intersect requires equality on every exact field both
-  // sides constrain. If ANY common exact field's match value is provably
-  // absent from the subtable (no entry carries it), no entry can
-  // intersect — the whole subtable is clean for this term. IPv4 prefixes
-  // and terms sharing no exact field stay conservative (scan).
-  const std::uint32_t common = subtable.mask.fields & match.fields();
-  for (std::uint32_t field = 1; field != 0 && field <= common; field <<= 1) {
-    if ((common & field & kExactFields) == 0) continue;
-    ++checks;
-    if (!subtable.plan_bloom.may_contain(
-            fp_field(field, match_field_value(match, field)))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::size_t MegaflowCache::probe_subtable(const Subtable& subtable,
@@ -324,15 +229,12 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
   ProbeTally scratch;  // dup-probe work is covered by the caller's insert charge
   const std::size_t existing = subtable.find(masked, hash, scratch);
   if (existing != kNpos) {
-    subtable.bloom_update_rule(subtable.slots[existing].rule, rule);
     subtable.slots[existing].rule = rule;
     subtable.slots[existing].version = table_version;
     ++stats_.overwrites;
     return;
   }
   subtable.push(Slot{masked, rule, table_version, hash});
-  subtable.bloom_add_slot(subtable.slots.back());
-  subtable.maybe_grow_bloom();
   ++stats_.inserts;
   ++entries_;
   if (entries_ > config_.max_entries) evict_one(subtable);
@@ -407,12 +309,14 @@ void MegaflowCache::revalidate_coalesced(
     std::span<const TableChangeEvent> events, const Resolver* resolver,
     RevalidateReport& report) {
   // Fold the whole burst into one plan: DELETE rule-id sets are unioned
-  // into one sorted membership set, ADD matches are merged by containment
-  // (a match whose cover set lies inside an already-kept match cannot
-  // mark any extra entry suspect), MODIFYs need no megaflow work at all
-  // (winners are unchanged and rules resolve live by id).
+  // into one sorted membership set (their matches kept to look the
+  // suspects up by), ADD matches are merged by containment (a match
+  // whose cover set lies inside an already-kept match cannot mark any
+  // extra entry suspect), MODIFYs need no megaflow work at all (winners
+  // are unchanged and rules resolve live by id).
   plan_removed_.clear();
   plan_adds_.clear();
+  plan_deletes_.clear();
   std::size_t scan_events = 0;
   std::uint64_t max_version = synced_version_;
   for (const TableChangeEvent& event : events) {
@@ -423,6 +327,7 @@ void MegaflowCache::revalidate_coalesced(
       ++scan_events;
       plan_removed_.insert(plan_removed_.end(), event.removed.begin(),
                            event.removed.end());
+      plan_deletes_.push_back(&event.match);
       continue;
     }
     ++scan_events;
@@ -438,122 +343,153 @@ void MegaflowCache::revalidate_coalesced(
     if (!absorbed) plan_adds_.push_back(&event.match);
   }
   synced_version_ = max_version;
-  if (scan_events == 0) {
-    plan_adds_.clear();  // never leave pointers into `events` behind
-    return;
-  }
-  stats_.reval_coalesced_events += scan_events - 1;
-  std::sort(plan_removed_.begin(), plan_removed_.end());
-  // One bit per removed id modulo 64: an entry whose bit is clear skips
-  // the set probe, a branch that mispredicts on most entries.
-  std::uint64_t removed_bits = 0;
-  for (const RuleId removed : plan_removed_) {
-    removed_bits |= std::uint64_t{1} << (removed & 63);
-  }
-
-  // ONE suspect scan over the cache, whatever the burst size was. The
-  // per-entry suspect test is a sorted-set membership probe (charged as
-  // revalidate_per_entry) plus one compiled intersect test per merged ADD
-  // term actually examined (each charged as revalidate_per_term). Whole
-  // subtables whose Bloom summary provably contains no removed rule id
-  // and no entry an ADD term could intersect are skipped without
-  // touching their entries — the scan is O(entries in intersecting
-  // subtables), not O(entries).
-  ++stats_.reval_batches;
-  ++report.batches;
-  for (auto& subtable : subtables_) {
-    bool relevant = false;
+  if (scan_events > 0) {
+    stats_.reval_coalesced_events += scan_events - 1;
+    std::sort(plan_removed_.begin(), plan_removed_.end());
+    // One bit per removed id modulo 64: an entry whose bit is clear skips
+    // the set probe, a branch that mispredicts on most entries.
+    std::uint64_t removed_bits = 0;
     for (const RuleId removed : plan_removed_) {
-      ++stats_.reval_prefilter_checks;
-      if (subtable->plan_bloom.may_contain(fp_rule(removed))) {
-        relevant = true;
-        break;
-      }
+      removed_bits |= std::uint64_t{1} << (removed & 63);
     }
-    if (!relevant) {
-      for (const openflow::Match* match : plan_adds_) {
-        if (subtable_may_intersect(*subtable, *match,
-                                   stats_.reval_prefilter_checks)) {
-          relevant = true;
-          break;
-        }
-      }
+    // ONE pass over the suspects, whatever the burst size was.
+    ++stats_.reval_batches;
+    ++report.batches;
+    for (auto& subtable : subtables_) {
+      revalidate_subtable(*subtable, stats_.reval_batches, removed_bits,
+                          max_version, resolver, report);
     }
-    if (!relevant) {
+  }
+  // Pointers into `events` must not outlive this drain.
+  plan_adds_.clear();
+  plan_deletes_.clear();
+}
+
+void MegaflowCache::revalidate_subtable(Subtable& subtable,
+                                        std::uint64_t drain,
+                                        std::uint64_t removed_bits,
+                                        std::uint64_t max_version,
+                                        const Resolver* resolver,
+                                        RevalidateReport& report) {
+  // The merged ADD terms and the DELETE matches, compiled for this
+  // subtable's mask. An entry is suspect iff its rule was removed or a
+  // term passes it; every suspect passes one of the queries (see the
+  // file comment), so the query buckets hold them all.
+  plan_queries_.clear();
+  for (const openflow::Match* match : plan_adds_) {
+    plan_queries_.push_back(compile_intersect(subtable.mask, *match));
+  }
+  for (const openflow::Match* match : plan_deletes_) {
+    plan_queries_.push_back(compile_intersect(subtable.mask, *match));
+  }
+  const std::span<const openflow::CompiledMatch> terms(plan_queries_.data(),
+                                                       plan_adds_.size());
+  reval_candidates_.clear();
+  const bool indexed = subtable.indexes.serves(plan_queries_, drain);
+  if (indexed) {
+    const std::size_t probes =
+        subtable.indexes.collect(plan_queries_, reval_candidates_);
+    stats_.reval_index_probes += probes;
+    report.index_probes += probes;
+    std::sort(reval_candidates_.begin(), reval_candidates_.end());
+    reval_candidates_.erase(
+        std::unique(reval_candidates_.begin(), reval_candidates_.end()),
+        reval_candidates_.end());
+    if (reval_candidates_.empty()) {
       ++stats_.subtables_skipped;
       ++report.subtables_skipped;
+      return;
+    }
+  } else {
+    reval_candidates_.resize(subtable.slots.size());
+    std::iota(reval_candidates_.begin(), reval_candidates_.end(), 0u);
+  }
+
+  // Candidates in ascending slot order, as a scan over every entry meets
+  // them. An eviction swap-fills its hole from the back, and a scan
+  // examines the moved slot next: when that slot is a candidate it is
+  // the last one pending, so it is taken from the back and examined in
+  // its new position. Slot layout, and with it every later capacity
+  // victim, is therefore exactly what the scan would leave. The per-entry
+  // suspect test is a sorted-set membership probe (charged as
+  // revalidate_per_entry) plus one compiled intersect test per merged ADD
+  // term actually examined (each charged as revalidate_per_term).
+  std::size_t suspects_here = 0;
+  std::size_t examined = 0;
+  std::size_t term_tests = 0;
+  std::size_t end = reval_candidates_.size();
+  for (std::size_t c = 0; c < end;) {
+    const std::size_t i = reval_candidates_[c];
+    Slot& slot = subtable.slots[i];
+    ++examined;
+    bool suspect = ((removed_bits >> (slot.rule & 63)) & 1) != 0 &&
+                   std::binary_search(plan_removed_.begin(),
+                                      plan_removed_.end(), slot.rule);
+    if (!suspect && !terms.empty()) {
+      // Terms in merge order up to the first hit: what
+      // reval_term_tests counts and revalidate_per_term charges.
+      const openflow::PackedKey key = openflow::pack(slot.key);
+      std::size_t t = 0;
+      while (t < terms.size() && !terms[t].matches(key)) ++t;
+      suspect = t < terms.size();
+      term_tests += suspect ? t + 1 : t;
+    }
+    if (!suspect) {
+      ++c;
       continue;
     }
-    // The merged ADD terms, compiled for this subtable's mask: each entry
-    // is then packed once and tested with masked word compares.
-    plan_terms_.clear();
-    for (const openflow::Match* match : plan_adds_) {
-      plan_terms_.push_back(compile_intersect(subtable->mask, *match));
-    }
-    std::size_t suspects_here = 0;
-    std::size_t scanned = 0;
-    std::size_t term_tests = 0;
-    for (std::size_t i = 0; i < subtable->slots.size();) {
-      Slot& slot = subtable->slots[i];
-      ++scanned;
-      bool suspect = ((removed_bits >> (slot.rule & 63)) & 1) != 0 &&
-                     std::binary_search(plan_removed_.begin(),
-                                        plan_removed_.end(), slot.rule);
-      if (!suspect && !plan_terms_.empty()) {
-        // Terms in merge order up to the first hit: what
-        // reval_term_tests counts and revalidate_per_term charges.
-        const openflow::PackedKey key = openflow::pack(slot.key);
-        std::size_t t = 0;
-        while (t < plan_terms_.size() && !plan_terms_[t].matches(key)) ++t;
-        suspect = t < plan_terms_.size();
-        term_tests += suspect ? t + 1 : t;
-      }
-      if (!suspect) {
-        ++i;
-        continue;
-      }
-      ++suspects_here;
-      ++report.revalidated;
-      ++stats_.revalidations;
-      bool keep = false;
-      if (resolver != nullptr) {
-        const Resolution res = (*resolver)(slot.key);
-        // Repair is sound only when the fresh unwildcard set still fits
-        // this subtable's mask: then every key in the cover set provably
-        // resolves to the same new winner. A wider set means the cover
-        // set is no longer uniform — evict and let the slow path carve
-        // finer megaflows. The repair rewrites rule/version only; the
-        // masked key — and therefore its hash and index lane — is
-        // untouched.
-        if (res.found && subsumes(subtable->mask, res.unwildcarded)) {
-          subtable->bloom_update_rule(slot.rule, res.rule);
-          slot.rule = res.rule;
-          slot.version = max_version;
-          keep = true;
-        }
-      }
-      if (keep) {
-        ++stats_.revalidated_kept;
-        ++report.repaired;
-        ++i;
-      } else {
-        ++stats_.revalidated_evicted;
-        ++report.evicted;
-        subtable->erase_at(i);
-        --entries_;
+    ++suspects_here;
+    ++report.revalidated;
+    ++stats_.revalidations;
+    bool keep = false;
+    if (resolver != nullptr) {
+      const Resolution res = (*resolver)(slot.key);
+      // Repair is sound only when the fresh unwildcard set still fits
+      // this subtable's mask: then every key in the cover set provably
+      // resolves to the same new winner. A wider set means the cover
+      // set is no longer uniform — evict and let the slow path carve
+      // finer megaflows. The repair rewrites rule/version only; the
+      // masked key — and therefore its hash, index lane and
+      // revalidation buckets — is untouched.
+      if (res.found && subsumes(subtable.mask, res.unwildcarded)) {
+        slot.rule = res.rule;
+        slot.version = max_version;
+        keep = true;
       }
     }
-    stats_.reval_entries_scanned += scanned;
-    report.entries_scanned += scanned;
-    stats_.reval_term_tests += term_tests;
-    report.term_tests += term_tests;
-    if (suspects_here == 0) {
-      // The Bloom let this subtable's scan through but no entry turned
-      // out suspect — the skip a collision wasted.
-      ++stats_.prefilter_false_positives;
+    if (keep) {
+      ++stats_.revalidated_kept;
+      ++report.repaired;
+      ++c;
+      continue;
+    }
+    ++stats_.revalidated_evicted;
+    ++report.evicted;
+    const std::size_t last = subtable.slots.size() - 1;
+    subtable.erase_at(i);
+    --entries_;
+    if (last != i && reval_candidates_[end - 1] == last) {
+      --end;  // the moved candidate, now at `i`, is examined next
+    } else {
+      ++c;
     }
   }
-  plan_adds_.clear();  // pointers into `events` must not outlive this drain
+  stats_.reval_entries_scanned += examined;
+  report.entries_scanned += examined;
+  stats_.reval_term_tests += term_tests;
+  report.term_tests += term_tests;
+  if (suspects_here == 0) {
+    // Entries were examined but none was suspect: what an index bucket
+    // shared with other values, or a pass without an index, cost.
+    ++stats_.prefilter_false_positives;
+  }
+  if (!indexed && !subtable.slots.empty()) {
+    subtable.indexes.build(
+        plan_queries_, drain, static_cast<std::uint32_t>(subtable.slots.size()),
+        [&subtable](std::uint32_t i) -> std::optional<openflow::PackedKey> {
+          return openflow::pack(subtable.slots[i].key);
+        });
+  }
 }
 
 void MegaflowCache::flush_all() {
@@ -643,6 +579,17 @@ std::vector<MaskSpec> MegaflowCache::subtable_masks() const {
   std::vector<MaskSpec> out;
   out.reserve(subtables_.size());
   for (const auto& subtable : subtables_) out.push_back(subtable->mask);
+  return out;
+}
+
+std::vector<MegaflowCache::EntryView> MegaflowCache::entries() const {
+  std::vector<EntryView> out;
+  out.reserve(entries_);
+  for (const auto& subtable : subtables_) {
+    for (const Slot& slot : subtable->slots) {
+      out.push_back({subtable->mask, slot.key, slot.rule});
+    }
+  }
   return out;
 }
 

@@ -41,14 +41,6 @@
 /// accounting, which is how DPDK's dpcls keeps up with line rate once the
 /// EMC thrashes. A one-key lookup() is a batch of one.
 ///
-/// Revalidator prefilter: each subtable also maintains a counting Bloom
-/// summary of its rule ids and exact-field values, so the revalidator's
-/// suspect scan (below) skips a whole subtable that provably holds no
-/// suspect without touching its slots. The filter is *counting*, updated
-/// on every insert/erase/repair, so it has no false negatives by
-/// construction: a skip is always sound, and the only cost of a
-/// collision is a wasted scan (counted as `prefilter_false_positives`).
-///
 /// Staleness is handled by an OVS-style *revalidator* instead of a
 /// whole-cache flush: FlowTable change notifications arrive as structured
 /// TableChangeEvents in a bounded queue (any thread), and the cache
@@ -59,14 +51,31 @@
 ///
 /// Drains are *coalescing*: the whole pending queue is folded into one
 /// plan (DELETE rule-id sets unioned, overlapping ADD matches merged via
-/// containment) and applied in a single suspect scan over the cache, so a
-/// burst of N FlowMods costs one O(entries) pass instead of N — the
-/// single-threaded analogue of OVS's dedicated revalidator threads, which
-/// wake on a cadence and sweep the whole burst at once. Cost is charged
-/// per entry examined (see exec::CostModel), not per event. The merged
-/// ADD terms are compiled once per subtable the scan enters
-/// (compile_intersect), so an entry's suspect test is a few masked word
-/// compares over its packed key rather than a branch per field.
+/// containment) and applied in one pass over the suspects, so a burst of
+/// N FlowMods costs one pass instead of N — the single-threaded analogue
+/// of OVS's dedicated revalidator threads, which wake on a cadence and
+/// sweep the whole burst at once. Cost is charged per entry examined (see
+/// exec::CostModel), not per event. The merged ADD terms are compiled
+/// once per subtable (compile_intersect), so an entry's suspect test is a
+/// few masked word compares over its packed key rather than a branch per
+/// field.
+///
+/// Revalidation index: a drain finds the entries it examines by lookup,
+/// not by a scan. Each subtable keeps an openflow::ShapeIndexSet: up to
+/// four indexes, one per test shape its drains needed lately, each
+/// bucketing the slots by their packed key under that shape. An ADD
+/// term's candidates are the one bucket of its compiled intersect test.
+/// A DELETE looks up its own match the same way: an entry of a removed
+/// rule lies inside that match, because the entry's mask pins every field
+/// of its rule (the slow path's unwildcard set holds the winner's fields,
+/// and a repair requires it) and a DELETE's match contains every rule it
+/// removes (Match::contains, or identity for DELETE_STRICT). The compiled
+/// suspect test then filters the candidates, so the suspects are exactly
+/// those a scan of every entry would find, and they are processed in the
+/// order such a scan meets them (see revalidate_subtable). The first
+/// drain that needs a shape a subtable has no index for passes over all
+/// of its entries, as a scan would, and builds the index afterwards.
+/// Subtables with no index pay one `empty()` test per slot change.
 ///
 /// Queue overflow falls back to a full flush (counted separately), and a
 /// per-entry version stamp remains the safety net for version skew the
@@ -75,10 +84,9 @@
 /// Flow limit: the cache holds at most `max_entries` entries (OVS's
 /// `flow-limit`). An insert past it evicts one entry from the coldest
 /// subtable, chosen by a second-chance clock hand (evict_one). Probes
-/// cost the same at any population, so what the limit bounds is
-/// revalidation work: each drain's suspect scan examines every entry of
-/// the subtables it cannot skip, and more cached megaflows mean more real
-/// suspects to re-resolve.
+/// cost the same at any population; more cached megaflows mean more real
+/// suspects for a drain to re-resolve, and a longer pass for a drain
+/// that builds an index.
 
 namespace hw::classifier {
 
@@ -100,15 +108,15 @@ struct MegaflowStats {
   std::uint64_t revalidated_evicted = 0;///< evicted by the revalidator
   std::uint64_t subtables_pruned = 0;   ///< empty subtables removed
   // Coalescing-revalidator telemetry (see docs/COUNTERS.md).
-  std::uint64_t reval_batches = 0;         ///< suspect-scan passes executed
-  std::uint64_t reval_entries_scanned = 0; ///< entries examined by scans
+  std::uint64_t reval_batches = 0;         ///< suspect passes executed (drains)
+  std::uint64_t reval_entries_scanned = 0; ///< entries examined by drains
   std::uint64_t reval_coalesced_events = 0;///< events folded into a shared pass
-  // Cuckoo-probe + revalidator-prefilter telemetry (see docs/COUNTERS.md).
+  // Cuckoo-probe + revalidation-index telemetry (see docs/COUNTERS.md).
   std::uint64_t simd_blocks = 0;           ///< 16-signature buckets read by probes
-  std::uint64_t subtables_skipped = 0;     ///< suspect scans the prefilter skipped
-  std::uint64_t prefilter_false_positives = 0; ///< Bloom passed, scan found no suspect
+  std::uint64_t subtables_skipped = 0;     ///< subtables a drain's index probes found empty
+  std::uint64_t prefilter_false_positives = 0; ///< subtables examined with no suspect found
   std::uint64_t reval_term_tests = 0;      ///< per-entry merged-ADD-term intersect tests
-  std::uint64_t reval_prefilter_checks = 0;///< Bloom consults by suspect-scan skips
+  std::uint64_t reval_index_probes = 0;    ///< revalidation-index buckets looked up
 };
 
 struct MegaflowCacheConfig {
@@ -138,7 +146,7 @@ struct ProbeTally {
 }
 
 /// splitmix32 finalizer: cheap, good avalanche. Picks a key's second
-/// cuckoo bucket and the subtable Bloom's counter positions.
+/// cuckoo bucket.
 [[nodiscard]] inline std::uint32_t mix32(std::uint32_t x) noexcept {
   x ^= x >> 16;
   x *= 0x7feb352du;
@@ -176,12 +184,13 @@ class MegaflowCache {
   struct RevalidateReport {
     std::size_t events = 0;           ///< events drained and processed
     std::size_t revalidated = 0;      ///< suspect entries re-checked
-    std::size_t entries_scanned = 0;  ///< entries the suspect scan examined
+    std::size_t entries_scanned = 0;  ///< entries the drain examined
     std::size_t repaired = 0;         ///< suspects repaired in place
     std::size_t evicted = 0;          ///< suspects evicted
-    std::size_t batches = 0;          ///< suspect-scan passes (0 or 1)
+    std::size_t batches = 0;          ///< suspect passes (0 or 1)
     std::size_t term_tests = 0;       ///< per-entry merged-ADD-term tests
-    std::size_t subtables_skipped = 0;///< whole subtables the prefilter skipped
+    std::size_t index_probes = 0;     ///< revalidation-index buckets looked up
+    std::size_t subtables_skipped = 0;///< subtables whose probes found no entry
     bool flushed = false;             ///< full flush applied (queue overflow)
   };
 
@@ -238,7 +247,11 @@ class MegaflowCache {
   /// Flow-table change notification: queues the event for the owner
   /// thread's revalidator. Safe to call from a control thread while a PMD
   /// thread is probing — the queue is mutex-guarded and the hot path only
-  /// checks one relaxed atomic when the queue is empty.
+  /// checks one relaxed atomic when the queue is empty. A DELETE's match
+  /// must contain every rule it lists as removed, and each entry's mask
+  /// must pin every field of its rule, as FlowTable events and the
+  /// classifier's installs and repairs guarantee: the revalidator finds
+  /// a removed rule's entries inside the DELETE's match.
   void on_table_change(const flowtable::TableChangeEvent& event);
 
   /// Registers the owner's revalidation hooks: the resolver used to
@@ -272,69 +285,17 @@ class MegaflowCache {
   }
   /// Masks in current probe order (rank-descending); for tests/diagnostics.
   [[nodiscard]] std::vector<MaskSpec> subtable_masks() const;
+  /// One cached entry: its subtable's mask, its masked key and its rule.
+  struct EntryView {
+    MaskSpec mask;
+    pkt::FlowKey key;
+    RuleId rule = kRuleNone;
 
- public:
-  /// Counting Bloom summary of one subtable's rule ids and exact-field
-  /// values, consulted by the revalidator's suspect scan. Two counter
-  /// positions per fingerprint; add/remove are exact inverses, so
-  /// `may_contain` can never answer "absent" for a fingerprint that is
-  /// still present (no false negatives — a skip is always sound). The
-  /// fingerprint spaces (rule id, exact-field value) are tag-separated
-  /// before mixing. The bucket count is a power of two sized relative to
-  /// the subtable's population (the owner rebuilds on growth, see
-  /// maybe_grow_bloom) — a fixed-size filter would saturate at high fill
-  /// and silently stop skipping.
-  class SubtableBloom {
-   public:
-    static constexpr std::size_t kMinBuckets = 256;
-
-    explicit SubtableBloom(std::size_t buckets = kMinBuckets)
-        : counts_(buckets) {}
-
-    void add(std::uint32_t fp) noexcept {
-      ++counts_[pos1(fp)];
-      ++counts_[pos2(fp)];
-    }
-    void remove(std::uint32_t fp) noexcept {
-      --counts_[pos1(fp)];
-      --counts_[pos2(fp)];
-    }
-    [[nodiscard]] bool may_contain(std::uint32_t fp) const noexcept {
-      return counts_[pos1(fp)] != 0 && counts_[pos2(fp)] != 0;
-    }
-    [[nodiscard]] std::size_t buckets() const noexcept {
-      return counts_.size();
-    }
-    /// Drops every fingerprint and retargets the bucket count (a power
-    /// of two); the owner re-adds the live population afterwards.
-    void reset(std::size_t buckets) {
-      counts_.assign(buckets, 0);
-    }
-
-   private:
-    [[nodiscard]] std::size_t pos1(std::uint32_t fp) const noexcept {
-      return mix32(fp) & (counts_.size() - 1);
-    }
-    [[nodiscard]] std::size_t pos2(std::uint32_t fp) const noexcept {
-      return mix32(fp ^ 0x9e3779b9u) & (counts_.size() - 1);
-    }
-    // 32-bit counters: repeated IDENTICAL fingerprints all land on the
-    // same two buckets (e.g. a subtable masked on eth_type adds one
-    // fp_field(kMatchEthType, 0x0800) per entry — 64k entries means a
-    // 64k count), so the counter width must cover the max entry count,
-    // not just hash collisions. A 16-bit counter would wrap to zero
-    // there and turn into a false negative — an unsound skip.
-    std::vector<std::uint32_t> counts_;
+    friend bool operator==(const EntryView&, const EntryView&) = default;
   };
-
-  // Tag-separated Bloom fingerprint constructors.
-  [[nodiscard]] static std::uint32_t fp_rule(RuleId rule) noexcept {
-    return 0xa5000000u ^ (rule * 2654435761u);
-  }
-  [[nodiscard]] static std::uint32_t fp_field(std::uint32_t field,
-                                              std::uint32_t value) noexcept {
-    return (field * 0x01000193u) ^ (value * 2654435761u) ^ 0x46440000u;
-  }
+  /// Every cached entry, subtable by subtable in probe order and slot
+  /// order within each; for tests/diagnostics.
+  [[nodiscard]] std::vector<EntryView> entries() const;
 
  private:
   static constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
@@ -384,10 +345,10 @@ class MegaflowCache {
     std::size_t bucket_mask = 0;
     std::uint64_t window_hits = 0;  ///< hits in the current rank window
     double rank = 0.0;              ///< hit EWMA across rank windows
-    /// Counting summary of the slots' rule ids and exact-field values,
-    /// resized with the population (maybe_grow_bloom): what lets the
-    /// revalidator skip this subtable.
-    SubtableBloom plan_bloom;
+    /// Revalidation indexes over `slots`, keyed by slot position and
+    /// kept exact by push and erase_at; repair and overwrite rewrite no
+    /// key, so they leave it alone.
+    openflow::ShapeIndexSet indexes;
 
     /// Index of the slot whose masked key equals `masked` (whose
     /// flow_key_hash is `hash`), or kNpos. Work is tallied into `tally`.
@@ -400,19 +361,9 @@ class MegaflowCache {
     /// Indexes `slot`, appended as the new last slot: doubles the table
     /// first if the load bound requires it, then places the slot.
     void push(const Slot& slot);
-    /// Swap-with-last removal keeping `slots` dense, the index pointing
-    /// at the right slots and the Bloom summary exact.
+    /// Swap-with-last removal keeping `slots` dense and both indexes
+    /// pointing at the right slots (the moved slot is re-linked).
     void erase_at(std::size_t index);
-    // Bloom bookkeeping: every slot's fingerprints (rule id, exact-field
-    // values under this subtable's mask) enter on insert and leave on
-    // erase; a repair/overwrite swaps only the rule fingerprint.
-    void bloom_add_slot(const Slot& slot);
-    void bloom_remove_slot(const Slot& slot);
-    void bloom_update_rule(RuleId old_rule, RuleId new_rule);
-    /// Keeps the filter ≥ 16 buckets per slot (growing to 32× for
-    /// hysteresis): rebuilds it from the live slots when the population
-    /// outgrows it, so skip efficacy survives high fill.
-    void maybe_grow_bloom();
 
    private:
     [[nodiscard]] std::size_t bucket1(std::uint32_t hash) const noexcept {
@@ -439,23 +390,23 @@ class MegaflowCache {
     void place(std::uint32_t index);
   };
 
-  /// True iff some entry of `subtable` could intersect `match` — the
-  /// subtable-level projection of the per-entry may_intersect test,
-  /// answered from the Bloom summary's exact-field values alone
-  /// (conservative: true whenever no common exact field can refute).
-  [[nodiscard]] static bool subtable_may_intersect(
-      const Subtable& subtable, const openflow::Match& match,
-      std::uint64_t& checks);
-
   /// Probes one subtable for `masked`, tallying work and signature stats.
   [[nodiscard]] std::size_t probe_subtable(const Subtable& subtable,
                                            const pkt::FlowKey& masked,
                                            ProbeTally& tally);
   void maybe_rerank(std::uint32_t lookups);
-  /// Coalesced pass: one suspect scan applying every drained event.
+  /// Coalesced pass: folds every drained event into one plan and
+  /// revalidates each subtable's suspects (revalidate_subtable).
   void revalidate_coalesced(std::span<const flowtable::TableChangeEvent> events,
                             const Resolver* resolver,
                             RevalidateReport& report);
+  /// One subtable's share of a drain, `drain` counting drains from 1:
+  /// looks up its candidates (or takes every slot and builds the missing
+  /// indexes after), then re-checks the suspects among them.
+  void revalidate_subtable(Subtable& subtable, std::uint64_t drain,
+                           std::uint64_t removed_bits,
+                           std::uint64_t max_version, const Resolver* resolver,
+                           RevalidateReport& report);
   void flush_all();
   void prune_empty_subtables();
   Subtable& subtable_for(const MaskSpec& mask);
@@ -477,14 +428,20 @@ class MegaflowCache {
   // across calls to avoid per-batch allocation.
   std::vector<std::uint32_t> batch_pending_;
   // Scratch for the coalesced drain plan. Capacity is kept across
-  // drains to avoid reallocation, but plan_adds_ holds pointers into
-  // the drained batch (drained_) and is therefore always cleared
-  // before revalidate_coalesced() returns — never read it elsewhere.
+  // drains to avoid reallocation, but plan_adds_ and plan_deletes_ hold
+  // pointers into the drained batch (drained_) and are therefore always
+  // cleared before revalidate_coalesced() returns — never read them
+  // elsewhere.
   std::vector<RuleId> plan_removed_;
   std::vector<const openflow::Match*> plan_adds_;
-  /// plan_adds_ compiled for the subtable being scanned (compile_intersect),
-  /// as many as the drain merged.
-  std::vector<openflow::CompiledMatch> plan_terms_;
+  /// The matches of the DELETEs that removed a rule, in event order.
+  std::vector<const openflow::Match*> plan_deletes_;
+  /// The index queries for the subtable being revalidated, compiled for
+  /// its mask (compile_intersect): first plan_adds_ (the merged ADD
+  /// terms the suspect test runs), then plan_deletes_.
+  std::vector<openflow::CompiledMatch> plan_queries_;
+  /// That subtable's candidate slot positions, ascending.
+  std::vector<std::uint32_t> reval_candidates_;
   /// Clock hand for capacity eviction: spreads victims across a
   /// subtable's slots (see evict_one) instead of eating the swap-filled
   /// tail, which holds the newest — i.e. live — entries under churn.

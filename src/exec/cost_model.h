@@ -55,7 +55,7 @@ struct CostModel {
   /// Charged nowhere; kept only because hostbench/src/chain.cpp lists
   /// every CostModel field.
   std::uint32_t megaflow_sig_scalar = 2;
-  std::uint32_t megaflow_prefilter_check = 6;///< one suspect-scan Bloom consult
+  std::uint32_t megaflow_prefilter_check = 6;///< one revalidation-index probe
   std::uint32_t megaflow_full_compare = 20;  ///< full masked-key compare
   // Batched classification (dpcls batch loop): probing one subtable for a
   // whole batch amortizes mask load, rank lookup and EWMA accounting, so
@@ -69,18 +69,19 @@ struct CostModel {
   std::uint32_t action_per_pkt = 20;       ///< action execution + batching
   // Revalidator (precise cache repair on FlowMod, charged on the owner
   // thread when pending change events are drained). A drain coalesces the
-  // whole event burst into ONE suspect scan over the cache, charged per
+  // whole event burst into ONE pass over both tiers' suspects, charged per
   // entry *examined*, never per event — and the per-entry suspect test is
   // itself charged exactly: a sorted-id membership probe per entry
   // (revalidate_per_entry) plus one intersect test per merged ADD term
   // actually examined for that entry (revalidate_per_term), so bursts
   // whose ADD masks defy containment-merging pay their true O(terms)
-  // cost instead of the old O(1)-per-entry simplification. The subtable
-  // prefilter charges its Bloom consults at megaflow_prefilter_check and
-  // skips whole subtables, shrinking the entries-examined term itself.
-  // Only the suspects then pay a wildcard re-lookup, anchored to the slow
-  // path: about an upcall minus the fixed boundary crossing, repair and
-  // evict split so the two outcomes are separately visible in ablations.
+  // cost instead of the old O(1)-per-entry simplification. The entries
+  // examined are the candidates the revalidation indexes return, each
+  // index bucket looked up charged at megaflow_prefilter_check; a drain
+  // that builds an index examines every entry once. Only the suspects
+  // then pay a wildcard re-lookup, anchored to the slow path: about an
+  // upcall minus the fixed boundary crossing, repair and evict split so
+  // the two outcomes are separately visible in ablations.
   // Host cost per entry examined still exceeds revalidate_per_entry +
   // per_term; these constants wait for ROADMAP item 3's fit.
   std::uint32_t revalidate_per_entry = 8;  ///< membership probe per entry examined

@@ -54,8 +54,17 @@ Result<FlowModResult> FlowTable::apply(const FlowMod& mod, TimeNs now_ns) {
       entry.actions = mod.actions;
       entry.install_time_ns = now_ns;
       event.added.push_back(entry.id);
-      entries_.push_back(std::move(entry));
-      std::sort(entries_.begin(), entries_.end(), entry_order);
+      // The fresh id is the largest, so it goes after every entry of its
+      // priority or higher.
+      const auto at = static_cast<std::size_t>(
+          std::upper_bound(entries_.begin(), entries_.end(), entry,
+                           entry_order) -
+          entries_.begin());
+      compiled_.insert(compiled_.begin() + static_cast<std::ptrdiff_t>(at),
+                       mod.match.compile());
+      entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(at),
+                      std::move(entry));
+      reposition(at);
       ++result.added;
       commit(event);
       return result;
@@ -85,16 +94,33 @@ Result<FlowModResult> FlowTable::apply(const FlowMod& mod, TimeNs now_ns) {
     case FlowModCommand::kDelete:
     case FlowModCommand::kDeleteStrict: {
       const bool strict = mod.command == FlowModCommand::kDeleteStrict;
-      const auto before = entries_.size();
-      std::erase_if(entries_, [&](const FlowEntry& entry) {
+      // Compact entries_ and compiled_ in step, in place.
+      std::size_t kept = 0;
+      std::size_t first_moved = entries_.size();
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        const FlowEntry& entry = entries_[i];
         const bool hit = strict ? (entry.priority == mod.priority &&
                                    entry.match == mod.match)
                                 : mod.match.contains(entry.match);
-        if (hit) event.removed.push_back(entry.id);
-        return hit;
-      });
-      result.removed = static_cast<std::uint32_t>(before - entries_.size());
-      if (result.removed > 0) commit(event);
+        if (hit) {
+          event.removed.push_back(entry.id);
+          positions_.erase(entry.id);
+          first_moved = std::min(first_moved, i);
+          continue;
+        }
+        if (kept != i) {
+          entries_[kept] = std::move(entries_[i]);
+          compiled_[kept] = compiled_[i];
+        }
+        ++kept;
+      }
+      result.removed = static_cast<std::uint32_t>(entries_.size() - kept);
+      entries_.resize(kept);
+      compiled_.resize(kept);
+      if (result.removed > 0) {
+        reposition(first_moved);
+        commit(event);
+      }
       return result;
     }
   }
@@ -112,7 +138,6 @@ void FlowTable::account(RuleId id, std::uint64_t packets,
 void FlowTable::commit(TableChangeEvent& event) {
   ++version_;
   event.version = version_;
-  rebuild_index();
   // Generation stamps carry the version of the change that last rewrote
   // the rule, so caches can detect mutation per rule instead of per table.
   for (const RuleId id : event.added) find(id)->generation = version_;
@@ -120,16 +145,54 @@ void FlowTable::commit(TableChangeEvent& event) {
   for (const Listener& listener : listeners_) listener.fn(event);
 }
 
-void FlowTable::rebuild_index() {
+void FlowTable::reposition(std::size_t from) {
   // entries_ is kept sorted by priority desc, id asc, so the first
-  // compiled test a key passes names the winner.
-  index_.clear();
-  index_.reserve(entries_.size());
-  compiled_.clear();
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    index_.emplace(entries_[i].id, i);
-    compiled_.push_back(entries_[i].match.compile());
+  // compiled test a key passes names the winner; only the entries at or
+  // after a change moved.
+  for (std::size_t i = from; i < entries_.size(); ++i) {
+    positions_.assign(entries_[i].id, i);
   }
+}
+
+void FlowTable::PositionIndex::assign(RuleId id, std::size_t pos) {
+  if (2 * (size_ + 1) > slots_.size()) {
+    // Grow (and re-file) before the table would pass half full.
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    size_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.id != kRuleNone) assign(slot.id, slot.pos);
+    }
+  }
+  std::size_t s = home(id);
+  while (slots_[s].id != kRuleNone && slots_[s].id != id) {
+    s = (s + 1) & (slots_.size() - 1);
+  }
+  if (slots_[s].id == kRuleNone) ++size_;
+  slots_[s] = Slot{id, static_cast<std::uint32_t>(pos)};
+}
+
+void FlowTable::PositionIndex::erase(RuleId id) noexcept {
+  if (slots_.empty()) return;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t hole = home(id);
+  while (slots_[hole].id != id) {
+    if (slots_[hole].id == kRuleNone) return;
+    hole = (hole + 1) & mask;
+  }
+  // Shift back every later slot of the run whose home does not lie
+  // after the hole, so no probe for it stops at the hole.
+  for (std::size_t s = (hole + 1) & mask; slots_[s].id != kRuleNone;
+       s = (s + 1) & mask) {
+    const std::size_t dist_home = (s - home(slots_[s].id)) & mask;
+    const std::size_t dist_hole = (s - hole) & mask;
+    if (dist_home >= dist_hole) {
+      slots_[hole] = slots_[s];
+      hole = s;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
 }
 
 std::uint64_t FlowTable::subscribe(
@@ -149,12 +212,13 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
   RevalidateCounts counts;
   if (events.empty()) return counts;
   HW_SHARED_WRITE(&slots_);
+  ++drains_;
   event_tests_.clear();
   for (const TableChangeEvent& event : events) {
     event_tests_.push_back(event.match.compile());
   }
-  for (Slot& slot : slots_) {
-    if (slot.rule == kRuleNone) continue;
+  const auto revalidate_slot = [&](Slot& slot) {
+    if (slot.rule == kRuleNone) return;
     ++counts.scanned;
     // Suspect iff ANY drained event's match covers the cached key; one
     // re-resolution against the (already fully updated) table then lands
@@ -165,7 +229,7 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
         [&key](const openflow::CompiledMatch& test) {
           return test.matches(key);
         });
-    if (!suspect) continue;
+    if (!suspect) return;
     FlowEntry* winner = table.lookup(slot.key);
     if (winner == nullptr) {
       slot.rule = kRuleNone;
@@ -175,6 +239,27 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
       slot.generation = winner->generation;
       ++counts.repaired;
     }
+  };
+  if (indexes_.serves(event_tests_, drains_)) {
+    // Slots never move, so the order is free; a slot in two buckets is
+    // examined once.
+    candidates_.clear();
+    counts.index_probes =
+        static_cast<std::uint32_t>(indexes_.collect(event_tests_, candidates_));
+    std::sort(candidates_.begin(), candidates_.end());
+    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
+                      candidates_.end());
+    for (const std::uint32_t i : candidates_) revalidate_slot(slots_[i]);
+    return counts;
+  }
+  for (Slot& slot : slots_) revalidate_slot(slot);
+  if (counts.scanned > 0) {
+    indexes_.build(event_tests_, drains_,
+                   static_cast<std::uint32_t>(slots_.size()),
+                   [this](std::uint32_t i) -> std::optional<openflow::PackedKey> {
+                     if (slots_[i].rule == kRuleNone) return std::nullopt;
+                     return openflow::pack(slots_[i].key);
+                   });
   }
   return counts;
 }
@@ -182,6 +267,7 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
 void ExactMatchCache::clear() noexcept {
   HW_SHARED_WRITE(&slots_);
   for (Slot& slot : slots_) slot.rule = kRuleNone;
+  indexes_.clear();  // no slot is occupied, so no slot is filed
 }
 
 }  // namespace hw::flowtable

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/annotate.h"
@@ -25,7 +24,7 @@
 /// caller's thread, only for FlowMods that actually changed something
 /// (a no-op delete/modify emits nothing). Events carry the exact rule
 /// ids touched, so a revalidator can coalesce a burst of them into one
-/// precise suspect scan: the sequence of events between two versions
+/// precise suspect pass: the sequence of events between two versions
 /// fully explains every table difference between those versions, which
 /// is what lets a cache queue them and drain the queue later, on its own
 /// thread at its next lookup, without ever serving a stale rule.
@@ -106,8 +105,8 @@ class FlowTable {
 
   /// Index into entries() of the first (winning) entry whose match the
   /// packed key satisfies, or size() on miss. Scans one compiled test
-  /// per rule (Match::compile), kept beside entries() and rebuilt on
-  /// every table change.
+  /// per rule (Match::compile), kept beside entries(): inserted and
+  /// erased with its entry, never recompiled.
   [[nodiscard]] std::size_t first_match(
       const openflow::PackedKey& key) const noexcept {
     std::size_t i = 0;
@@ -125,14 +124,14 @@ class FlowTable {
 
   /// O(1) id → entry resolution via a side index maintained by apply().
   /// This is on the hot path: every EMC/megaflow hit resolves its cached
-  /// rule id through here.
+  /// rule id through here. It never allocates.
   [[nodiscard]] FlowEntry* find(RuleId id) noexcept {
-    const auto it = index_.find(id);
-    return it == index_.end() ? nullptr : &entries_[it->second];
+    const std::size_t i = positions_.find(id);
+    return i < entries_.size() ? &entries_[i] : nullptr;
   }
   [[nodiscard]] const FlowEntry* find(RuleId id) const noexcept {
-    const auto it = index_.find(id);
-    return it == index_.end() ? nullptr : &entries_[it->second];
+    const std::size_t i = positions_.find(id);
+    return i < entries_.size() ? &entries_[i] : nullptr;
   }
 
   /// Monotonic version, bumped on every table change; cache tiers use it
@@ -150,11 +149,43 @@ class FlowTable {
   void unsubscribe(std::uint64_t token) noexcept;
 
  private:
-  /// Bumps the version, stamps generations of added/modified rules,
-  /// rebuilds the id index and compiled tests and notifies every
-  /// subscriber.
+  /// Rule id → position in entries_: open addressing with linear
+  /// probing, at most half full. Its storage survives commits, so once
+  /// it has held as many rules as the table ever holds, no update
+  /// allocates.
+  class PositionIndex {
+   public:
+    static constexpr std::size_t kAbsent = ~std::size_t{0};
+    [[nodiscard]] std::size_t find(RuleId id) const noexcept {
+      if (slots_.empty()) return kAbsent;
+      for (std::size_t s = home(id);; s = (s + 1) & (slots_.size() - 1)) {
+        if (slots_[s].id == id) return slots_[s].pos;
+        if (slots_[s].id == kRuleNone) return kAbsent;
+      }
+    }
+    /// Sets `id`'s position, adding the id if absent.
+    void assign(RuleId id, std::size_t pos);
+    /// Drops `id` (backward-shift deletion: no tombstones).
+    void erase(RuleId id) noexcept;
+
+   private:
+    struct Slot {
+      RuleId id = kRuleNone;
+      std::uint32_t pos = 0;
+    };
+    [[nodiscard]] std::size_t home(RuleId id) const noexcept {
+      return (id * 0x9e3779b1u) & (slots_.size() - 1);
+    }
+    std::vector<Slot> slots_;
+    std::size_t size_ = 0;
+  };
+
+  /// Bumps the version, stamps generations of added/modified rules and
+  /// notifies every subscriber. The id index and compiled tests are
+  /// already current: apply() updates them in place.
   void commit(TableChangeEvent& event);
-  void rebuild_index();
+  /// Re-files the positions of entries_[from..] after they shifted.
+  void reposition(std::size_t from);
 
   struct Listener {
     std::uint64_t token = 0;
@@ -166,9 +197,10 @@ class FlowTable {
   std::uint64_t next_listener_token_ = 1;
   // Sorted by (priority desc, id asc); linear lookup like OVS's slow path.
   std::vector<FlowEntry> entries_;
-  // id → index into entries_, rebuilt on every structural change.
-  std::unordered_map<RuleId, std::size_t> index_;
-  // compiled_[i] is entries_[i].match compiled; rebuilt with index_.
+  // id → index into entries_, updated in place by apply().
+  PositionIndex positions_;
+  // compiled_[i] is entries_[i].match compiled; inserted and erased in
+  // step with entries_.
   std::vector<openflow::CompiledMatch> compiled_;
   std::vector<Listener> listeners_;
 };
@@ -212,9 +244,14 @@ class ExactMatchCache {
   }
 
   void insert(const pkt::FlowKey& key, std::uint32_t hash, RuleId rule,
-              std::uint64_t generation) noexcept {
+              std::uint64_t generation) {
     HW_SHARED_WRITE(&slots_);
-    Slot& slot = slots_[hash & (buckets_ - 1)];
+    const std::size_t i = hash & (buckets_ - 1);
+    Slot& slot = slots_[i];
+    // A new key in the slot files it anew in every revalidation index.
+    if (!indexes_.empty()) {
+      indexes_.relink(static_cast<std::uint32_t>(i), openflow::pack(key));
+    }
     slot.key = key;
     slot.hash = hash;
     slot.rule = rule;
@@ -223,22 +260,26 @@ class ExactMatchCache {
 
   struct RevalidateCounts {
     std::uint32_t scanned = 0;   ///< occupied slots examined by the pass
+    std::uint32_t index_probes = 0;  ///< revalidation-index buckets looked up
     std::uint32_t repaired = 0;  ///< re-pointed at the table's new winner
     std::uint32_t evicted = 0;   ///< no rule matches the slot's key anymore
   };
 
   /// Precise, coalesced revalidation for a whole drained event batch:
-  /// ONE pass over the occupied slots. A slot is suspect iff some event's
+  /// ONE pass over the suspect slots. A slot is suspect iff some event's
   /// match covers its exact key (for MODIFY/DELETE the FlowMod match
   /// contains every affected rule's match, so it also covers every key
   /// those rules matched); each suspect is re-resolved once against the
   /// updated table and repaired (new winner / fresh generation) or
   /// evicted. Slots no change can affect are untouched, so a FlowMod no
   /// longer costs the whole exact-match tier and a burst of N FlowMods
-  /// costs one scan instead of N. Each event's match is compiled once
-  /// per drain, so a slot's test is masked word compares over its packed
-  /// key. `scanned` counts slots examined (what the per-entry cost is
-  /// charged on); repaired/evicted count re-resolutions.
+  /// costs one pass instead of N. Each event's match is compiled once
+  /// per drain, and the slots a test can pass are looked up in the
+  /// revalidation index of its shape (openflow::ShapeIndexSet) rather
+  /// than found by testing every slot. A drain that needs a shape with
+  /// no index tests every occupied slot, and indexes the shape after.
+  /// `scanned` counts slots examined (what the per-entry cost is charged
+  /// on); repaired/evicted count re-resolutions.
   RevalidateCounts revalidate_batch(std::span<const TableChangeEvent> events,
                                     FlowTable& table);
 
@@ -261,8 +302,14 @@ class ExactMatchCache {
   };
   std::size_t buckets_;
   std::vector<Slot> slots_;
+  /// Revalidation indexes over slots_, keyed by slot position. Only
+  /// insert changes a slot's key, so only insert (and clear) re-file.
+  openflow::ShapeIndexSet indexes_;
+  std::uint64_t drains_ = 0;  ///< revalidate_batch calls, the indexes' clock
   /// The drained events' matches, compiled (revalidate_batch scratch).
   std::vector<openflow::CompiledMatch> event_tests_;
+  /// The slots the index returned for them (revalidate_batch scratch).
+  std::vector<std::uint32_t> candidates_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stale_rejects_ = 0;

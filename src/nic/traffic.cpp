@@ -18,17 +18,14 @@ std::size_t TrafficSource::produce(std::span<mbuf::Mbuf*> out) noexcept {
   // per-context intra-epoch offsets are not mutually ordered.
   const TimeNs now = runtime_->epoch_start_ns();
   if (!gen_.advance(now)) return 0;  // ON-OFF gate closed / population empty
-  std::size_t n = 0;
-  for (; n < out.size(); ++n) {
-    mbuf::Mbuf* buf = pool_->alloc();
-    if (buf == nullptr) {
-      ++alloc_failures_;
-      break;
-    }
-    gen_.synthesize(*buf, gen_.pick_flow());
-    buf->seq = next_seq_++;
-    buf->ts_ns = now;
-    out[n] = buf;
+  // One burst allocation; a short one is one starved call, as in
+  // vm::GenSinkApp::poll.
+  const std::size_t n = pool_->alloc_bulk(out);
+  if (n < out.size()) ++alloc_failures_;
+  for (std::size_t i = 0; i < n; ++i) {
+    gen_.synthesize(*out[i], gen_.pick_flow());
+    out[i]->seq = next_seq_++;
+    out[i]->ts_ns = now;
   }
   generated_ += n;
   return n;

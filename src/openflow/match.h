@@ -3,7 +3,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "pkt/flow_key.h"
@@ -21,6 +24,11 @@
 /// key is three AND/XORs and one compare, whatever the fields. The
 /// field-by-field functions stay as the reference the compiled tests are
 /// checked against (tests/control/compiled_match_test.cpp).
+///
+/// Shape indexes: the revalidator runs each FlowMod burst's compiled
+/// tests against both cache tiers. Rather than testing every slot, each
+/// tier keeps a ShapeIndex per test shape it has needed lately, and a
+/// test reads only the slots of the one bucket its value hashes to.
 
 namespace hw::openflow {
 
@@ -32,6 +40,8 @@ namespace hw::openflow {
 ///   word 2: ip_proto
 struct PackedKey {
   std::array<std::uint64_t, 3> words{};
+
+  friend bool operator==(const PackedKey&, const PackedKey&) = default;
 };
 
 [[nodiscard]] inline PackedKey pack(const pkt::FlowKey& key) noexcept {
@@ -77,9 +87,154 @@ class CompiledMatch {
     return out;
   }
 
+  /// The bits the test reads: its *shape*, which ShapeIndex buckets by.
+  [[nodiscard]] const PackedKey& mask() const noexcept { return mask_; }
+  /// The values those bits must have (zero outside mask()).
+  [[nodiscard]] const PackedKey& value() const noexcept { return value_; }
+  /// True iff the test reads no bit, so every key passes it.
+  [[nodiscard]] bool passes_all() const noexcept {
+    return (mask_.words[0] | mask_.words[1] | mask_.words[2]) == 0;
+  }
+
  private:
   PackedKey mask_;
   PackedKey value_;
+};
+
+/// The slots of one container (a megaflow subtable, the exact-match
+/// cache) bucketed by their packed keys under one *shape*, the mask() of
+/// a CompiledMatch. Every slot that passes a test of that shape has the
+/// masked key test.value(), so it sits in the one bucket that value
+/// hashes to: the test's candidates are that bucket, and the test itself
+/// then filters them. Buckets are doubly linked through per-slot links,
+/// so a slot leaves its bucket in O(1) however many share it. The index
+/// holds no key: the container keeps it exact by calling link, unlink,
+/// relink and move at every change to a slot's key or position.
+class ShapeIndex {
+ public:
+  explicit ShapeIndex(const PackedKey& shape) : shape_(shape) {}
+
+  [[nodiscard]] const PackedKey& shape() const noexcept { return shape_; }
+
+  /// Files slot `slot`, not yet linked, under its packed key `key`.
+  void link(std::uint32_t slot, const PackedKey& key);
+  /// Takes `slot` out of its bucket; a no-op for an unlinked slot.
+  void unlink(std::uint32_t slot) noexcept;
+  /// Files `slot` under its new key `key`, leaving it in place when the
+  /// masked key hashes as before.
+  void relink(std::uint32_t slot, const PackedKey& key);
+  /// The slot at position `from` moved to `to`, which is unlinked: `to`
+  /// takes over `from`'s place in its bucket, and `from` is unlinked.
+  void move(std::uint32_t from, std::uint32_t to) noexcept;
+  /// Appends every slot of the bucket `value`, a masked key of this
+  /// shape, hashes to.
+  void collect(const PackedKey& value, std::vector<std::uint32_t>& out) const;
+  /// Unlinks every slot.
+  void clear() noexcept;
+  /// Sizes the per-slot links for positions below `slots` up front.
+  void reserve(std::uint32_t slots) {
+    if (links_.size() < slots) links_.resize(slots);
+  }
+
+ private:
+  static constexpr std::uint32_t kNil = 0xffffffffu;       ///< no slot
+  static constexpr std::uint32_t kUnlinked = 0xfffffffeu;  ///< prev: not filed
+  struct Link {
+    std::uint32_t next = kNil;
+    std::uint32_t prev = kUnlinked;  ///< kNil: first of its bucket
+    std::uint32_t hash = 0;          ///< of the slot's masked key
+  };
+
+  [[nodiscard]] std::uint32_t hash_of(const PackedKey& key) const noexcept;
+  [[nodiscard]] std::size_t bucket(std::uint32_t hash) const noexcept {
+    return hash & (heads_.size() - 1);
+  }
+  void push_front(std::uint32_t slot);
+  /// Doubles the buckets (at least 16) and re-files every linked slot.
+  void grow();
+
+  PackedKey shape_;
+  std::vector<std::uint32_t> heads_;  ///< first slot of each bucket
+  std::vector<Link> links_;           ///< per slot position
+  std::size_t linked_ = 0;
+};
+
+/// The shape indexes of one container. A drain asks serves() whether
+/// every test it runs has an index; if so collect() gathers the
+/// candidates, and if not the drain passes over every slot and calls
+/// build() afterwards. Whether an index exists depends on drain counts
+/// alone, never on time: at most kMaxIndexes live at once, and one is
+/// retired after kIdleDrains drains without use.
+class ShapeIndexSet {
+ public:
+  static constexpr std::size_t kMaxIndexes = 4;
+  static constexpr std::uint64_t kIdleDrains = 64;
+
+  /// The hot-path test: with no index, slot changes cost nothing more.
+  [[nodiscard]] bool empty() const noexcept { return indexes_.empty(); }
+
+  /// Drain number `drain` (counted by the container, from 1) runs
+  /// `tests`. Retires the indexes idle too long, then answers whether
+  /// each test's shape is indexed (a test reading no bit never is: every
+  /// slot is its candidate), stamping the ones it will use.
+  [[nodiscard]] bool serves(std::span<const CompiledMatch> tests,
+                            std::uint64_t drain);
+  /// After serves() said yes: appends each test's bucket to `out` (a
+  /// slot may appear once per test) and returns the buckets probed.
+  std::size_t collect(std::span<const CompiledMatch> tests,
+                      std::vector<std::uint32_t>& out) const;
+  /// After a pass over every slot because serves() said no: indexes the
+  /// shapes of `tests` that are not, unless more distinct shapes than
+  /// kMaxIndexes are needed at once, making room by retiring the least
+  /// recently used. `key_of(i)` gives slot i's packed key, or nullopt for
+  /// an empty slot, for every slot position i < `slots`.
+  template <typename KeyOf>
+  void build(std::span<const CompiledMatch> tests, std::uint64_t drain,
+             std::uint32_t slots, KeyOf&& key_of) {
+    const std::size_t first_new = make_room(tests, drain);
+    if (first_new == indexes_.size()) return;
+    for (std::size_t x = first_new; x < indexes_.size(); ++x) {
+      indexes_[x].index.reserve(slots);
+    }
+    for (std::uint32_t i = 0; i < slots; ++i) {
+      const std::optional<PackedKey> key = key_of(i);
+      if (!key) continue;
+      for (std::size_t x = first_new; x < indexes_.size(); ++x) {
+        indexes_[x].index.link(i, *key);
+      }
+    }
+  }
+
+  // Slot upkeep, applied to every index.
+  void link(std::uint32_t slot, const PackedKey& key) {
+    for (Entry& e : indexes_) e.index.link(slot, key);
+  }
+  void unlink(std::uint32_t slot) noexcept {
+    for (Entry& e : indexes_) e.index.unlink(slot);
+  }
+  void relink(std::uint32_t slot, const PackedKey& key) {
+    for (Entry& e : indexes_) e.index.relink(slot, key);
+  }
+  void move(std::uint32_t from, std::uint32_t to) noexcept {
+    for (Entry& e : indexes_) e.index.move(from, to);
+  }
+  void clear() noexcept {
+    for (Entry& e : indexes_) e.index.clear();
+  }
+
+ private:
+  struct Entry {
+    ShapeIndex index;
+    std::uint64_t last_use = 0;  ///< the last drain that used it
+  };
+  /// Position of the index of `shape`, or size() if none.
+  [[nodiscard]] std::size_t position(const PackedKey& shape) const noexcept;
+  /// build()'s bookkeeping: adds an empty index per missing shape and
+  /// returns the position of the first one added (size() if none).
+  std::size_t make_room(std::span<const CompiledMatch> tests,
+                        std::uint64_t drain);
+
+  std::vector<Entry> indexes_;
 };
 
 /// Bit flags marking which fields a Match constrains.

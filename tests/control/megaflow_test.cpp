@@ -246,11 +246,12 @@ TEST(MegaflowCacheTest, CoalescedDrainRunsOneSuspectScanPerBurst) {
     cache.insert(make_key(p, 0, 0x0a000000u + p, 0), mask, p, 1);
   }
   // A burst of five FlowMods lands before the owner touches the cache.
-  // The drain must fold them into ONE suspect scan: 8 entries examined,
-  // not 40 — and the identical prefix matches merge into one plan mask.
-  // The plan Bloom carries no IPv4 prefixes, so the prefilter cannot
-  // skip the subtable and the scan runs; the prefix covers no cached
-  // destination, so nothing is suspect and every entry survives.
+  // The drain must fold them into ONE pass: 8 entries examined, not 40 —
+  // and the identical prefix matches merge into one plan mask. The
+  // subtable has no revalidation index for the merged term's shape yet,
+  // so this first drain examines every entry (and builds one); the
+  // prefix covers no cached destination, so nothing is suspect and
+  // every entry survives.
   Match other_subnet;
   other_subnet.ip_dst(0x0b000000u, 16);
   for (std::uint64_t v = 2; v <= 6; ++v) {
@@ -266,7 +267,7 @@ TEST(MegaflowCacheTest, CoalescedDrainRunsOneSuspectScanPerBurst) {
   // The merged plan has ONE ADD term; every entry pays exactly one
   // intersect test on top of its membership probe.
   EXPECT_EQ(cache.stats().reval_term_tests, 8u);
-  EXPECT_EQ(cache.stats().reval_prefilter_checks, 0u);
+  EXPECT_EQ(cache.stats().reval_index_probes, 0u);
   EXPECT_EQ(cache.stats().subtables_skipped, 0u);
   EXPECT_EQ(cache.entry_count(), 8u);
 }
@@ -713,47 +714,58 @@ TEST(MegaflowCacheTest, KeysSharingOneHashOverflowIntoTheStash) {
   EXPECT_EQ(cache.entry_count(), kColliding);
 }
 
-TEST(MegaflowCacheTest, PrefilterSkipsRevalidatorScanForUntouchedSubtables) {
+TEST(MegaflowCacheTest, IndexExaminesNoEntryForAnAbsentInPort) {
   MegaflowCache cache;
   MaskSpec mask{.fields = openflow::kMatchInPort};
   for (PortId p = 1; p <= 4; ++p) {
     cache.insert(make_key(p, 0, 0, 0), mask, p, 1);
   }
-  // An ADD on a port no entry carries: the merged plan's only term
-  // cannot intersect the subtable (its Bloom lacks in_port=9), so the
-  // whole subtable is skipped — zero entries examined, zero suspects.
-  Match far_port;
-  far_port.in_port(9);
-  cache.on_table_change(change_event(FlowModCommand::kAdd, far_port, 1, 2));
-  const MegaflowCache::RevalidateReport clean = cache.revalidate();
-  EXPECT_EQ(clean.subtables_skipped, 1u);
-  EXPECT_EQ(clean.entries_scanned, 0u);
-  EXPECT_EQ(clean.revalidated, 0u);
-  EXPECT_EQ(cache.stats().subtables_skipped, 1u);
-  EXPECT_EQ(cache.stats().reval_entries_scanned, 0u);
-  EXPECT_EQ(cache.entry_count(), 4u);
-  // An ADD on a port an entry DOES carry must not be skipped: the scan
-  // runs, finds exactly the one suspect and (no resolver) evicts it —
-  // the prefilter can only skip provably clean subtables, never hide a
-  // suspect.
+  // The first in_port ADD finds no index for its shape: the drain
+  // examines all four entries, evicts the one on port 2 (no resolver)
+  // and indexes the subtable by in_port.
   Match port2;
   port2.in_port(2);
-  cache.on_table_change(change_event(FlowModCommand::kAdd, port2, 1, 3));
+  cache.on_table_change(change_event(FlowModCommand::kAdd, port2, 1, 2));
+  const MegaflowCache::RevalidateReport first = cache.revalidate();
+  EXPECT_EQ(first.entries_scanned, 4u);
+  EXPECT_EQ(first.index_probes, 0u);
+  EXPECT_EQ(first.evicted, 1u);
+  EXPECT_EQ(cache.entry_count(), 3u);
+  // An ADD on a port no entry carries: its bucket is empty, so the drain
+  // examines no entry and skips the subtable.
+  Match far_port;
+  far_port.in_port(9);
+  cache.on_table_change(change_event(FlowModCommand::kAdd, far_port, 1, 3));
+  const MegaflowCache::RevalidateReport clean = cache.revalidate();
+  EXPECT_EQ(clean.index_probes, 1u);
+  EXPECT_EQ(clean.entries_scanned, 0u);
+  EXPECT_EQ(clean.subtables_skipped, 1u);
+  EXPECT_EQ(clean.revalidated, 0u);
+  EXPECT_EQ(cache.stats().subtables_skipped, 1u);
+  EXPECT_EQ(cache.entry_count(), 3u);
+  // An ADD on a port an entry DOES carry examines that entry alone and
+  // (no resolver) evicts it: the index never hides a suspect.
+  Match port3;
+  port3.in_port(3);
+  cache.on_table_change(change_event(FlowModCommand::kAdd, port3, 1, 4));
   const MegaflowCache::RevalidateReport dirty = cache.revalidate();
   EXPECT_EQ(dirty.subtables_skipped, 0u);
-  EXPECT_EQ(dirty.entries_scanned, 4u);
+  EXPECT_EQ(dirty.entries_scanned, 1u);
   EXPECT_EQ(dirty.revalidated, 1u);
   EXPECT_EQ(dirty.evicted, 1u);
-  EXPECT_EQ(cache.entry_count(), 3u);
+  EXPECT_EQ(cache.entry_count(), 2u);
   ProbeTally tally;
-  EXPECT_EQ(cache.lookup(make_key(2, 0, 0, 0), 3, tally), kRuleNone);
-  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 3, tally), 1u);
+  EXPECT_EQ(cache.lookup(make_key(3, 0, 0, 0), 4, tally), kRuleNone);
+  EXPECT_EQ(cache.lookup(make_key(1, 0, 0, 0), 4, tally), 1u);
+  EXPECT_EQ(cache.lookup(make_key(4, 0, 0, 0), 4, tally), 4u);
 }
 
-TEST(MegaflowCacheTest, PrefilterTracksRuleIdsAcrossRepairAndOverwrite) {
-  // The Bloom's rule-id fingerprints must follow every rule rewrite —
-  // repair-in-place and insert-overwrite — or a later DELETE could be
-  // skipped while the cache still serves the deleted rule.
+TEST(MegaflowCacheTest, IndexFindsDeleteSuspectsAcrossRepairAndOverwrite) {
+  // A DELETE finds its suspects in the bucket of its own match, then
+  // keeps those whose rule it removed. Repair and overwrite rewrite only
+  // the rule, never the key, so the entry stays in its bucket: a DELETE
+  // of the rule it holds now must still find it, and a DELETE of the
+  // rule it held before must not.
   MegaflowCache cache;
   cache.set_revalidation_hooks(
       [](const pkt::FlowKey&) {
@@ -767,49 +779,62 @@ TEST(MegaflowCacheTest, PrefilterTracksRuleIdsAcrossRepairAndOverwrite) {
   MaskSpec mask{.fields = openflow::kMatchInPort};
   cache.insert(make_key(3, 0, 0, 0), mask, 7, 1);
 
-  // Repair: an intersecting ADD re-resolves the entry to rule 42.
+  // Repair: an intersecting ADD re-resolves the entry to rule 42. This
+  // first drain of the in_port shape indexes the subtable.
   Match port3;
   port3.in_port(3);
   cache.on_table_change(change_event(FlowModCommand::kAdd, port3, 50, 2));
   (void)cache.revalidate();
   ASSERT_EQ(cache.stats().revalidated_kept, 1u);
 
-  // Deleting the OLD rule id must now skip the subtable (id 7 left the
-  // Bloom with the repair)...
+  // Deleting the OLD rule id finds the entry as a candidate and clears it.
   TableChangeEvent del_old =
       change_event(FlowModCommand::kDeleteStrict, port3, 50, 3);
   del_old.removed = {7};
   cache.on_table_change(del_old);
   const MegaflowCache::RevalidateReport old_gone = cache.revalidate();
-  EXPECT_EQ(old_gone.subtables_skipped, 1u);
+  EXPECT_EQ(old_gone.index_probes, 1u);
+  EXPECT_EQ(old_gone.entries_scanned, 1u);
   EXPECT_EQ(old_gone.revalidated, 0u);
   EXPECT_EQ(cache.entry_count(), 1u);
 
-  // ...while deleting the CURRENT rule id must still find the suspect.
+  // Deleting the CURRENT rule id finds the suspect through the index.
   TableChangeEvent del_new =
       change_event(FlowModCommand::kDeleteStrict, port3, 50, 4);
   del_new.removed = {42};
   cache.on_table_change(del_new);
   const MegaflowCache::RevalidateReport new_gone = cache.revalidate();
-  EXPECT_EQ(new_gone.subtables_skipped, 0u);
+  EXPECT_EQ(new_gone.index_probes, 1u);
   EXPECT_EQ(new_gone.revalidated, 1u);
 
-  // Overwrite: re-installing the same masked key under a new rule swaps
-  // the fingerprint the same way.
+  // Overwrite: re-installing an indexed entry's masked key under a new
+  // rule leaves it where it was filed.
   MegaflowCache cache2;
   cache2.insert(make_key(4, 0, 0, 0), mask, 5, 1);
-  cache2.insert(make_key(4, 9, 9, 9), mask, 6, 1);  // same masked key
+  cache2.insert(make_key(5, 0, 0, 0), mask, 8, 1);
+  TableChangeEvent index_it = change_event(FlowModCommand::kDeleteStrict,
+                                           Match{}.in_port(7), 50, 2);
+  index_it.removed = {99};
+  cache2.on_table_change(index_it);
+  EXPECT_EQ(cache2.revalidate().entries_scanned, 2u);  // builds the index
+  cache2.insert(make_key(4, 9, 9, 9), mask, 6, 2);  // same masked key
   ASSERT_EQ(cache2.stats().overwrites, 1u);
   TableChangeEvent del5 = change_event(FlowModCommand::kDeleteStrict,
-                                       Match{}.in_port(4), 50, 2);
+                                       Match{}.in_port(4), 50, 3);
   del5.removed = {5};
   cache2.on_table_change(del5);
-  EXPECT_EQ(cache2.revalidate().subtables_skipped, 1u);
+  const MegaflowCache::RevalidateReport del5_report = cache2.revalidate();
+  EXPECT_EQ(del5_report.index_probes, 1u);
+  EXPECT_EQ(del5_report.revalidated, 0u);
   TableChangeEvent del6 = change_event(FlowModCommand::kDeleteStrict,
-                                       Match{}.in_port(4), 50, 3);
+                                       Match{}.in_port(4), 50, 4);
   del6.removed = {6};
   cache2.on_table_change(del6);
-  EXPECT_EQ(cache2.revalidate().revalidated, 1u);
+  const MegaflowCache::RevalidateReport del6_report = cache2.revalidate();
+  EXPECT_EQ(del6_report.index_probes, 1u);
+  EXPECT_EQ(del6_report.entries_scanned, 1u);
+  EXPECT_EQ(del6_report.revalidated, 1u);
+  EXPECT_EQ(cache2.entry_count(), 1u);
 }
 
 TEST(MegaflowCacheTest, BatchLookupMatchesScalarResults) {

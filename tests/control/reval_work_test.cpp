@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "classifier/dp_classifier.h"
@@ -18,9 +19,9 @@
 /// PINNED DRAIN WORK. The revalidator's cost is charged from what its
 /// drains did: entries examined, merged-ADD terms tested, suspects
 /// repaired or evicted, subtables skipped, EMC slots re-resolved. A
-/// faster suspect test must find exactly the same suspects and do
-/// exactly the same counted work, or every virtual-time table moves and
-/// host-time comparisons compare different work.
+/// faster way to find suspects must find exactly the same suspects and
+/// process them in the same order, or the cache's layout, every later
+/// capacity victim and every downstream count move.
 ///
 /// The stream mirrors hostbench's reconfig_churn policy hop: two
 /// directions of a Zipf(1.1) stream over 8,192 flows each, four policy
@@ -28,10 +29,16 @@
 /// traffic a burst of 8 FlowMods that ADD a fresh /26 destination rule
 /// under a direction's in_port or strictly DELETE a live one. One burst
 /// carries kRevalidatorQueueLimit - 1 events, the most one drain can
-/// receive without the overflow flush. The constants below were computed
+/// receive without the overflow flush. The suspect counts below
+/// (revalidations, repairs, evictions, EMC re-resolutions) were computed
 /// with the field-by-field reference tests (Match::matches,
-/// may_intersect) doing the suspect scans; a change that moves one of
-/// them changes the work, and must say so.
+/// may_intersect) scanning every entry, and the revalidation indexes
+/// reproduce them exactly. The entries examined, terms tested and
+/// subtables skipped are the indexes' own (a scan of every entry
+/// examined 3,159,272 entries, 12,031 of them in the big burst, and
+/// tested 8,446,446 terms). The capacity evictions and the digest of the
+/// final layout are the scan's too, computed with the scan in place; a
+/// change that moves any constant changes the work, and must say so.
 
 namespace hw::classifier {
 namespace {
@@ -158,7 +165,29 @@ struct DrainWork {
   TierCounters counters;
   MegaflowStats megaflow;
   TierCounters big_burst;  ///< the window of the one 127-event drain
+  std::uint64_t layout = 0;  ///< FNV-1a of every entry, in cache order
 };
+
+/// FNV-1a over each entry's mask, packed key and rule, subtable by
+/// subtable in probe order and slot by slot: the cache's layout, which
+/// decides every later capacity victim.
+std::uint64_t layout_digest(const MegaflowCache& cache) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const MegaflowCache::EntryView& e : cache.entries()) {
+    mix(e.mask.fields);
+    mix(e.mask.ip_src_plen);
+    mix(e.mask.ip_dst_plen);
+    for (const std::uint64_t word : openflow::pack(e.key).words) mix(word);
+    mix(e.rule);
+  }
+  return h;
+}
 
 DrainWork run_churn_stream(std::uint64_t seed) {
   exec::CostModel cost;
@@ -203,6 +232,7 @@ DrainWork run_churn_stream(std::uint64_t seed) {
   }
   work.counters = dp.counters();
   work.megaflow = dp.megaflow().stats();
+  work.layout = layout_digest(dp.megaflow());
   return work;
 }
 
@@ -216,16 +246,70 @@ TEST(RevalidationWorkTest, PinnedChurnBurstsDrainTheSameWork) {
   EXPECT_EQ(w.counters.megaflow_revalidations, 64'260u);
   EXPECT_EQ(w.megaflow.revalidated_kept, 63'851u);
   EXPECT_EQ(w.megaflow.revalidated_evicted, 409u);
-  EXPECT_EQ(w.counters.reval_entries_scanned, 3'159'272u);
-  EXPECT_EQ(w.megaflow.reval_term_tests, 8'446'446u);
-  EXPECT_EQ(w.counters.subtables_skipped, 7u);
+  EXPECT_EQ(w.counters.reval_entries_scanned, 104'973u);
+  EXPECT_EQ(w.megaflow.reval_term_tests, 144'893u);
+  EXPECT_EQ(w.counters.subtables_skipped, 141u);
   EXPECT_EQ(w.counters.emc_revalidations, 34'332u);
   // The 127-event drain alone.
   EXPECT_EQ(w.big_burst.megaflow_revalidations, 2'555u);
-  EXPECT_EQ(w.big_burst.reval_entries_scanned, 12'031u);
+  EXPECT_EQ(w.big_burst.reval_entries_scanned, 3'714u);
   EXPECT_EQ(w.big_burst.emc_revalidations, 1'105u);
-  // Sanity of the regime: the cache ran at its flow limit.
-  EXPECT_GT(w.megaflow.capacity_evictions, 0u);
+  // The cache ran at its flow limit, and its layout, so every capacity
+  // victim, is the one the scan left.
+  EXPECT_EQ(w.megaflow.capacity_evictions, 4'734u);
+  EXPECT_EQ(w.layout, 0xc80ad3037e186e4aULL);
+}
+
+/// The order the pinned stream cannot show: two evictions from one
+/// subtable in one drain. A scan meets the suspects in slot order, and
+/// after an eviction swap-fills the hole from the back it examines the
+/// moved slot next, so the layout it leaves depends on that order.
+TEST(RevalidationWorkTest, IndexedDrainEvictsInScanOrder) {
+  const MaskSpec mask{.fields = openflow::kMatchInPort};
+  const auto key = [](PortId port) {
+    pkt::FlowKey k;
+    k.in_port = port;
+    return k;
+  };
+  const auto ports = [](const MegaflowCache& cache) {
+    std::vector<PortId> out;
+    for (const MegaflowCache::EntryView& e : cache.entries()) {
+      out.push_back(e.key.in_port);
+    }
+    return out;
+  };
+  const auto remove = [](PortId port, RuleId rule, std::uint64_t version) {
+    flowtable::TableChangeEvent event;
+    event.command = FlowModCommand::kDeleteStrict;
+    event.match = Match{}.in_port(port);
+    event.version = version;
+    event.removed = {rule};
+    return event;
+  };
+  for (const auto& [victims, layout] :
+       std::vector<std::pair<std::vector<PortId>, std::vector<PortId>>>{
+           // Slots 1 and 2 evicted: port 5 fills slot 1, then port 4
+           // fills slot 2.
+           {{2, 3}, {1, 5, 4}},
+           // Slot 1 evicted, and the port-5 slot that fills it is a
+           // suspect too: it is examined next and evicted in turn.
+           {{2, 5}, {1, 4, 3}}}) {
+    MegaflowCache cache;
+    for (PortId port = 1; port <= 5; ++port) {
+      cache.insert(key(port), mask, 100 + port, 1);
+    }
+    // A first drain of the in_port shape indexes the subtable.
+    cache.on_table_change(remove(9, 109, 2));
+    ASSERT_EQ(cache.revalidate().entries_scanned, 5u);
+    std::uint64_t version = 3;
+    for (const PortId port : victims) {
+      cache.on_table_change(remove(port, 100 + port, version++));
+    }
+    const MegaflowCache::RevalidateReport report = cache.revalidate();
+    EXPECT_EQ(report.index_probes, victims.size());
+    EXPECT_EQ(report.evicted, victims.size());
+    EXPECT_EQ(ports(cache), layout);
+  }
 }
 
 }  // namespace

@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "chain/chain.h"
 #include "common/log.h"
+#include "exec/runtime.h"
+#include "mbuf/mempool.h"
+#include "nic/traffic.h"
+#include "pmd/channel.h"
+#include "pmd/control.h"
+#include "pmd/guest_pmd.h"
+#include "pmd/shared_stats.h"
+#include "shm/shm.h"
 
 namespace hw::vm {
 namespace {
@@ -116,6 +126,62 @@ TEST_F(AppsTest, SteadyStatePathDeliversInOrder) {
   chain.warmup(5'000'000);
   EXPECT_EQ(chain.head_endpoint()->counters().reorders, head_before);
   EXPECT_EQ(chain.tail_endpoint()->counters().reorders, tail_before);
+}
+
+TEST_F(AppsTest, StarvedEndpointsCountOneAllocFailurePerStarvedPoll) {
+  // Both traffic endpoints feed `gen_alloc_failures`, which counts
+  // starved generator polls: a burst the pool could not fill counts one,
+  // however many frames it lacked. Each endpoint here starves a 4-buffer
+  // pool with 32-frame bursts, twice: short, then empty.
+  constexpr PortId kPort = 3;
+  constexpr VmId kVm = 1;
+  shm::ShmManager shm;
+  auto stats_region = shm.create(pmd::SharedStats::region_name(),
+                                 pmd::SharedStats::bytes_required());
+  pmd::SharedStats stats =
+      pmd::SharedStats::create_in(*stats_region.value()).value();
+  auto normal_region = shm.create(pmd::normal_channel_region(kPort),
+                                  pmd::ChannelView::bytes_required(64));
+  pmd::ChannelView normal =
+      pmd::ChannelView::create_in(*normal_region.value(), 64, kPort, kPort, 1)
+          .value();
+  auto ctrl_region = shm.create(pmd::control_channel_region(kPort),
+                                pmd::ControlChannel::bytes_required());
+  ASSERT_TRUE(pmd::ControlChannel::create_in(*ctrl_region.value()).is_ok());
+  ASSERT_TRUE(shm.plug(pmd::normal_channel_region(kPort), kVm).is_ok());
+  ASSERT_TRUE(shm.plug(pmd::control_channel_region(kPort), kVm).is_ok());
+  exec::CostModel cost;
+  auto port = pmd::GuestPmd::attach(shm, kVm, kPort, stats, cost);
+  ASSERT_TRUE(port.is_ok());
+  pmd::GuestPmd pmd = std::move(port).take();
+  exec::SimRuntime runtime({.epoch_ns = 1000, .cost = cost});
+  const pkt::TrafficProfile profile;
+
+  mbuf::Mempool app_pool("app", 4);
+  GenSinkApp app("gen", pmd, app_pool, profile, runtime, cost,
+                 /*generate=*/true, /*burst=*/32);
+  exec::CycleMeter meter;
+  EXPECT_EQ(app.poll(meter), 4u);
+  EXPECT_EQ(app.poll(meter), 0u);
+
+  mbuf::Mempool nic_pool("nic", 4);
+  nic::TrafficSource source("src", nic_pool, profile, runtime);
+  std::array<mbuf::Mbuf*, 32> burst{};
+  const std::size_t produced = source.produce(burst);
+  EXPECT_EQ(produced, 4u);
+  EXPECT_EQ(source.produce(burst), 0u);
+
+  EXPECT_EQ(app.counters().alloc_failures, 2u);
+  EXPECT_EQ(source.alloc_failures(), 2u);
+  EXPECT_EQ(app.counters().alloc_failures, source.alloc_failures());
+  // Each short burst is also one failure in the pool's own count.
+  EXPECT_EQ(app_pool.stats().alloc_failures, nic_pool.stats().alloc_failures);
+
+  nic_pool.free_bulk(std::span<mbuf::Mbuf* const>(burst.data(), produced));
+  for (pmd::MbufRing* ring : {&normal.a2b(), &normal.b2a()}) {
+    for (mbuf::Mbuf* buf = nullptr; ring->dequeue(buf);) app_pool.free(buf);
+  }
+  EXPECT_EQ(app_pool.in_use(), 0u);
 }
 
 }  // namespace
