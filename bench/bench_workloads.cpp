@@ -2,8 +2,8 @@
 /// The standing workload regression matrix: flow-popularity distribution
 /// (round-robin / uniform / Zipf 0.9–1.3) × flow count (4k / 64k / 1M
 /// distinct 5-tuples) × churn (none / Poisson mice-and-elephants /
-/// ON-OFF), each driven through the real TrafficSource (lazy frame
-/// synthesis) into the three-tier classifier.
+/// ON-OFF), each generated by the real traffic endpoint (pkt::Endpoint,
+/// lazy frame synthesis) into the three-tier classifier.
 ///
 /// Per config the table reports cost-model cycles/packet and where the
 /// lookups resolved (EMC / megaflow / slow path) plus the offered-load
@@ -41,8 +41,8 @@
 #include "exec/runtime.h"
 #include "flowtable/flow_table.h"
 #include "mbuf/mempool.h"
-#include "nic/traffic.h"
 #include "openflow/messages.h"
+#include "pkt/endpoint.h"
 #include "pkt/packet.h"
 #include "pkt/traffic_profile.h"
 
@@ -182,8 +182,7 @@ void BM_Workload(benchmark::State& state) {
   const exec::CostModel cost;
   exec::SimRuntime runtime(exec::SimConfig{.epoch_ns = 1000, .cost = cost});
   mbuf::Mempool pool("wl0", 4096);
-  nic::TrafficSource source("gen", pool, make_profile(dist, flows, churn),
-                            runtime);
+  pkt::Endpoint source(make_profile(dist, flows, churn), pool, runtime);
   FlowTable table;
   install_rules(table);
 
@@ -193,7 +192,7 @@ void BM_Workload(benchmark::State& state) {
     const auto pump = [&](std::uint64_t target, exec::CycleMeter& meter) {
       std::uint64_t done = 0;
       while (done < target) {
-        const std::size_t n = source.produce(burst);
+        const std::size_t n = source.generate(burst);
         for (std::size_t i = 0; i < n; ++i) {
           mbuf::Mbuf* buf = burst[i];
           const pkt::FlowKey key = pkt::extract_flow_key(*buf);
@@ -229,7 +228,7 @@ void BM_Workload(benchmark::State& state) {
         offered.flow_departures - offered_before.flow_departures;
     result.active = offered.active_flows;
     result.distinct = offered.distinct_flows;
-    result.alloc_failures = source.alloc_failures();
+    result.alloc_failures = source.counters().alloc_failures;
     g_results[{dist_idx, state.range(1), churn_idx}] = result;
 
     state.counters["cyc_per_pkt"] = result.cyc_per_pkt;

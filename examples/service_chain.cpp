@@ -47,16 +47,13 @@ int main() {
   vm::Hypervisor hypervisor(shm, agent, cost);
 
   // --- NICs: ingress carries a 30% web / 70% non-web mix ------------------
-  nic::NicConfig nic_config;
-  nic::SimNic nic_in("nic.in", nic_config, runtime, cost, pool);
-  nic::SimNic nic_out("nic.out", nic_config, runtime, cost, pool);
   pkt::TrafficProfile mix;
   mix.flow_count = 32;
   mix.web_percent = 30;
-  nic::TrafficSource source("wan", pool, mix, runtime);
-  nic::TrafficSink sink("lan", pool, runtime);
-  nic_in.attach_source(&source);
-  nic_out.attach_sink(&sink);
+  const nic::NicConfig nic_config;
+  nic::SimNic nic_in("nic.in", nic_config, runtime, cost, pool, mix);
+  nic::SimNic nic_out("nic.out", nic_config, runtime, cost, pool, mix,
+                      /*generate=*/false);
 
   const PortId wan = of.add_phy_port("wan", nic_in).value();
 
@@ -149,8 +146,9 @@ int main() {
                 entry.match.to_string().c_str(),
                 static_cast<unsigned long long>(entry.packet_count));
   }
+  const pkt::EndpointCounters& lan_side = nic_out.endpoint().counters();
   std::printf("\ndelivered to LAN: %llu frames (%llu reordered)\n",
-              static_cast<unsigned long long>(sink.received()),
-              static_cast<unsigned long long>(sink.reorders()));
+              static_cast<unsigned long long>(lan_side.delivered),
+              static_cast<unsigned long long>(lan_side.reorders));
   return 0;
 }

@@ -12,8 +12,6 @@ namespace {
 
 /// The one mempool every port, ring and generator of a scenario draws from.
 constexpr std::size_t kMempoolSize = 32 * 1024;
-/// Line rate of each of Figure 3(b)'s two NICs: 10 Gb/s.
-constexpr std::uint64_t kNicBitsPerSec = 10'000'000'000ULL;
 /// Metrics sampling period: 1 ms of virtual time.
 constexpr TimeNs kSampleIntervalNs = 1'000'000;
 
@@ -85,27 +83,15 @@ Status ChainScenario::build() {
 
   // --- NICs (Figure 3b) -------------------------------------------------
   if (config_.use_nics) {
-    const nic::NicConfig nic_config{.bits_per_sec = kNicBitsPerSec,
-                                    .ring_capacity = config_.ring_capacity,
+    const nic::NicConfig nic_config{.ring_capacity = config_.ring_capacity,
                                     .burst = config_.burst};
     nic1_ = std::make_unique<nic::SimNic>("nic0", nic_config, *runtime_,
-                                          config_.cost, *pool_);
-    nic2_ = std::make_unique<nic::SimNic>("nic1", nic_config, *runtime_,
-                                          config_.cost, *pool_);
-    src_fwd_ = std::make_unique<nic::TrafficSource>("gen.fwd", *pool_,
-                                                    profile_fwd(), *runtime_);
-    sink_fwd_ = std::make_unique<nic::TrafficSink>("sink.fwd", *pool_,
-                                                   *runtime_);
-    nic1_->attach_source(src_fwd_.get());
-    nic2_->attach_sink(sink_fwd_.get());
-    if (config_.bidirectional) {
-      src_rev_ = std::make_unique<nic::TrafficSource>(
-          "gen.rev", *pool_, profile_rev(), *runtime_);
-      sink_rev_ = std::make_unique<nic::TrafficSink>("sink.rev", *pool_,
-                                                     *runtime_);
-      nic2_->attach_source(src_rev_.get());
-      nic1_->attach_sink(sink_rev_.get());
-    }
+                                          config_.cost, *pool_, profile_fwd());
+    nic2_ = std::make_unique<nic::SimNic>(
+        "nic1", nic_config, *runtime_, config_.cost, *pool_, profile_rev(),
+        /*generate=*/config_.bidirectional);
+    head_ = &nic1_->endpoint();
+    tail_ = &nic2_->endpoint();
     auto phy1 = of_->add_phy_port("phy0", *nic1_);
     if (!phy1.is_ok()) return phy1.status();
     phy1_ = phy1.value();
@@ -145,14 +131,16 @@ Status ChainScenario::build() {
       auto app = std::make_unique<vm::GenSinkApp>(
           app_name, *right, *pool_, profile_fwd(), *runtime_, config_.cost,
           /*generate=*/true, config_.burst, config_.gen_rate_pps);
-      head_ = app.get();
+      head_app_ = app.get();
+      head_ = &app->endpoint();
       apps_.push_back(std::move(app));
     } else if (!config_.use_nics && i == n - 1) {
       auto app = std::make_unique<vm::GenSinkApp>(
           app_name, *left, *pool_, profile_rev(), *runtime_, config_.cost,
           /*generate=*/config_.bidirectional, config_.burst,
           config_.gen_rate_pps);
-      tail_ = app.get();
+      tail_app_ = app.get();
+      tail_ = &app->endpoint();
       apps_.push_back(std::move(app));
     } else {
       apps_.push_back(std::make_unique<vm::ForwarderApp>(
@@ -185,8 +173,8 @@ void ChainScenario::wire_telemetry() {
       guest.pmd_for_port(left_ports_[i])->configure_int(runtime_.get());
       guest.pmd_for_port(right_ports_[i])->configure_int(runtime_.get());
     }
-    if (head_ != nullptr) head_->set_collect_int(true);
-    if (tail_ != nullptr) tail_->set_collect_int(true);
+    if (head_app_ != nullptr) head_app_->set_collect_int(true);
+    if (tail_app_ != nullptr) tail_app_->set_collect_int(true);
   }
 
   if (!config_.telemetry.metrics) return;
@@ -199,15 +187,8 @@ void ChainScenario::wire_telemetry() {
     return static_cast<double>(pool_->in_use());
   });
   metrics_->gauge("chain.delivered_pkts").set_callback([this] {
-    std::uint64_t total = 0;
-    if (config_.use_nics) {
-      if (sink_fwd_) total += sink_fwd_->received();
-      if (sink_rev_) total += sink_rev_->received();
-    } else {
-      if (head_ != nullptr) total += head_->counters().delivered;
-      if (tail_ != nullptr) total += tail_->counters().delivered;
-    }
-    return static_cast<double>(total);
+    return static_cast<double>(head_->counters().delivered +
+                               tail_->counters().delivered);
   });
   classifier::register_hit_rate_gauges(
       *metrics_, [this] { return of_->datapath_stats(); });
@@ -228,33 +209,19 @@ void ChainScenario::wire_telemetry() {
 
 pkt::WorkloadStats ChainScenario::offered_stats() const {
   pkt::WorkloadStats total;
-  const auto add = [&total](const pkt::WorkloadStats& s) {
+  for (const pkt::Endpoint* endpoint : {head_, tail_}) {
+    const pkt::WorkloadStats& s = endpoint->workload_stats();
     total.offered += s.offered;
     total.active_flows += s.active_flows;
     total.flow_arrivals += s.flow_arrivals;
     total.flow_departures += s.flow_departures;
     total.distinct_flows += s.distinct_flows;
-  };
-  if (config_.use_nics) {
-    if (src_fwd_) add(src_fwd_->workload_stats());
-    if (src_rev_) add(src_rev_->workload_stats());
-  } else {
-    if (head_ != nullptr) add(head_->workload_stats());
-    if (tail_ != nullptr) add(tail_->workload_stats());
   }
   return total;
 }
 
 std::uint64_t ChainScenario::total_gen_alloc_failures() const {
-  std::uint64_t total = 0;
-  if (config_.use_nics) {
-    if (src_fwd_) total += src_fwd_->alloc_failures();
-    if (src_rev_) total += src_rev_->alloc_failures();
-  } else {
-    if (head_ != nullptr) total += head_->counters().alloc_failures;
-    if (tail_ != nullptr) total += tail_->counters().alloc_failures;
-  }
-  return total;
+  return head_->counters().alloc_failures + tail_->counters().alloc_failures;
 }
 
 std::string ChainScenario::export_trace_json() const {
@@ -320,12 +287,8 @@ bool ChainScenario::wait_bypass_ready(TimeNs max_ns) {
 }
 
 void ChainScenario::snapshot() {
-  snap_fwd_ = config_.use_nics
-                  ? (sink_fwd_ ? sink_fwd_->received() : 0)
-                  : (tail_ != nullptr ? tail_->counters().delivered : 0);
-  snap_rev_ = config_.use_nics
-                  ? (sink_rev_ ? sink_rev_->received() : 0)
-                  : (head_ != nullptr ? head_->counters().delivered : 0);
+  snap_fwd_ = tail_->counters().delivered;
+  snap_rev_ = head_->counters().delivered;
 
   snap_switch_rx_ = 0;
   snap_engine_busy_.clear();
@@ -358,10 +321,8 @@ void ChainScenario::snapshot() {
   snap_offered_ = offered_stats();
   snap_gen_alloc_failures_ = total_gen_alloc_failures();
 
-  if (sink_fwd_) sink_fwd_->reset_latency();
-  if (sink_rev_) sink_rev_->reset_latency();
-  if (head_ != nullptr) head_->reset_latency();
-  if (tail_ != nullptr) tail_->reset_latency();
+  head_->reset_latency();
+  tail_->reset_latency();
   snap_time_ = runtime_->elapsed_ns();
 }
 
@@ -372,16 +333,8 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
   ChainMetrics metrics;
   metrics.duration_ns = runtime_->elapsed_ns() - snap_time_;
 
-  const std::uint64_t fwd =
-      (config_.use_nics ? (sink_fwd_ ? sink_fwd_->received() : 0)
-                        : (tail_ != nullptr ? tail_->counters().delivered
-                                            : 0)) -
-      snap_fwd_;
-  const std::uint64_t rev =
-      (config_.use_nics ? (sink_rev_ ? sink_rev_->received() : 0)
-                        : (head_ != nullptr ? head_->counters().delivered
-                                            : 0)) -
-      snap_rev_;
+  const std::uint64_t fwd = tail_->counters().delivered - snap_fwd_;
+  const std::uint64_t rev = head_->counters().delivered - snap_rev_;
   metrics.delivered_fwd = fwd;
   metrics.delivered_rev = rev;
   metrics.mpps_fwd = to_mpps(fwd, metrics.duration_ns);
@@ -389,13 +342,8 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
   metrics.mpps_total = metrics.mpps_fwd + metrics.mpps_rev;
 
   LatencyRecorder latency;
-  if (config_.use_nics) {
-    if (sink_fwd_) latency.merge(sink_fwd_->latency());
-    if (sink_rev_) latency.merge(sink_rev_->latency());
-  } else {
-    if (head_ != nullptr) latency.merge(head_->latency());
-    if (tail_ != nullptr) latency.merge(tail_->latency());
-  }
+  latency.merge(head_->latency());
+  latency.merge(tail_->latency());
   metrics.latency_mean_ns = latency.mean();
   metrics.latency_p50_ns = latency.quantile(0.50);
   metrics.latency_p99_ns = latency.quantile(0.99);
@@ -443,11 +391,7 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
       total_gen_alloc_failures() - snap_gen_alloc_failures_;
   // Top-k share of the forward-direction generator (the shares of the
   // two directions are statistically identical by construction).
-  if (config_.use_nics) {
-    if (src_fwd_) metrics.offered_top16_share = src_fwd_->top_share(16);
-  } else if (head_ != nullptr) {
-    metrics.offered_top16_share = head_->top_share(16);
-  }
+  metrics.offered_top16_share = head_->top_share(16);
 
   std::size_t engine_index = 0;
   const double window_cycles = static_cast<double>(metrics.duration_ns) *
@@ -469,10 +413,7 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
 }
 
 bool ChainScenario::drain(TimeNs max_ns) {
-  if (head_ != nullptr) head_->set_generate(false);
-  if (tail_ != nullptr) tail_->set_generate(false);
-  if (nic1_) nic1_->attach_source(nullptr);
-  if (nic2_) nic2_->attach_source(nullptr);
+  for (pkt::Endpoint* endpoint : {head_, tail_}) endpoint->set_generate(false);
   return runtime_->run_until([&] { return pool_->in_use() == 0; }, max_ns);
 }
 

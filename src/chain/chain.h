@@ -10,6 +10,7 @@
 #include "exec/runtime.h"
 #include "mbuf/mempool.h"
 #include "nic/sim_nic.h"
+#include "pkt/endpoint.h"
 #include "pkt/traffic_profile.h"
 #include "shm/shm.h"
 #include "telemetry/metrics.h"
@@ -149,14 +150,9 @@ class ChainScenario {
   [[nodiscard]] PortId phy_in() const noexcept { return phy1_; }
   [[nodiscard]] PortId phy_out() const noexcept { return phy2_; }
 
-  [[nodiscard]] vm::GenSinkApp* head_endpoint() noexcept { return head_; }
-  [[nodiscard]] vm::GenSinkApp* tail_endpoint() noexcept { return tail_; }
-  [[nodiscard]] nic::TrafficSink* nic_fwd_sink() noexcept {
-    return sink_fwd_.get();
-  }
-  [[nodiscard]] nic::TrafficSink* nic_rev_sink() noexcept {
-    return sink_rev_.get();
-  }
+  /// The end VMs' apps of a memory-only chain; null when NICs feed it.
+  [[nodiscard]] vm::GenSinkApp* head_endpoint() noexcept { return head_app_; }
+  [[nodiscard]] vm::GenSinkApp* tail_endpoint() noexcept { return tail_app_; }
 
   /// Sends a FlowMod through the wire codec (the way every rule in this
   /// scenario is installed).
@@ -188,8 +184,7 @@ class ChainScenario {
  private:
   [[nodiscard]] pkt::TrafficProfile profile_fwd() const;
   [[nodiscard]] pkt::TrafficProfile profile_rev() const;
-  /// Sums WorkloadStats over every live generator (NIC sources or
-  /// memory-endpoint apps, whichever this topology uses).
+  /// Sums WorkloadStats over both endpoints.
   [[nodiscard]] pkt::WorkloadStats offered_stats() const;
   [[nodiscard]] std::uint64_t total_gen_alloc_failures() const;
   void snapshot();
@@ -212,14 +207,15 @@ class ChainScenario {
 
   std::unique_ptr<nic::SimNic> nic1_;
   std::unique_ptr<nic::SimNic> nic2_;
-  std::unique_ptr<nic::TrafficSource> src_fwd_;  // into nic1
-  std::unique_ptr<nic::TrafficSource> src_rev_;  // into nic2
-  std::unique_ptr<nic::TrafficSink> sink_fwd_;   // out of nic2
-  std::unique_ptr<nic::TrafficSink> sink_rev_;   // out of nic1
 
   std::vector<std::unique_ptr<exec::Context>> apps_;
-  vm::GenSinkApp* head_ = nullptr;  // memory-only endpoints
-  vm::GenSinkApp* tail_ = nullptr;
+  vm::GenSinkApp* head_app_ = nullptr;  // memory-only chains
+  vm::GenSinkApp* tail_app_ = nullptr;
+  // The two traffic endpoints, behind nic1/nic2 or inside the end VMs'
+  // apps: the head generates forward traffic and sinks the reverse, the
+  // tail the opposite.
+  pkt::Endpoint* head_ = nullptr;
+  pkt::Endpoint* tail_ = nullptr;
 
   std::vector<PortId> left_ports_;
   std::vector<PortId> right_ports_;

@@ -8,15 +8,17 @@
 #include "exec/cost_model.h"
 #include "exec/runtime.h"
 #include "mbuf/mempool.h"
-#include "nic/traffic.h"
+#include "pkt/endpoint.h"
+#include "pkt/traffic_profile.h"
 #include "ring/spsc_ring.h"
 
 /// \file sim_nic.h
 /// Token-bucket model of a 10 GbE port (the paper's Intel 82599ES).
 ///
-/// Wire side: an attached TrafficSource offers frames and an attached
-/// TrafficSink absorbs them; both directions are paced by byte-accurate
-/// token buckets that include the 20 B preamble+IFG overhead, so a 64 B
+/// Wire side: the NIC's traffic endpoint (pkt::Endpoint) stands in for
+/// the hardware tester on the wire: it offers frames and absorbs the
+/// frames sent out. Both directions are paced by byte-accurate token
+/// buckets that include the 20 B preamble+IFG overhead, so a 64 B
 /// workload caps at 14.88 Mpps per direction — the ceiling visible in
 /// Figure 3(b).
 ///
@@ -28,26 +30,25 @@
 namespace hw::nic {
 
 struct NicConfig {
-  std::uint64_t bits_per_sec = 10'000'000'000ULL;
   std::size_t ring_capacity = 1024;
   std::uint32_t burst = 32;
-  /// Token bucket depth in bytes (wire time the NIC may "catch up").
-  std::int64_t bucket_depth_bytes = 64 * 1024;
 };
 
 struct NicCounters {
-  std::uint64_t rx_admitted = 0;  ///< wire→host frames accepted
-  std::uint64_t rx_missed = 0;    ///< dropped, host ring full
-  std::uint64_t tx_delivered = 0; ///< host→wire frames sent
+  std::uint64_t rx_missed = 0;  ///< dropped, host ring full
 };
 
 class SimNic final : public exec::Context {
  public:
-  SimNic(std::string name, const NicConfig& config, exec::Runtime& runtime,
-         const exec::CostModel& cost, mbuf::Mempool& pool);
+  static constexpr std::uint64_t kBitsPerSec = 10'000'000'000ULL;
+  /// Token bucket depth in bytes (wire time the NIC may "catch up").
+  static constexpr std::int64_t kBucketDepthBytes = 64 * 1024;
 
-  void attach_source(TrafficSource* source) noexcept { source_ = source; }
-  void attach_sink(TrafficSink* sink) noexcept { sink_ = sink; }
+  /// The wire endpoint generates `profile`'s traffic unless `generate` is
+  /// false (a sink-only port); it always sinks what the host sends.
+  SimNic(std::string name, const NicConfig& config, exec::Runtime& runtime,
+         const exec::CostModel& cost, mbuf::Mempool& pool,
+         const pkt::TrafficProfile& profile, bool generate = true);
 
   /// Host-side rings, consumed/fed by the switch's PhyPort.
   [[nodiscard]] ring::SpscRing<mbuf::Mbuf*>& host_rx() noexcept {
@@ -65,7 +66,7 @@ class SimNic final : public exec::Context {
   [[nodiscard]] const NicCounters& counters() const noexcept {
     return counters_;
   }
-  [[nodiscard]] double line_rate_pps(std::uint32_t frame_len) const noexcept;
+  [[nodiscard]] pkt::Endpoint& endpoint() noexcept { return endpoint_; }
 
  private:
   void refill_tokens() noexcept;
@@ -74,9 +75,7 @@ class SimNic final : public exec::Context {
   NicConfig config_;
   exec::Runtime* runtime_;
   const exec::CostModel* cost_;
-  mbuf::Mempool* pool_;
-  TrafficSource* source_ = nullptr;
-  TrafficSink* sink_ = nullptr;
+  pkt::Endpoint endpoint_;
 
   ring::OwnedSpscRing<mbuf::Mbuf*> rx_ring_;
   ring::OwnedSpscRing<mbuf::Mbuf*> tx_ring_;

@@ -4,13 +4,12 @@
 #include <vector>
 
 #include "common/latency.h"
-#include "common/seqtrack.h"
 #include "exec/context.h"
 #include "exec/cost_model.h"
 #include "exec/runtime.h"
 #include "mbuf/mempool.h"
+#include "pkt/endpoint.h"
 #include "pkt/traffic_profile.h"
-#include "pkt/workload_gen.h"
 #include "pmd/guest_pmd.h"
 
 /// \file apps.h
@@ -22,14 +21,11 @@
 
 namespace hw::vm {
 
-struct AppCounters {
+/// A ForwarderApp's counters. A GenSinkApp reports its endpoint's
+/// counters (pkt::EndpointCounters) in the same struct.
+struct AppCounters : pkt::EndpointCounters {
   std::uint64_t forwarded = 0;
-  std::uint64_t generated = 0;
-  std::uint64_t delivered = 0;   ///< sunk packets
-  std::uint64_t delivered_bytes = 0;  ///< sunk bytes (INT trailer included)
-  std::uint64_t tx_drops = 0;    ///< destination ring full, frame freed
-  std::uint64_t reorders = 0;    ///< intra-flow sequence regressions
-  std::uint64_t alloc_failures = 0;  ///< generator starved by the mempool
+  std::uint64_t tx_drops = 0;  ///< destination ring full, frame freed
 };
 
 /// Per-hop-position aggregate a sink collects from INT trailers: one
@@ -79,9 +75,10 @@ class ForwarderApp final : public exec::Context {
   AppCounters counters_;
 };
 
-/// Endpoint app for memory-only chains: generates traffic out of one port
-/// at core speed and sinks whatever arrives on it (the reverse direction),
-/// measuring latency from the embedded timestamps.
+/// Endpoint app for memory-only chains: its pkt::Endpoint generates
+/// traffic out of one port at core speed and sinks whatever arrives on
+/// it (the reverse direction), measuring latency from the embedded
+/// timestamps.
 class GenSinkApp final : public exec::Context {
  public:
   /// `rate_pps` == 0 generates at core speed (saturation); a nonzero rate
@@ -97,22 +94,17 @@ class GenSinkApp final : public exec::Context {
   }
   std::uint32_t poll(exec::CycleMeter& meter) override;
 
-  [[nodiscard]] const AppCounters& counters() const noexcept {
-    return counters_;
+  [[nodiscard]] AppCounters counters() const noexcept {
+    return {endpoint_.counters()};
   }
-  [[nodiscard]] const LatencyRecorder& latency() const noexcept {
-    return latency_;
-  }
-  void reset_latency() noexcept { latency_.reset(); }
-  void set_generate(bool on) noexcept { generate_ = on; }
-
+  void set_generate(bool on) noexcept { endpoint_.set_generate(on); }
   /// Offered-load shape from the workload engine (docs/WORKLOADS.md).
   [[nodiscard]] const pkt::WorkloadStats& workload_stats() const noexcept {
-    return gen_.stats();
+    return endpoint_.workload_stats();
   }
-  /// Share of offered frames carried by the ~k hottest flows.
-  [[nodiscard]] double top_share(std::size_t k) const {
-    return gen_.top_share(k);
+  [[nodiscard]] pkt::Endpoint& endpoint() noexcept { return endpoint_; }
+  [[nodiscard]] const pkt::Endpoint& endpoint() const noexcept {
+    return endpoint_;
   }
 
   /// Enables INT trailer collection on sunk frames: per-hop-position
@@ -126,22 +118,18 @@ class GenSinkApp final : public exec::Context {
   }
 
  private:
+  void record_int_hops(std::span<mbuf::Mbuf* const> frames);
+
   std::string name_;
   pmd::GuestPmd* port_;
-  mbuf::Mempool* pool_;
   exec::Runtime* runtime_;
   const exec::CostModel* cost_;
-  bool generate_;
   std::uint32_t burst_;
   std::uint64_t rate_pps_;
   double tokens_ = 0;
   TimeNs last_refill_ns_ = 0;
-  pkt::WorkloadGen gen_;  ///< lazy per-packet synthesis, O(active) memory
-  SeqNo next_seq_ = 1;
-  FlowSeqTracker rx_track_;  ///< per-flow order check (not one global seq)
+  pkt::Endpoint endpoint_;
   std::vector<mbuf::Mbuf*> buf_;
-  AppCounters counters_;
-  LatencyRecorder latency_;
   bool collect_int_ = false;
   std::vector<IntHopStats> int_hops_;
 };

@@ -9,11 +9,6 @@
 
 namespace hw::vswitch {
 
-// The default fan-in fence must track the guest datapath's actual RX-ring
-// budget: a looser manager default would request setups the PMD NACKs.
-static_assert(BypassManagerConfig{}.max_rx_fanin == pmd::GuestPmd::kMaxBypassRx,
-              "max_rx_fanin default must match the guest PMD RX-ring budget");
-
 BypassManager::BypassManager(shm::ShmManager& shm,
                              flowtable::FlowTable& table,
                              pmd::SharedStats stats,
@@ -91,12 +86,11 @@ bool BypassManager::region_tearing_down(const P2pLink& link) const noexcept {
 }
 
 bool BypassManager::at_rx_fanin_cap(const P2pLink& link) const noexcept {
-  if (config_.max_rx_fanin == 0) return false;
   const std::size_t inbound = static_cast<std::size_t>(
       std::count_if(links_.begin(), links_.end(), [&](const auto& kv) {
         return kv.second.link.to == link.to;
       }));
-  return inbound >= config_.max_rx_fanin;
+  return inbound >= pmd::GuestPmd::kMaxBypassRx;
 }
 
 void BypassManager::on_table_change() {

@@ -103,12 +103,6 @@ struct BypassManagerConfig {
   /// (teardowns always go through — a stale link must come down now).
   /// 0 = unbounded.
   std::size_t max_inflight_ops = 64;
-  /// Max bypass links converging on one destination port. Mirrors the
-  /// guest datapath's RX-ring budget (pmd::GuestPmd::kMaxBypassRx):
-  /// requesting a setup past it would only be NACKed by the guest PMD
-  /// and the link silently dropped. Excess setups park in the retry set
-  /// until an inbound teardown frees a slot. 0 = unbounded.
-  std::size_t max_rx_fanin = 4;
 };
 
 struct BypassCounters {
@@ -126,8 +120,8 @@ struct BypassCounters {
   /// region-destroy race this fence exists to prevent).
   std::uint64_t setups_deferred_region = 0;
   /// Desired links parked because the destination port already has
-  /// `max_rx_fanin` inbound links — the guest PMD would NACK the RX
-  /// attach and the link would be lost instead of retried.
+  /// pmd::GuestPmd::kMaxBypassRx inbound links — the guest PMD would NACK
+  /// the RX attach and the link would be lost instead of retried.
   std::uint64_t setups_deferred_fanin = 0;
 };
 
@@ -212,10 +206,12 @@ class BypassManager final : public BypassEventSink {
   /// True when the reverse direction of `link`'s pair is mid-teardown
   /// (it owns the shared region's unplug/destroy).
   [[nodiscard]] bool region_tearing_down(const P2pLink& link) const noexcept;
-  /// True when `link.to` already holds `max_rx_fanin` inbound links in
-  /// any state — even a kTearingDown link still occupies its RX ring at
-  /// the guest PMD until the teardown completes, so a new attach racing
-  /// that detach would be NACKed.
+  /// True when `link.to` already holds pmd::GuestPmd::kMaxBypassRx
+  /// inbound links (the guest datapath's RX-ring budget) in any state —
+  /// even a kTearingDown link still occupies its RX ring at the guest PMD
+  /// until the teardown completes, so a new attach racing that detach
+  /// would be NACKed. Excess setups park in the retry set until an
+  /// inbound teardown frees a slot.
   [[nodiscard]] bool at_rx_fanin_cap(const P2pLink& link) const noexcept;
   /// Directions (this or reverse) currently holding the region.
   [[nodiscard]] std::size_t region_users(const std::string& region) const;

@@ -13,6 +13,7 @@
 #include "common/log.h"
 #include "common/rng.h"
 #include "pmd/channel.h"
+#include "pmd/guest_pmd.h"
 #include "vm/apps.h"
 #include "vm/vm.h"
 #include "vswitch/of_switch.h"
@@ -258,7 +259,7 @@ struct ChurnDriver {
     for (const TrackedRule& r : rules) {
       if (!r.diverter && r.to == to && r.from != from) sources.insert(r.from);
     }
-    return sources.size() >= BypassManagerConfig{}.max_rx_fanin;
+    return sources.size() >= pmd::GuestPmd::kMaxBypassRx;
   }
 
   void track(TrackedRule rule) {

@@ -6,7 +6,7 @@
 #include "common/log.h"
 #include "exec/runtime.h"
 #include "mbuf/mempool.h"
-#include "nic/traffic.h"
+#include "nic/sim_nic.h"
 #include "pmd/channel.h"
 #include "pmd/control.h"
 #include "pmd/guest_pmd.h"
@@ -108,7 +108,7 @@ TEST_F(AppsTest, SinkSamplesFramesGeneratedInTheFirstEpoch) {
   chain.warmup(1'000'000);
   const GenSinkApp* tail = chain.tail_endpoint();
   ASSERT_GT(tail->counters().delivered, 0u);
-  EXPECT_EQ(tail->latency().count(), tail->counters().delivered);
+  EXPECT_EQ(tail->endpoint().latency().count(), tail->counters().delivered);
 }
 
 TEST_F(AppsTest, SteadyStatePathDeliversInOrder) {
@@ -129,10 +129,10 @@ TEST_F(AppsTest, SteadyStatePathDeliversInOrder) {
 }
 
 TEST_F(AppsTest, StarvedEndpointsCountOneAllocFailurePerStarvedPoll) {
-  // Both traffic endpoints feed `gen_alloc_failures`, which counts
-  // starved generator polls: a burst the pool could not fill counts one,
-  // however many frames it lacked. Each endpoint here starves a 4-buffer
-  // pool with 32-frame bursts, twice: short, then empty.
+  // Both endpoint owners feed `gen_alloc_failures`, which counts starved
+  // generator polls: a burst the pool could not fill counts one, however
+  // many frames it lacked. The app and the NIC here each starve a
+  // 4-buffer pool, twice: short, then empty.
   constexpr PortId kPort = 3;
   constexpr VmId kVm = 1;
   shm::ShmManager shm;
@@ -165,19 +165,21 @@ TEST_F(AppsTest, StarvedEndpointsCountOneAllocFailurePerStarvedPoll) {
   EXPECT_EQ(app.poll(meter), 0u);
 
   mbuf::Mempool nic_pool("nic", 4);
-  nic::TrafficSource source("src", nic_pool, profile, runtime);
-  std::array<mbuf::Mbuf*, 32> burst{};
-  const std::size_t produced = source.produce(burst);
-  EXPECT_EQ(produced, 4u);
-  EXPECT_EQ(source.produce(burst), 0u);
+  nic::SimNic nic("nic", {}, runtime, cost, nic_pool, profile);
+  runtime.step_epoch();  // 1 us of wire time: tokens for 14 frames
+  EXPECT_EQ(nic.poll(meter), 4u);
+  EXPECT_EQ(nic.poll(meter), 0u);
 
+  const pkt::EndpointCounters& wire = nic.endpoint().counters();
   EXPECT_EQ(app.counters().alloc_failures, 2u);
-  EXPECT_EQ(source.alloc_failures(), 2u);
-  EXPECT_EQ(app.counters().alloc_failures, source.alloc_failures());
+  EXPECT_EQ(wire.alloc_failures, 2u);
   // Each short burst is also one failure in the pool's own count.
   EXPECT_EQ(app_pool.stats().alloc_failures, nic_pool.stats().alloc_failures);
 
-  nic_pool.free_bulk(std::span<mbuf::Mbuf* const>(burst.data(), produced));
+  std::array<mbuf::Mbuf*, 4> burst{};
+  nic_pool.free_bulk(std::span<mbuf::Mbuf* const>(
+      burst.data(), nic.host_rx().dequeue_burst(burst)));
+  EXPECT_EQ(nic_pool.in_use(), 0u);
   for (pmd::MbufRing* ring : {&normal.a2b(), &normal.b2a()}) {
     for (mbuf::Mbuf* buf = nullptr; ring->dequeue(buf);) app_pool.free(buf);
   }

@@ -3,6 +3,7 @@
 #include "common/units.h"
 #include "exec/runtime.h"
 #include "nic/sim_nic.h"
+#include "pkt/endpoint.h"
 
 namespace hw::nic {
 namespace {
@@ -25,10 +26,8 @@ class NicTest : public ::testing::Test {
 };
 
 TEST_F(NicTest, IngressCapsAtLineRate64B) {
-  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_);
-  TrafficSource source("gen", pool_, profile(64), runtime_);
-  TrafficSink drain("drain", pool_, runtime_);
-  nic.attach_source(&source);
+  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_, profile(64));
+  pkt::Endpoint drain(profile(64), pool_, runtime_, /*generate=*/false);
   runtime_.add_context(&nic);
 
   // Consume the host ring continuously so the ring never backpressures.
@@ -37,7 +36,7 @@ TEST_F(NicTest, IngressCapsAtLineRate64B) {
   for (int epoch = 0; epoch < 10'000; ++epoch) {  // 10 ms virtual
     runtime_.step_epoch();
     const std::size_t n = nic.host_rx().dequeue_burst(burst);
-    drain.consume(std::span<mbuf::Mbuf* const>(burst, n));
+    drain.sink(std::span<mbuf::Mbuf* const>(burst, n));
     consumed += n;
   }
   const double mpps = to_mpps(consumed, 10'000'000);
@@ -46,10 +45,8 @@ TEST_F(NicTest, IngressCapsAtLineRate64B) {
 }
 
 TEST_F(NicTest, IngressCapsAtLineRate1518B) {
-  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_);
-  TrafficSource source("gen", pool_, profile(1518), runtime_);
-  TrafficSink drain("drain", pool_, runtime_);
-  nic.attach_source(&source);
+  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_, profile(1518));
+  pkt::Endpoint drain(profile(1518), pool_, runtime_, /*generate=*/false);
   runtime_.add_context(&nic);
 
   std::uint64_t consumed = 0;
@@ -57,7 +54,7 @@ TEST_F(NicTest, IngressCapsAtLineRate1518B) {
   for (int epoch = 0; epoch < 10'000; ++epoch) {
     runtime_.step_epoch();
     const std::size_t n = nic.host_rx().dequeue_burst(burst);
-    drain.consume(std::span<mbuf::Mbuf* const>(burst, n));
+    drain.sink(std::span<mbuf::Mbuf* const>(burst, n));
     consumed += n;
   }
   const double pps = static_cast<double>(consumed) / 0.01;
@@ -67,9 +64,7 @@ TEST_F(NicTest, IngressCapsAtLineRate1518B) {
 TEST_F(NicTest, RxMissedWhenHostRingFull) {
   NicConfig config;
   config.ring_capacity = 64;  // tiny host ring, nobody drains it
-  SimNic nic("nic", config, runtime_, runtime_.cost(), pool_);
-  TrafficSource source("gen", pool_, profile(64), runtime_);
-  nic.attach_source(&source);
+  SimNic nic("nic", config, runtime_, runtime_.cost(), pool_, profile(64));
   runtime_.add_context(&nic);
   runtime_.run_for(1'000'000);  // 1 ms
   EXPECT_GT(nic.counters().rx_missed, 0u);
@@ -79,9 +74,9 @@ TEST_F(NicTest, RxMissedWhenHostRingFull) {
 }
 
 TEST_F(NicTest, EgressDeliversToSinkAtLineRate) {
-  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_);
-  TrafficSink sink("sink", pool_, runtime_);
-  nic.attach_sink(&sink);
+  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_, profile(64),
+             /*generate=*/false);
+  const pkt::Endpoint& sink = nic.endpoint();
   runtime_.add_context(&nic);
 
   // Feed the host tx ring faster than the wire can drain.
@@ -96,15 +91,15 @@ TEST_F(NicTest, EgressDeliversToSinkAtLineRate) {
     for (std::size_t i = queued; i < got; ++i) pool_.free(burst[i]);
     runtime_.step_epoch();
   }
-  const double mpps = to_mpps(sink.received(), 10'000'000);
+  const double mpps = to_mpps(sink.counters().delivered, 10'000'000);
   EXPECT_NEAR(mpps, 14.88, 0.3);
-  EXPECT_GT(offered, sink.received());  // wire was the bottleneck
+  EXPECT_GT(offered, sink.counters().delivered);  // wire was the bottleneck
 }
 
 TEST_F(NicTest, SinkRecordsLatencyAndOrder) {
-  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_);
-  TrafficSink sink("sink", pool_, runtime_);
-  nic.attach_sink(&sink);
+  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_, profile(64),
+             /*generate=*/false);
+  const pkt::Endpoint& sink = nic.endpoint();
   runtime_.add_context(&nic);
 
   mbuf::Mbuf* a = pool_.alloc();
@@ -117,8 +112,8 @@ TEST_F(NicTest, SinkRecordsLatencyAndOrder) {
   mbuf::Mbuf* const frames[2] = {a, b};
   ASSERT_EQ(nic.host_tx().enqueue_burst(frames), 2u);
   runtime_.run_for(10'000);
-  EXPECT_EQ(sink.received(), 2u);
-  EXPECT_EQ(sink.reorders(), 1u);
+  EXPECT_EQ(sink.counters().delivered, 2u);
+  EXPECT_EQ(sink.counters().reorders, 1u);
   EXPECT_EQ(sink.latency().count(), 2u);
   EXPECT_EQ(pool_.in_use(), 0u);
 }
@@ -126,51 +121,51 @@ TEST_F(NicTest, SinkRecordsLatencyAndOrder) {
 TEST_F(NicTest, SinkTakesNoLatencySampleFromUnstampedFrames) {
   // A packet-out leaves Mbuf::reset() with seq 0 and ts_ns 0: no
   // generator stamped it, so it is counted but adds no latency sample.
-  TrafficSink sink("sink", pool_, runtime_);
+  pkt::Endpoint endpoint(profile(64), pool_, runtime_, /*generate=*/false);
   runtime_.run_for(10'000);  // a bogus sample would read the whole 10 us
   mbuf::Mbuf* frame = pool_.alloc();
   frame->reset();
   frame->data_len = 64;
   mbuf::Mbuf* const frames[1] = {frame};
-  sink.consume(frames);
-  EXPECT_EQ(sink.received(), 1u);
-  EXPECT_EQ(sink.latency().count(), 0u);
+  endpoint.sink(frames);
+  EXPECT_EQ(endpoint.counters().delivered, 1u);
+  EXPECT_EQ(endpoint.latency().count(), 0u);
   EXPECT_EQ(pool_.in_use(), 0u);
 }
 
-TEST_F(NicTest, DetachedSourceStopsIngress) {
-  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_);
-  TrafficSource source("gen", pool_, profile(64), runtime_);
-  nic.attach_source(&source);
+TEST_F(NicTest, StoppedGenerationStopsIngress) {
+  SimNic nic("nic", {}, runtime_, runtime_.cost(), pool_, profile(64));
   runtime_.add_context(&nic);
   runtime_.run_for(100'000);
-  const std::uint64_t before = nic.counters().rx_admitted;
+  // Offered, not generated: the undrained host ring fills within 100 us,
+  // after which the port accepts nothing whether or not the wire offers.
+  const std::uint64_t before = nic.endpoint().workload_stats().offered;
   EXPECT_GT(before, 0u);
-  nic.attach_source(nullptr);
+  nic.endpoint().set_generate(false);
   runtime_.run_for(100'000);
-  EXPECT_EQ(nic.counters().rx_admitted, before);
+  EXPECT_EQ(nic.endpoint().workload_stats().offered, before);
 }
 
 TEST_F(NicTest, SourceStampsSequencesAndTimestamps) {
-  TrafficSource source("gen", pool_, profile(64), runtime_);
+  pkt::Endpoint source(profile(64), pool_, runtime_);
   mbuf::Mbuf* out[8];
-  const std::size_t n = source.produce(out);
+  const std::size_t n = source.generate(out);
   ASSERT_EQ(n, 8u);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(out[i]->seq, i + 1);
     EXPECT_EQ(out[i]->data_len, 64u);
   }
-  EXPECT_EQ(source.generated(), 8u);
+  EXPECT_EQ(source.workload_stats().offered, 8u);
   pool_.free_bulk(std::span<mbuf::Mbuf* const>(out, n));
 }
 
 TEST_F(NicTest, SourceHandlesPoolExhaustion) {
   mbuf::Mempool tiny("tiny", 4);
-  TrafficSource source("gen", tiny, profile(64), runtime_);
+  pkt::Endpoint source(profile(64), tiny, runtime_);
   mbuf::Mbuf* out[16];
-  const std::size_t n = source.produce(out);
+  const std::size_t n = source.generate(out);
   EXPECT_EQ(n, 4u);
-  EXPECT_EQ(source.alloc_failures(), 1u);
+  EXPECT_EQ(source.counters().alloc_failures, 1u);
   tiny.free_bulk(std::span<mbuf::Mbuf* const>(out, n));
 }
 

@@ -5,7 +5,7 @@
 
 #include "exec/runtime.h"
 #include "mbuf/mempool.h"
-#include "nic/traffic.h"
+#include "pkt/endpoint.h"
 #include "pkt/packet.h"
 #include "pkt/traffic_profile.h"
 #include "pkt/workload_gen.h"
@@ -19,7 +19,7 @@
 /// regressions while ignoring cross-flow interleave, and a profile's seed
 /// must fix its pick stream.
 
-namespace hw::nic {
+namespace hw::pkt {
 namespace {
 
 class WorkloadTest : public ::testing::Test {
@@ -65,14 +65,14 @@ TEST_F(WorkloadTest, LegacyProfileKeepsRoundRobinStream) {
   // generator exactly: flows swept in index order, frames byte-equal.
   pkt::TrafficProfile profile;
   profile.flow_count = 5;
-  TrafficSource source("gen", pool_, profile, runtime_);
+  Endpoint source(profile, pool_, runtime_);
   const std::vector<pkt::FrameSpec> flows = profile.make_flows();
 
   mbuf::Mbuf* burst[16];
   mbuf::Mbuf expect;
   SeqNo seq = 1;
   for (int poll = 0; poll < 4; ++poll) {
-    const std::size_t n = source.produce(burst);
+    const std::size_t n = source.generate(burst);
     ASSERT_EQ(n, 16u);
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t flow = (static_cast<std::size_t>(poll) * 16 + i) %
@@ -96,11 +96,11 @@ TEST_F(WorkloadTest, MillionFlowZipfSourceNeedsNoPerFlowState) {
   profile.flow_count = 1'048'576;
   profile.workload.distribution = pkt::FlowDistribution::kZipf;
   profile.workload.zipf_s = 1.1;
-  TrafficSource source("gen", pool_, profile, runtime_);
+  Endpoint source(profile, pool_, runtime_);
 
   mbuf::Mbuf* burst[32];
   for (int poll = 0; poll < 256; ++poll) {
-    const std::size_t n = source.produce(burst);
+    const std::size_t n = source.generate(burst);
     ASSERT_EQ(n, 32u);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(burst[i]->data_len, 64u);
@@ -108,8 +108,8 @@ TEST_F(WorkloadTest, MillionFlowZipfSourceNeedsNoPerFlowState) {
     }
     runtime_.step_epoch();
   }
-  EXPECT_EQ(source.generated(), 256u * 32u);
-  EXPECT_EQ(source.alloc_failures(), 0u);
+  EXPECT_EQ(source.workload_stats().offered, 256u * 32u);
+  EXPECT_EQ(source.counters().alloc_failures, 0u);
   EXPECT_EQ(source.workload_stats().active_flows, 1'048'576u);
   // The hottest ranks must dominate even with a million-flow tail.
   EXPECT_GT(source.top_share(64), 0.3);
@@ -125,11 +125,11 @@ TEST_F(WorkloadTest, PoissonChurnArrivesAndDepartsAtTheSource) {
   profile.workload.mice_packets = 16;
   profile.workload.elephant_lifetime_ns = 500'000;
   profile.workload.max_active_flows = 1024;
-  TrafficSource source("gen", pool_, profile, runtime_);
+  Endpoint source(profile, pool_, runtime_);
 
   mbuf::Mbuf* burst[32];
   for (int poll = 0; poll < 4096; ++poll) {  // ~4 ms virtual
-    const std::size_t n = source.produce(burst);
+    const std::size_t n = source.generate(burst);
     for (std::size_t i = 0; i < n; ++i) pool_.free(burst[i]);
     runtime_.step_epoch();
   }
@@ -139,7 +139,6 @@ TEST_F(WorkloadTest, PoissonChurnArrivesAndDepartsAtTheSource) {
   EXPECT_LE(stats.active_flows, 1024u);
   EXPECT_GT(stats.distinct_flows, 256u)
       << "churn must mint 5-tuples beyond the initial population";
-  EXPECT_EQ(stats.offered, source.generated());
 }
 
 TEST_F(WorkloadTest, OnOffGateSilencesTheSourceInOffPhases) {
@@ -148,13 +147,13 @@ TEST_F(WorkloadTest, OnOffGateSilencesTheSourceInOffPhases) {
   profile.workload.churn = pkt::ChurnModel::kOnOff;
   profile.workload.on_mean_ns = 20'000;
   profile.workload.off_mean_ns = 20'000;
-  TrafficSource source("gen", pool_, profile, runtime_);
+  Endpoint source(profile, pool_, runtime_);
 
   mbuf::Mbuf* burst[32];
   std::uint64_t silent_polls = 0;
   std::uint64_t active_polls = 0;
   for (int poll = 0; poll < 2000; ++poll) {  // 2 ms over ~20 us phases
-    const std::size_t n = source.produce(burst);
+    const std::size_t n = source.generate(burst);
     if (n == 0) {
       ++silent_polls;
     } else {
@@ -165,14 +164,14 @@ TEST_F(WorkloadTest, OnOffGateSilencesTheSourceInOffPhases) {
   }
   EXPECT_GT(silent_polls, 100u) << "the OFF phases never gated the source";
   EXPECT_GT(active_polls, 100u) << "the ON phases never opened the gate";
-  EXPECT_EQ(source.generated(), active_polls * 32u);
+  EXPECT_EQ(source.workload_stats().offered, active_polls * 32u);
 }
 
 TEST_F(WorkloadTest, SinkCountsIntraFlowRegressionsOnly) {
   pkt::TrafficProfile profile;
   profile.flow_count = 2;
   pkt::WorkloadGen gen(profile);
-  TrafficSink sink("sink", pool_, runtime_);
+  Endpoint sink(profile, pool_, runtime_, /*generate=*/false);
 
   const auto frame = [&](std::uint64_t flow, SeqNo seq) {
     mbuf::Mbuf* buf = pool_.alloc();
@@ -185,34 +184,34 @@ TEST_F(WorkloadTest, SinkCountsIntraFlowRegressionsOnly) {
   // Cross-flow interleave of globally increasing seqs: no reorder.
   mbuf::Mbuf* in_order[] = {frame(0, 1), frame(1, 2), frame(0, 3),
                             frame(1, 4)};
-  sink.consume(in_order);
-  EXPECT_EQ(sink.reorders(), 0u);
+  sink.sink(in_order);
+  EXPECT_EQ(sink.counters().reorders, 0u);
 
   // A genuine regression inside flow 0 (5 then 4): exactly one reorder,
   // and the interleaved flow-1 frame between them must not mask it.
   mbuf::Mbuf* regression[] = {frame(0, 5), frame(1, 6), frame(0, 4)};
-  sink.consume(regression);
-  EXPECT_EQ(sink.reorders(), 1u);
+  sink.sink(regression);
+  EXPECT_EQ(sink.counters().reorders, 1u);
 
   // Resuming in order must not double-count the old regression.
   mbuf::Mbuf* resume[] = {frame(0, 7), frame(1, 8)};
-  sink.consume(resume);
-  EXPECT_EQ(sink.reorders(), 1u);
-  EXPECT_EQ(sink.received(), 9u);
+  sink.sink(resume);
+  EXPECT_EQ(sink.counters().reorders, 1u);
+  EXPECT_EQ(sink.counters().delivered, 9u);
   EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(WorkloadTest, StarvedSourceCountsAllocFailures) {
   mbuf::Mempool tiny("tiny", 4);
   pkt::TrafficProfile profile;
-  TrafficSource source("gen", tiny, profile, runtime_);
+  Endpoint source(profile, tiny, runtime_);
 
   mbuf::Mbuf* burst[32];
-  const std::size_t n = source.produce(burst);
+  const std::size_t n = source.generate(burst);
   EXPECT_EQ(n, 4u) << "a 4-buffer pool can fill exactly 4 frames";
-  EXPECT_EQ(source.alloc_failures(), 1u);
-  EXPECT_EQ(source.produce(burst), 0u) << "pool fully drained";
-  EXPECT_EQ(source.alloc_failures(), 2u);
+  EXPECT_EQ(source.counters().alloc_failures, 1u);
+  EXPECT_EQ(source.generate(burst), 0u) << "pool fully drained";
+  EXPECT_EQ(source.counters().alloc_failures, 2u);
   for (std::size_t i = 0; i < n; ++i) tiny.free(burst[i]);
 }
 
@@ -275,4 +274,4 @@ TEST_F(WorkloadTest, PickStreamIsPinnedBySeed) {
 }
 
 }  // namespace
-}  // namespace hw::nic
+}  // namespace hw::pkt

@@ -68,14 +68,25 @@ TEST_F(ChainBasicTest, BypassBeatsVanillaOnLongChain) {
 }
 
 TEST_F(ChainBasicTest, MempoolConservesAfterDrain) {
-  ChainConfig config;
-  config.vm_count = 3;
-  config.enable_bypass = true;
-  ChainScenario chain(config);
-  ASSERT_TRUE(chain.build().is_ok());
-  ASSERT_TRUE(chain.wait_bypass_ready());
-  chain.warmup(5'000'000);
-  EXPECT_TRUE(chain.drain()) << "in_use=" << chain.pool().in_use();
+  // One drain() path for both topologies: it stops the generator of both
+  // endpoints, whether they sit in the end VMs or behind the NICs.
+  for (const bool use_nics : {false, true}) {
+    SCOPED_TRACE(use_nics ? "NIC-fed chain" : "memory-only chain");
+    ChainConfig config;
+    config.vm_count = 3;
+    config.use_nics = use_nics;
+    config.enable_bypass = true;
+    ChainScenario chain(config);
+    ASSERT_TRUE(chain.build().is_ok());
+    ASSERT_TRUE(chain.wait_bypass_ready());
+    chain.warmup(5'000'000);
+    EXPECT_TRUE(chain.drain()) << "in_use=" << chain.pool().in_use();
+    // Generation stays off: a later window delivers nothing, and the pool
+    // stays empty.
+    const ChainMetrics after = chain.measure(1'000'000);
+    EXPECT_EQ(after.delivered_fwd + after.delivered_rev, 0u);
+    EXPECT_EQ(chain.pool().in_use(), 0u);
+  }
 }
 
 TEST_F(ChainBasicTest, NicChainRespectsLineRate) {

@@ -14,6 +14,12 @@ from silently stranding them. This checker closes the loop:
   * every tier counter in that list (the TierCounters fields it
     generates) must appear there too;
   * every field of chain::ChainMetrics in src/chain/chain.h likewise;
+  * every endpoint counter — the fields of pkt::EndpointCounters in
+    src/pkt/endpoint.h and of vm::AppCounters in src/vm/apps.h, which
+    hostbench reads as `app.*` — must name a table row (in backticks,
+    in the row's first cell) of the "## Endpoint counters" section:
+    names like `delivered` recur elsewhere in the file and in that
+    section's prose, so only a row of that section documents one;
   * every engine-tagged column published through
     `export_engine_counter(state, i, "name", ...)` anywhere under bench/
     must appear in docs/COUNTERS.md under its documented pattern
@@ -38,6 +44,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_COMMON = os.path.join(ROOT, "bench", "bench_common.h")
 TIER_COUNTERS = os.path.join(ROOT, "src", "classifier", "dp_classifier.h")
 CHAIN_METRICS = os.path.join(ROOT, "src", "chain", "chain.h")
+ENDPOINT_STRUCTS = [
+    (os.path.join(ROOT, "src", "pkt", "endpoint.h"), "EndpointCounters"),
+    (os.path.join(ROOT, "src", "vm", "apps.h"), "AppCounters"),
+]
+ENDPOINT_SECTION = "## Endpoint counters"
 COUNTERS_MD = os.path.join(ROOT, "docs", "COUNTERS.md")
 OBSERVABILITY_MD = os.path.join(ROOT, "docs", "OBSERVABILITY.md")
 METRIC_DIRS = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -53,6 +64,8 @@ FIELD_RE = re.compile(
 # One entry of the HW_TIER_COUNTERS X-macro: X(field, "column") or
 # X(field, nullptr) for a counter no bench table publishes.
 TIER_ENTRY_RE = re.compile(r'\bX\((\w+),\s*(?:"([A-Za-z0-9_]+)"|nullptr)\)')
+# First cell of a markdown table row.
+ROW_HEAD_RE = re.compile(r"^\|([^|\n]*)\|", re.MULTILINE)
 METRIC_RE = re.compile(
     r'(?:\.|->)(?:counter|gauge|histogram)\(\s*"([a-z0-9_.]+)"')
 
@@ -63,10 +76,12 @@ def read(path):
 
 
 def struct_fields(text, struct_name):
-    """Field names of `struct <name> { ... };` (first brace block)."""
-    start = text.find("struct %s {" % struct_name)
-    if start < 0:
+    """Field names declared in `struct <name> [: bases] { ... };` (first
+    brace block; inherited fields are not included)."""
+    match = re.search(r"\bstruct %s\b[^;{]*\{" % struct_name, text)
+    if match is None:
         return []
+    start = match.start()
     depth = 0
     for i in range(start, len(text)):
         if text[i] == "{":
@@ -76,6 +91,16 @@ def struct_fields(text, struct_name):
             if depth == 0:
                 return FIELD_RE.findall(text[start:i])
     return []
+
+
+def section(text, heading):
+    """Body of the markdown section starting with `heading`, up to the
+    next heading of the same level ('' when absent)."""
+    start = text.find(heading)
+    if start < 0:
+        return ""
+    end = text.find("\n## ", start + len(heading))
+    return text[start:] if end < 0 else text[start:end]
 
 
 def tier_counter_list(text):
@@ -140,6 +165,25 @@ def main():
                 f"ChainMetrics field `{name}` (src/chain/chain.h) is not "
                 f"mentioned in docs/COUNTERS.md")
 
+    endpoint_docs = {name
+                     for cell in ROW_HEAD_RE.findall(
+                         section(docs, ENDPOINT_SECTION))
+                     for name in re.findall(r"`([A-Za-z0-9_]+)`", cell)}
+    endpoint_fields = []
+    for path, struct in ENDPOINT_STRUCTS:
+        fields = struct_fields(read(path), struct)
+        if not fields:
+            errors.append(f"no fields parsed from {struct} "
+                          f"(parser broken?)")
+        for name in fields:
+            endpoint_fields.append(name)
+            if name not in endpoint_docs:
+                errors.append(
+                    f"endpoint counter `{name}` ({struct} in "
+                    f"{os.path.relpath(path, ROOT)}) has no row in the "
+                    f"\"{ENDPOINT_SECTION[3:]}\" section of "
+                    f"docs/COUNTERS.md")
+
     metric_names = registered_metrics()
     if not metric_names:
         errors.append("no MetricsRegistry registrations found under src/ "
@@ -158,6 +202,7 @@ def main():
           f"{len(engine_columns)} engine-tagged columns, "
           f"{len(tier_fields)} TierCounters fields, "
           f"{len(chain_fields)} ChainMetrics fields, "
+          f"{len(endpoint_fields)} endpoint counters, "
           f"{len(metric_names)} registered metrics: "
           f"{'FAIL' if errors else 'OK'} ({len(errors)} undocumented)")
     return 1 if errors else 0
