@@ -37,7 +37,6 @@ int main() {
 
   vswitch::OfSwitch of(shm, pool, runtime, cost,
                        {.ring_capacity = 1024,
-                        .burst = 32,
                         .emc_enabled = true,
                         .engine_count = 2,
                         .bypass_enabled = true});

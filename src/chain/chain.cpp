@@ -66,9 +66,7 @@ Status ChainScenario::build() {
 
   of_ = std::make_unique<vswitch::OfSwitch>(
       shm_, *pool_, *runtime_, config_.cost,
-      vswitch::SwitchConfig{.ring_capacity = config_.ring_capacity,
-                            .burst = config_.burst,
-                            .emc_enabled = config_.emc_enabled,
+      vswitch::SwitchConfig{.emc_enabled = config_.emc_enabled,
                             .megaflow_enabled = config_.megaflow_enabled,
                             .engine_count = config_.engine_count,
                             .rss = config_.rss,
@@ -83,8 +81,7 @@ Status ChainScenario::build() {
 
   // --- NICs (Figure 3b) -------------------------------------------------
   if (config_.use_nics) {
-    const nic::NicConfig nic_config{.ring_capacity = config_.ring_capacity,
-                                    .burst = config_.burst};
+    const nic::NicConfig nic_config{};
     nic1_ = std::make_unique<nic::SimNic>("nic0", nic_config, *runtime_,
                                           config_.cost, *pool_, profile_fwd());
     nic2_ = std::make_unique<nic::SimNic>(
@@ -130,14 +127,14 @@ Status ChainScenario::build() {
     if (!config_.use_nics && i == 0) {
       auto app = std::make_unique<vm::GenSinkApp>(
           app_name, *right, *pool_, profile_fwd(), *runtime_, config_.cost,
-          /*generate=*/true, config_.burst, config_.gen_rate_pps);
+          /*generate=*/true, kBurstSize, config_.gen_rate_pps);
       head_app_ = app.get();
       head_ = &app->endpoint();
       apps_.push_back(std::move(app));
     } else if (!config_.use_nics && i == n - 1) {
       auto app = std::make_unique<vm::GenSinkApp>(
           app_name, *left, *pool_, profile_rev(), *runtime_, config_.cost,
-          /*generate=*/config_.bidirectional, config_.burst,
+          /*generate=*/config_.bidirectional, kBurstSize,
           config_.gen_rate_pps);
       tail_app_ = app.get();
       tail_ = &app->endpoint();
@@ -145,7 +142,7 @@ Status ChainScenario::build() {
     } else {
       apps_.push_back(std::make_unique<vm::ForwarderApp>(
           app_name, *left, *right, *pool_, config_.cost,
-          config_.vm_extra_cycles, config_.burst));
+          config_.vm_extra_cycles));
     }
   }
 
@@ -286,59 +283,46 @@ bool ChainScenario::wait_bypass_ready(TimeNs max_ns) {
       max_ns);
 }
 
-void ChainScenario::snapshot() {
-  snap_fwd_ = tail_->counters().delivered;
-  snap_rev_ = head_->counters().delivered;
-
-  snap_switch_rx_ = 0;
-  snap_engine_busy_.clear();
+ChainScenario::Totals ChainScenario::totals() const {
+  Totals t;
+  t.time_ns = runtime_->elapsed_ns();
+  t.delivered_fwd = tail_->counters().delivered;
+  t.delivered_rev = head_->counters().delivered;
   for (const auto& engine : of_->engines()) {
-    snap_switch_rx_ += engine->counters().rx_packets;
+    const vswitch::EngineCounters& c = engine->counters();
+    t.switch_rx += c.rx_packets;
+    t.drops += c.tx_ring_full + c.misses + c.action_drops + c.rss_queue_drops;
+    t.rss_distributed += c.rss_distributed;
+    t.rss_queue_drops += c.rss_queue_drops;
   }
+  if (nic1_) t.drops += nic1_->counters().rx_missed;
+  if (nic2_) t.drops += nic2_->counters().rx_missed;
+  t.tiers = of_->datapath_stats();
+  t.rss = of_->rss_stats();
+  t.offered = offered_stats();
+  t.gen_alloc_failures = total_gen_alloc_failures();
   for (const auto& report : runtime_->reports()) {
     if (report.name.rfind("pmd", 0) == 0) {
-      snap_engine_busy_.push_back(report.busy_cycles);
+      t.engine_busy.push_back(report.busy_cycles);
     }
   }
-
-  snap_drops_ = 0;
-  for (const auto& engine : of_->engines()) {
-    snap_drops_ += engine->counters().tx_ring_full +
-                   engine->counters().misses +
-                   engine->counters().action_drops +
-                   engine->counters().rss_queue_drops;
-  }
-  if (nic1_) snap_drops_ += nic1_->counters().rx_missed;
-  if (nic2_) snap_drops_ += nic2_->counters().rx_missed;
-  snap_tiers_ = of_->datapath_stats();
-  snap_rss_distributed_ = 0;
-  snap_rss_queue_drops_ = 0;
-  for (const auto& engine : of_->engines()) {
-    snap_rss_distributed_ += engine->counters().rss_distributed;
-    snap_rss_queue_drops_ += engine->counters().rss_queue_drops;
-  }
-  snap_rss_ = of_->rss_stats();
-  snap_offered_ = offered_stats();
-  snap_gen_alloc_failures_ = total_gen_alloc_failures();
-
-  head_->reset_latency();
-  tail_->reset_latency();
-  snap_time_ = runtime_->elapsed_ns();
+  return t;
 }
 
 ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
-  snapshot();
+  const Totals start = totals();
+  head_->reset_latency();
+  tail_->reset_latency();
   runtime_->run_for(duration_ns);
+  const Totals end = totals();
 
   ChainMetrics metrics;
-  metrics.duration_ns = runtime_->elapsed_ns() - snap_time_;
+  metrics.duration_ns = end.time_ns - start.time_ns;
 
-  const std::uint64_t fwd = tail_->counters().delivered - snap_fwd_;
-  const std::uint64_t rev = head_->counters().delivered - snap_rev_;
-  metrics.delivered_fwd = fwd;
-  metrics.delivered_rev = rev;
-  metrics.mpps_fwd = to_mpps(fwd, metrics.duration_ns);
-  metrics.mpps_rev = to_mpps(rev, metrics.duration_ns);
+  metrics.delivered_fwd = end.delivered_fwd - start.delivered_fwd;
+  metrics.delivered_rev = end.delivered_rev - start.delivered_rev;
+  metrics.mpps_fwd = to_mpps(metrics.delivered_fwd, metrics.duration_ns);
+  metrics.mpps_rev = to_mpps(metrics.delivered_rev, metrics.duration_ns);
   metrics.mpps_total = metrics.mpps_fwd + metrics.mpps_rev;
 
   LatencyRecorder latency;
@@ -349,65 +333,40 @@ ChainMetrics ChainScenario::measure(TimeNs duration_ns) {
   metrics.latency_p99_ns = latency.quantile(0.99);
   metrics.latency_max_ns = latency.max();
 
-  std::uint64_t switch_rx = 0;
-  for (const auto& engine : of_->engines()) {
-    switch_rx += engine->counters().rx_packets;
-  }
-  metrics.switch_rx_packets = switch_rx - snap_switch_rx_;
-
-  std::uint64_t drops = 0;
-  for (const auto& engine : of_->engines()) {
-    drops += engine->counters().tx_ring_full + engine->counters().misses +
-             engine->counters().action_drops +
-             engine->counters().rss_queue_drops;
-  }
-  if (nic1_) drops += nic1_->counters().rx_missed;
-  if (nic2_) drops += nic2_->counters().rx_missed;
-  metrics.drops = drops - snap_drops_;
-
+  metrics.switch_rx_packets = end.switch_rx - start.switch_rx;
+  metrics.drops = end.drops - start.drops;
   metrics.bypass_links = of_->bypass_manager().active_links();
+  metrics.tiers = end.tiers - start.tiers;
 
-  metrics.tiers = of_->datapath_stats() - snap_tiers_;
-
-  std::uint64_t rss_distributed = 0;
-  std::uint64_t rss_queue_drops = 0;
-  for (const auto& engine : of_->engines()) {
-    rss_distributed += engine->counters().rss_distributed;
-    rss_queue_drops += engine->counters().rss_queue_drops;
-  }
-  metrics.rss_distributed = rss_distributed - snap_rss_distributed_;
-  metrics.rss_queue_drops = rss_queue_drops - snap_rss_queue_drops_;
-  const vswitch::RssStats rss = of_->rss_stats();
-  metrics.rebalance_checks = rss.rebalance_checks - snap_rss_.rebalance_checks;
+  metrics.rss_distributed = end.rss_distributed - start.rss_distributed;
+  metrics.rss_queue_drops = end.rss_queue_drops - start.rss_queue_drops;
+  metrics.rebalance_checks =
+      end.rss.rebalance_checks - start.rss.rebalance_checks;
   metrics.bucket_migrations =
-      rss.bucket_migrations - snap_rss_.bucket_migrations;
+      end.rss.bucket_migrations - start.rss.bucket_migrations;
 
-  const pkt::WorkloadStats offered = offered_stats();
-  metrics.offered_active_flows = offered.active_flows;
-  metrics.offered_arrivals = offered.flow_arrivals - snap_offered_.flow_arrivals;
+  metrics.offered_active_flows = end.offered.active_flows;
+  metrics.offered_arrivals =
+      end.offered.flow_arrivals - start.offered.flow_arrivals;
   metrics.offered_departures =
-      offered.flow_departures - snap_offered_.flow_departures;
+      end.offered.flow_departures - start.offered.flow_departures;
   metrics.gen_alloc_failures =
-      total_gen_alloc_failures() - snap_gen_alloc_failures_;
+      end.gen_alloc_failures - start.gen_alloc_failures;
   // Top-k share of the forward-direction generator (the shares of the
   // two directions are statistically identical by construction).
   metrics.offered_top16_share = head_->top_share(16);
 
-  std::size_t engine_index = 0;
   const double window_cycles = static_cast<double>(metrics.duration_ns) *
                                static_cast<double>(config_.cost.hz) / 1e9;
-  for (const auto& report : runtime_->reports()) {
-    if (report.name.rfind("pmd", 0) != 0) continue;
-    const Cycles prev = engine_index < snap_engine_busy_.size()
-                            ? snap_engine_busy_[engine_index]
-                            : 0;
+  for (std::size_t i = 0; i < end.engine_busy.size(); ++i) {
+    const Cycles prev =
+        i < start.engine_busy.size() ? start.engine_busy[i] : 0;
     const double util =
         window_cycles > 0
-            ? static_cast<double>(report.busy_cycles - prev) / window_cycles
+            ? static_cast<double>(end.engine_busy[i] - prev) / window_cycles
             : 0.0;
     metrics.max_engine_utilization =
         std::max(metrics.max_engine_utilization, util);
-    ++engine_index;
   }
   return metrics;
 }

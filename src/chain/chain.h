@@ -45,8 +45,6 @@ struct ChainConfig {
   /// port's home engine distributes frames by 5-tuple hash so one port's
   /// flows spread over many engines. Ignored when engine_count <= 1.
   vswitch::RssConfig rss{};
-  std::size_t ring_capacity = 1024;
-  std::uint32_t burst = 32;
   bool emc_enabled = true;
   bool megaflow_enabled = true;  ///< dpcls-style middle classifier tier
 
@@ -187,7 +185,25 @@ class ChainScenario {
   /// Sums WorkloadStats over both endpoints.
   [[nodiscard]] pkt::WorkloadStats offered_stats() const;
   [[nodiscard]] std::uint64_t total_gen_alloc_failures() const;
-  void snapshot();
+
+  /// Every cumulative total a measurement window reports, read at one
+  /// instant: measure() subtracts the totals at its start from those at
+  /// its end.
+  struct Totals {
+    TimeNs time_ns = 0;
+    std::uint64_t delivered_fwd = 0;  ///< sunk by the tail
+    std::uint64_t delivered_rev = 0;  ///< sunk by the head
+    std::uint64_t switch_rx = 0;
+    std::uint64_t drops = 0;  ///< engine drops + NIC rx_missed
+    classifier::TierCounters tiers;
+    std::uint64_t rss_distributed = 0;
+    std::uint64_t rss_queue_drops = 0;
+    vswitch::RssStats rss;
+    pkt::WorkloadStats offered;
+    std::uint64_t gen_alloc_failures = 0;
+    std::vector<Cycles> engine_busy;  ///< per engine, runtime report order
+  };
+  [[nodiscard]] Totals totals() const;
 
   void wire_telemetry();
 
@@ -223,20 +239,6 @@ class ChainScenario {
   PortId phy2_ = 0;
   Cookie next_cookie_ = 1;
   bool built_ = false;
-
-  // Measurement window snapshots.
-  std::uint64_t snap_fwd_ = 0;
-  std::uint64_t snap_rev_ = 0;
-  std::uint64_t snap_switch_rx_ = 0;
-  std::uint64_t snap_drops_ = 0;
-  classifier::TierCounters snap_tiers_;
-  std::vector<Cycles> snap_engine_busy_;
-  std::uint64_t snap_rss_distributed_ = 0;
-  std::uint64_t snap_rss_queue_drops_ = 0;
-  vswitch::RssStats snap_rss_;
-  pkt::WorkloadStats snap_offered_;
-  std::uint64_t snap_gen_alloc_failures_ = 0;
-  TimeNs snap_time_ = 0;
 };
 
 }  // namespace hw::chain

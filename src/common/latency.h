@@ -10,7 +10,10 @@
 /// \file latency.h
 /// Fixed-footprint latency aggregator: count/sum/min/max plus a log2
 /// histogram for approximate quantiles. No allocation after construction,
-/// so sinks can record on the packet path.
+/// so sinks can record on the packet path. It is the tree's one
+/// distribution type: every traffic sink records one-way latency into it
+/// (pkt::Endpoint), and INT collection records per-hop transit
+/// (vm::IntHopStats).
 
 namespace hw {
 
@@ -53,7 +56,10 @@ class LatencyRecorder {
   /// — except in the lowest occupied bucket, where max(min_, lower bound)
   /// is exact whenever that bucket holds a single distinct value (bucket
   /// 0 holds both 0 ns and 1 ns; the upper bound alone misreported an
-  /// all-zero distribution as 1 ns and ignored min_ entirely).
+  /// all-zero distribution as 1 ns and ignored min_ entirely). When every
+  /// sample shares that one bucket, [min_, max_] is tighter than either
+  /// bucket bound, and the estimate interpolates across it by q: the
+  /// lower bound alone would read min_ at every q.
   [[nodiscard]] TimeNs quantile(double q) const noexcept {
     if (count_ == 0) return 0;
     const auto target = static_cast<std::uint64_t>(
@@ -64,6 +70,10 @@ class LatencyRecorder {
       if (buckets_[i] == 0) continue;
       seen += buckets_[i];
       if (seen >= target) {
+        if (buckets_[i] == count_) {
+          return min_ + static_cast<TimeNs>(
+                            q * static_cast<double>(max_ - min_));
+        }
         if (lowest_occupied) {
           return std::max(min_, i == 0 ? TimeNs{0} : TimeNs{1} << i);
         }

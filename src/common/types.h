@@ -42,6 +42,11 @@ using TimeNs = std::uint64_t;
 /// Monotonic sequence number stamped into generated packets.
 using SeqNo = std::uint64_t;
 
+/// Frames one poll moves per ring operation (DPDK's customary burst):
+/// the switch's forwarding engines, the simulated NICs and the VM apps
+/// all size their bursts with it.
+inline constexpr std::uint32_t kBurstSize = 32;
+
 /// Size of one destructive-interference-free cache line. We hardcode 64
 /// (x86) instead of std::hardware_destructive_interference_size because the
 /// latter triggers ABI warnings on GCC and varies across targets.

@@ -15,7 +15,7 @@ SimNic::SimNic(std::string name, const NicConfig& config,
       endpoint_(profile, pool, runtime, generate),
       rx_ring_(config.ring_capacity),
       tx_ring_(config.ring_capacity) {
-  scratch_.resize(config.burst);
+  scratch_.resize(kBurstSize);
   last_refill_ns_ = runtime.now_ns();
 }
 
@@ -40,7 +40,7 @@ std::uint32_t SimNic::poll(exec::CycleMeter& meter) {
       static_cast<std::int64_t>(endpoint_.frame_len()) + kEthWireOverhead;
   while (rx_tokens_ >= frame_wire) {
     const std::size_t want = std::min<std::size_t>(
-        config_.burst, static_cast<std::size_t>(rx_tokens_ / frame_wire));
+        kBurstSize, static_cast<std::size_t>(rx_tokens_ / frame_wire));
     const std::size_t produced =
         endpoint_.generate(std::span(scratch_.data(), want));
     if (produced == 0) break;
@@ -58,7 +58,7 @@ std::uint32_t SimNic::poll(exec::CycleMeter& meter) {
   // Egress: host tx ring → wire, paced by tx tokens.
   while (tx_tokens_ > 0) {
     const std::size_t n =
-        tx_ring_->dequeue_burst(std::span(scratch_.data(), config_.burst));
+        tx_ring_->dequeue_burst(std::span(scratch_.data(), kBurstSize));
     if (n == 0) break;
     meter.charge(static_cast<Cycles>(n) * cost_->nic_per_pkt);
     std::int64_t wire_bytes = 0;

@@ -31,7 +31,6 @@ namespace hw::nic {
 
 struct NicConfig {
   std::size_t ring_capacity = 1024;
-  std::uint32_t burst = 32;
 };
 
 struct NicCounters {

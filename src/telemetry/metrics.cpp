@@ -1,5 +1,6 @@
 #include "telemetry/metrics.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -9,7 +10,8 @@ namespace hw::telemetry {
 
 namespace {
 
-/// "dp.emc_hits" -> "hw_dp_emc_hits" (Prometheus metric-name charset).
+/// "dp.emc_hit_rate" -> "hw_dp_emc_hit_rate" (Prometheus metric-name
+/// charset).
 std::string prom_name(std::string_view name) {
   std::string out = "hw_";
   out.reserve(name.size() + 3);
@@ -27,76 +29,27 @@ void append_f(std::string& out, const char* fmt, auto... args) {
 
 }  // namespace
 
-Counter& MetricsRegistry::counter(std::string_view name) {
-  if (Counter* existing = find_in(counters_, name)) return *existing;
-  counters_.push_back({std::string(name), std::make_unique<Counter>()});
-  return *counters_.back().value;
-}
-
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  if (Gauge* existing = find_in(gauges_, name)) return *existing;
+  for (const Named& named : gauges_) {
+    if (named.name == name) return *named.gauge;
+  }
   gauges_.push_back({std::string(name), std::make_unique<Gauge>()});
-  return *gauges_.back().value;
-}
-
-Histogram& MetricsRegistry::histogram(std::string_view name) {
-  if (Histogram* existing = find_in(histograms_, name)) return *existing;
-  histograms_.push_back({std::string(name), std::make_unique<Histogram>()});
-  return *histograms_.back().value;
-}
-
-const Counter* MetricsRegistry::find_counter(std::string_view name) const {
-  return find_in(counters_, name);
-}
-
-const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
-  return find_in(gauges_, name);
-}
-
-const Histogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  return find_in(histograms_, name);
+  return *gauges_.back().gauge;
 }
 
 std::vector<std::string> MetricsRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(size());
-  for (const auto& c : counters_) out.push_back(c.name);
-  for (const auto& g : gauges_) out.push_back(g.name);
-  for (const auto& h : histograms_) out.push_back(h.name);
+  for (const Named& named : gauges_) out.push_back(named.name);
   return out;
 }
 
 std::string MetricsRegistry::export_prometheus() const {
   std::string out;
-  for (const auto& c : counters_) {
-    const std::string name = prom_name(c.name);
-    append_f(out, "# TYPE %s counter\n", name.c_str());
-    append_f(out, "%s %" PRIu64 "\n", name.c_str(), c.value->value());
-  }
-  for (const auto& g : gauges_) {
-    const std::string name = prom_name(g.name);
+  for (const Named& named : gauges_) {
+    const std::string name = prom_name(named.name);
     append_f(out, "# TYPE %s gauge\n", name.c_str());
-    append_f(out, "%s %.6g\n", name.c_str(), g.value->value());
-  }
-  for (const auto& h : histograms_) {
-    const std::string name = prom_name(h.name);
-    const Histogram& hist = *h.value;
-    append_f(out, "# TYPE %s histogram\n", name.c_str());
-    // Cumulative le-labelled buckets; empty buckets are elided (the
-    // cumulative count carries forward), which keeps the 256-bucket
-    // layout from producing pages of zeros.
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < Histogram::kBuckets; ++i) {
-      if (hist.bucket_count(i) == 0) continue;
-      cumulative += hist.bucket_count(i);
-      append_f(out, "%s_bucket{le=\"%" PRIu64 "\"} %" PRIu64 "\n",
-               name.c_str(), Histogram::bucket_upper(i), cumulative);
-    }
-    append_f(out, "%s_bucket{le=\"+Inf\"} %" PRIu64 "\n", name.c_str(),
-             hist.count());
-    append_f(out, "%s_sum %" PRIu64 "\n", name.c_str(), hist.sum());
-    append_f(out, "%s_count %" PRIu64 "\n", name.c_str(), hist.count());
+    append_f(out, "%s %.6g\n", name.c_str(), named.gauge->value());
   }
   return out;
 }
@@ -124,14 +77,8 @@ void MetricsSampler::sample_now(TimeNs now_ns) {
   Sample sample;
   sample.time_ns = now_ns;
   sample.values.reserve(registry_->size());
-  for (const auto& c : registry_->counters_) {
-    sample.values.push_back(static_cast<double>(c.value->value()));
-  }
-  for (const auto& g : registry_->gauges_) {
-    sample.values.push_back(g.value->value());
-  }
-  for (const auto& h : registry_->histograms_) {
-    sample.values.push_back(static_cast<double>(h.value->count()));
+  for (const auto& named : registry_->gauges_) {
+    sample.values.push_back(named.gauge->value());
   }
   samples_.push_back(std::move(sample));
 }
@@ -146,7 +93,7 @@ std::string MetricsSampler::export_csv() const {
   for (const auto& sample : samples_) {
     append_f(out, "%" PRIu64, sample.time_ns);
     for (const double v : sample.values) {
-      // Counters dominate; print integral values without noise.
+      // Counts (links, mbufs, packets) print without a fraction.
       if (v >= 0 && v < 9.0e18 &&
           v == static_cast<double>(static_cast<std::uint64_t>(v))) {
         append_f(out, ",%" PRIu64, static_cast<std::uint64_t>(v));

@@ -1,9 +1,5 @@
 #pragma once
 
-#include <algorithm>
-#include <array>
-#include <bit>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -15,29 +11,28 @@
 /// \file metrics.h
 /// The metrics half of the telemetry subsystem (see docs/OBSERVABILITY.md):
 ///
-///   * Histogram       — log-linear fixed-footprint histogram: log2 octaves
-///                       subdivided into kSubBuckets linear sub-buckets, so
-///                       quantiles resolve to ~1/kSubBuckets of the value
-///                       instead of a whole power of two (the generalization
-///                       of hw::LatencyRecorder the trace/INT layers record
-///                       into). merge() is associative and commutative, so
-///                       per-engine histograms aggregate in any order.
-///   * MetricsRegistry — named counters / gauges / histograms. Names are
-///                       lowercase dotted ("dp.emc_hits"); the Prometheus
-///                       exporter rewrites them to hw_dp_emc_hits. Handles
-///                       are stable for the registry's lifetime (recording
-///                       on the data path never looks names up).
+///   * MetricsRegistry — named gauges, each read through a callback at
+///                       sample/export time (the usual shape: a delta-rate
+///                       over engine counters, or a live count read from
+///                       the component that owns it). Names are lowercase
+///                       dotted ("dp.emc_hit_rate"); the Prometheus
+///                       exporter rewrites them to hw_dp_emc_hit_rate.
+///                       Handles are stable for the registry's lifetime.
 ///   * MetricsSampler  — periodic virtual-time snapshots of every
-///                       registered metric, self-scheduled on an
+///                       registered gauge, self-scheduled on an
 ///                       exec::Runtime (or driven manually with
 ///                       sample_now() where no runtime exists), exported as
 ///                       a CSV time series so benches can emit per-interval
 ///                       series instead of end-of-run averages.
 ///
+/// Distributions are not registry metrics: one-way latency and INT
+/// per-hop transit record into hw::LatencyRecorder (common/latency.h),
+/// which each sink fills for every frame it receives.
+///
 /// Nothing here is thread-safe: registries belong to one scenario and are
 /// sampled from the control plane (SimRuntime events run on the driver
-/// thread). Data-plane recording into a Counter/Histogram handle is one or
-/// two adds.
+/// thread). Nothing records on the data path: a gauge reads its source
+/// only when sampled or exported.
 
 namespace hw::exec {
 class Runtime;
@@ -45,217 +40,49 @@ class Runtime;
 
 namespace hw::telemetry {
 
-// ---------------------------------------------------------------- Histogram
-
-/// Log-linear histogram over unsigned 64-bit samples (virtual ns, queue
-/// depths, batch sizes...). Octave o covers [2^o, 2^(o+1)), split into
-/// kSubBuckets equal sub-ranges; values < kSubBuckets land in the exact
-/// low buckets. No allocation after construction.
-class Histogram {
- public:
-  static constexpr std::size_t kSubBuckets = 4;   ///< linear slices/octave
-  static constexpr std::size_t kOctaves = 64;     ///< full u64 range
-  static constexpr std::size_t kBuckets = kOctaves * kSubBuckets;
-
-  void record(std::uint64_t value) noexcept {
-    ++count_;
-    sum_ += value;
-    min_ = count_ == 1 ? value : std::min(min_, value);
-    max_ = std::max(max_, value);
-    ++buckets_[bucket_of(value)];
-  }
-
-  void reset() noexcept {
-    count_ = 0;
-    sum_ = 0;
-    min_ = 0;
-    max_ = 0;
-    buckets_.fill(0);
-  }
-
-  /// Bucket index for a value. Values below kSubBuckets map to exact
-  /// buckets; octave o >= 2 contributes kSubBuckets buckets addressed by
-  /// the top log2(kSubBuckets) bits below the leading bit.
-  [[nodiscard]] static std::size_t bucket_of(std::uint64_t value) noexcept {
-    if (value < kSubBuckets) return static_cast<std::size_t>(value);
-    const int octave = std::bit_width(value) - 1;  // >= 2
-    const std::uint64_t sub =
-        (value >> (octave - kSubShift)) & (kSubBuckets - 1);
-    return static_cast<std::size_t>(octave) * kSubBuckets +
-           static_cast<std::size_t>(sub);
-  }
-
-  /// Inclusive upper bound of a bucket (the largest value mapping to it).
-  [[nodiscard]] static std::uint64_t bucket_upper(std::size_t bucket) noexcept {
-    if (bucket < kSubBuckets) return bucket;
-    const std::size_t octave = bucket / kSubBuckets;
-    const std::uint64_t sub = bucket % kSubBuckets;
-    const std::uint64_t base = std::uint64_t{1} << octave;
-    const std::uint64_t step = base >> kSubShift;  // base / kSubBuckets
-    return base + step * (sub + 1) - 1;
-  }
-
-  /// Inclusive lower bound of a bucket.
-  [[nodiscard]] static std::uint64_t bucket_lower(std::size_t bucket) noexcept {
-    if (bucket < kSubBuckets) return bucket;
-    const std::size_t octave = bucket / kSubBuckets;
-    const std::uint64_t sub = bucket % kSubBuckets;
-    const std::uint64_t base = std::uint64_t{1} << octave;
-    return base + (base >> kSubShift) * sub;
-  }
-
-  [[nodiscard]] std::uint64_t count() const noexcept { return count_; }
-  [[nodiscard]] std::uint64_t sum() const noexcept { return sum_; }
-  [[nodiscard]] std::uint64_t min() const noexcept { return min_; }
-  [[nodiscard]] std::uint64_t max() const noexcept { return max_; }
-  [[nodiscard]] double mean() const noexcept {
-    return count_ == 0 ? 0.0
-                       : static_cast<double>(sum_) /
-                             static_cast<double>(count_);
-  }
-
-  /// Approximate quantile (q in [0,1]). The q-th sample's bucket is
-  /// located; the estimate is the bucket's upper bound clamped to
-  /// [min_, max_] — except in the lowest occupied bucket, where
-  /// max(min_, lower bound) is exact whenever all its samples share one
-  /// value (the LatencyRecorder bucket-0 bias, fixed here and there).
-  [[nodiscard]] std::uint64_t quantile(double q) const noexcept {
-    if (count_ == 0) return 0;
-    const auto target = static_cast<std::uint64_t>(
-                            q * static_cast<double>(count_ - 1)) +
-                        1;
-    std::uint64_t seen = 0;
-    bool lowest_occupied = true;
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      if (buckets_[i] == 0) continue;
-      seen += buckets_[i];
-      if (seen >= target) {
-        if (lowest_occupied) return std::max(min_, bucket_lower(i));
-        return std::min(max_, bucket_upper(i));
-      }
-      lowest_occupied = false;
-    }
-    return max_;
-  }
-
-  /// Associative, commutative sample union (cross-engine aggregation).
-  void merge(const Histogram& other) noexcept {
-    if (other.count_ == 0) return;
-    min_ = count_ == 0 ? other.min_ : std::min(min_, other.min_);
-    count_ += other.count_;
-    sum_ += other.sum_;
-    max_ = std::max(max_, other.max_);
-    for (std::size_t i = 0; i < kBuckets; ++i) {
-      buckets_[i] += other.buckets_[i];
-    }
-  }
-
-  [[nodiscard]] std::uint64_t bucket_count(std::size_t bucket) const noexcept {
-    return buckets_[bucket];
-  }
-
-  [[nodiscard]] bool operator==(const Histogram& other) const noexcept {
-    return count_ == other.count_ && sum_ == other.sum_ &&
-           min_ == other.min_ && max_ == other.max_ &&
-           buckets_ == other.buckets_;
-  }
-
- private:
-  static constexpr int kSubShift = 2;  ///< log2(kSubBuckets)
-  static_assert((std::size_t{1} << kSubShift) == kSubBuckets);
-
-  std::uint64_t count_ = 0;
-  std::uint64_t sum_ = 0;
-  std::uint64_t min_ = 0;
-  std::uint64_t max_ = 0;
-  std::array<std::uint64_t, kBuckets> buckets_{};
-};
-
-// ----------------------------------------------------------------- handles
-
-class Counter {
- public:
-  void add(std::uint64_t delta) noexcept { value_ += delta; }
-  void increment() noexcept { ++value_; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// A gauge is either set directly or backed by a callback evaluated at
-/// sample/export time (the usual shape: a delta-rate over engine counters).
+/// A value read through a callback each time it is sampled or exported;
+/// a gauge whose callback was never set reads 0.
 class Gauge {
  public:
-  void set(double value) noexcept { value_ = value; }
   void set_callback(std::function<double()> fn) { fn_ = std::move(fn); }
-  [[nodiscard]] double value() const {
-    return fn_ ? fn_() : value_;
-  }
+  [[nodiscard]] double value() const { return fn_ ? fn_() : 0.0; }
 
  private:
-  double value_ = 0;
   std::function<double()> fn_;
 };
 
-// ---------------------------------------------------------------- registry
-
 class MetricsRegistry {
  public:
-  /// Returns the counter registered under `name`, creating it on first
+  /// Returns the gauge registered under `name`, creating it on first
   /// use. Names are lowercase dotted (see docs/OBSERVABILITY.md); every
   /// name registered anywhere in the tree must be documented there —
   /// tools/check_counters.py enforces it.
-  Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
 
-  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name) const;
+  [[nodiscard]] std::size_t size() const noexcept { return gauges_.size(); }
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return counters_.size() + gauges_.size() + histograms_.size();
-  }
-
-  /// All registered names in registration order (counters, then gauges,
-  /// then histograms) — the sampler's CSV column order.
+  /// All registered names in registration order — the sampler's CSV
+  /// column order.
   [[nodiscard]] std::vector<std::string> names() const;
 
-  /// Prometheus text exposition (counters, gauges, and cumulative
-  /// histogram series with le-labelled buckets). Dots become underscores
-  /// and every family is prefixed hw_.
+  /// Prometheus text exposition, one gauge family per metric. Dots
+  /// become underscores and every family is prefixed hw_.
   [[nodiscard]] std::string export_prometheus() const;
 
  private:
-  template <typename T>
   struct Named {
     std::string name;
-    std::unique_ptr<T> value;
+    std::unique_ptr<Gauge> gauge;
   };
-  template <typename T>
-  static T* find_in(const std::vector<Named<T>>& items,
-                    std::string_view name) {
-    for (const auto& item : items) {
-      if (item.name == name) return item.value.get();
-    }
-    return nullptr;
-  }
 
   friend class MetricsSampler;
-  std::vector<Named<Counter>> counters_;
-  std::vector<Named<Gauge>> gauges_;
-  std::vector<Named<Histogram>> histograms_;
+  std::vector<Named> gauges_;
 };
 
-// ----------------------------------------------------------------- sampler
-
-/// Snapshots every registered metric on a fixed virtual-time interval:
-/// counters as cumulative values, gauges via value() (callbacks evaluated
-/// at sample time), histograms as cumulative count. start() self-schedules
-/// on a Runtime; sample_now() drives it manually (benches without a
-/// runtime, e.g. classifier-only sweeps that derive virtual time from a
-/// CycleMeter).
+/// Snapshots every registered gauge (callbacks evaluated at sample time)
+/// on a fixed virtual-time interval. start() self-schedules on a Runtime;
+/// sample_now() drives it manually (benches without a runtime, e.g.
+/// classifier-only sweeps that derive virtual time from a CycleMeter).
 class MetricsSampler {
  public:
   explicit MetricsSampler(MetricsRegistry& registry) : registry_(&registry) {}
@@ -271,7 +98,6 @@ class MetricsSampler {
   [[nodiscard]] std::size_t rows() const noexcept {
     return samples_.size();
   }
-  void clear() noexcept { samples_.clear(); }
 
   /// CSV time series: header "time_ns,<metric>,..." then one row per
   /// sample interval.

@@ -22,10 +22,6 @@ struct TelemetryConfig {
 
   /// INT hop-stamping at every GuestPmd, collection at the sink.
   bool int_stamping = false;
-
-  [[nodiscard]] bool any() const noexcept {
-    return tracing || metrics || int_stamping;
-  }
 };
 
 }  // namespace hw::telemetry

@@ -9,21 +9,20 @@ namespace hw::vm {
 ForwarderApp::ForwarderApp(std::string name, pmd::GuestPmd& left,
                            pmd::GuestPmd& right, mbuf::Mempool& pool,
                            const exec::CostModel& cost,
-                           std::uint32_t extra_cycles, std::uint32_t burst)
+                           std::uint32_t extra_cycles)
     : name_(std::move(name)),
       left_(&left),
       right_(&right),
       pool_(&pool),
       cost_(&cost),
-      extra_cycles_(extra_cycles),
-      burst_(burst) {
-  buf_.resize(burst_);
+      extra_cycles_(extra_cycles) {
+  buf_.resize(kBurstSize);
 }
 
 std::uint32_t ForwarderApp::pump(pmd::GuestPmd& from, pmd::GuestPmd& to,
                                  exec::CycleMeter& meter) {
   const std::uint16_t n =
-      from.rx_burst(std::span(buf_.data(), burst_), meter);
+      from.rx_burst(std::span(buf_.data(), kBurstSize), meter);
   if (n == 0) return 0;
   // Per-packet VNF work: touch the frame (swap nothing, read headers).
   meter.charge(static_cast<Cycles>(n) *

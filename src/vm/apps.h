@@ -49,7 +49,7 @@ class ForwarderApp final : public exec::Context {
  public:
   ForwarderApp(std::string name, pmd::GuestPmd& left, pmd::GuestPmd& right,
                mbuf::Mempool& pool, const exec::CostModel& cost,
-               std::uint32_t extra_cycles = 0, std::uint32_t burst = 32);
+               std::uint32_t extra_cycles = 0);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;
@@ -70,7 +70,6 @@ class ForwarderApp final : public exec::Context {
   mbuf::Mempool* pool_;
   const exec::CostModel* cost_;
   std::uint32_t extra_cycles_;
-  std::uint32_t burst_;
   std::vector<mbuf::Mbuf*> buf_;
   AppCounters counters_;
 };
@@ -87,7 +86,7 @@ class GenSinkApp final : public exec::Context {
   GenSinkApp(std::string name, pmd::GuestPmd& port, mbuf::Mempool& pool,
              const pkt::TrafficProfile& profile, exec::Runtime& runtime,
              const exec::CostModel& cost, bool generate = true,
-             std::uint32_t burst = 32, std::uint64_t rate_pps = 0);
+             std::uint32_t burst = kBurstSize, std::uint64_t rate_pps = 0);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;

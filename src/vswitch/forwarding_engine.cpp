@@ -13,17 +13,16 @@ using flowtable::FlowEntry;
 ForwardingEngine::ForwardingEngine(
     std::string name, flowtable::FlowTable& table, mbuf::Mempool& pool,
     const exec::CostModel& cost,
-    classifier::DpClassifierConfig classifier_config, std::uint32_t burst)
+    classifier::DpClassifierConfig classifier_config)
     : name_(std::move(name)),
       pool_(&pool),
       cost_(&cost),
-      burst_(burst),
       classifier_(table, cost, classifier_config) {
-  rx_buf_.resize(burst_);
-  tx_buf_.reserve(burst_);
-  key_buf_.resize(burst_);
-  hash_buf_.resize(burst_);
-  outcome_buf_.resize(burst_);
+  rx_buf_.resize(kBurstSize);
+  tx_buf_.reserve(kBurstSize);
+  key_buf_.resize(kBurstSize);
+  hash_buf_.resize(kBurstSize);
+  outcome_buf_.resize(kBurstSize);
 }
 
 void ForwardingEngine::assign_port(SwitchPort* port) {
@@ -37,7 +36,7 @@ void ForwardingEngine::configure_rss(RssSharder* sharder,
   engine_id_ = engine_id;
   if (sharder_ != nullptr) {
     rss_stage_.resize(sharder_->table().engine_count());
-    for (auto& stage : rss_stage_) stage.reserve(burst_);
+    for (auto& stage : rss_stage_) stage.reserve(kBurstSize);
   }
 }
 
@@ -72,7 +71,7 @@ std::uint32_t ForwardingEngine::poll(exec::CycleMeter& meter) {
   for (SwitchPort* port : ports_) {
     if (!port->enabled()) continue;
     meter.charge(cost_->ring_deq_base);
-    const std::size_t n = port->rx_burst(std::span(rx_buf_.data(), burst_));
+    const std::size_t n = port->rx_burst(std::span(rx_buf_.data(), kBurstSize));
     if (n == 0) continue;
     meter.charge(static_cast<Cycles>(n) * cost_->ring_deq_per_pkt);
     acc(*port).rx_packets += n;
@@ -85,7 +84,7 @@ std::uint32_t ForwardingEngine::poll(exec::CycleMeter& meter) {
     if (!home.port->enabled()) continue;
     meter.charge(cost_->ring_deq_base);
     const std::size_t n =
-        home.port->rx_burst(std::span(rx_buf_.data(), burst_));
+        home.port->rx_burst(std::span(rx_buf_.data(), kBurstSize));
     if (n == 0) continue;
     meter.charge(static_cast<Cycles>(n) * cost_->ring_deq_per_pkt);
     acc(*home.port).rx_packets += n;
@@ -97,7 +96,7 @@ std::uint32_t ForwardingEngine::poll(exec::CycleMeter& meter) {
     if (!q.port->enabled()) continue;
     meter.charge(cost_->ring_deq_base);
     const std::size_t n =
-        q.queue->dequeue_burst(std::span(rx_buf_.data(), burst_));
+        q.queue->dequeue_burst(std::span(rx_buf_.data(), kBurstSize));
     if (n == 0) continue;
     meter.charge(static_cast<Cycles>(n) * cost_->ring_deq_per_pkt);
     process_burst(*q.port, std::span(rx_buf_.data(), n), meter);

@@ -41,8 +41,7 @@ class ForwardingEngine final : public exec::Context {
  public:
   ForwardingEngine(std::string name, flowtable::FlowTable& table,
                    mbuf::Mempool& pool, const exec::CostModel& cost,
-                   classifier::DpClassifierConfig classifier_config,
-                   std::uint32_t burst);
+                   classifier::DpClassifierConfig classifier_config);
 
   /// Assigns a port's rx queue to this engine (OVS rxq affinity).
   void assign_port(SwitchPort* port);
@@ -145,7 +144,6 @@ class ForwardingEngine final : public exec::Context {
   std::string name_;
   mbuf::Mempool* pool_;
   const exec::CostModel* cost_;
-  std::uint32_t burst_;
   telemetry::Tracer* tracer_ = nullptr;
   const exec::Runtime* trace_clock_ = nullptr;
   std::uint16_t trace_track_ = 0;

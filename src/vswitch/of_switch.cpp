@@ -41,8 +41,7 @@ OfSwitch::OfSwitch(shm::ShmManager& shm, mbuf::Mempool& pool,
       .megaflow_enabled = config_.megaflow_enabled};
   for (std::uint32_t i = 0; i < engine_count; ++i) {
     engines_.push_back(std::make_unique<ForwardingEngine>(
-        "pmd" + std::to_string(i), table_, *pool_, cost_, classifier_config,
-        config_.burst));
+        "pmd" + std::to_string(i), table_, *pool_, cost_, classifier_config));
   }
   // RSS sharding only makes sense across a real pool; a single engine
   // keeps the direct per-port path (no distributor hop to pay for).

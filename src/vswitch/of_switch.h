@@ -34,7 +34,6 @@ namespace hw::vswitch {
 
 struct SwitchConfig {
   std::size_t ring_capacity = 1024;  ///< normal + bypass channel rings
-  std::uint32_t burst = 32;
   bool emc_enabled = true;
   bool megaflow_enabled = true;      ///< dpcls-style middle tier
   std::uint32_t engine_count = 1;    ///< PMD threads (OVS pmd-cpu-mask)

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
-#include "common/latency.h"
 #include "exec/runtime.h"
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -10,188 +10,32 @@
 namespace hw::telemetry {
 namespace {
 
-// ---------------------------------------------------------------- Histogram
-
-TEST(Histogram, SmallValuesAreExact) {
-  Histogram h;
-  // Values below kSubBuckets get a dedicated bucket each.
-  for (std::uint64_t v = 0; v < Histogram::kSubBuckets; ++v) {
-    EXPECT_EQ(Histogram::bucket_of(v), v);
-    EXPECT_EQ(Histogram::bucket_lower(v), v);
-    EXPECT_EQ(Histogram::bucket_upper(v), v);
-  }
-}
-
-TEST(Histogram, BucketBoundsTileTheValueRange) {
-  // bucket_of is monotone over values, every value sits inside its
-  // bucket's [lower, upper] range, and bound round-trips are exact.
-  // (Bucket indices 4..7 — octave 1 — are never produced: values below
-  // kSubBuckets use the exact low buckets instead.)
-  std::size_t prev = 0;
-  for (std::uint64_t v = 0; v < 100'000; ++v) {
-    const std::size_t b = Histogram::bucket_of(v);
-    EXPECT_GE(b, prev) << "value " << v;
-    EXPECT_LE(Histogram::bucket_lower(b), v) << "value " << v;
-    EXPECT_GE(Histogram::bucket_upper(b), v) << "value " << v;
-    if (b != prev) {
-      EXPECT_EQ(Histogram::bucket_lower(b), v) << "value " << v;
-    }
-    prev = b;
-  }
-}
-
-TEST(Histogram, AllZeroDistributionReportsZero) {
-  Histogram h;
-  for (int i = 0; i < 1000; ++i) h.record(0);
-  EXPECT_EQ(h.quantile(0.50), 0u);
-  EXPECT_EQ(h.quantile(0.99), 0u);
-  EXPECT_EQ(h.min(), 0u);
-  EXPECT_EQ(h.max(), 0u);
-}
-
-TEST(Histogram, ConstantDistributionIsExactAtEveryQuantile) {
-  Histogram h;
-  for (int i = 0; i < 1000; ++i) h.record(100);
-  // All samples share the lowest occupied bucket; clamping to min_ makes
-  // the estimate exact even though the bucket spans [96, 111].
-  EXPECT_EQ(h.quantile(0.0), 100u);
-  EXPECT_EQ(h.quantile(0.50), 100u);
-  EXPECT_EQ(h.quantile(0.99), 100u);
-  EXPECT_EQ(h.quantile(1.0), 100u);
-}
-
-TEST(Histogram, BimodalQuantilesPinned) {
-  Histogram h;
-  for (int i = 0; i < 10; ++i) h.record(1);
-  for (int i = 0; i < 990; ++i) h.record(1000);
-  // p50 and p99 both land in the 1000s bucket [896, 1023]; the upper
-  // bound clamps to max_ = 1000.
-  EXPECT_EQ(h.quantile(0.50), 1000u);
-  EXPECT_EQ(h.quantile(0.99), 1000u);
-  // p0 lands in the exact low bucket for 1.
-  EXPECT_EQ(h.quantile(0.0), 1u);
-}
-
-TEST(Histogram, QuantileResolvesSubOctave) {
-  // 4 sub-buckets per octave: 100 and 127 share an octave but not a
-  // bucket, so a log2-only histogram could not tell these apart.
-  Histogram h;
-  for (int i = 0; i < 500; ++i) h.record(70);   // bucket [64, 79]
-  for (int i = 0; i < 500; ++i) h.record(120);  // bucket [112, 127]
-  const std::uint64_t p25 = h.quantile(0.25);
-  const std::uint64_t p90 = h.quantile(0.90);
-  EXPECT_LE(p25, 79u);
-  EXPECT_GE(p90, 112u);
-  EXPECT_LT(p25, p90);
-}
-
-TEST(Histogram, MergeIsAssociativeAndCommutative) {
-  Histogram a, b, c;
-  for (std::uint64_t v = 0; v < 300; ++v) a.record(v * 7);
-  for (std::uint64_t v = 0; v < 200; ++v) b.record(v * v);
-  for (std::uint64_t v = 1; v < 100; ++v) c.record(1'000'000 / v);
-
-  Histogram ab_c = a;   // (a + b) + c
-  ab_c.merge(b);
-  ab_c.merge(c);
-  Histogram bc = b;     // a + (b + c)
-  bc.merge(c);
-  Histogram a_bc = a;
-  a_bc.merge(bc);
-  Histogram cba = c;    // reversed order
-  cba.merge(b);
-  cba.merge(a);
-
-  EXPECT_EQ(ab_c, a_bc);
-  EXPECT_EQ(ab_c, cba);
-  EXPECT_EQ(ab_c.count(), 599u);
-}
-
-TEST(Histogram, MergeWithEmptyIsIdentity) {
-  Histogram a, empty;
-  for (std::uint64_t v = 10; v < 50; ++v) a.record(v);
-  Histogram merged = a;
-  merged.merge(empty);
-  EXPECT_EQ(merged, a);
-  Histogram other = empty;
-  other.merge(a);
-  EXPECT_EQ(other, a);
-  // min must come from the non-empty side, not the empty recorder's 0.
-  EXPECT_EQ(other.min(), 10u);
-}
-
-// ---------------------------------------------------- LatencyRecorder fix
-
-TEST(LatencyRecorder, AllZeroDistributionReportsZero) {
-  LatencyRecorder r;
-  for (int i = 0; i < 100; ++i) r.record(0);
-  // Bucket 0 holds both 0 and 1 ns; before the lowest-occupied-bucket
-  // fix this reported 1 ns for a distribution that never saw a nonzero
-  // sample.
-  EXPECT_EQ(r.quantile(0.50), 0u);
-  EXPECT_EQ(r.quantile(0.99), 0u);
-}
-
-TEST(LatencyRecorder, ConstantDistributionIsExact) {
-  LatencyRecorder r;
-  for (int i = 0; i < 1000; ++i) r.record(100);
-  // All samples in the lowest occupied bucket [64, 127]: clamping to
-  // min_ = 100 beats both the old upper bound (127) and the raw lower
-  // bound (64).
-  EXPECT_EQ(r.quantile(0.50), 100u);
-  EXPECT_EQ(r.quantile(0.99), 100u);
-}
-
-TEST(LatencyRecorder, BimodalP50AndP99Pinned) {
-  LatencyRecorder r;
-  for (int i = 0; i < 95; ++i) r.record(5);
-  for (int i = 0; i < 5; ++i) r.record(1000);
-  // p50 sits among the 5s (lowest occupied bucket [4,7], min-clamped to
-  // 5); p99 among the 1000s (bucket [512, 1023], max-clamped to 1000).
-  EXPECT_EQ(r.quantile(0.50), 5u);
-  EXPECT_EQ(r.quantile(0.99), 1000u);
-}
-
-TEST(LatencyRecorder, UpperTailStillClampsToMax) {
-  LatencyRecorder r;
-  r.record(3);
-  r.record(600);
-  EXPECT_EQ(r.quantile(1.0), 600u);  // not bucket upper bound 1023
-  EXPECT_EQ(r.quantile(0.0), 3u);
-}
-
 // ----------------------------------------------------------------- registry
 
-TEST(MetricsRegistry, HandlesAreCreateOnFirstUseAndStable) {
+TEST(MetricsRegistry, GaugesAreCreateOnFirstUseAndStable) {
   MetricsRegistry reg;
-  Counter& c1 = reg.counter("dp.lookups");
-  c1.add(3);
-  Counter& c2 = reg.counter("dp.lookups");
-  EXPECT_EQ(&c1, &c2);
-  EXPECT_EQ(c2.value(), 3u);
-  EXPECT_EQ(reg.size(), 1u);
-
-  reg.gauge("chain.bypass_links").set(2.0);
-  reg.histogram("int.transit_ns").record(400);
-  EXPECT_EQ(reg.size(), 3u);
-  ASSERT_NE(reg.find_counter("dp.lookups"), nullptr);
-  EXPECT_EQ(reg.find_counter("missing"), nullptr);
-  ASSERT_NE(reg.find_histogram("int.transit_ns"), nullptr);
-  EXPECT_EQ(reg.find_histogram("int.transit_ns")->count(), 1u);
+  Gauge& links = reg.gauge("chain.bypass_links");
+  EXPECT_DOUBLE_EQ(links.value(), 0.0);  // no callback yet
+  links.set_callback([] { return 2.0; });
+  reg.gauge("chain.mempool_in_use");
+  // A later registration leaves the first handle where it was.
+  Gauge& again = reg.gauge("chain.bypass_links");
+  EXPECT_EQ(&links, &again);
+  EXPECT_DOUBLE_EQ(again.value(), 2.0);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricsRegistry, NamesComeOutInRegistrationOrder) {
   MetricsRegistry reg;
-  reg.counter("b.second");
-  reg.counter("a.first");
-  reg.gauge("z.gauge");
-  reg.histogram("m.hist");
+  reg.gauge("b.second");
+  reg.gauge("a.first");
+  reg.gauge("z.third");
+  reg.gauge("b.second");  // existing name: no new column
   const std::vector<std::string> names = reg.names();
-  ASSERT_EQ(names.size(), 4u);
-  EXPECT_EQ(names[0], "b.second");   // registration order, not sorted
+  ASSERT_EQ(names.size(), 3u);
+  EXPECT_EQ(names[0], "b.second");  // registration order, not sorted
   EXPECT_EQ(names[1], "a.first");
-  EXPECT_EQ(names[2], "z.gauge");    // counters, then gauges, then hists
-  EXPECT_EQ(names[3], "m.hist");
+  EXPECT_EQ(names[2], "z.third");
 }
 
 TEST(MetricsRegistry, GaugeCallbackEvaluatesAtReadTime) {
@@ -203,21 +47,21 @@ TEST(MetricsRegistry, GaugeCallbackEvaluatesAtReadTime) {
   EXPECT_DOUBLE_EQ(reg.gauge("chain.mempool_in_use").value(), 42.0);
 }
 
-TEST(MetricsRegistry, PrometheusExportShapes) {
+TEST(MetricsRegistry, PrometheusExportIsOneGaugeFamilyPerMetric) {
   MetricsRegistry reg;
-  reg.counter("dp.emc_hits").add(7);
-  reg.gauge("chain.bypass_links").set(2.0);
-  Histogram& h = reg.histogram("int.transit_ns");
-  h.record(100);
-  h.record(100);
-  const std::string text = reg.export_prometheus();
-  // Dots become underscores; every family gets the hw_ prefix.
-  EXPECT_NE(text.find("hw_dp_emc_hits 7"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE hw_dp_emc_hits counter"), std::string::npos);
-  EXPECT_NE(text.find("hw_chain_bypass_links 2"), std::string::npos);
-  EXPECT_NE(text.find("hw_int_transit_ns_count 2"), std::string::npos);
-  EXPECT_NE(text.find("hw_int_transit_ns_sum 200"), std::string::npos);
-  EXPECT_NE(text.find("le=\"+Inf\"} 2"), std::string::npos);
+  double links = 2.0;
+  reg.gauge("chain.bypass_links").set_callback([&] { return links; });
+  reg.gauge("dp.emc_hit_rate").set_callback([] { return 0.125; });
+  // Dots become underscores; every family gets the hw_ prefix and a
+  // gauge TYPE line, in registration order.
+  EXPECT_EQ(reg.export_prometheus(),
+            "# TYPE hw_chain_bypass_links gauge\n"
+            "hw_chain_bypass_links 2\n"
+            "# TYPE hw_dp_emc_hit_rate gauge\n"
+            "hw_dp_emc_hit_rate 0.125\n");
+  links = 4.0;  // read at export time
+  EXPECT_NE(reg.export_prometheus().find("hw_chain_bypass_links 4\n"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------------------- sampler
@@ -242,17 +86,19 @@ TEST(MetricsSampler, SelfSchedulesOnVirtualTime) {
 
 TEST(MetricsSampler, CsvHasHeaderAndOneRowPerSample) {
   MetricsRegistry reg;
-  reg.counter("dp.emc_hits").add(11);
-  reg.gauge("chain.bypass_links").set(4.0);
+  double delivered = 11;
+  reg.gauge("chain.delivered_pkts").set_callback([&] { return delivered; });
+  reg.gauge("dp.emc_hit_rate").set_callback([] { return 0.5; });
   MetricsSampler sampler(reg);
   sampler.sample_now(1'000'000);
-  reg.counter("dp.emc_hits").add(9);
+  delivered = 20;
   sampler.sample_now(2'000'000);
-  const std::string csv = sampler.export_csv();
-  EXPECT_NE(csv.find("time_ns,dp.emc_hits,chain.bypass_links"),
-            std::string::npos);
-  EXPECT_NE(csv.find("1000000,11,4"), std::string::npos);
-  EXPECT_NE(csv.find("2000000,20,4"), std::string::npos);
+  EXPECT_EQ(sampler.rows(), 2u);
+  // Integral values print without a fraction, others with %.6g.
+  EXPECT_EQ(sampler.export_csv(),
+            "time_ns,chain.delivered_pkts,dp.emc_hit_rate\n"
+            "1000000,11,0.5\n"
+            "2000000,20,0.5\n");
 }
 
 // ------------------------------------------------------------------- tracer

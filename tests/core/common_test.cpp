@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <string>
 #include <utility>
 
@@ -228,6 +229,69 @@ TEST(LatencyRecorder, ResetClears) {
   EXPECT_EQ(recorder.max(), 0u);
 }
 
+TEST(LatencyRecorder, AllZeroDistributionReportsZero) {
+  LatencyRecorder r;
+  for (int i = 0; i < 100; ++i) r.record(0);
+  // Bucket 0 holds both 0 and 1 ns; reading its upper bound would report
+  // 1 ns for a distribution that never saw a nonzero sample.
+  EXPECT_EQ(r.quantile(0.50), 0u);
+  EXPECT_EQ(r.quantile(0.99), 0u);
+}
+
+TEST(LatencyRecorder, ConstantDistributionIsExact) {
+  LatencyRecorder r;
+  for (int i = 0; i < 1000; ++i) r.record(100);
+  // All samples in one bucket [64, 127]: min_ = max_ = 100 beats both
+  // bucket bounds.
+  EXPECT_EQ(r.quantile(0.0), 100u);
+  EXPECT_EQ(r.quantile(0.50), 100u);
+  EXPECT_EQ(r.quantile(0.99), 100u);
+  EXPECT_EQ(r.quantile(1.0), 100u);
+}
+
+TEST(LatencyRecorder, BimodalP50AndP99Pinned) {
+  LatencyRecorder r;
+  for (int i = 0; i < 95; ++i) r.record(5);
+  for (int i = 0; i < 5; ++i) r.record(1000);
+  // p50 sits among the 5s (lowest occupied bucket [4,7], min-clamped to
+  // 5); p99 among the 1000s (bucket [512, 1023], max-clamped to 1000).
+  EXPECT_EQ(r.quantile(0.50), 5u);
+  EXPECT_EQ(r.quantile(0.99), 1000u);
+}
+
+TEST(LatencyRecorder, UpperTailStillClampsToMax) {
+  LatencyRecorder r;
+  r.record(3);
+  r.record(600);
+  EXPECT_EQ(r.quantile(1.0), 600u);  // not bucket upper bound 1023
+  EXPECT_EQ(r.quantile(0.0), 3u);
+}
+
+TEST(LatencyRecorder, OneBucketQuantilesSpanMinToMax) {
+  // 54 and 62 us share the log2 bucket [32768, 65535] ns, the shape of
+  // every bench_latency row. The tail must not read the minimum.
+  LatencyRecorder r;
+  for (int i = 0; i < 50; ++i) r.record(54'000);
+  for (int i = 0; i < 50; ++i) r.record(62'000);
+  EXPECT_GT(r.quantile(0.99), 54'000u);
+  EXPECT_LE(r.quantile(0.99), 62'000u);
+  EXPECT_EQ(r.quantile(0.0), 54'000u);
+  EXPECT_EQ(r.quantile(1.0), 62'000u);
+  EXPECT_LT(r.quantile(0.50), r.quantile(0.99));
+}
+
+/// count, min, max, mean and a spread of quantiles agree.
+void expect_same_distribution(const LatencyRecorder& a,
+                              const LatencyRecorder& b) {
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
+  for (const double q : {0.0, 0.1, 0.5, 0.9, 0.99, 1.0}) {
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
+  }
+}
+
 TEST(LatencyRecorder, MergeCombines) {
   LatencyRecorder a;
   LatencyRecorder b;
@@ -238,15 +302,50 @@ TEST(LatencyRecorder, MergeCombines) {
   EXPECT_EQ(a.min(), 100u);
   EXPECT_EQ(a.max(), 300u);
   EXPECT_DOUBLE_EQ(a.mean(), 200.0);
+
+  // Merge order: three recorders spread over many buckets describe one
+  // distribution whether folded into an empty one (as
+  // ChainScenario::measure() folds its head and tail sinks) in any of
+  // three orders, or grouped as a + (b + c).
+  LatencyRecorder parts[3];
+  for (TimeNs v = 0; v < 300; ++v) parts[0].record(v * 7);
+  for (TimeNs v = 0; v < 200; ++v) parts[1].record(v * v);
+  for (TimeNs v = 1; v < 100; ++v) parts[2].record(1'000'000 / v);
+  const auto fold = [&](std::initializer_list<int> order) {
+    LatencyRecorder out;
+    for (const int i : order) out.merge(parts[i]);
+    return out;
+  };
+  const LatencyRecorder forward = fold({0, 1, 2});
+  EXPECT_EQ(forward.count(), 599u);
+  EXPECT_EQ(forward.min(), 0u);
+  EXPECT_EQ(forward.max(), 1'000'000u);
+  expect_same_distribution(forward, fold({2, 1, 0}));
+  expect_same_distribution(forward, fold({1, 2, 0}));
+  LatencyRecorder grouped = parts[1];
+  grouped.merge(parts[2]);
+  LatencyRecorder outer = parts[0];
+  outer.merge(grouped);
+  expect_same_distribution(forward, outer);
 }
 
 TEST(LatencyRecorder, MergeWithEmptyIsIdentity) {
-  LatencyRecorder a;
-  LatencyRecorder empty;
-  a.record(42);
-  a.merge(empty);
-  EXPECT_EQ(a.count(), 1u);
-  EXPECT_EQ(a.min(), 42u);
+  // Inputs: one sample, and forty over several buckets. Each is merged
+  // both ways: a recorder absorbing an empty one, and an empty one
+  // absorbing the recorder (measure()'s first merge), where min must
+  // come from the non-empty side, not the empty recorder's 0.
+  LatencyRecorder one;
+  one.record(42);
+  LatencyRecorder forty;
+  for (TimeNs v = 10; v < 50; ++v) forty.record(v);
+  for (const LatencyRecorder* sample : {&one, &forty}) {
+    LatencyRecorder full_first = *sample;
+    full_first.merge(LatencyRecorder{});
+    LatencyRecorder empty_first;
+    empty_first.merge(*sample);
+    expect_same_distribution(full_first, *sample);
+    expect_same_distribution(empty_first, *sample);
+  }
 }
 
 // ------------------------------------------------------------------ units

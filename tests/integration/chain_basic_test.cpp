@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "chain/chain.h"
 #include "common/log.h"
 
@@ -86,6 +91,96 @@ TEST_F(ChainBasicTest, MempoolConservesAfterDrain) {
     const ChainMetrics after = chain.measure(1'000'000);
     EXPECT_EQ(after.delivered_fwd + after.delivered_rev, 0u);
     EXPECT_EQ(chain.pool().in_use(), 0u);
+  }
+}
+
+TEST_F(ChainBasicTest, BackToBackWindowsSumToOneWindow) {
+  // measure() reports each field as the change in a cumulative total
+  // over its window. Two identical deterministic scenarios: one measures
+  // 2 ms, the other two back-to-back 1 ms windows. Every additive field
+  // of the two short windows must sum to the long window's.
+  struct Input {
+    const char* name;
+    ChainConfig config;
+    bool drain_pool;  ///< hold every free mbuf so the generators starve
+  };
+  // Two flows over two RSS engines: one engine's queue overflows (drops,
+  // rss_queue_drops) and the balancer migrates a bucket.
+  ChainConfig sharded;
+  sharded.enable_bypass = false;
+  sharded.engine_count = 2;
+  sharded.rss.enabled = true;
+  sharded.flow_count = 2;
+  // Poisson flow churn (arrivals, departures) on a pool held empty
+  // (alloc failures); its flows spread over the megaflow tier.
+  ChainConfig churn;
+  churn.vm_count = 3;
+  churn.enable_bypass = false;
+  churn.flow_count = 64;
+  churn.workload.churn = pkt::ChurnModel::kPoisson;
+  churn.workload.arrival_per_sec = 2'000'000;
+
+  std::map<std::string, std::uint64_t> largest;  // per field, over inputs
+  for (const Input& input : {Input{"rss-sharded vanilla", sharded, false},
+                             Input{"poisson churn", churn, true}}) {
+    SCOPED_TRACE(input.name);
+    ChainScenario whole(input.config);
+    ChainScenario split(input.config);
+    ChainScenario* const chains[] = {&whole, &split};
+    std::vector<mbuf::Mbuf*> held[2];
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(chains[i]->build().is_ok());
+      chains[i]->warmup(1'000'000);
+      if (input.drain_pool) {
+        held[i].resize(chains[i]->pool().capacity());
+        held[i].resize(chains[i]->pool().alloc_bulk(held[i]));
+      }
+    }
+    const ChainMetrics w = whole.measure(2'000'000);
+    const ChainMetrics a = split.measure(1'000'000);
+    const ChainMetrics b = split.measure(1'000'000);
+
+    const auto check = [&](const char* field, std::uint64_t long_window,
+                           std::uint64_t first, std::uint64_t second) {
+      EXPECT_EQ(first + second, long_window) << field;
+      largest[field] = std::max(largest[field], long_window);
+    };
+    check("duration_ns", w.duration_ns, a.duration_ns, b.duration_ns);
+    check("delivered_fwd", w.delivered_fwd, a.delivered_fwd,
+          b.delivered_fwd);
+    check("delivered_rev", w.delivered_rev, a.delivered_rev,
+          b.delivered_rev);
+    check("switch_rx_packets", w.switch_rx_packets, a.switch_rx_packets,
+          b.switch_rx_packets);
+    check("drops", w.drops, a.drops, b.drops);
+    for (const classifier::TierCounterField& f :
+         classifier::kTierCounterFields) {
+      check(f.name, w.tiers.*f.member, a.tiers.*f.member, b.tiers.*f.member);
+    }
+    check("rss_distributed", w.rss_distributed, a.rss_distributed,
+          b.rss_distributed);
+    check("rss_queue_drops", w.rss_queue_drops, a.rss_queue_drops,
+          b.rss_queue_drops);
+    check("rebalance_checks", w.rebalance_checks, a.rebalance_checks,
+          b.rebalance_checks);
+    check("bucket_migrations", w.bucket_migrations, a.bucket_migrations,
+          b.bucket_migrations);
+    check("offered_arrivals", w.offered_arrivals, a.offered_arrivals,
+          b.offered_arrivals);
+    check("offered_departures", w.offered_departures, a.offered_departures,
+          b.offered_departures);
+    check("gen_alloc_failures", w.gen_alloc_failures, a.gen_alloc_failures,
+          b.gen_alloc_failures);
+
+    for (int i = 0; i < 2; ++i) chains[i]->pool().free_bulk(held[i]);
+  }
+  // The inputs exercise every window field, not just zeros.
+  for (const char* field :
+       {"delivered_fwd", "delivered_rev", "switch_rx_packets", "drops",
+        "emc_hits", "megaflow_hits", "rss_distributed", "rss_queue_drops",
+        "rebalance_checks", "bucket_migrations", "offered_arrivals",
+        "offered_departures", "gen_alloc_failures"}) {
+    EXPECT_GT(largest[field], 0u) << field;
   }
 }
 

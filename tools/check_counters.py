@@ -25,9 +25,9 @@ from silently stranding them. This checker closes the loop:
     must appear in docs/COUNTERS.md under its documented pattern
     `e<i>_name` (the literal placeholder `<i>`, since the engine index
     is runtime data);
-  * every telemetry metric registered in src/ or bench/ (a
-    `.counter("name")` / `.gauge(...)` / `.histogram(...)` call on a
-    MetricsRegistry) must appear, in backticks, in
+  * every telemetry gauge registered in src/ or bench/ (a
+    `.gauge("name")` call on a MetricsRegistry, whose only metric kind
+    is the callback gauge) must appear, in backticks, in
     docs/OBSERVABILITY.md. Tests are exempt: throwaway names assembled
     to exercise the registry are not part of the exported surface.
 
@@ -51,7 +51,7 @@ ENDPOINT_STRUCTS = [
 ENDPOINT_SECTION = "## Endpoint counters"
 COUNTERS_MD = os.path.join(ROOT, "docs", "COUNTERS.md")
 OBSERVABILITY_MD = os.path.join(ROOT, "docs", "OBSERVABILITY.md")
-METRIC_DIRS = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
+GAUGE_DIRS = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 BENCH_DIR = os.path.join(ROOT, "bench")
 
@@ -66,8 +66,7 @@ FIELD_RE = re.compile(
 TIER_ENTRY_RE = re.compile(r'\bX\((\w+),\s*(?:"([A-Za-z0-9_]+)"|nullptr)\)')
 # First cell of a markdown table row.
 ROW_HEAD_RE = re.compile(r"^\|([^|\n]*)\|", re.MULTILINE)
-METRIC_RE = re.compile(
-    r'(?:\.|->)(?:counter|gauge|histogram)\(\s*"([a-z0-9_.]+)"')
+GAUGE_RE = re.compile(r'(?:\.|->)gauge\(\s*"([a-z0-9_.]+)"')
 
 
 def read(path):
@@ -184,16 +183,16 @@ def main():
                     f"\"{ENDPOINT_SECTION[3:]}\" section of "
                     f"docs/COUNTERS.md")
 
-    metric_names = registered_metrics()
-    if not metric_names:
-        errors.append("no MetricsRegistry registrations found under src/ "
-                      "or bench/ (parser broken?)")
+    gauge_names = registered_gauges()
+    if not gauge_names:
+        errors.append("no MetricsRegistry gauge registrations found "
+                      "under src/ or bench/ (parser broken?)")
     observability = set(re.findall(r"`([a-z0-9_.]+)`",
                                    read(OBSERVABILITY_MD)))
-    for name, where in sorted(metric_names.items()):
+    for name, where in sorted(gauge_names.items()):
         if name not in observability:
             errors.append(
-                f"metric `{name}` ({where}) is not mentioned in "
+                f"gauge `{name}` ({where}) is not mentioned in "
                 f"docs/OBSERVABILITY.md")
 
     for error in errors:
@@ -203,7 +202,7 @@ def main():
           f"{len(tier_fields)} TierCounters fields, "
           f"{len(chain_fields)} ChainMetrics fields, "
           f"{len(endpoint_fields)} endpoint counters, "
-          f"{len(metric_names)} registered metrics: "
+          f"{len(gauge_names)} registered gauges: "
           f"{'FAIL' if errors else 'OK'} ({len(errors)} undocumented)")
     return 1 if errors else 0
 
@@ -221,16 +220,16 @@ def engine_tagged_columns():
     return names
 
 
-def registered_metrics():
-    """Maps metric name -> first registering file, over src/ and bench/."""
+def registered_gauges():
+    """Maps gauge name -> first registering file, over src/ and bench/."""
     names = {}
-    for base in METRIC_DIRS:
+    for base in GAUGE_DIRS:
         for dirpath, _, filenames in os.walk(base):
             for filename in sorted(filenames):
                 if not filename.endswith((".h", ".cpp")):
                     continue
                 path = os.path.join(dirpath, filename)
-                for name in METRIC_RE.findall(read(path)):
+                for name in GAUGE_RE.findall(read(path)):
                     names.setdefault(name, os.path.relpath(path, ROOT))
     return names
 

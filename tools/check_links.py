@@ -6,9 +6,17 @@ exists on disk (anchors are stripped; http/https/mailto links are
 skipped — CI must not depend on the network). Also verifies that
 in-file anchor links point at a heading that actually exists.
 
+It also keeps the bench catalogue (the "Paper reproductions" and
+"Ablations" sections of docs/BENCHMARKS.md) in step with bench/: every
+bench/bench_*.cpp needs a heading or a table row there that names it in
+backticks, and every bench a catalogue heading or row names needs a
+source. A retired bench belongs under "Retired ablations", which is
+outside the catalogue.
+
 Usage: check_links.py [FILE.md ...]
 With no arguments, checks README.md and docs/*.md relative to the
-repository root (the parent of this script's directory).
+repository root (the parent of this script's directory). The catalogue
+check always runs against that root.
 """
 
 import glob
@@ -21,6 +29,13 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
 FENCE_RE = re.compile(r"^(`{3,}|~{3,}).*?^\1`*\s*$", re.MULTILINE | re.DOTALL)
 INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CATALOGUE = os.path.join(ROOT, "docs", "BENCHMARKS.md")
+CATALOGUE_SECTIONS = ("## Paper reproductions", "## Ablations")
+# A bench named in backticks in a heading or in a table row's first cell.
+CATALOGUE_ENTRY_RE = re.compile(
+    r"^(?:#{2,6}\s[^\n]*?|\|[^|\n]*?)`(bench_\w+)`", re.MULTILINE)
 
 
 def strip_code(text: str) -> str:
@@ -72,18 +87,50 @@ def check_file(path: str) -> list:
     return errors
 
 
+def catalogue_section(text: str, heading: str) -> str:
+    """Body of the level-2 section `heading`, up to the next one."""
+    start = text.find(heading + "\n")
+    if start < 0:
+        return ""
+    end = text.find("\n## ", start + len(heading))
+    return text[start:] if end < 0 else text[start:end]
+
+
+def check_bench_catalogue() -> list:
+    """Benches with no catalogue entry, and entries with no bench."""
+    sources = {os.path.basename(path)[:-len(".cpp")]
+               for path in glob.glob(os.path.join(ROOT, "bench",
+                                                  "bench_*.cpp"))}
+    with open(CATALOGUE, encoding="utf-8") as fh:
+        text = FENCE_RE.sub("", fh.read())
+    sections = [catalogue_section(text, heading)
+                for heading in CATALOGUE_SECTIONS]
+    errors = [f"{CATALOGUE}: section {heading!r} not found"
+              for heading, body in zip(CATALOGUE_SECTIONS, sections)
+              if not body]
+    listed = {name for body in sections
+              for name in CATALOGUE_ENTRY_RE.findall(body)}
+    for name in sorted(sources - listed):
+        errors.append(f"{CATALOGUE}: bench/{name}.cpp has no catalogue "
+                      f"heading or table row")
+    for name in sorted(listed - sources):
+        errors.append(f"{CATALOGUE}: catalogue entry `{name}` has no "
+                      f"bench/{name}.cpp")
+    return errors
+
+
 def main(argv: list) -> int:
     files = argv[1:]
     if not files:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(argv[0])))
-        files = [os.path.join(root, "README.md")] + sorted(
-            glob.glob(os.path.join(root, "docs", "*.md")))
+        files = [os.path.join(ROOT, "README.md")] + sorted(
+            glob.glob(os.path.join(ROOT, "docs", "*.md")))
     errors = []
     for path in files:
         if not os.path.exists(path):
             errors.append(f"{path}: file not found")
             continue
         errors.extend(check_file(path))
+    errors.extend(check_bench_catalogue())
     for error in errors:
         print(error, file=sys.stderr)
     print(f"checked {len(files)} file(s): "
