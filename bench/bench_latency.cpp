@@ -6,11 +6,20 @@
 /// Method: same memory-only chains as Figure 3(a), under the same loaded
 /// conditions as the throughput runs (sources at core speed). Every
 /// generated frame carries its creation timestamp; sinks record one-way
-/// latency. Under load the traditional path queues at every VM→switch and
-/// switch→VM ring and shares the PMD core across all hops, so its latency
-/// grows much faster with chain length than the bypass path, which pays a
-/// single direct ring hop per VM. The improvement grows with chain length
-/// and lands in the paper's "~80% at 8 VMs" regime.
+/// latency. The improvement grows with chain length and lands in the
+/// paper's "~80% at 8 VMs" regime.
+///
+/// What a row measures: with the sources at core speed, every chain runs
+/// with its first ring full, so a row's latency is that ring's fill time
+/// (frames in flight over throughput), not the path's delay. At 4 VMs
+/// the traditional mean, 268.6 us at 4.048 Mpps per direction, is ~1,087
+/// frames in flight: one full 1024-slot ring plus two bursts. The last
+/// run of the retired ring ablation (A1, 4 VMs) read a traditional mean
+/// of 268.6, 521.4 and 1027 us at 1024, 2048 and 4096 slots, all at the
+/// same rate: the latency scales with the ring. The "~80%" row
+/// therefore compares ring-fill times. To measure the path itself, pace
+/// the sources below saturation with ChainConfig::gen_rate_pps, as
+/// TransparencyTest.IntHopStampsProveBypassedHopIsFree does.
 
 #include "bench_common.h"
 

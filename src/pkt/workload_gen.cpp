@@ -72,6 +72,18 @@ WorkloadGen::WorkloadGen(const TrafficProfile& profile)
 }
 
 void WorkloadGen::build_prototypes() {
+  const auto prototype_of = [](const mbuf::Mbuf& built) {
+    Prototype proto;
+    proto.frame.assign(built.data, built.data + built.data_len);
+    Ipv4Header ip;
+    std::memcpy(&ip, built.data + kEthLen, kIpLen);
+    ip.set_src_addr(0);
+    ip.set_dst_addr(0);
+    ip.set_hdr_checksum(0);
+    proto.ip_sum =
+        checksum_partial({reinterpret_cast<const std::byte*>(&ip), kIpLen});
+    return proto;
+  };
   mbuf::Mbuf scratch;
   FrameSpec udp_spec;
   udp_spec.frame_len = profile_.frame_len;
@@ -81,7 +93,7 @@ void WorkloadGen::build_prototypes() {
     // legacy generator's "degenerate profile" escape hatch.
     (void)build_frame(scratch, FrameSpec{});
   }
-  proto_udp_.assign(scratch.data, scratch.data + scratch.data_len);
+  udp_ = prototype_of(scratch);
 
   FrameSpec tcp_spec;
   tcp_spec.frame_len = profile_.frame_len;
@@ -91,7 +103,7 @@ void WorkloadGen::build_prototypes() {
     tcp_spec.ip_proto = kIpProtoTcp;
     (void)build_frame(scratch, tcp_spec);
   }
-  proto_tcp_.assign(scratch.data, scratch.data + scratch.data_len);
+  tcp_ = prototype_of(scratch);
 }
 
 bool WorkloadGen::advance(TimeNs now) noexcept {
@@ -201,10 +213,9 @@ std::uint64_t WorkloadGen::pick_flow() noexcept {
 
 void WorkloadGen::synthesize(mbuf::Mbuf& buf, std::uint64_t flow_id) noexcept {
   const FrameSpec spec = profile_.flow_spec(flow_id);
-  const std::vector<std::byte>& proto =
-      spec.ip_proto == kIpProtoTcp ? proto_tcp_ : proto_udp_;
-  std::memcpy(buf.data, proto.data(), proto.size());
-  buf.data_len = static_cast<std::uint32_t>(proto.size());
+  const Prototype& proto = spec.ip_proto == kIpProtoTcp ? tcp_ : udp_;
+  std::memcpy(buf.data, proto.frame.data(), proto.frame.size());
+  buf.data_len = static_cast<std::uint32_t>(proto.frame.size());
 
   // Patch the per-flow identity over the shared prototype. Every other
   // byte depends only on (frame_len, proto), which the prototype fixed.
@@ -214,9 +225,15 @@ void WorkloadGen::synthesize(mbuf::Mbuf& buf, std::uint64_t flow_id) noexcept {
   auto* ip = reinterpret_cast<Ipv4Header*>(buf.data + kEthLen);
   ip->set_src_addr(spec.src_ip);
   ip->set_dst_addr(spec.dst_ip);
-  ip->set_hdr_checksum(0);
-  ip->set_hdr_checksum(
-      internet_checksum({reinterpret_cast<const std::byte*>(ip), kIpLen}));
+  // internet_checksum's arithmetic with the fixed words pre-summed: add
+  // the four address halves, fold, complement. The sum is below 2^19, so
+  // two folds leave no carry.
+  std::uint32_t sum = proto.ip_sum + (spec.src_ip >> 16) +
+                      (spec.src_ip & 0xffffU) + (spec.dst_ip >> 16) +
+                      (spec.dst_ip & 0xffffU);
+  sum = (sum & 0xffffU) + (sum >> 16);
+  sum = (sum & 0xffffU) + (sum >> 16);
+  ip->set_hdr_checksum(static_cast<std::uint16_t>(~sum));
   if (spec.ip_proto == kIpProtoTcp) {
     auto* tcp = reinterpret_cast<TcpHeader*>(buf.data + kEthLen + kIpLen);
     tcp->set_sport(spec.src_port);

@@ -17,15 +17,19 @@
 /// elephant lifetimes, ON-OFF gating), and synthesizes frames lazily from
 /// the profile's compact flow descriptor.
 ///
-/// Memory is O(active flows) for churn bookkeeping, at most 1 MB for the
-/// Zipf sampler's table of the hottest ranks, and O(1) for everything
-/// else — no per-flow template images — so a profile can offer millions
-/// of distinct 5-tuples. Neither the table nor the top-k sketch, which
-/// sees every 16th pick, changes which flows are picked: the stream is
-/// fixed by the profile and its seed. Synthesis is byte-identical to
-/// build_frame(profile.flow_spec(id)): a prototype frame per L4 protocol
-/// is patched with the flow's MACs/IPs/ports and the IPv4 header checksum
-/// is recomputed (workload_test.cpp holds the byte-for-byte regression).
+/// Memory is O(active flows) for churn bookkeeping, at most 1.25 MB for
+/// the Zipf sampler's rank and guide tables of the hottest ranks, and
+/// O(1) for everything else — no per-flow template images — so a profile
+/// can offer millions of distinct 5-tuples. Neither the tables nor the
+/// top-k sketch, which sees every 16th pick, changes which flows are
+/// picked: the stream is fixed by the profile and its seed. Synthesis is
+/// byte-identical to build_frame(profile.flow_spec(id)): a prototype
+/// frame per L4 protocol is patched with the flow's MACs/IPs/ports, and
+/// the IPv4 header checksum adds the four 16-bit address halves to the
+/// prototype's precomputed sum of its other words, then folds twice and
+/// complements. That is internet_checksum's arithmetic over the same
+/// words, so the same 16 bits, for 4 additions instead of 10
+/// (workload_test.cpp holds the byte-for-byte and carry regressions).
 
 namespace hw::pkt {
 
@@ -91,8 +95,15 @@ class WorkloadGen {
   std::uint32_t polls_since_sweep_ = 0;
   std::uint64_t rr_next_ = 0;
 
-  std::vector<std::byte> proto_udp_;
-  std::vector<std::byte> proto_tcp_;
+  /// The frame every flow of one L4 protocol starts from, and the
+  /// one's-complement sum of its IPv4 header with the addresses and the
+  /// checksum zeroed.
+  struct Prototype {
+    std::vector<std::byte> frame;
+    std::uint32_t ip_sum = 0;
+  };
+  Prototype udp_;
+  Prototype tcp_;
   WorkloadStats stats_;
 };
 

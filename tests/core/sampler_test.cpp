@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -123,6 +124,39 @@ TEST(ZipfSamplerTest, RankTableLeavesEveryDrawUnchanged) {
     EXPECT_EQ(mismatches, 0u) << "s=" << s;
     EXPECT_EQ(plain_rng.next(), table_rng.next())
         << "s=" << s << ": the samplers consumed different variates";
+  }
+}
+
+TEST(ZipfSamplerTest, GuideLookupMatchesThePowPathAtEveryCellBound) {
+  // propose() answers from the guide table only well inside a cell. At a
+  // bound the tabulated H(k+0.5) and the pow path's H^-1 round
+  // independently and can name neighbouring ranks, so there it must
+  // defer to envelope_rank(). Checked at every bound of an 8,192-rank
+  // table and the doubles on either side of it, for n at, below and
+  // above the table, plus uniform points that mostly take the guide.
+  constexpr std::uint64_t kTable = 8192;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double s : {0.9, 1.0, 1.1, 1.3}) {  // 1.0 takes the log branch
+    const ZipfSampler zipf(s, kTable);
+    ASSERT_EQ(zipf.table_ranks(), kTable);
+    for (const std::uint64_t n : {kTable, kTable / 3, 4 * kTable}) {
+      std::uint64_t mismatches = 0;
+      for (std::uint64_t k = 0; k <= kTable; ++k) {
+        const double bound = zipf.envelope(static_cast<double>(k) + 0.5);
+        for (const double u : {std::nextafter(bound, -kInf), bound,
+                               std::nextafter(bound, kInf)}) {
+          if (zipf.propose(u, n) != zipf.envelope_rank(u, n)) ++mismatches;
+        }
+      }
+      const double lo = zipf.envelope(0.5);
+      const double hi = zipf.envelope(static_cast<double>(n) + 0.5);
+      Rng rng(0x51f040);
+      for (int i = 0; i < 200'000; ++i) {
+        const double u = lo + rng.next_double() * (hi - lo);
+        if (zipf.propose(u, n) != zipf.envelope_rank(u, n)) ++mismatches;
+      }
+      EXPECT_EQ(mismatches, 0u) << "s=" << s << " n=" << n;
+    }
   }
 }
 

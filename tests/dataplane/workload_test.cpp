@@ -5,6 +5,7 @@
 
 #include "exec/runtime.h"
 #include "mbuf/mempool.h"
+#include "pkt/checksum.h"
 #include "pkt/endpoint.h"
 #include "pkt/packet.h"
 #include "pkt/traffic_profile.h"
@@ -57,6 +58,43 @@ TEST_F(WorkloadTest, LazySynthesisIsByteIdenticalToTemplatePath) {
           << ": lazy synthesis diverged from build_frame";
       ASSERT_EQ(lazy.flow_hash, 0u) << "synthesis must not pre-cache a hash";
     }
+  }
+}
+
+TEST_F(WorkloadTest, SynthesizedChecksumsFoldEveryCarry) {
+  // Addresses near 255.255.255.255 make every 16-bit half of the header
+  // sum large, src_ip + id wraps past 2^32, and 2^17 ids (across 2^16)
+  // walk the low halves through every value, so some headers need the
+  // checksum's second fold. Every header must verify and match
+  // build_frame byte for byte.
+  for (const std::uint32_t frame_len : {64u, 1518u}) {
+    pkt::TrafficProfile profile;
+    profile.frame_len = frame_len;
+    profile.src_ip_base = pkt::ipv4(255, 255, 255, 200);
+    profile.dst_ip_base = pkt::ipv4(255, 255, 254, 9);
+    profile.web_percent = 30;
+    profile.seed = 9;
+    pkt::WorkloadGen gen(profile);
+
+    mbuf::Mbuf lazy, templ;
+    std::uint64_t second_folds = 0;
+    for (std::uint64_t id = 0; id < (std::uint64_t{1} << 17); ++id) {
+      gen.synthesize(lazy, id);
+      const std::byte* ip = lazy.data + sizeof(pkt::EthernetHeader);
+      ASSERT_TRUE(pkt::checksum_ok({ip, sizeof(pkt::Ipv4Header)}))
+          << "flow " << id << " len " << frame_len;
+      ASSERT_TRUE(pkt::build_frame(templ, profile.flow_spec(id)));
+      ASSERT_EQ(lazy.data_len, templ.data_len);
+      ASSERT_EQ(std::memcmp(lazy.data, templ.data, lazy.data_len), 0)
+          << "flow " << id << " len " << frame_len;
+      // The header's words other than the checksum, folded once.
+      std::uint32_t sum = 0;
+      for (std::size_t off = 0; off < sizeof(pkt::Ipv4Header); off += 2) {
+        if (off != 10) sum += pkt::load_be16(ip + off);
+      }
+      if ((sum & 0xffffU) + (sum >> 16) > 0xffffU) ++second_folds;
+    }
+    EXPECT_GT(second_folds, 0u) << "no header needed the second fold";
   }
 }
 
