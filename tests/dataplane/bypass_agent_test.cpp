@@ -1,7 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <functional>
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "agent/compute_agent.h"
 #include "chain/chain.h"
 #include "common/log.h"
+#include "pmd/channel.h"
+#include "pmd/control.h"
 #include "vswitch/bypass_manager.h"
 
 namespace hw::vswitch {
@@ -408,6 +418,249 @@ TEST_F(AgentProtocolTest, UnknownVmMappingFailsCleanly) {
   EXPECT_TRUE(sink.called);
   EXPECT_FALSE(sink.ok);
   EXPECT_EQ(agent.counters().setup_failures, 1u);
+}
+
+// ---------------------------------------------------------------------
+// ComputeAgent against a scripted guest: the test plays both PMDs.
+// ---------------------------------------------------------------------
+
+using pmd::CtrlMsg;
+using pmd::CtrlOp;
+
+/// Owns two ports' control channels and the pair's bypass region, and
+/// runs only the agent on a SimRuntime. After every epoch it pops the
+/// commands the agent sent and answers each as `script_` says; a
+/// command left silent stays in `sent_`, so the test can answer it
+/// later with answer().
+class ScriptedGuestTest : public ::testing::Test {
+ protected:
+  enum class Reply { kAck, kNack, kSilence };
+  struct Sent {
+    PortId port;
+    CtrlMsg msg;
+  };
+
+  static constexpr PortId kFrom = 1;  ///< TX side, endpoint A
+  static constexpr PortId kTo = 2;    ///< RX side
+  static constexpr VmId kVmFrom = 10;
+  static constexpr VmId kVmTo = 20;
+  static constexpr TimeNs kEpochNs = 10'000;
+  static constexpr std::size_t kRing = 64;
+  /// The agent's per-op deadline, counted from the request's arrival.
+  static constexpr TimeNs kOpTimeoutNs = 2'000'000'000;
+
+  static void SetUpTestSuite() { set_log_level(LogLevel::kError); }
+
+  ScriptedGuestTest()
+      : runtime_({.epoch_ns = kEpochNs, .cost = {}}),
+        agent_(shm_, runtime_, latency_),
+        sink_(runtime_) {
+    for (const PortId port : {kFrom, kTo}) {
+      shm::ShmRegion* region =
+          shm_.create(pmd::control_channel_region(port),
+                      pmd::ControlChannel::bytes_required())
+              .value();
+      ctrl_[port] = pmd::ControlChannel::create_in(*region).value();
+    }
+    shm::ShmRegion* bypass =
+        shm_.create(region_, pmd::ChannelView::bytes_required(kRing)).value();
+    channel_ =
+        pmd::ChannelView::create_in(*bypass, kRing, kFrom, kTo, 1).value();
+    agent_.register_port(kFrom, kVmFrom);
+    agent_.register_port(kTo, kVmTo);
+    agent_.set_event_sink(&sink_);
+    runtime_.add_context(&agent_);
+  }
+
+  void request_setup(bool plug_required) {
+    agent_.request_bypass_setup(vswitch::BypassSetupRequest{
+        .from = kFrom, .to = kTo, .region = region_, .epoch = 1,
+        .rule_slot = 0, .plug_required = plug_required});
+  }
+  void request_teardown(bool unplug_after) {
+    agent_.request_bypass_teardown(vswitch::BypassTeardownRequest{
+        .from = kFrom, .to = kTo, .region = region_,
+        .unplug_after = unplug_after});
+  }
+
+  void answer(PortId port, CtrlMsg msg, bool ok) {
+    msg.ok = ok ? 1 : 0;
+    ASSERT_TRUE(ctrl_.at(port).ack().enqueue(msg));
+  }
+
+  /// Steps epochs, answering commands after each, until `done` holds
+  /// or `max_ns` of virtual time passed.
+  bool run_until(const std::function<bool()>& done, TimeNs max_ns) {
+    const TimeNs end = runtime_.elapsed_ns() + max_ns;
+    while (!done()) {
+      if (runtime_.elapsed_ns() >= end) return false;
+      runtime_.step_epoch();
+      CtrlMsg msg;
+      for (const PortId port : {kFrom, kTo}) {
+        while (ctrl_.at(port).cmd().dequeue(msg)) {
+          sent_.push_back({port, msg});
+          const Reply reply = script_(port, msg);
+          if (reply != Reply::kSilence) answer(port, msg, reply == Reply::kAck);
+        }
+      }
+    }
+    return true;
+  }
+  void run_for(TimeNs ns) {
+    (void)run_until([] { return false; }, ns);
+  }
+
+  [[nodiscard]] std::size_t count(CtrlOp op, PortId port) const {
+    std::size_t n = 0;
+    for (const Sent& s : sent_) n += s.msg.op == op && s.port == port ? 1 : 0;
+    return n;
+  }
+  [[nodiscard]] std::size_t plug_count() {
+    return shm_.find(region_)->plug_count();
+  }
+
+  /// Completion callbacks, stamped with the epoch they arrived in.
+  struct Sink final : vswitch::BypassEventSink {
+    explicit Sink(exec::SimRuntime& runtime) : runtime(&runtime) {}
+    void on_bypass_ready(PortId, PortId, bool ok_in) override {
+      ok = ok_in;
+      ready_at = runtime->epoch_start_ns();
+    }
+    void on_bypass_torn_down(PortId, PortId) override {
+      torn_down_at = runtime->epoch_start_ns();
+    }
+    exec::SimRuntime* runtime;
+    std::optional<bool> ok;
+    std::optional<TimeNs> ready_at;
+    std::optional<TimeNs> torn_down_at;
+  };
+
+  HotplugLatencyModel latency_;
+  const std::string region_ = pmd::bypass_channel_region(kFrom, kTo);
+  shm::ShmManager shm_;
+  exec::SimRuntime runtime_;
+  ComputeAgent agent_;
+  Sink sink_;
+  std::map<PortId, pmd::ControlChannel> ctrl_;
+  pmd::ChannelView channel_;
+  std::function<Reply(PortId, const CtrlMsg&)> script_ =
+      [](PortId, const CtrlMsg&) { return Reply::kAck; };
+  std::vector<Sent> sent_;
+};
+
+TEST_F(ScriptedGuestTest, RxAttachNackFailsBeforeAnyTxCommand) {
+  script_ = [](PortId, const CtrlMsg& cmd) {
+    return cmd.op == CtrlOp::kAttachBypassRx ? Reply::kNack : Reply::kAck;
+  };
+  request_setup(true);
+  ASSERT_TRUE(
+      run_until([&] { return sink_.ok.has_value(); }, 1'000'000'000));
+  EXPECT_FALSE(*sink_.ok);
+  run_for(10 * latency_.serial_rtt_ns);  // nothing follows the failure
+
+  ASSERT_EQ(sent_.size(), 1u);  // no TX command, and no rollback
+  EXPECT_EQ(count(CtrlOp::kAttachBypassRx, kTo), 1u);
+  const AgentCounters& c = agent_.counters();
+  EXPECT_EQ(c.setups, 1u);
+  EXPECT_EQ(c.setup_failures, 1u);
+  EXPECT_EQ(c.ctrl_sent, 1u);
+  EXPECT_EQ(c.ctrl_nacks, 1u);
+  EXPECT_EQ(c.timeouts, 0u);
+  // The plugs this setup made are undone.
+  EXPECT_EQ(c.plugs, 2u);
+  EXPECT_EQ(c.unplugs, 2u);
+  EXPECT_EQ(plug_count(), 0u);
+}
+
+TEST_F(ScriptedGuestTest, TxAttachNackRollsBackTheRxAttach) {
+  script_ = [](PortId, const CtrlMsg& cmd) {
+    return cmd.op == CtrlOp::kAttachBypassTx ? Reply::kNack : Reply::kAck;
+  };
+  request_setup(true);
+  ASSERT_TRUE(
+      run_until([&] { return sink_.ok.has_value(); }, 1'000'000'000));
+  EXPECT_FALSE(*sink_.ok);
+
+  ASSERT_EQ(sent_.size(), 3u);
+  EXPECT_EQ(sent_[0].msg.op, CtrlOp::kAttachBypassRx);
+  EXPECT_EQ(sent_[0].port, kTo);
+  EXPECT_EQ(sent_[1].msg.op, CtrlOp::kAttachBypassTx);
+  EXPECT_EQ(sent_[1].port, kFrom);
+  // Rollback: the RX side, already attached, is told to detach.
+  EXPECT_EQ(sent_[2].msg.op, CtrlOp::kDetachBypassRx);
+  EXPECT_EQ(sent_[2].port, kTo);
+  EXPECT_EQ(sent_[2].msg.region_name(), region_);
+  const AgentCounters& c = agent_.counters();
+  EXPECT_EQ(c.setup_failures, 1u);
+  EXPECT_EQ(c.ctrl_sent, 3u);
+  EXPECT_EQ(c.ctrl_nacks, 1u);
+  EXPECT_EQ(c.unplugs, 2u);
+  EXPECT_EQ(plug_count(), 0u);
+}
+
+TEST_F(ScriptedGuestTest, SilentGuestTimesOutSetupAndForcesTeardown) {
+  script_ = [](PortId, const CtrlMsg&) { return Reply::kSilence; };
+  const TimeNs setup_deadline =
+      runtime_.elapsed_ns() + latency_.request_rtt_ns + kOpTimeoutNs;
+  request_setup(true);
+  ASSERT_TRUE(run_until([&] { return sink_.ok.has_value(); },
+                        kOpTimeoutNs + 1'000'000'000));
+  EXPECT_FALSE(*sink_.ok);
+  EXPECT_GT(*sink_.ready_at, setup_deadline);
+  EXPECT_LE(*sink_.ready_at, setup_deadline + 2 * kEpochNs);
+  EXPECT_EQ(agent_.counters().timeouts, 1u);
+  EXPECT_EQ(agent_.counters().setup_failures, 1u);
+  EXPECT_EQ(count(CtrlOp::kAttachBypassRx, kTo), 1u);
+  EXPECT_EQ(sent_.size(), 1u);  // RX never acked: nothing to roll back
+  EXPECT_EQ(plug_count(), 0u);
+
+  const TimeNs teardown_deadline =
+      runtime_.elapsed_ns() + latency_.request_rtt_ns + kOpTimeoutNs;
+  request_teardown(false);
+  ASSERT_TRUE(run_until([&] { return sink_.torn_down_at.has_value(); },
+                        kOpTimeoutNs + 1'000'000'000));
+  // Forced at the deadline, stuck waiting for the TX detach's ack.
+  EXPECT_GT(*sink_.torn_down_at, teardown_deadline);
+  EXPECT_LE(*sink_.torn_down_at, teardown_deadline + 2 * kEpochNs);
+  EXPECT_EQ(count(CtrlOp::kDetachBypassTx, kFrom), 1u);
+  EXPECT_EQ(count(CtrlOp::kDetachBypassRx, kTo), 0u);
+  EXPECT_EQ(agent_.counters().timeouts, 2u);
+  EXPECT_EQ(agent_.inflight_ops(), 0u);
+}
+
+TEST_F(ScriptedGuestTest, DetachRxNackRetriesAfterTheRingDrains) {
+  // The region as a finished setup leaves it: plugged into both VMs.
+  ASSERT_TRUE(shm_.plug(region_, kVmFrom).is_ok());
+  ASSERT_TRUE(shm_.plug(region_, kVmTo).is_ok());
+  mbuf::Mbuf frame;  // never read: the agent only asks if the ring is empty
+  pmd::MbufRing& ring = channel_.a2b();  // kFrom is A: its TX ring
+  bool nacked = false;
+  script_ = [&](PortId, const CtrlMsg& cmd) {
+    if (cmd.op != CtrlOp::kDetachBypassRx || nacked) return Reply::kAck;
+    // A frame slipped in after the agent's emptiness check.
+    nacked = true;
+    EXPECT_TRUE(ring.enqueue(&frame));
+    return Reply::kNack;
+  };
+  request_teardown(true);
+  ASSERT_TRUE(run_until([&] { return nacked; }, 1'000'000'000));
+  run_for(10 * latency_.serial_rtt_ns);
+  // The frame is still queued: the agent re-checks the ring and waits.
+  EXPECT_EQ(count(CtrlOp::kDetachBypassRx, kTo), 1u);
+  EXPECT_FALSE(sink_.torn_down_at.has_value());
+
+  mbuf::Mbuf* drained = nullptr;
+  ASSERT_TRUE(ring.dequeue(drained));  // the RX PMD consumes it
+  ASSERT_TRUE(run_until([&] { return sink_.torn_down_at.has_value(); },
+                        1'000'000'000));
+  EXPECT_EQ(count(CtrlOp::kDetachBypassTx, kFrom), 1u);
+  EXPECT_EQ(count(CtrlOp::kDetachBypassRx, kTo), 2u);
+  const AgentCounters& c = agent_.counters();
+  EXPECT_EQ(c.drain_retries, 1u);
+  EXPECT_EQ(c.ctrl_nacks, 1u);
+  EXPECT_EQ(c.timeouts, 0u);
+  EXPECT_EQ(c.unplugs, 2u);
+  EXPECT_EQ(plug_count(), 0u);
 }
 
 }  // namespace
