@@ -43,61 +43,64 @@ void ComputeAgent::collect_acks() {
   // is bounded (BypassManagerConfig::max_inflight_ops) while the port
   // fleet is not — a full ctrl_cache_ sweep would be O(ports) per poll.
   watch_ports_.clear();
-  for (const auto& [id, op] : setups_) {
-    watch_ports_.push_back(op.req.from);
-    watch_ports_.push_back(op.req.to);
-  }
-  for (const auto& [id, op] : teardowns_) {
-    watch_ports_.push_back(op.req.from);
-    watch_ports_.push_back(op.req.to);
+  for (const auto& [key, op] : ops_) {
+    watch_ports_.push_back(op.from);
+    watch_ports_.push_back(op.to);
   }
   std::sort(watch_ports_.begin(), watch_ports_.end());
   watch_ports_.erase(std::unique(watch_ports_.begin(), watch_ports_.end()),
                      watch_ports_.end());
   CtrlMsg ack;
   for (const PortId port : watch_ports_) {
-    const auto it = ctrl_cache_.find(port);
-    if (it == ctrl_cache_.end()) continue;
-    while (it->second.ack().dequeue(ack)) {
-      acks_[ack.seq] = ack.ok != 0;
+    const auto channel = ctrl_cache_.find(port);
+    if (channel == ctrl_cache_.end()) continue;
+    while (channel->second.ack().dequeue(ack)) {
+      // An ack no step awaits (late, duplicated, or from another port)
+      // is dropped here.
+      for (auto& [key, op] : ops_) {
+        const Step& step = op.steps[op.step];
+        if (op.phase == Phase::kAwaiting && op.seq == ack.seq &&
+            (step.rx_side ? op.to : op.from) == port) {
+          op.phase = ack.ok != 0 ? Phase::kDone : Phase::kNacked;
+          break;
+        }
+      }
     }
   }
 }
 
-bool ComputeAgent::take_ack(std::uint16_t seq, bool* ok) {
-  auto it = acks_.find(seq);
-  if (it == acks_.end()) return false;
-  *ok = it->second;
-  acks_.erase(it);
-  return true;
-}
-
-bool ComputeAgent::region_ring_empty(const std::string& region_name,
-                                     PortId from, PortId to) {
-  shm::ShmRegion* region = shm_->find(region_name);
+bool ComputeAgent::region_ring_empty(const Op& op) {
+  shm::ShmRegion* region = shm_->find(op.region);
   if (region == nullptr) return true;  // gone ⇒ nothing to drain
   auto channel = pmd::ChannelView::attach(*region);
   if (!channel.is_ok()) return true;
-  const PortId lo = std::min(from, to);
+  const PortId lo = std::min(op.from, op.to);
   pmd::MbufRing& ring =
-      from == lo ? channel.value().a2b() : channel.value().b2a();
+      op.from == lo ? channel.value().a2b() : channel.value().b2a();
   return ring.empty();
 }
 
-template <typename OpMap>
-void ComputeAgent::arm_after_serial(OpMap& ops, std::uint64_t id) {
-  runtime_->schedule(latency_.serial_rtt_ns, [&ops, id] {
-    if (auto it = ops.find(id); it != ops.end()) it->second.armed = true;
+void ComputeAgent::plug(const Op& op, VmId vm) {
+  if (shm_->plug(op.region, vm).is_ok()) ++counters_.plugs;
+}
+
+void ComputeAgent::unplug_both(const Op& op) {
+  for (const VmId vm : {op.vm_from, op.vm_to}) {
+    if (shm_->unplug(op.region, vm).is_ok()) ++counters_.unplugs;
+  }
+}
+
+void ComputeAgent::at(const OpKey& key, TimeNs delay_ns,
+                      std::function<void(Op&)> fn) {
+  runtime_->schedule(delay_ns, [this, key, fn = std::move(fn)] {
+    if (auto it = ops_.find(key); it != ops_.end()) fn(it->second);
   });
 }
 
-// --------------------------------------------------------------- setup
+// ------------------------------------------------------------ requests
 
 void ComputeAgent::request_bypass_setup(
     const vswitch::BypassSetupRequest& request) {
-  const std::uint64_t id = next_op_++;
-  SetupOp op;
-  op.req = request;
   auto from_it = port_vm_.find(request.from);
   auto to_it = port_vm_.find(request.to);
   if (from_it == port_vm_.end() || to_it == port_vm_.end()) {
@@ -109,156 +112,27 @@ void ComputeAgent::request_bypass_setup(
     }
     return;
   }
-  op.vm_from = from_it->second;
-  op.vm_to = to_it->second;
   ++counters_.setups;
-  setups_.emplace(id, op);
-  // The unix-socket hop from ovs-vswitchd to the agent.
-  runtime_->schedule(latency_.request_rtt_ns,
-                     [this, id] { begin_setup(id); });
+  start(Op{.from = request.from,
+           .to = request.to,
+           .region = request.region,
+           .epoch = request.epoch,
+           .rule_slot = request.rule_slot,
+           .hotplug = request.plug_required,
+           .vm_from = from_it->second,
+           .vm_to = to_it->second,
+           .steps = kSetupSteps});
 }
-
-void ComputeAgent::begin_setup(std::uint64_t id) {
-  auto it = setups_.find(id);
-  if (it == setups_.end()) return;
-  SetupOp& op = it->second;
-  // Stamped in an event callback, compared in poll(): two different
-  // contexts, so the deadline must use the cross-context clock.
-  op.deadline = runtime_->epoch_start_ns() + op_timeout_ns;
-
-  if (!op.req.plug_required) {
-    // Second direction of an existing channel: the sibling op plugs the
-    // region; poll() proceeds once it is visible in both VMs.
-    return;
-  }
-  // Sequential QEMU ivshmem hot-plug into both VMs, each followed by the
-  // guest's PCI rescan before the device is usable.
-  const TimeNs per_vm = latency_.qemu_plug_ns + latency_.pci_scan_ns;
-  runtime_->schedule(per_vm, [this, id, per_vm] {
-    auto it1 = setups_.find(id);
-    if (it1 == setups_.end()) return;
-    if (shm_->plug(it1->second.req.region, it1->second.vm_from).is_ok()) {
-      ++counters_.plugs;
-    }
-    runtime_->schedule(per_vm, [this, id] {
-      auto it2 = setups_.find(id);
-      if (it2 == setups_.end()) return;
-      if (shm_->plug(it2->second.req.region, it2->second.vm_to).is_ok()) {
-        ++counters_.plugs;
-      }
-    });
-  });
-}
-
-bool ComputeAgent::progress_setup(std::uint64_t id, SetupOp& op) {
-  switch (op.stage) {
-    case SetupStage::kAwaitRegion: {
-      shm::ShmRegion* region = shm_->find(op.req.region);
-      if (region == nullptr || !region->is_plugged(op.vm_from) ||
-          !region->is_plugged(op.vm_to)) {
-        return false;
-      }
-      op.stage = SetupStage::kSendRx;
-      return false;
-    }
-    case SetupStage::kSendRx: {
-      if (!op.arm_scheduled) {
-        op.arm_scheduled = true;
-        op.rx_seq = next_seq_++;
-        arm_after_serial(setups_, id);
-        return false;
-      }
-      if (!op.armed) return false;
-      CtrlMsg msg;
-      msg.op = CtrlOp::kAttachBypassRx;
-      msg.seq = op.rx_seq;
-      msg.peer_port = op.req.from;
-      msg.rule_slot = op.req.rule_slot;
-      msg.epoch = op.req.epoch;
-      msg.set_region(op.req.region);
-      if (send_ctrl(op.req.to, msg)) op.stage = SetupStage::kWaitRxAck;
-      return false;
-    }
-    case SetupStage::kWaitRxAck: {
-      bool ok = false;
-      if (!take_ack(op.rx_seq, &ok)) return false;
-      if (!ok) {
-        ++counters_.ctrl_nacks;
-        op.failed = true;
-        return true;
-      }
-      op.stage = SetupStage::kSendTx;
-      op.armed = false;
-      op.arm_scheduled = false;
-      return false;
-    }
-    case SetupStage::kSendTx: {
-      if (!op.arm_scheduled) {
-        op.arm_scheduled = true;
-        op.tx_seq = next_seq_++;
-        arm_after_serial(setups_, id);
-        return false;
-      }
-      if (!op.armed) return false;
-      CtrlMsg msg;
-      msg.op = CtrlOp::kAttachBypassTx;
-      msg.seq = op.tx_seq;
-      msg.peer_port = op.req.to;
-      msg.rule_slot = op.req.rule_slot;
-      msg.epoch = op.req.epoch;
-      msg.set_region(op.req.region);
-      if (send_ctrl(op.req.from, msg)) op.stage = SetupStage::kWaitTxAck;
-      return false;
-    }
-    case SetupStage::kWaitTxAck: {
-      bool ok = false;
-      if (!take_ack(op.tx_seq, &ok)) return false;
-      if (!ok) {
-        ++counters_.ctrl_nacks;
-        op.failed = true;
-      }
-      return true;
-    }
-  }
-  return false;
-}
-
-void ComputeAgent::finish_setup(SetupOp& op, bool ok) {
-  if (ok) {
-    ++counters_.setups_ok;
-    HW_LOG(kInfo, "agent", "bypass %u->%u configured (region %s)",
-           op.req.from, op.req.to, op.req.region.c_str());
-  } else {
-    ++counters_.setup_failures;
-    // Best-effort rollback so the manager can destroy the region: detach
-    // the RX side if it got attached, undo our plugs.
-    if (op.stage == SetupStage::kSendTx ||
-        op.stage == SetupStage::kWaitTxAck) {
-      CtrlMsg msg;
-      msg.op = CtrlOp::kDetachBypassRx;
-      msg.seq = next_seq_++;
-      msg.set_region(op.req.region);
-      (void)send_ctrl(op.req.to, msg);
-    }
-    if (op.req.plug_required) {
-      if (shm_->unplug(op.req.region, op.vm_from).is_ok()) {
-        ++counters_.unplugs;
-      }
-      if (shm_->unplug(op.req.region, op.vm_to).is_ok()) {
-        ++counters_.unplugs;
-      }
-    }
-  }
-  if (sink_ != nullptr) sink_->on_bypass_ready(op.req.from, op.req.to, ok);
-}
-
-// ------------------------------------------------------------ teardown
 
 void ComputeAgent::request_bypass_teardown(
     const vswitch::BypassTeardownRequest& request) {
-  const std::uint64_t id = next_op_++;
-  TeardownOp op;
-  op.req = request;
+  Op op{.teardown = true,
+        .from = request.from,
+        .to = request.to,
+        .region = request.region,
+        .hotplug = request.unplug_after,
+        .steps = std::span(kTeardownSteps)
+                     .first(request.unplug_after ? 4 : 3)};
   if (auto it = port_vm_.find(request.from); it != port_vm_.end()) {
     op.vm_from = it->second;
   }
@@ -266,162 +140,180 @@ void ComputeAgent::request_bypass_teardown(
     op.vm_to = it->second;
   }
   ++counters_.teardowns;
-  teardowns_.emplace(id, op);
-  runtime_->schedule(latency_.request_rtt_ns, [this, id] {
-    if (auto it = teardowns_.find(id); it != teardowns_.end()) {
-      it->second.deadline = runtime_->epoch_start_ns() + op_timeout_ns;
-    }
+  start(std::move(op));
+}
+
+void ComputeAgent::start(Op op) {
+  const OpKey key{op.teardown, next_op_++};
+  ops_.emplace(key, std::move(op));
+  // The unix-socket hop from ovs-vswitchd to the agent.
+  runtime_->schedule(latency_.request_rtt_ns, [this, key] { arrive(key); });
+}
+
+void ComputeAgent::arrive(const OpKey& key) {
+  auto it = ops_.find(key);
+  if (it == ops_.end()) return;
+  Op& op = it->second;
+  // Stamped in an event callback, compared in poll(): two different
+  // contexts, so the deadline must use the cross-context clock.
+  op.deadline = runtime_->epoch_start_ns() + kOpTimeoutNs;
+  if (op.teardown || !op.hotplug) return;
+  // Sequential QEMU ivshmem hot-plug into both VMs, each followed by the
+  // guest's PCI rescan before the device is usable. A second direction
+  // finds the region its sibling plugged.
+  const TimeNs per_vm = latency_.qemu_plug_ns + latency_.pci_scan_ns;
+  at(key, per_vm, [this, key, per_vm](Op& first) {
+    plug(first, first.vm_from);
+    at(key, per_vm, [this](Op& second) { plug(second, second.vm_to); });
   });
 }
 
-bool ComputeAgent::progress_teardown(std::uint64_t id, TeardownOp& op) {
-  if (op.deadline == 0) return false;  // request RTT not yet elapsed
-  switch (op.stage) {
-    case TeardownStage::kSendDetachTx: {
-      if (!op.arm_scheduled) {
-        op.arm_scheduled = true;
-        op.tx_seq = next_seq_++;
-        arm_after_serial(teardowns_, id);
+// ---------------------------------------------------------------- steps
+
+bool ComputeAgent::advance(const OpKey& key, Op& op) {
+  if (op.teardown && op.deadline == 0) return false;  // request in flight
+  const Step& step = op.steps[op.step];
+  switch (step.kind) {
+    case StepKind::kPlugged: {
+      shm::ShmRegion* region = shm_->find(op.region);
+      if (region == nullptr || !region->is_plugged(op.vm_from) ||
+          !region->is_plugged(op.vm_to)) {
         return false;
       }
-      if (!op.armed) return false;
-      CtrlMsg msg;
-      msg.op = CtrlOp::kDetachBypassTx;
-      msg.seq = op.tx_seq;
-      msg.set_region(op.req.region);
-      if (send_ctrl(op.req.from, msg)) {
-        op.stage = TeardownStage::kWaitDetachTxAck;
+      break;
+    }
+    case StepKind::kCtrl:
+      if (!exchange(key, op)) return false;
+      if (op.phase == Phase::kNacked) {
+        ++counters_.ctrl_nacks;
+        if (!op.teardown) {  // an attach refused: the setup fails
+          op.failed = true;
+          return true;
+        }
+        if (step.op == CtrlOp::kDetachBypassRx) {
+          // A frame slipped in between our emptiness check and the PMD's
+          // own: the PMD refuses to detach a non-empty ring. Drain again.
+          ++counters_.drain_retries;
+          --op.step;
+          op.phase = Phase::kIdle;
+          return false;
+        }
+        // A refused TX detach (e.g. TX never attached): carry on.
       }
-      return false;
-    }
-    case TeardownStage::kWaitDetachTxAck: {
-      bool ok = false;
-      if (!take_ack(op.tx_seq, &ok)) return false;
-      if (!ok) ++counters_.ctrl_nacks;  // e.g. TX never attached; continue
-      op.stage = TeardownStage::kWaitDrain;
-      return false;
-    }
-    case TeardownStage::kWaitDrain: {
+      break;
+    case StepKind::kDrained:
       // TX quiesced; the RX-side PMD keeps polling the bypass. Wait until
       // every in-flight frame has been consumed.
-      if (!region_ring_empty(op.req.region, op.req.from, op.req.to)) {
-        return false;
-      }
-      op.stage = TeardownStage::kSendDetachRx;
-      op.armed = false;
-      op.arm_scheduled = false;
-      return false;
-    }
-    case TeardownStage::kSendDetachRx: {
-      if (!op.arm_scheduled) {
-        op.arm_scheduled = true;
-        op.rx_seq = next_seq_++;
-        arm_after_serial(teardowns_, id);
-        return false;
-      }
-      if (!op.armed) return false;
-      CtrlMsg msg;
-      msg.op = CtrlOp::kDetachBypassRx;
-      msg.seq = op.rx_seq;
-      msg.set_region(op.req.region);
-      if (send_ctrl(op.req.to, msg)) {
-        op.stage = TeardownStage::kWaitDetachRxAck;
-      }
-      return false;
-    }
-    case TeardownStage::kWaitDetachRxAck: {
-      bool ok = false;
-      if (!take_ack(op.rx_seq, &ok)) return false;
-      if (!ok) {
-        // A frame slipped in between our emptiness check and the PMD's
-        // own: the PMD refuses to detach a non-empty ring. Drain again.
-        ++counters_.ctrl_nacks;
-        ++counters_.drain_retries;
-        op.stage = TeardownStage::kWaitDrain;
-        return false;
-      }
-      if (!op.req.unplug_after) return true;  // sibling keeps the region
-      op.stage = TeardownStage::kUnplugging;
-      return false;
-    }
-    case TeardownStage::kUnplugging: {
-      if (!op.unplug_scheduled) {
-        op.unplug_scheduled = true;
+      if (!region_ring_empty(op)) return false;
+      break;
+    case StepKind::kUnplugged:
+      if (op.phase == Phase::kIdle) {
+        op.phase = Phase::kArming;
         // Two sequential QEMU device_del operations.
-        runtime_->schedule(2 * latency_.qemu_unplug_ns, [this, id] {
-          auto it = teardowns_.find(id);
-          if (it == teardowns_.end()) return;
-          TeardownOp& op2 = it->second;
-          if (shm_->unplug(op2.req.region, op2.vm_from).is_ok()) {
-            ++counters_.unplugs;
-          }
-          if (shm_->unplug(op2.req.region, op2.vm_to).is_ok()) {
-            ++counters_.unplugs;
-          }
-          op2.unplug_done = true;
+        at(key, 2 * latency_.qemu_unplug_ns, [this](Op& unplugging) {
+          unplug_both(unplugging);
+          unplugging.phase = Phase::kDone;
         });
       }
-      return op.unplug_done;
+      if (op.phase != Phase::kDone) return false;
+      break;
+  }
+  ++op.step;
+  op.phase = Phase::kIdle;
+  return op.step == op.steps.size();
+}
+
+bool ComputeAgent::exchange(const OpKey& key, Op& op) {
+  const Step& step = op.steps[op.step];
+  switch (op.phase) {
+    case Phase::kIdle:
+      op.seq = next_seq_++;
+      op.phase = Phase::kArming;
+      at(key, latency_.serial_rtt_ns,
+         [](Op& arming) { arming.phase = Phase::kArmed; });
+      return false;
+    case Phase::kArmed: {
+      CtrlMsg msg;
+      msg.op = step.op;
+      msg.seq = op.seq;
+      msg.set_region(op.region);
+      if (!op.teardown) {
+        // An attach names the other end, the rule's stats slot and the
+        // channel epoch the PMD validates.
+        msg.peer_port = step.rx_side ? op.from : op.to;
+        msg.rule_slot = op.rule_slot;
+        msg.epoch = op.epoch;
+      }
+      if (send_ctrl(step.rx_side ? op.to : op.from, msg)) {
+        op.phase = Phase::kAwaiting;
+      }
+      return false;
     }
+    case Phase::kArming:
+    case Phase::kAwaiting:
+      return false;
+    case Phase::kDone:
+    case Phase::kNacked:
+      return true;
   }
   return false;
 }
 
-void ComputeAgent::finish_teardown(TeardownOp& op) {
-  HW_LOG(kInfo, "agent", "bypass %u->%u dismantled", op.req.from,
-         op.req.to);
-  if (sink_ != nullptr) {
-    sink_->on_bypass_torn_down(op.req.from, op.req.to);
+void ComputeAgent::finish(const Op& op) {
+  if (op.teardown) {
+    HW_LOG(kInfo, "agent", "bypass %u->%u dismantled", op.from, op.to);
+    if (sink_ != nullptr) sink_->on_bypass_torn_down(op.from, op.to);
+    return;
   }
+  if (!op.failed) {
+    ++counters_.setups_ok;
+    HW_LOG(kInfo, "agent", "bypass %u->%u configured (region %s)", op.from,
+           op.to, op.region.c_str());
+  } else {
+    ++counters_.setup_failures;
+    // Best-effort rollback so the manager can destroy the region: detach
+    // the RX side if it got attached (the op reached the TX attach), undo
+    // our plugs.
+    if (op.steps[op.step].op == CtrlOp::kAttachBypassTx) {
+      CtrlMsg msg;
+      msg.op = CtrlOp::kDetachBypassRx;
+      msg.seq = next_seq_++;
+      msg.set_region(op.region);
+      (void)send_ctrl(op.to, msg);
+    }
+    if (op.hotplug) unplug_both(op);
+  }
+  if (sink_ != nullptr) sink_->on_bypass_ready(op.from, op.to, !op.failed);
 }
 
 // ----------------------------------------------------------------- poll
 
 std::uint32_t ComputeAgent::poll(exec::CycleMeter& meter) {
   meter.charge(25);
-  if (setups_.empty() && teardowns_.empty()) return 0;
+  if (ops_.empty()) return 0;
   collect_acks();
 
-  std::uint32_t progressed = 0;
+  std::uint32_t finished = 0;
   const TimeNs now = runtime_->epoch_start_ns();
-
-  std::vector<std::uint64_t> done;
-  for (auto& [id, op] : setups_) {
-    if (op.deadline != 0 && now > op.deadline) {
+  for (auto it = ops_.begin(); it != ops_.end();) {
+    Op& op = it->second;
+    if (op.deadline != 0 && now > op.deadline &&
+        op.steps[op.step].kind != StepKind::kUnplugged) {
+      // A setup fails; a teardown completes forcibly, which keeps the
+      // switch consistent.
       ++counters_.timeouts;
       op.failed = true;
-      finish_setup(op, false);
-      done.push_back(id);
-      ++progressed;
+    } else if (!advance(it->first, op)) {
+      ++it;
       continue;
     }
-    if (progress_setup(id, op)) {
-      finish_setup(op, !op.failed);
-      done.push_back(id);
-      ++progressed;
-    }
+    // finish() may request new ops; inserting leaves `it` valid, and a
+    // new op ordered after this one is still visited in this pass.
+    finish(op);
+    it = ops_.erase(it);
+    ++finished;
   }
-  for (const auto id : done) setups_.erase(id);
-  done.clear();
-
-  for (auto& [id, op] : teardowns_) {
-    if (op.deadline != 0 && now > op.deadline &&
-        op.stage != TeardownStage::kUnplugging) {
-      ++counters_.timeouts;
-      finish_teardown(op);  // forced completion keeps the switch consistent
-      done.push_back(id);
-      ++progressed;
-      continue;
-    }
-    if (progress_teardown(id, op)) {
-      finish_teardown(op);
-      done.push_back(id);
-      ++progressed;
-    }
-  }
-  for (const auto id : done) teardowns_.erase(id);
-
-  return progressed;
+  return finished;
 }
 
 }  // namespace hw::agent

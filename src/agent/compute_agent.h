@@ -1,9 +1,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -24,6 +27,12 @@
 /// side first, so no frame is ever written into an unpolled ring. Teardown
 /// runs the reverse, quiescing the TX side and draining the ring before
 /// detaching RX, so no in-flight packet is lost.
+///
+/// Each request becomes one op that walks a fixed step list
+/// (kSetupSteps, kTeardownSteps), one step per poll, once the request
+/// has crossed the OVS→agent socket. A control step arms after the virtio-serial
+/// latency, sends its command and completes only on the ack from the
+/// port it sent to, carrying the seq it sent; any other ack is dropped.
 ///
 /// Latencies of the QEMU/guest operations are modeled explicitly by
 /// HotplugLatencyModel; their sum is the ~100 ms setup time the paper
@@ -67,6 +76,10 @@ struct AgentCounters {
 class ComputeAgent final : public exec::Context,
                            public vswitch::AgentInterface {
  public:
+  /// Per-op deadline (virtual time, from the request's arrival): an
+  /// expired setup fails, an expired teardown completes forcibly.
+  static constexpr TimeNs kOpTimeoutNs = 2'000'000'000;
+
   ComputeAgent(shm::ShmManager& shm, exec::Runtime& runtime,
                HotplugLatencyModel latency = {});
 
@@ -88,6 +101,7 @@ class ComputeAgent final : public exec::Context,
   [[nodiscard]] std::string_view name() const noexcept override {
     return "agent";
   }
+  /// Advances every op one step; returns the number of ops finished.
   std::uint32_t poll(exec::CycleMeter& meter) override;
 
   [[nodiscard]] const AgentCounters& counters() const noexcept {
@@ -97,72 +111,91 @@ class ComputeAgent final : public exec::Context,
     return latency_;
   }
   [[nodiscard]] std::size_t inflight_ops() const noexcept {
-    return setups_.size() + teardowns_.size();
+    return ops_.size();
   }
 
-  /// Per-op timeout (virtual time); exceeded setups fail, exceeded
-  /// teardowns complete forcibly.
-  TimeNs op_timeout_ns = 2'000'000'000;
-
  private:
-  enum class SetupStage : std::uint8_t {
-    kAwaitRegion,  ///< region must be plugged into both VMs
-    kSendRx,       ///< configure RX-side PMD (after serial latency)
-    kWaitRxAck,
-    kSendTx,       ///< configure TX-side PMD
-    kWaitTxAck,
+  enum class StepKind : std::uint8_t {
+    kPlugged,    ///< the region is plugged into both VMs
+    kCtrl,       ///< one command to one guest PMD, answered
+    kDrained,    ///< the bypass ring is empty
+    kUnplugged,  ///< the region is unplugged from both VMs
   };
-  struct SetupOp {
-    vswitch::BypassSetupRequest req;
+  struct Step {
+    StepKind kind;
+    pmd::CtrlOp op;  ///< kCtrl: the command
+    bool rx_side;    ///< kCtrl: sent to the RX PMD (`to`), else to `from`
+  };
+  /// RX before TX, so no frame is ever written into an unpolled ring.
+  static constexpr Step kSetupSteps[] = {
+      {StepKind::kPlugged, pmd::CtrlOp::kNop, false},
+      {StepKind::kCtrl, pmd::CtrlOp::kAttachBypassRx, true},
+      {StepKind::kCtrl, pmd::CtrlOp::kAttachBypassTx, false},
+  };
+  /// TX quiesced and the ring drained before RX lets go, so no frame in
+  /// flight is lost. Only the pair's last direction (`unplug_after`)
+  /// takes the unplug step.
+  static constexpr Step kTeardownSteps[] = {
+      {StepKind::kCtrl, pmd::CtrlOp::kDetachBypassTx, false},
+      {StepKind::kDrained, pmd::CtrlOp::kNop, false},
+      {StepKind::kCtrl, pmd::CtrlOp::kDetachBypassRx, true},
+      {StepKind::kUnplugged, pmd::CtrlOp::kNop, false},
+  };
+
+  /// Where the op's current step stands. A control step goes kIdle →
+  /// kArming (serial latency) → kArmed → kAwaiting (sent) → kDone (acked)
+  /// or kNacked; the unplug step goes kIdle → kArming (QEMU) → kDone.
+  enum class Phase : std::uint8_t {
+    kIdle,
+    kArming,
+    kArmed,
+    kAwaiting,
+    kDone,
+    kNacked,
+  };
+  struct Op {
+    bool teardown = false;
+    PortId from = kPortNone;
+    PortId to = kPortNone;
+    std::string region;
+    std::uint64_t epoch = 0;
+    std::uint32_t rule_slot = 0;
+    /// Setup: plug the region into both VMs first. Teardown: unplug it
+    /// from both at the end (the last direction of the pair).
+    bool hotplug = false;
     VmId vm_from = 0;
     VmId vm_to = 0;
-    SetupStage stage = SetupStage::kAwaitRegion;
-    bool armed = false;          ///< serial latency elapsed for this send
-    bool arm_scheduled = false;
-    std::uint16_t rx_seq = 0;
-    std::uint16_t tx_seq = 0;
-    TimeNs deadline = 0;
+    std::span<const Step> steps;
+    std::size_t step = 0;   ///< index into steps
+    Phase phase = Phase::kIdle;
+    std::uint16_t seq = 0;  ///< the current control step's command
+    TimeNs deadline = 0;    ///< 0 until the request arrives
     bool failed = false;
   };
+  /// (teardown?, request number): map order walks setups before
+  /// teardowns, each in request order.
+  using OpKey = std::pair<bool, std::uint64_t>;
 
-  enum class TeardownStage : std::uint8_t {
-    kSendDetachTx,
-    kWaitDetachTxAck,
-    kWaitDrain,     ///< bypass ring must empty before RX detach
-    kSendDetachRx,
-    kWaitDetachRxAck,
-    kUnplugging,
-  };
-  struct TeardownOp {
-    vswitch::BypassTeardownRequest req;
-    VmId vm_from = 0;
-    VmId vm_to = 0;
-    TeardownStage stage = TeardownStage::kSendDetachTx;
-    bool armed = false;
-    bool arm_scheduled = false;
-    bool unplug_scheduled = false;
-    bool unplug_done = false;
-    std::uint16_t tx_seq = 0;
-    std::uint16_t rx_seq = 0;
-    TimeNs deadline = 0;
-  };
-
-  void begin_setup(std::uint64_t id);
-  /// Returns true when the op finished (op.failed says how).
-  bool progress_setup(std::uint64_t id, SetupOp& op);
-  bool progress_teardown(std::uint64_t id, TeardownOp& op);
-  void finish_setup(SetupOp& op, bool ok);
-  void finish_teardown(TeardownOp& op);
-  /// Schedules op.armed = true after the virtio-serial latency.
-  template <typename OpMap>
-  void arm_after_serial(OpMap& ops, std::uint64_t id);
+  void start(Op op);
+  /// The request reached the agent: stamp the deadline, start plugging.
+  void arrive(const OpKey& key);
+  /// Runs `fn` on the op `delay_ns` from now, unless it finished first.
+  void at(const OpKey& key, TimeNs delay_ns, std::function<void(Op&)> fn);
+  /// Takes one step of the op; returns true when the op finished.
+  bool advance(const OpKey& key, Op& op);
+  /// Arms, sends and awaits the current control step's command; returns
+  /// true once it is answered (op.phase says how).
+  bool exchange(const OpKey& key, Op& op);
+  void finish(const Op& op);
+  void plug(const Op& op, VmId vm);
+  void unplug_both(const Op& op);
 
   [[nodiscard]] pmd::ControlChannel* control_for(PortId port);
   bool send_ctrl(PortId port, const pmd::CtrlMsg& msg);
+  /// Hands each ack on the ops' ports to the op awaiting its port and
+  /// seq; drops the rest.
   void collect_acks();
-  [[nodiscard]] bool take_ack(std::uint16_t seq, bool* ok);
-  [[nodiscard]] bool region_ring_empty(const std::string& region,
-                                       PortId from, PortId to);
+  [[nodiscard]] bool region_ring_empty(const Op& op);
 
   shm::ShmManager* shm_;
   exec::Runtime* runtime_;
@@ -171,9 +204,7 @@ class ComputeAgent final : public exec::Context,
 
   std::unordered_map<PortId, VmId> port_vm_;
   std::unordered_map<PortId, pmd::ControlChannel> ctrl_cache_;
-  std::map<std::uint64_t, SetupOp> setups_;
-  std::map<std::uint64_t, TeardownOp> teardowns_;
-  std::unordered_map<std::uint16_t, bool> acks_;  ///< seq → ok
+  std::map<OpKey, Op> ops_;
   /// Scratch for collect_acks(): ports referenced by in-flight ops this
   /// poll (kept as a member so the per-poll allocation amortizes away).
   std::vector<PortId> watch_ports_;

@@ -135,27 +135,27 @@ std::uint32_t GuestPmd::process_control(exec::CycleMeter& meter) {
   return handled;
 }
 
+MbufRing* GuestPmd::map_bypass_ring(const CtrlMsg& msg, PortId writer) {
+  auto region = shm_->guest_map(msg.region_name(), vm_);
+  if (!region.is_ok()) return nullptr;
+  auto view = ChannelView::attach(*region.value(), msg.epoch);
+  if (!view.is_ok()) return nullptr;
+  // a2b carries what endpoint A writes.
+  return view.value().header().port_a == writer ? &view.value().a2b()
+                                                : &view.value().b2a();
+}
+
 void GuestPmd::handle_ctrl(const CtrlMsg& msg) {
   switch (msg.op) {
     case CtrlOp::kAttachBypassRx: {
-      if (bypass_rx_count_ >= kMaxBypassRx) {
+      // Direction peer→self: the peer writes this ring.
+      MbufRing* ring = bypass_rx_count_ < kMaxBypassRx
+                           ? map_bypass_ring(msg, msg.peer_port)
+                           : nullptr;
+      if (ring == nullptr) {
         send_ack(msg, false);
         return;
       }
-      auto region = shm_->guest_map(msg.region_name(), vm_);
-      if (!region.is_ok()) {
-        send_ack(msg, false);
-        return;
-      }
-      auto view = ChannelView::attach(*region.value(), msg.epoch);
-      if (!view.is_ok()) {
-        send_ack(msg, false);
-        return;
-      }
-      // Direction peer→self: read a2b when the peer is endpoint A.
-      MbufRing* ring = view.value().header().port_a == msg.peer_port
-                           ? &view.value().a2b()
-                           : &view.value().b2a();
       BypassRx& slot = bypass_rx_[bypass_rx_count_];
       slot.ring = ring;
       // Full-width copy: msg.region is always NUL-terminated by
@@ -168,24 +168,14 @@ void GuestPmd::handle_ctrl(const CtrlMsg& msg) {
     }
 
     case CtrlOp::kAttachBypassTx: {
-      if (bypass_tx_ring_ != nullptr) {
+      // Direction self→peer: we write this ring.
+      MbufRing* ring =
+          bypass_tx_ring_ == nullptr ? map_bypass_ring(msg, port_) : nullptr;
+      if (ring == nullptr) {
         send_ack(msg, false);
         return;
       }
-      auto region = shm_->guest_map(msg.region_name(), vm_);
-      if (!region.is_ok()) {
-        send_ack(msg, false);
-        return;
-      }
-      auto view = ChannelView::attach(*region.value(), msg.epoch);
-      if (!view.is_ok()) {
-        send_ack(msg, false);
-        return;
-      }
-      // Direction self→peer: write a2b when we are endpoint A.
-      bypass_tx_ring_ = view.value().header().port_a == port_
-                            ? &view.value().a2b()
-                            : &view.value().b2a();
+      bypass_tx_ring_ = ring;
       bypass_tx_peer_ = msg.peer_port;
       bypass_tx_slot_ = msg.rule_slot;
       std::memcpy(bypass_tx_region_.data(), msg.region, kCtrlRegionNameLen);

@@ -125,6 +125,10 @@ class GuestPmd {
   GuestPmd() = default;
 
   void handle_ctrl(const CtrlMsg& msg);
+  /// Maps the bypass region an attach names (checking its epoch) and
+  /// returns the ring `writer` transmits into; nullptr if either fails.
+  [[nodiscard]] MbufRing* map_bypass_ring(const CtrlMsg& msg,
+                                          PortId writer);
   void send_ack(const CtrlMsg& cmd, bool ok);
 
   /// Stamps every accepted frame of a tx burst (called after enqueue;

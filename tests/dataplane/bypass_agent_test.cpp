@@ -548,6 +548,35 @@ class ScriptedGuestTest : public ::testing::Test {
   std::vector<Sent> sent_;
 };
 
+TEST_F(ScriptedGuestTest, AckCountsOnlyFromThePortAndSeqItAnswers) {
+  // The RX PMD acks its attach and, beside that ack, acks the next 16
+  // seqs as if it were the TX side; the TX PMD stays silent.
+  script_ = [this](PortId port, const CtrlMsg& cmd) {
+    if (port == kFrom) return Reply::kSilence;
+    for (std::uint16_t i = 1; i <= 16; ++i) {
+      CtrlMsg forged = cmd;
+      forged.op = CtrlOp::kAttachBypassTx;
+      forged.seq = static_cast<std::uint16_t>(cmd.seq + i);
+      answer(kTo, forged, true);
+    }
+    return Reply::kAck;
+  };
+  request_setup(true);
+  ASSERT_TRUE(run_until(
+      [&] { return count(CtrlOp::kAttachBypassTx, kFrom) == 1; },
+      1'000'000'000));
+  run_for(10 * latency_.serial_rtt_ns);
+  EXPECT_FALSE(sink_.ok.has_value());
+
+  // The TX PMD acks its own command: only now does the setup complete.
+  answer(kFrom, sent_.back().msg, true);
+  ASSERT_TRUE(run_until([&] { return sink_.ok.has_value(); },
+                        10 * latency_.serial_rtt_ns));
+  EXPECT_TRUE(*sink_.ok);
+  EXPECT_EQ(agent_.counters().setups_ok, 1u);
+  EXPECT_EQ(agent_.counters().ctrl_nacks, 0u);
+}
+
 TEST_F(ScriptedGuestTest, RxAttachNackFailsBeforeAnyTxCommand) {
   script_ = [](PortId, const CtrlMsg& cmd) {
     return cmd.op == CtrlOp::kAttachBypassRx ? Reply::kNack : Reply::kAck;
