@@ -11,7 +11,8 @@
 /// breakdown of the modeled QEMU/ivshmem/virtio-serial latencies is
 /// printed alongside. A second scenario measures the *second* direction of
 /// the same port pair, which skips the hot-plug (the region is already
-/// mapped) and completes in ~the virtio-serial time.
+/// mapped) but not its own request: the OVS->agent RTT plus the RX and TX
+/// virtio-serial exchanges, 0.20 + 2 x 2.00 ms, reads 4.23 ms.
 
 #include "bench_common.h"
 #include "openflow/messages.h"

@@ -171,7 +171,7 @@ void ComputeAgent::arrive(const OpKey& key) {
 // ---------------------------------------------------------------- steps
 
 bool ComputeAgent::advance(const OpKey& key, Op& op) {
-  if (op.teardown && op.deadline == 0) return false;  // request in flight
+  if (op.deadline == 0) return false;  // request still in flight
   const Step& step = op.steps[op.step];
   switch (step.kind) {
     case StepKind::kPlugged: {

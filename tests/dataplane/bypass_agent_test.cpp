@@ -10,6 +10,7 @@
 #include "agent/compute_agent.h"
 #include "chain/chain.h"
 #include "common/log.h"
+#include "openflow/messages.h"
 #include "pmd/channel.h"
 #include "pmd/control.h"
 #include "vswitch/bypass_manager.h"
@@ -394,6 +395,40 @@ TEST_F(AgentProtocolTest, TeardownQuiescesAndUnplugs) {
   EXPECT_EQ(chain.shm().find("bypass.2-3"), nullptr);
   // And no packets were lost in the transition.
   EXPECT_TRUE(chain.drain());
+}
+
+// A direction set up while its sibling holds the plugged region skips
+// the hot-plug, but not the OVS->agent request: it starts when the
+// request arrives, then configures RX and TX over virtio-serial.
+TEST_F(AgentProtocolTest, SecondDirectionWaitsForItsRequestRtt) {
+  chain::ChainConfig config;
+  config.vm_count = 2;
+  config.enable_bypass = true;
+  chain::ChainScenario chain(config);
+  ASSERT_TRUE(chain.build().is_ok());
+  ASSERT_TRUE(chain.wait_bypass_ready());
+  ASSERT_TRUE(chain.remove_chain_rules().is_ok());
+  auto& manager = chain.of().bypass_manager();
+  ASSERT_TRUE(chain.runtime().run_until([&] { return manager.links().empty(); },
+                                        500'000'000));
+
+  const PortId from = chain.right_port(0);
+  const PortId to = chain.left_port(1);
+  ASSERT_TRUE(
+      chain.send_flow_mod(openflow::make_p2p_flowmod(from, to, 100, 1)).is_ok());
+  ASSERT_TRUE(chain.runtime().run_until(
+      [&] { return manager.link_active(from, to); }, 1'000'000'000));
+
+  const TimeNs t0 = chain.runtime().elapsed_ns();
+  ASSERT_TRUE(
+      chain.send_flow_mod(openflow::make_p2p_flowmod(to, from, 100, 2)).is_ok());
+  ASSERT_TRUE(chain.runtime().run_until(
+      [&] { return manager.link_active(to, from); }, 1'000'000'000));
+  const TimeNs elapsed = chain.runtime().elapsed_ns() - t0;
+  const TimeNs expected =
+      config.hotplug.request_rtt_ns + 2 * config.hotplug.serial_rtt_ns;
+  EXPECT_GE(elapsed, expected);
+  EXPECT_LT(elapsed, expected + expected / 10);
 }
 
 TEST_F(AgentProtocolTest, UnknownVmMappingFailsCleanly) {
