@@ -13,13 +13,14 @@ from silently stranding them. This checker closes the loop:
     (export_counters publishes those in a loop over the list);
   * every tier counter in that list (the TierCounters fields it
     generates) must appear there too;
-  * every field of chain::ChainMetrics in src/chain/chain.h likewise;
-  * every endpoint counter — the fields of pkt::EndpointCounters in
-    src/pkt/endpoint.h and of vm::AppCounters in src/vm/apps.h, which
-    hostbench reads as `app.*` — must name a table row (in backticks,
-    in the row's first cell) of the "## Endpoint counters" section:
-    names like `delivered` recur elsewhere in the file and in that
-    section's prose, so only a row of that section documents one;
+  * every section headed `## Title (`ns::Struct`, `path`)` (several
+    pairs separated by `;` when a section covers more than one struct)
+    must have a table row per field of each struct it names: the
+    field's name, in backticks, in the row's first cell. Names like
+    `delivered` recur elsewhere in the file and in a section's prose,
+    so only a row of its own section documents a field. A struct whose
+    fields an X-macro list generates (TierCounters) is read through
+    that list;
   * every engine-tagged column published through
     `export_engine_counter(state, i, "name", ...)` anywhere under bench/
     must appear in docs/COUNTERS.md under its documented pattern
@@ -43,12 +44,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BENCH_COMMON = os.path.join(ROOT, "bench", "bench_common.h")
 TIER_COUNTERS = os.path.join(ROOT, "src", "classifier", "dp_classifier.h")
-CHAIN_METRICS = os.path.join(ROOT, "src", "chain", "chain.h")
-ENDPOINT_STRUCTS = [
-    (os.path.join(ROOT, "src", "pkt", "endpoint.h"), "EndpointCounters"),
-    (os.path.join(ROOT, "src", "vm", "apps.h"), "AppCounters"),
-]
-ENDPOINT_SECTION = "## Endpoint counters"
 COUNTERS_MD = os.path.join(ROOT, "docs", "COUNTERS.md")
 OBSERVABILITY_MD = os.path.join(ROOT, "docs", "OBSERVABILITY.md")
 GAUGE_DIRS = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
@@ -61,9 +56,17 @@ ENGINE_COLUMN_RE = re.compile(
 FIELD_RE = re.compile(
     r"^\s*(?:std::uint64_t|std::size_t|double|TimeNs|classifier::TierCounters)"
     r"\s+([a-z]\w*)\s*[=;]", re.MULTILINE)
-# One entry of the HW_TIER_COUNTERS X-macro: X(field, "column") or
-# X(field, nullptr) for a counter no bench table publishes.
-TIER_ENTRY_RE = re.compile(r'\bX\((\w+),\s*(?:"([A-Za-z0-9_]+)"|nullptr)\)')
+# One entry of an X-macro list such as HW_TIER_COUNTERS:
+# X(field, "column") or X(field, nullptr) for a counter no bench table
+# publishes.
+XMACRO_ENTRY_RE = re.compile(
+    r'\bX\((\w+),\s*(?:"([A-Za-z0-9_]+)"|nullptr)\)')
+# A struct-body line expanding an X-macro list: `LIST(FIELD_MACRO)`.
+XMACRO_USE_RE = re.compile(r"^\s*(\w+)\(\w+\)\s*$", re.MULTILINE)
+# A second-level heading whose parenthesis names the documented structs.
+STRUCT_HEADING_RE = re.compile(r"^## ([^\n(]*)\(([^\n]*)\)[ \t]*$",
+                               re.MULTILINE)
+STRUCT_REF_RE = re.compile(r"`\w+::(\w+)`,\s*`([^`]+)`")
 # First cell of a markdown table row.
 ROW_HEAD_RE = re.compile(r"^\|([^|\n]*)\|", re.MULTILINE)
 GAUGE_RE = re.compile(r'(?:\.|->)gauge\(\s*"([a-z0-9_.]+)"')
@@ -76,7 +79,9 @@ def read(path):
 
 def struct_fields(text, struct_name):
     """Field names declared in `struct <name> [: bases] { ... };` (first
-    brace block; inherited fields are not included)."""
+    brace block; inherited fields are not included). A body line that
+    expands an X-macro list defined in the same file adds the list's
+    fields."""
     match = re.search(r"\bstruct %s\b[^;{]*\{" % struct_name, text)
     if match is None:
         return []
@@ -88,23 +93,17 @@ def struct_fields(text, struct_name):
         elif text[i] == "}":
             depth -= 1
             if depth == 0:
-                return FIELD_RE.findall(text[start:i])
+                body = text[start:i]
+                fields = FIELD_RE.findall(body)
+                for macro in XMACRO_USE_RE.findall(body):
+                    fields += [field for field, _ in xmacro_list(text, macro)]
+                return fields
     return []
 
 
-def section(text, heading):
-    """Body of the markdown section starting with `heading`, up to the
-    next heading of the same level ('' when absent)."""
-    start = text.find(heading)
-    if start < 0:
-        return ""
-    end = text.find("\n## ", start + len(heading))
-    return text[start:] if end < 0 else text[start:end]
-
-
-def tier_counter_list(text):
-    """(field, column or None) per entry of the HW_TIER_COUNTERS list."""
-    start = text.find("#define HW_TIER_COUNTERS(X)")
+def xmacro_list(text, macro):
+    """(field, column or None) per entry of `#define <macro>(X)`."""
+    start = text.find("#define %s(X)" % macro)
     if start < 0:
         return []
     lines = text[start:].splitlines()
@@ -112,7 +111,22 @@ def tier_counter_list(text):
                 if not line.rstrip().endswith("\\")), len(lines) - 1)
     block = "\n".join(lines[:end + 1])
     return [(field, column or None)
-            for field, column in TIER_ENTRY_RE.findall(block)]
+            for field, column in XMACRO_ENTRY_RE.findall(block)]
+
+
+def struct_sections(docs):
+    """(title, body, [(struct, path)]) per section whose heading names
+    structs; the body runs to the next second-level heading."""
+    headings = list(STRUCT_HEADING_RE.finditer(docs))
+    sections = []
+    for heading in headings:
+        refs = STRUCT_REF_RE.findall(heading.group(2))
+        if not refs:
+            continue
+        end = docs.find("\n## ", heading.end())
+        body = docs[heading.end():] if end < 0 else docs[heading.end():end]
+        sections.append((heading.group(1).strip(), body, refs))
+    return sections
 
 
 def main():
@@ -120,7 +134,7 @@ def main():
     docs = read(COUNTERS_MD)
     documented = set(re.findall(r"`([A-Za-z0-9_]+)`", docs))
 
-    tier_list = tier_counter_list(read(TIER_COUNTERS))
+    tier_list = xmacro_list(read(TIER_COUNTERS), "HW_TIER_COUNTERS")
     if not tier_list:
         errors.append("no entries parsed from HW_TIER_COUNTERS "
                       "(parser broken?)")
@@ -155,33 +169,25 @@ def main():
                 f"src/classifier/dp_classifier.h) is not mentioned in "
                 f"docs/COUNTERS.md")
 
-    chain_fields = struct_fields(read(CHAIN_METRICS), "ChainMetrics")
-    if not chain_fields:
-        errors.append("no fields parsed from ChainMetrics (parser broken?)")
-    for name in chain_fields:
-        if name not in documented:
-            errors.append(
-                f"ChainMetrics field `{name}` (src/chain/chain.h) is not "
-                f"mentioned in docs/COUNTERS.md")
-
-    endpoint_docs = {name
-                     for cell in ROW_HEAD_RE.findall(
-                         section(docs, ENDPOINT_SECTION))
-                     for name in re.findall(r"`([A-Za-z0-9_]+)`", cell)}
-    endpoint_fields = []
-    for path, struct in ENDPOINT_STRUCTS:
-        fields = struct_fields(read(path), struct)
-        if not fields:
-            errors.append(f"no fields parsed from {struct} "
-                          f"(parser broken?)")
-        for name in fields:
-            endpoint_fields.append(name)
-            if name not in endpoint_docs:
-                errors.append(
-                    f"endpoint counter `{name}` ({struct} in "
-                    f"{os.path.relpath(path, ROOT)}) has no row in the "
-                    f"\"{ENDPOINT_SECTION[3:]}\" section of "
-                    f"docs/COUNTERS.md")
+    sections = struct_sections(docs)
+    if not sections:
+        errors.append("no struct sections parsed from docs/COUNTERS.md "
+                      "(parser broken?)")
+    struct_field_count = 0
+    for title, body, refs in sections:
+        rows = {name for cell in ROW_HEAD_RE.findall(body)
+                for name in re.findall(r"`([A-Za-z0-9_]+)`", cell)}
+        for struct, path in refs:
+            fields = struct_fields(read(os.path.join(ROOT, path)), struct)
+            if not fields:
+                errors.append(f"no fields parsed from {struct} in {path} "
+                              f"(parser broken?)")
+            struct_field_count += len(fields)
+            for name in fields:
+                if name not in rows:
+                    errors.append(
+                        f"{struct} field `{name}` ({path}) has no row in "
+                        f"the \"{title}\" section of docs/COUNTERS.md")
 
     gauge_names = registered_gauges()
     if not gauge_names:
@@ -200,8 +206,9 @@ def main():
     print(f"checked {len(bench_columns)} bench columns, "
           f"{len(engine_columns)} engine-tagged columns, "
           f"{len(tier_fields)} TierCounters fields, "
-          f"{len(chain_fields)} ChainMetrics fields, "
-          f"{len(endpoint_fields)} endpoint counters, "
+          f"{struct_field_count} fields of "
+          f"{sum(len(refs) for _, _, refs in sections)} structs in "
+          f"{len(sections)} sections, "
           f"{len(gauge_names)} registered gauges: "
           f"{'FAIL' if errors else 'OK'} ({len(errors)} undocumented)")
     return 1 if errors else 0
