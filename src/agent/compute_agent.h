@@ -30,9 +30,10 @@
 ///
 /// Each request becomes one op that walks a fixed step list
 /// (kSetupSteps, kTeardownSteps), one step per poll, once the request
-/// has crossed the OVS→agent socket. A control step arms after the virtio-serial
-/// latency, sends its command and completes only on the ack from the
-/// port it sent to, carrying the seq it sent; any other ack is dropped.
+/// has crossed the OVS→agent socket. A control step arms after the
+/// virtio-serial latency, sends its command and completes only on the
+/// ack from the port it sent to, carrying the seq it sent; any other
+/// ack is dropped.
 ///
 /// Latencies of the QEMU/guest operations are modeled explicitly by
 /// HotplugLatencyModel; their sum is the ~100 ms setup time the paper
@@ -146,12 +147,7 @@ class ComputeAgent final : public exec::Context,
   /// kArming (serial latency) → kArmed → kAwaiting (sent) → kDone (acked)
   /// or kNacked; the unplug step goes kIdle → kArming (QEMU) → kDone.
   enum class Phase : std::uint8_t {
-    kIdle,
-    kArming,
-    kArmed,
-    kAwaiting,
-    kDone,
-    kNacked,
+    kIdle, kArming, kArmed, kAwaiting, kDone, kNacked
   };
   struct Op {
     bool teardown = false;

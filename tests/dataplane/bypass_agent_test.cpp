@@ -404,6 +404,11 @@ TEST_F(AgentProtocolTest, SecondDirectionWaitsForItsRequestRtt) {
   chain::ChainConfig config;
   config.vm_count = 2;
   config.enable_bypass = true;
+  // Only the request and serial RTTs are measured: shorten the QEMU and
+  // guest steps around them.
+  config.hotplug.qemu_plug_ns /= 10;
+  config.hotplug.pci_scan_ns /= 10;
+  config.hotplug.qemu_unplug_ns /= 10;
   chain::ChainScenario chain(config);
   ASSERT_TRUE(chain.build().is_ok());
   ASSERT_TRUE(chain.wait_bypass_ready());
