@@ -6,8 +6,6 @@
 #include <numeric>
 #include <optional>
 
-#include "analysis/annotate.h"
-
 namespace hw::classifier {
 
 using flowtable::TableChangeEvent;
@@ -243,8 +241,6 @@ void MegaflowCache::insert(const pkt::FlowKey& key, const MaskSpec& mask,
 void MegaflowCache::on_table_change(const TableChangeEvent& event) {
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    HW_SYNC_SCOPE(&queue_mutex_);
-    HW_SHARED_WRITE(&queue_);
     if (queue_.size() >= kRevalidatorQueueLimit) {
       // Too much churn to track precisely: drop the backlog and fall
       // back to one full flush covering everything up to this version.
@@ -255,7 +251,6 @@ void MegaflowCache::on_table_change(const TableChangeEvent& event) {
       queue_.push_back(event);
     }
   }
-  HW_ATOMIC_WRITE(&events_pending_);
   events_pending_.store(true, std::memory_order_release);
 }
 
@@ -270,15 +265,12 @@ void MegaflowCache::set_revalidation_hooks(
 
 MegaflowCache::RevalidateReport MegaflowCache::revalidate() {
   RevalidateReport report;
-  HW_ATOMIC_READ(&events_pending_);
   if (!events_pending_.load(std::memory_order_acquire)) return report;
 
   bool overflowed = false;
   std::uint64_t overflow_version = 0;
   {
     const std::lock_guard<std::mutex> lock(queue_mutex_);
-    HW_SYNC_SCOPE(&queue_mutex_);
-    HW_SHARED_WRITE(&queue_);
     // The queue takes over the previous batch's emptied storage, so
     // neither vector regrows from zero after a drain.
     drained_.swap(queue_);
@@ -286,7 +278,6 @@ MegaflowCache::RevalidateReport MegaflowCache::revalidate() {
     overflow_version = overflow_version_;
     queue_overflowed_ = false;
     overflow_version_ = 0;
-    HW_ATOMIC_WRITE(&events_pending_);
     events_pending_.store(false, std::memory_order_relaxed);
   }
 

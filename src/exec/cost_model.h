@@ -24,7 +24,7 @@
 ///    bypass ring polled): ≈ 52 cycles per packet at a 32-packet burst →
 ///    ~58 Mpps.
 /// Fitting the ratios to per-layer host timings is open work (ROADMAP.md
-/// item 3, the calibrated cost model). Until then absolute numbers are
+/// item 2, the calibrated cost model). Until then absolute numbers are
 /// indicative; the reproduced *shapes* come from which virtual core
 /// executes which per-hop work.
 
@@ -83,7 +83,7 @@ struct CostModel {
   // upcall minus the fixed boundary crossing, repair and evict split so
   // the two outcomes are separately visible in ablations.
   // Host cost per entry examined still exceeds revalidate_per_entry +
-  // per_term; these constants wait for ROADMAP item 3's fit.
+  // per_term; these constants wait for ROADMAP item 2's fit.
   std::uint32_t revalidate_per_entry = 8;  ///< membership probe per entry examined
   std::uint32_t revalidate_per_term = 3;   ///< one merged-ADD-mask intersect test
   std::uint32_t revalidate_repair = 130;   ///< re-lookup + repair in place

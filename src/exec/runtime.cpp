@@ -8,8 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "analysis/annotate.h"
-
 namespace hw::exec {
 
 // ---------------------------------------------------------------------
@@ -27,10 +25,6 @@ void SimRuntime::add_context(Context* ctx) {
   auto slot = std::make_unique<Slot>();
   slot->ctx = ctx;
   slots_.push_back(std::move(slot));
-  // Race-detector context ids: slot index + 1 (0 = the runtime/control
-  // context that fires events and runs code outside any poll()).
-  HW_ANALYSIS_NAME_CONTEXT(static_cast<std::uint32_t>(slots_.size()),
-                           std::string(ctx->name()));
 }
 
 void SimRuntime::step_epoch() {
@@ -58,10 +52,6 @@ void SimRuntime::step_epoch() {
     const Cycles budget = cycles_per_epoch_ - slot.debt;
     slot.debt = 0;
     active_ = raw_slot;
-    // Contexts in one epoch are *virtually concurrent* even though this
-    // loop runs them sequentially — the detector must see each poll()
-    // under its own context id, with 0 restored for runtime code.
-    HW_ANALYSIS_SET_CONTEXT(static_cast<std::uint32_t>(i) + 1);
     while (slot.meter.epoch_used() < budget) {
       const Cycles before = slot.meter.epoch_used();
       const std::uint32_t items = slot.ctx->poll(slot.meter);
@@ -83,7 +73,6 @@ void SimRuntime::step_epoch() {
     if (slot.meter.epoch_used() > budget) {
       slot.debt = slot.meter.epoch_used() - budget;
     }
-    HW_ANALYSIS_SET_CONTEXT(0);
     active_ = nullptr;
   }
 
@@ -91,17 +80,11 @@ void SimRuntime::step_epoch() {
 }
 
 void SimRuntime::run_for(TimeNs duration_ns) {
-  // Run boundaries are global happens-before barriers for the detector:
-  // setup before the run is ordered before every context, and the whole
-  // run is ordered before whatever the caller does after it returns.
-  HW_ANALYSIS_BARRIER();
   const TimeNs end = epoch_start_ + duration_ns;
   while (epoch_start_ < end) step_epoch();
-  HW_ANALYSIS_BARRIER();
 }
 
 bool SimRuntime::run_until(const std::function<bool()>& pred, TimeNs max_ns) {
-  HW_ANALYSIS_BARRIER();
   const TimeNs end = epoch_start_ + max_ns;
   bool fired;
   for (;;) {
@@ -109,7 +92,6 @@ bool SimRuntime::run_until(const std::function<bool()>& pred, TimeNs max_ns) {
     if (fired || epoch_start_ >= end) break;
     step_epoch();
   }
-  HW_ANALYSIS_BARRIER();
   return fired;
 }
 

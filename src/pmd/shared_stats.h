@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <utility>
 
-#include "analysis/annotate.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "openflow/messages.h"
@@ -42,22 +41,16 @@ struct alignas(kCacheLineSize) PktByteCounter {
   std::atomic<std::uint64_t> bytes{0};
 
   void add(std::uint64_t pkt_count, std::uint64_t byte_count) noexcept {
-    HW_ATOMIC_WRITE(&packets);
-    HW_ATOMIC_WRITE(&bytes);
     packets.fetch_add(pkt_count, std::memory_order_relaxed);
     bytes.fetch_add(byte_count, std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t pkts() const noexcept {
-    HW_ATOMIC_READ(&packets);
     return packets.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t byte_total() const noexcept {
-    HW_ATOMIC_READ(&bytes);
     return bytes.load(std::memory_order_relaxed);
   }
   void clear() noexcept {
-    HW_ATOMIC_WRITE(&packets);
-    HW_ATOMIC_WRITE(&bytes);
     packets.store(0, std::memory_order_relaxed);
     bytes.store(0, std::memory_order_relaxed);
   }
@@ -79,9 +72,6 @@ struct alignas(kCacheLineSize) RuleCounter {
   }
   void clear() noexcept { publish(0, 0); }
   [[nodiscard]] std::pair<std::uint64_t, std::uint64_t> read() const noexcept {
-    HW_ATOMIC_READ(&seq);
-    HW_ATOMIC_READ(&packets);
-    HW_ATOMIC_READ(&bytes);
     // Acquire loads of the halves keep the closing `seq` load after them;
     // a half from a newer update therefore shows up as a changed `seq`.
     for (;;) {
@@ -96,9 +86,6 @@ struct alignas(kCacheLineSize) RuleCounter {
 
  private:
   void publish(std::uint64_t pkts, std::uint64_t byte_total) noexcept {
-    HW_ATOMIC_WRITE(&seq);
-    HW_ATOMIC_WRITE(&packets);
-    HW_ATOMIC_WRITE(&bytes);
     // Release stores of the halves publish the odd `seq` before them.
     const std::uint64_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_relaxed);

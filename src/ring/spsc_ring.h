@@ -7,7 +7,6 @@
 #include <span>
 #include <type_traits>
 
-#include "analysis/annotate.h"
 #include "common/types.h"
 
 /// \file spsc_ring.h
@@ -93,7 +92,6 @@ class SpscRing {
     if (free_slots < items.size()) {
       // Cached-index refresh is the producer's acquire of the consumer's
       // head release: slots below `head` are ours to overwrite.
-      HW_SYNC_ACQUIRE(&head_);
       head = head_.value.load(std::memory_order_acquire);
       head_cache_.value = head;
       free_slots = capacity() - static_cast<std::size_t>(tail - head);
@@ -105,7 +103,6 @@ class SpscRing {
     }
     // The tail publish is the producer->consumer happens-before edge: the
     // consumer's matching acquire (below) sees every slot written above.
-    if (n > 0) HW_SYNC_RELEASE(&tail_);
     tail_.value.store(tail + n, std::memory_order_release);
     return n;
   }
@@ -121,7 +118,6 @@ class SpscRing {
     std::uint64_t tail = tail_cache_.value;
     std::size_t avail = static_cast<std::size_t>(tail - head);
     if (avail < out.size()) {
-      HW_SYNC_ACQUIRE(&tail_);
       tail = tail_.value.load(std::memory_order_acquire);
       tail_cache_.value = tail;
       avail = static_cast<std::size_t>(tail - head);
@@ -132,7 +128,6 @@ class SpscRing {
       out[i] = slot_array[(head + i) & mask_];
     }
     // Head publish releases the consumed slots back to the producer.
-    if (n > 0) HW_SYNC_RELEASE(&head_);
     head_.value.store(head + n, std::memory_order_release);
     return n;
   }

@@ -34,7 +34,6 @@ void RssTable::migrate(std::uint32_t bucket, std::uint32_t new_owner) noexcept {
   assert(new_owner < engines_);
   const std::uint64_t old_packed = slots_[bucket].load(std::memory_order_relaxed);
   const std::uint64_t next_gen = (old_packed & kGenMask) + 1;
-  HW_ATOMIC_WRITE(&slots_[bucket]);
   slots_[bucket].store(
       (static_cast<std::uint64_t>(new_owner) << kOwnerShift) |
           (next_gen & kGenMask),
@@ -62,7 +61,6 @@ void RssSharder::rebalance() {
   if (!lock.owns_lock()) {
     return;  // another engine is mid-balance; this window rides along
   }
-  HW_SYNC_SCOPE(&balance_mutex_);
   window_total_.store(0, std::memory_order_relaxed);
   checks_.fetch_add(1, std::memory_order_relaxed);
 
@@ -70,7 +68,6 @@ void RssSharder::rebalance() {
   const std::uint32_t buckets = table_.bucket_count();
 
   // Fold this window's per-bucket loads into per-engine totals, then EWMA.
-  HW_SHARED_WRITE(&ewma_);
   std::fill(window_by_engine_.begin(), window_by_engine_.end(), 0.0);
   for (std::uint32_t b = 0; b < buckets; ++b) {
     bucket_load_[b] = table_.take_window_load(b);

@@ -5,7 +5,6 @@
 #include <mutex>
 #include <vector>
 
-#include "analysis/annotate.h"
 #include "common/types.h"
 #include "pkt/flow_key.h"
 
@@ -100,7 +99,6 @@ class RssTable {
   [[nodiscard]] Slot slot(std::uint32_t bucket) const noexcept {
     const std::uint64_t packed =
         slots_[bucket].load(std::memory_order_acquire);
-    HW_ATOMIC_READ(&slots_[bucket]);
     return Slot{.owner = static_cast<std::uint32_t>(packed >> kOwnerShift),
                 .generation = packed & kGenMask};
   }

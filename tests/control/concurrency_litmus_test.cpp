@@ -26,9 +26,10 @@ namespace {
 /// TSan litmus suite: every genuinely concurrent primitive in the repo,
 /// hammered with real std::threads. These tests pass in any build; their
 /// *point* is the -fsanitize=thread CI job (HW_SANITIZE=thread), where
-/// TSan checks every interleaving the storm produces. Virtual-core
-/// concurrency under SimRuntime is invisible to TSan (one host thread) —
-/// that side is covered by the hw::analysis race detector instead.
+/// TSan checks every interleaving the storm produces. SimRuntime runs
+/// every virtual core on one host thread, so whether a protocol races
+/// depends on its real memory orders, and only real threads (these
+/// storms, ThreadedRuntime) exercise them.
 ///
 /// Volumes are deliberately modest: the host may have a single CPU, and
 /// TSan multiplies runtime ~10x. Each storm still crosses every
