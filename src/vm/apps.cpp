@@ -101,9 +101,14 @@ std::uint32_t GenSinkApp::poll(exec::CycleMeter& meter) {
   if (endpoint_.generating() && rate_pps_ != 0) {
     const TimeNs now = runtime_->now_ns();
     if (last_refill_ns_ == 0) last_refill_ns_ = now;
-    tokens_ += static_cast<double>(now - last_refill_ns_) *
-               static_cast<double>(rate_pps_) / 1e9;
-    last_refill_ns_ = now;
+    // now_ns() leaves out this context's unpaid debt, so a reading can be
+    // a few ns earlier than the last one; refill only when time moved on,
+    // or the unsigned difference wraps and fills the bucket to its cap.
+    if (now > last_refill_ns_) {
+      tokens_ += static_cast<double>(now - last_refill_ns_) *
+                 static_cast<double>(rate_pps_) / 1e9;
+      last_refill_ns_ = now;
+    }
     tokens_ = std::min(tokens_, 4.0 * burst_);
     want = std::min<std::size_t>(burst_, static_cast<std::size_t>(tokens_));
   }

@@ -49,16 +49,30 @@ TEST_F(AppsTest, UnidirectionalChainOnlyForward) {
 }
 
 TEST_F(AppsTest, GeneratorRateLimitIsHonored) {
-  chain::ChainConfig config;
-  config.vm_count = 2;
-  config.enable_bypass = false;
-  config.gen_rate_pps = 1'000'000;  // 1 Mpps per direction
-  chain::ChainScenario chain(config);
-  ASSERT_TRUE(chain.build().is_ok());
-  chain.warmup(2'000'000);
-  const auto metrics = chain.measure(10'000'000);
-  EXPECT_NEAR(metrics.mpps_fwd, 1.0, 0.08);
-  EXPECT_NEAR(metrics.mpps_rev, 1.0, 0.08);
+  // The 8-VM chain at a 20 ns epoch overspends its epochs, so a pacer's
+  // now_ns() reading can step back by a few ns between polls.
+  struct Input {
+    std::uint32_t vm_count;
+    TimeNs epoch_ns;
+    TimeNs warmup_ns;
+    TimeNs window_ns;
+  };
+  for (const Input in : {Input{2, 1000, 2'000'000, 10'000'000},
+                         Input{8, 20, 500'000, 1'000'000}}) {
+    SCOPED_TRACE(testing::Message() << in.vm_count << " VMs, epoch "
+                                    << in.epoch_ns << " ns");
+    chain::ChainConfig config;
+    config.vm_count = in.vm_count;
+    config.epoch_ns = in.epoch_ns;
+    config.enable_bypass = false;
+    config.gen_rate_pps = 1'000'000;  // 1 Mpps per direction
+    chain::ChainScenario chain(config);
+    ASSERT_TRUE(chain.build().is_ok());
+    chain.warmup(in.warmup_ns);
+    const auto metrics = chain.measure(in.window_ns);
+    EXPECT_NEAR(metrics.mpps_fwd, 1.0, 0.08);
+    EXPECT_NEAR(metrics.mpps_rev, 1.0, 0.08);
+  }
 }
 
 TEST_F(AppsTest, ExtraCyclesSlowTheChain) {
