@@ -221,11 +221,11 @@ class ExactMatchCache {
   /// otherwise the slot is dropped and the lookup falls through.
   [[nodiscard]] FlowEntry* lookup(const pkt::FlowKey& key, std::uint32_t hash,
                                   FlowTable& table) noexcept {
-    // EMC slots belong to the cache owner's context only — revalidation
+    // EMC slots belong to the cache owner's context only: revalidation
     // runs via the megaflow drain hooks inside the owner's own lookups,
-    // never directly from the control side. A control-side write (say, a
-    // clear() from the FlowTable listener) breaks the exact revalidation
-    // counts that megaflow_test and reval_work_test pin.
+    // never from the control side. A clear() from the FlowTable listener
+    // fails five DpClassifierTest cases (megaflow_test) and
+    // RevalidationWorkTest.PinnedChurnBurstsDrainTheSameWork.
     Slot& slot = slots_[hash & (buckets_ - 1)];
     if (slot.rule != kRuleNone && slot.hash == hash && slot.key == key) {
       FlowEntry* entry = table.find(slot.rule);
