@@ -53,6 +53,8 @@ std::size_t Mempool::pop(std::span<Mbuf*> out) noexcept {
   } while (!head_.compare_exchange_weak(head, (head & ~kTopMask) | below,
                                         std::memory_order_acquire,
                                         std::memory_order_acquire));
+  // Pairs with push()'s release CAS: whatever a buffer's previous owner
+  // wrote before freeing it happens-before its new owner's use.
   return n;
 }
 
