@@ -40,10 +40,13 @@ DpClassifier::DpClassifier(flowtable::FlowTable& table,
         emc_.clear();
       });
   if (config_.emc_enabled || config_.megaflow_enabled) {
-    // The callback may fire on a control thread while a PMD probes the
-    // caches, so it only queues the event (mutex-guarded, one relaxed
-    // atomic on the hot path); the revalidator applies it on the cache
-    // owner's next lookup. Both tiers feed off the same queue.
+    // The callback fires inside FlowTable::apply(), which runs on the
+    // same thread as every lookup (flow_table.h's threading contract:
+    // the table's readers take no lock). It only queues the event
+    // (mutex-guarded, one relaxed atomic on the hot path), and the
+    // revalidator applies it on the cache owner's next lookup; the queue
+    // is the one structure here that may cross threads. Both tiers feed
+    // off the same queue.
     listener_token_ = table_->subscribe([this](const TableChangeEvent& event) {
       megaflow_.on_table_change(event);
     });
@@ -57,22 +60,20 @@ DpClassifier::~DpClassifier() {
 MegaflowCache::Resolution DpClassifier::resolve(const pkt::FlowKey& key,
                                                 std::uint32_t* visited)
     noexcept {
-  // Mirrors the OVS upcall: accumulate the unwildcard set over *every*
-  // rule examined, so the installed/repaired megaflow is exactly as wide
-  // as this lookup's evidence allows. A coarser mask could swallow
-  // packets a higher-priority rule would have claimed. The winner comes
-  // from the table's compiled tests; the rules examined are every entry
-  // up to and including it (all of them on a miss).
+  // Mirrors the OVS upcall: the unwildcard set covers *every* rule the
+  // priority-order scan examines, so the installed/repaired megaflow is
+  // exactly as wide as this lookup's evidence allows. A coarser mask
+  // could swallow packets a higher-priority rule would have claimed. The
+  // rules examined are every entry up to and including the winner (all
+  // of them on a miss); the table keeps the unite of each such prefix,
+  // so the set is one read after the scan, with no fold per rule.
   MegaflowCache::Resolution res;
-  const std::vector<FlowEntry>& entries = table_->entries();
   const std::size_t hit = table_->first_match(openflow::pack(key));
-  res.found = hit < entries.size();
-  const std::size_t n = res.found ? hit + 1 : entries.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    unite(res.unwildcarded, entries[i].match);
-  }
-  if (res.found) res.rule = entries[hit].id;
-  if (visited != nullptr) *visited = static_cast<std::uint32_t>(n);
+  res.found = hit < table_->size();
+  const std::size_t examined = res.found ? hit + 1 : table_->size();
+  res.unwildcarded = table_->unwildcarded(examined);
+  if (res.found) res.rule = table_->entries()[hit].id;
+  if (visited != nullptr) *visited = static_cast<std::uint32_t>(examined);
   return res;
 }
 

@@ -227,9 +227,11 @@ class DpClassifier {
   }
 
  private:
-  /// Re-runs the wildcard scan for `key`, accumulating the unwildcard set
-  /// exactly like a slow-path upcall; shared by tier 3 and the resolver
-  /// the revalidator repairs megaflows with.
+  /// Re-runs the wildcard lookup for `key`: the table's first match, and
+  /// the unwildcard set of every rule OVS's priority-order scan examines
+  /// up to it, one read of FlowTable::unwildcarded(). `visited` receives
+  /// that count of rules. Shared by tier 3 and the resolver the
+  /// revalidator repairs megaflows with.
   MegaflowCache::Resolution resolve(const pkt::FlowKey& key,
                                     std::uint32_t* visited) noexcept;
   /// Applies pending FlowMod events to both cache tiers (owner thread).

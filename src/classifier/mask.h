@@ -1,41 +1,19 @@
 #pragma once
 
-#include <cstdint>
-#include <string>
-
 #include "openflow/match.h"
 #include "pkt/flow_key.h"
 
 /// \file mask.h
 /// Wildcard masks over pkt::FlowKey — the "tuple" of tuple-space search.
-///
-/// A MaskSpec records which FlowKey fields are significant (as
-/// openflow::MatchField bits) plus the IPv4 prefix lengths for the two
-/// address fields. All megaflows sharing one MaskSpec live in one subtable
-/// and are compared by masked-key equality, exactly like the miniflow
-/// masks that partition the OVS datapath classifier (dpcls).
+/// openflow::MaskSpec, with mask_of and unite, lives beside Match so the
+/// flow table can keep its unwildcard sets; the megaflow tier projects,
+/// intersects and compares masks here.
 
 namespace hw::classifier {
 
-struct MaskSpec {
-  std::uint32_t fields = 0;       ///< openflow::MatchField bits
-  std::uint8_t ip_src_plen = 0;   ///< meaningful iff kMatchIpSrc set
-  std::uint8_t ip_dst_plen = 0;   ///< meaningful iff kMatchIpDst set
-
-  friend bool operator==(const MaskSpec&, const MaskSpec&) = default;
-
-  [[nodiscard]] bool empty() const noexcept { return fields == 0; }
-  [[nodiscard]] std::string to_string() const;
-};
-
-/// The mask a single rule unwildcards: every field it constrains.
-[[nodiscard]] MaskSpec mask_of(const openflow::Match& match) noexcept;
-
-/// Widens `mask` to also cover every field `match` constrains (prefix
-/// lengths take the max, i.e. the more specific one). Used to accumulate
-/// the unwildcard set across all rules a slow-path lookup examined — the
-/// analogue of OVS's flow_wildcards folding during an upcall.
-void unite(MaskSpec& mask, const openflow::Match& match) noexcept;
+using openflow::MaskSpec;
+using openflow::mask_of;
+using openflow::unite;
 
 /// Projects `key` onto the mask: unconstrained fields zeroed, IPv4
 /// addresses truncated to their prefix. Two keys with equal projections

@@ -245,9 +245,12 @@ class MegaflowCache {
               std::uint64_t table_version);
 
   /// Flow-table change notification: queues the event for the owner
-  /// thread's revalidator. Safe to call from a control thread while a PMD
-  /// thread is probing — the queue is mutex-guarded and the hot path only
-  /// checks one relaxed atomic when the queue is empty. A DELETE's match
+  /// thread's revalidator. The queue is mutex-guarded and the hot path
+  /// only checks one relaxed atomic when it is empty, so the queue may be
+  /// fed from another thread than the owner's. A FlowTable event,
+  /// though, comes from FlowTable::apply(), which must not run beside
+  /// the owner's lookups: the table's readers take no lock
+  /// (flowtable/flow_table.h, threading contract). A DELETE's match
   /// must contain every rule it lists as removed, and each entry's mask
   /// must pin every field of its rule, as FlowTable events and the
   /// classifier's installs and repairs guarantee: the revalidator finds

@@ -65,7 +65,12 @@ struct CostModel {
   std::uint32_t classify_batch_base = 40;    ///< per-batch dispatch + outcome sort
   std::uint32_t megaflow_insert = 45;      ///< megaflow install on upcall
   std::uint32_t slow_path_base = 150;      ///< fixed upcall overhead
-  std::uint32_t classifier_per_rule = 25;  ///< wildcard scan per rule visited
+  /// Per rule of OVS's priority-order scan up to the winner (every rule
+  /// on a miss), which tests each rule and folds its match into the
+  /// unwildcard set. The host tests those rules with one compiled test
+  /// each and reads the set from a table, so this charges the modeled
+  /// OVS scan, not the host's work.
+  std::uint32_t classifier_per_rule = 25;
   std::uint32_t action_per_pkt = 20;       ///< action execution + batching
   // Revalidator (precise cache repair on FlowMod, charged on the owner
   // thread when pending change events are drained). A drain coalesces the

@@ -64,7 +64,7 @@ Result<FlowModResult> FlowTable::apply(const FlowMod& mod, TimeNs now_ns) {
                        mod.match.compile());
       entries_.insert(entries_.begin() + static_cast<std::ptrdiff_t>(at),
                       std::move(entry));
-      reposition(at);
+      reindex(at);
       ++result.added;
       commit(event);
       return result;
@@ -118,7 +118,7 @@ Result<FlowModResult> FlowTable::apply(const FlowMod& mod, TimeNs now_ns) {
       entries_.resize(kept);
       compiled_.resize(kept);
       if (result.removed > 0) {
-        reposition(first_moved);
+        reindex(first_moved);
         commit(event);
       }
       return result;
@@ -145,12 +145,15 @@ void FlowTable::commit(TableChangeEvent& event) {
   for (const Listener& listener : listeners_) listener.fn(event);
 }
 
-void FlowTable::reposition(std::size_t from) {
+void FlowTable::reindex(std::size_t from) {
   // entries_ is kept sorted by priority desc, id asc, so the first
   // compiled test a key passes names the winner; only the entries at or
   // after a change moved.
+  unwildcard_.resize(entries_.size());
   for (std::size_t i = from; i < entries_.size(); ++i) {
     positions_.assign(entries_[i].id, i);
+    unwildcard_[i] = i == 0 ? openflow::MaskSpec{} : unwildcard_[i - 1];
+    openflow::unite(unwildcard_[i], entries_[i].match);
   }
 }
 

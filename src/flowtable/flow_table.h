@@ -25,8 +25,23 @@
 /// ids touched, so a revalidator can coalesce a burst of them into one
 /// precise suspect pass: the sequence of events between two versions
 /// fully explains every table difference between those versions, which
-/// is what lets a cache queue them and drain the queue later, on its own
-/// thread at its next lookup, without ever serving a stale rule.
+/// is what lets a cache queue them and drain the queue later, at its
+/// next lookup, without ever serving a stale rule.
+///
+/// Threading contract: apply() and account() never run beside a reader
+/// of the table — lookup(), first_match(), unwildcarded(), find(),
+/// entries() or ExactMatchCache::lookup(). The readers and the writers
+/// run on one thread, as under SimRuntime, where every context takes its
+/// turn on the one thread (ThreadedRuntime scenarios install their rules
+/// before the threads start). apply() inserts into and erases from the
+/// entries, their compiled tests and their unwildcard sets, any of which
+/// may reallocate, and no reader takes a lock, so a FlowMod applied on
+/// another thread while a lookup runs is a data race. Only the
+/// change-event queue is made to cross threads: a subscriber queues the
+/// events under a mutex (classifier::MegaflowCache::on_table_change) for
+/// the cache owner to drain at its next lookup. Readers may run beside
+/// one another: the one write they make, the forwarding engine's
+/// rule-counter adds, is a relaxed atomic.
 
 namespace hw::flowtable {
 
@@ -113,7 +128,17 @@ class FlowTable {
     return i;
   }
 
-  /// Adds `packets`/`bytes` to the rule's counters (forwarding engine).
+  /// The unwildcard set of a lookup that examined the first `examined`
+  /// rules of entries(): the unite of their matches, empty for none. An
+  /// upcall examines every rule up to and including its winner, or all
+  /// of them on a miss, in OVS's priority-order scan.
+  [[nodiscard]] openflow::MaskSpec unwildcarded(
+      std::size_t examined) const noexcept {
+    return examined == 0 ? openflow::MaskSpec{} : unwildcard_[examined - 1];
+  }
+
+  /// Adds `packets`/`bytes` to the rule's counters with plain adds (the
+  /// bypass manager folding a torn-down link's counters back).
   void account(RuleId id, std::uint64_t packets, std::uint64_t bytes) noexcept;
 
   /// All live entries, priority-descending. Invalidated by apply().
@@ -180,11 +205,12 @@ class FlowTable {
   };
 
   /// Bumps the version, stamps generations of added/modified rules and
-  /// notifies every subscriber. The id index and compiled tests are
-  /// already current: apply() updates them in place.
+  /// notifies every subscriber. The id index, compiled tests and
+  /// unwildcard sets are already current: apply() updates them in place.
   void commit(TableChangeEvent& event);
-  /// Re-files the positions of entries_[from..] after they shifted.
-  void reposition(std::size_t from);
+  /// Re-files entries_[from..] after they shifted: their ids' positions
+  /// and their unwildcard sets. Entries before `from` are untouched.
+  void reindex(std::size_t from);
 
   struct Listener {
     std::uint64_t token = 0;
@@ -201,6 +227,8 @@ class FlowTable {
   // compiled_[i] is entries_[i].match compiled; inserted and erased in
   // step with entries_.
   std::vector<openflow::CompiledMatch> compiled_;
+  // unwildcard_[i] is the unite of entries_[0..i].match.
+  std::vector<openflow::MaskSpec> unwildcard_;
   std::vector<Listener> listeners_;
 };
 

@@ -309,4 +309,46 @@ std::string Match::to_string() const {
   return out;
 }
 
+MaskSpec mask_of(const Match& match) noexcept {
+  MaskSpec mask;
+  mask.fields = match.fields();
+  if (match.has(kMatchIpSrc)) mask.ip_src_plen = match.ip_src_plen();
+  if (match.has(kMatchIpDst)) mask.ip_dst_plen = match.ip_dst_plen();
+  return mask;
+}
+
+void unite(MaskSpec& mask, const Match& match) noexcept {
+  mask.fields |= match.fields();
+  if (match.has(kMatchIpSrc)) {
+    mask.ip_src_plen = std::max(mask.ip_src_plen, match.ip_src_plen());
+  }
+  if (match.has(kMatchIpDst)) {
+    mask.ip_dst_plen = std::max(mask.ip_dst_plen, match.ip_dst_plen());
+  }
+}
+
+std::string MaskSpec::to_string() const {
+  if (fields == 0) return "any";
+  std::string out;
+  char buf[32];
+  auto append = [&out](const char* text) {
+    if (!out.empty()) out += ",";
+    out += text;
+  };
+  if (fields & kMatchInPort) append("in_port");
+  if (fields & kMatchEthType) append("eth_type");
+  if (fields & kMatchIpProto) append("ip_proto");
+  if (fields & kMatchIpSrc) {
+    std::snprintf(buf, sizeof(buf), "ip_src/%u", ip_src_plen);
+    append(buf);
+  }
+  if (fields & kMatchIpDst) {
+    std::snprintf(buf, sizeof(buf), "ip_dst/%u", ip_dst_plen);
+    append(buf);
+  }
+  if (fields & kMatchL4Src) append("l4_src");
+  if (fields & kMatchL4Dst) append("l4_dst");
+  return out;
+}
+
 }  // namespace hw::openflow

@@ -365,4 +365,32 @@ class Match {
   return plen == 0 ? 0u : (0xffffffffu << (32 - plen));
 }
 
+/// Wildcard masks over pkt::FlowKey — the "tuple" of tuple-space search.
+///
+/// A MaskSpec records which FlowKey fields are significant (as
+/// MatchField bits) plus the IPv4 prefix lengths for the two address
+/// fields. All megaflows sharing one MaskSpec live in one subtable and
+/// are compared by masked-key equality, exactly like the miniflow masks
+/// that partition the OVS datapath classifier (dpcls). The flow table
+/// keeps one per rule position: the unwildcard set of a lookup that
+/// examined every rule up to it.
+struct MaskSpec {
+  std::uint32_t fields = 0;       ///< MatchField bits
+  std::uint8_t ip_src_plen = 0;   ///< meaningful iff kMatchIpSrc set
+  std::uint8_t ip_dst_plen = 0;   ///< meaningful iff kMatchIpDst set
+
+  friend bool operator==(const MaskSpec&, const MaskSpec&) = default;
+
+  [[nodiscard]] bool empty() const noexcept { return fields == 0; }
+  [[nodiscard]] std::string to_string() const;
+};
+
+/// The mask a single rule unwildcards: every field it constrains.
+[[nodiscard]] MaskSpec mask_of(const Match& match) noexcept;
+
+/// Widens `mask` to also cover every field `match` constrains (prefix
+/// lengths take the max, i.e. the more specific one): the analogue of
+/// OVS's flow_wildcards folding during an upcall.
+void unite(MaskSpec& mask, const Match& match) noexcept;
+
 }  // namespace hw::openflow

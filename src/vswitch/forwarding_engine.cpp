@@ -166,15 +166,17 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
 
   // Parse the whole burst up front, then classify it as one batch (the
   // dpcls batch loop).
+  std::uint64_t rx_bytes = 0;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     mbuf::Mbuf* buf = pkts[i];
     buf->in_port = in_port.id();
     buf->flow_hash = 0;  // in_port participates in the key; recompute
-    acc(in_port).rx_bytes += buf->data_len;
+    rx_bytes += buf->data_len;
     meter.charge(cost_->parse_per_pkt);
     key_buf_[i] = pkt::extract_flow_key(*buf);
     hash_buf_[i] = pkt::flow_key_hash(key_buf_[i]);
   }
+  acc(in_port).rx_bytes += rx_bytes;
   const std::size_t n = pkts.size();
   {
     telemetry::ScopedSpan classify_span(tracer_, "classify", "classify",
@@ -200,6 +202,26 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
     pending_out = kPortNone;
   };
 
+  // Rule counters, added once per run of consecutive packets on one rule
+  // (a whole burst, when one steering rule carries it). Engines on
+  // different threads can hit the same wildcard rule (two sharded
+  // directions of one flow pair, or two ports homed on different
+  // engines): relaxed atomic adds keep flow_stats exact without ordering
+  // cost. A run's bytes are summed before its frames' actions run, while
+  // the engine still owns every mbuf.
+  FlowEntry* run_rule = nullptr;
+  std::uint64_t run_packets = 0;
+  std::uint64_t run_bytes = 0;
+  auto flush_run = [&] {
+    if (run_rule == nullptr) return;
+    std::atomic_ref(run_rule->packet_count)
+        .fetch_add(run_packets, std::memory_order_relaxed);
+    std::atomic_ref(run_rule->byte_count)
+        .fetch_add(run_bytes, std::memory_order_relaxed);
+    run_packets = 0;
+    run_bytes = 0;
+  };
+
   for (std::size_t i = 0; i < n; ++i) {
     mbuf::Mbuf* buf = pkts[i];
     FlowEntry* entry = outcome_buf_[i].entry;
@@ -209,14 +231,12 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
       pool_->free(buf);
       continue;
     }
-    // Engines on different threads can hit the same wildcard rule (two
-    // sharded directions of one flow pair, or two ports homed on
-    // different engines): relaxed atomic adds keep flow_stats exact
-    // without ordering cost.
-    std::atomic_ref(entry->packet_count)
-        .fetch_add(1, std::memory_order_relaxed);
-    std::atomic_ref(entry->byte_count)
-        .fetch_add(buf->data_len, std::memory_order_relaxed);
+    if (entry != run_rule) {
+      flush_run();
+      run_rule = entry;
+    }
+    ++run_packets;
+    run_bytes += buf->data_len;
 
     bool consumed = false;
     for (const openflow::Action& action : entry->actions) {
@@ -262,6 +282,7 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
       pool_->free(buf);
     }
   }
+  flush_run();
   flush_pending();
 }
 

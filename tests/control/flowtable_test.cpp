@@ -520,5 +520,115 @@ TEST_P(FlowTableModelTest, LookupMatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowTableModelTest,
                          ::testing::Values(7, 19, 31, 53));
 
+/// The ports the churn below pins rules on; keys also arrive on others.
+constexpr std::array<PortId, 4> kChurnPorts = {0, 1, 5, 9};
+
+openflow::Match draw_churn_match(Rng& rng) {
+  constexpr std::array<std::uint8_t, 4> kPlens = {0, 8, 31, 32};
+  openflow::Match m;
+  if (rng.chance(2, 3)) m.in_port(kChurnPorts[rng.next_below(4)]);
+  if (rng.chance(1, 3)) m.eth_type(pkt::kEtherTypeIpv4);
+  if (rng.chance(1, 2)) {
+    m.ip_proto(rng.chance(1, 2) ? pkt::kIpProtoUdp : pkt::kIpProtoTcp);
+  }
+  if (rng.chance(1, 2)) m.ip_src(draw_model_ip(rng), kPlens[rng.next_below(4)]);
+  if (rng.chance(1, 2)) m.ip_dst(draw_model_ip(rng), kPlens[rng.next_below(4)]);
+  if (rng.chance(1, 3)) m.l4_dst(static_cast<std::uint16_t>(rng.next_below(3)));
+  return m;
+}
+
+/// unwildcarded() reads a table, and first_match() scans compiled tests,
+/// that apply() keeps in step with entries() as rules are inserted,
+/// overwritten and compacted away. After every FlowMod of a seeded churn,
+/// both must equal their definitions: the unite of the matches of the
+/// first k rules, and the first rule in entries() order whose freshly
+/// compiled match the key passes (entries().size() on a miss).
+TEST(FlowTable, UnwildcardTableEqualsTheUniteFold) {
+  Rng rng(2027);
+  FlowTable table;
+  // Keys arrive on every pinned port and on ports no rule pins.
+  constexpr std::array<PortId, 10> kKeyPorts = {0, 1, 2, 5, 7, 9, 10, 4095,
+                                                0xfffe, 0xffff};
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  std::size_t empty_tables = 0;
+  std::size_t overwrites = 0;
+  const auto check = [&] {
+    const std::vector<FlowEntry>& entries = table.entries();
+    if (entries.empty()) ++empty_tables;
+    openflow::MaskSpec fold;
+    ASSERT_EQ(table.unwildcarded(0), fold);
+    for (std::size_t k = 0; k < entries.size(); ++k) {
+      openflow::unite(fold, entries[k].match);
+      ASSERT_EQ(table.unwildcarded(k + 1), fold)
+          << "first " << k + 1 << " rules: " << fold.to_string();
+    }
+    for (const PortId port : kKeyPorts) {
+      for (int i = 0; i < 6; ++i) {
+        pkt::FlowKey key;
+        key.in_port = port;
+        key.ether_type = rng.chance(7, 8) ? pkt::kEtherTypeIpv4 : 0;
+        key.ip_proto = rng.chance(1, 2) ? pkt::kIpProtoUdp : pkt::kIpProtoTcp;
+        key.src_ip = draw_model_ip(rng);
+        key.dst_ip = draw_model_ip(rng);
+        key.dst_port = static_cast<std::uint16_t>(rng.next_below(3));
+        const openflow::PackedKey packed = openflow::pack(key);
+        std::size_t expected = 0;
+        while (expected < entries.size() &&
+               !entries[expected].match.compile().matches(packed)) {
+          ++expected;
+        }
+        ASSERT_EQ(table.first_match(packed), expected) << "in_port " << port;
+        ++(expected < entries.size() ? hits : misses);
+      }
+    }
+  };
+
+  check();  // the empty table
+  for (int step = 0; step < 400; ++step) {
+    FlowMod mod;
+    mod.priority = static_cast<std::uint16_t>(rng.next_below(6));
+    mod.match = draw_churn_match(rng);
+    mod.actions = {Action::output(static_cast<PortId>(rng.next_below(8)))};
+    const std::uint64_t kind = rng.next_below(100);
+    if (kind < 45) {
+      mod.command = FlowModCommand::kAdd;
+    } else if (kind < 55) {
+      mod.command = FlowModCommand::kModify;
+    } else if (kind < 70) {
+      mod.command = FlowModCommand::kDelete;
+    } else if (kind < 72) {
+      mod.command = FlowModCommand::kDelete;
+      mod.match = openflow::Match();  // every rule
+    } else if (!table.entries().empty()) {
+      // Name an existing rule exactly: an ADD onto its match and
+      // priority, or a strict DELETE.
+      const FlowEntry& victim =
+          table.entries()[rng.next_below(table.size())];
+      mod.match = victim.match;
+      mod.priority = victim.priority;
+      mod.command = kind < 85 ? FlowModCommand::kAdd
+                              : FlowModCommand::kDeleteStrict;
+    } else {
+      mod.command = FlowModCommand::kDeleteStrict;
+    }
+    const auto result = table.apply(mod);
+    ASSERT_TRUE(result.is_ok());
+    if (mod.command == FlowModCommand::kAdd) {
+      overwrites += result.value().modified;
+    }
+    check();
+    if (::testing::Test::HasFatalFailure()) {
+      FAIL() << "after FlowMod " << step << " ("
+             << static_cast<int>(mod.command) << " "
+             << mod.match.to_string() << " priority " << mod.priority << ")";
+    }
+  }
+  EXPECT_GT(empty_tables, 1u);  // the start, and after a delete-all
+  EXPECT_GT(overwrites, 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(misses, 0u);
+}
+
 }  // namespace
 }  // namespace hw::flowtable

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
+#include <utility>
 
 #include "exec/runtime.h"
 #include "openflow/codec.h"
@@ -45,10 +48,12 @@ class OfSwitchTest : public ::testing::Test {
     return dpdkr->channel().a2b().dequeue(out) ? out : nullptr;
   }
 
-  mbuf::Mbuf* make_frame(std::uint16_t dst_port = 2000) {
+  mbuf::Mbuf* make_frame(std::uint16_t dst_port = 2000,
+                         std::uint32_t frame_len = 64) {
     mbuf::Mbuf* buf = pool_.alloc();
     pkt::FrameSpec spec;
     spec.dst_port = dst_port;
+    spec.frame_len = frame_len;
     EXPECT_TRUE(pkt::build_frame(*buf, spec));
     return buf;
   }
@@ -238,6 +243,60 @@ TEST_F(OfSwitchTest, FlowStatsCountSwitchedTraffic) {
   EXPECT_EQ(stats[0].byte_count, 5u * 64);
   // Drain b.
   while (mbuf::Mbuf* out = extract(b)) pool_.free(out);
+
+  // One burst that moves between rules: two rules output to the same
+  // port, a third drops, and frames come in two lengths. The engine adds
+  // rule counters once per run of frames on one rule, so every run
+  // boundary below must hand over exactly its own frames.
+  const PortId c = add_port("c");
+  const PortId d = add_port("d");
+  struct Rule {
+    std::uint16_t dst_port;
+    Cookie cookie;
+    Action action;
+  };
+  const std::array<Rule, 3> rules = {Rule{2001, 81, Action::output(d)},
+                                     Rule{2002, 82, Action::output(d)},
+                                     Rule{2003, 83, Action::drop()}};
+  for (const Rule& rule : rules) {
+    FlowMod mod;
+    mod.priority = 20;
+    mod.cookie = rule.cookie;
+    mod.match.in_port(c).l4_dst(rule.dst_port);
+    mod.actions = {rule.action};
+    ASSERT_TRUE(of_.handle_flow_mod(mod).is_ok());
+  }
+  // (rule, frame length) per frame, in arrival order.
+  const std::array<std::pair<std::size_t, std::uint32_t>, 12> burst = {{
+      {0, 64}, {0, 128}, {1, 64}, {0, 64}, {2, 128}, {2, 64},
+      {1, 128}, {1, 128}, {0, 128}, {2, 64}, {1, 64}, {0, 64}}};
+  std::array<std::uint64_t, 3> packets{};
+  std::array<std::uint64_t, 3> bytes{};
+  std::uint64_t burst_bytes = 0;
+  for (const auto& [rule, frame_len] : burst) {
+    mbuf::Mbuf* frame = make_frame(rules[rule].dst_port, frame_len);
+    ++packets[rule];
+    bytes[rule] += frame->data_len;
+    burst_bytes += frame->data_len;
+    inject(c, frame);
+  }
+  poll_engine();  // one burst: all 12 frames fit in kBurstSize
+  const auto port_c = of_.port_stats(c);
+  ASSERT_TRUE(port_c.is_ok());
+  EXPECT_EQ(port_c.value().rx_packets, burst.size());
+  EXPECT_EQ(port_c.value().rx_bytes, burst_bytes);
+  const auto flows = of_.flow_stats();
+  for (std::size_t r = 0; r < rules.size(); ++r) {
+    const auto flow = std::find_if(
+        flows.begin(), flows.end(), [&](const openflow::FlowStatsEntry& e) {
+          return e.cookie == rules[r].cookie;
+        });
+    ASSERT_NE(flow, flows.end()) << "cookie " << rules[r].cookie;
+    EXPECT_EQ(flow->packet_count, packets[r]) << "cookie " << rules[r].cookie;
+    EXPECT_EQ(flow->byte_count, bytes[r]) << "cookie " << rules[r].cookie;
+  }
+  while (mbuf::Mbuf* out = extract(d)) pool_.free(out);
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(OfSwitchTest, PortStatsCountBothDirections) {
