@@ -72,7 +72,6 @@ struct Harness {
         runtime({.epoch_ns = 1000, .cost = {}}),
         of(shm, pool, runtime, runtime.cost(),
            {.ring_capacity = 4096,
-            .emc_enabled = true,
             .engine_count = engines,
             .rss = {.enabled = true, .buckets = 256},
             .bypass_enabled = false}) {

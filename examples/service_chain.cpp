@@ -37,7 +37,6 @@ int main() {
 
   vswitch::OfSwitch of(shm, pool, runtime, cost,
                        {.ring_capacity = 1024,
-                        .emc_enabled = true,
                         .engine_count = 2,
                         .bypass_enabled = true});
   agent::ComputeAgent agent(shm, runtime);
@@ -59,9 +58,10 @@ int main() {
   // --- three VNFs, two dpdkr ports each -----------------------------------
   struct Vnf {
     const char* name;
-    std::uint32_t cycles;  // per-packet work
+    std::uint32_t cycles;  // per-packet work beyond a plain forwarder's
     PortId in = 0, out = 0;
     vm::Vm* guest = nullptr;
+    exec::CostModel cost{};  // its app's model: vm_app_per_pkt + cycles
   };
   Vnf vnfs[] = {{"firewall", 120}, {"monitor", 60}, {"webcache", 300}};
   for (Vnf& vnf : vnfs) {
@@ -104,10 +104,12 @@ int main() {
   // --- guest applications --------------------------------------------------
   std::vector<std::unique_ptr<vm::ForwarderApp>> apps;
   for (Vnf& vnf : vnfs) {
+    vnf.cost = cost;
+    vnf.cost.vm_app_per_pkt += vnf.cycles;
     apps.push_back(std::make_unique<vm::ForwarderApp>(
         std::string("app.") + vnf.name,
         *vnf.guest->pmd_for_port(vnf.in),
-        *vnf.guest->pmd_for_port(vnf.out), pool, cost, vnf.cycles));
+        *vnf.guest->pmd_for_port(vnf.out), pool, vnf.cost));
   }
 
   runtime.add_context(&nic_in);

@@ -66,9 +66,7 @@ Status ChainScenario::build() {
 
   of_ = std::make_unique<vswitch::OfSwitch>(
       shm_, *pool_, *runtime_, config_.cost,
-      vswitch::SwitchConfig{.emc_enabled = config_.emc_enabled,
-                            .megaflow_enabled = config_.megaflow_enabled,
-                            .engine_count = config_.engine_count,
+      vswitch::SwitchConfig{.engine_count = config_.engine_count,
                             .rss = config_.rss,
                             .bypass_enabled = config_.enable_bypass,
                             .tracer = tracer_.get()});
@@ -141,8 +139,7 @@ Status ChainScenario::build() {
       apps_.push_back(std::move(app));
     } else {
       apps_.push_back(std::make_unique<vm::ForwarderApp>(
-          app_name, *left, *right, *pool_, config_.cost,
-          config_.vm_extra_cycles));
+          app_name, *left, *right, *pool_, config_.cost));
     }
   }
 

@@ -45,8 +45,6 @@ struct ChainConfig {
   /// port's home engine distributes frames by 5-tuple hash so one port's
   /// flows spread over many engines. Ignored when engine_count <= 1.
   vswitch::RssConfig rss{};
-  bool emc_enabled = true;
-  bool megaflow_enabled = true;  ///< dpcls-style middle classifier tier
 
   std::uint32_t frame_len = 64;
   std::uint32_t flow_count = 8;
@@ -58,7 +56,6 @@ struct ChainConfig {
   /// memory-only endpoint generator (per direction) — used by the latency
   /// experiment to measure below saturation.
   std::uint64_t gen_rate_pps = 0;
-  std::uint32_t vm_extra_cycles = 0;  ///< heavier VNFs
 
   TimeNs epoch_ns = 1000;
   exec::CostModel cost{};
@@ -137,7 +134,6 @@ class ChainScenario {
   [[nodiscard]] mbuf::Mempool& pool() noexcept { return *pool_; }
   [[nodiscard]] shm::ShmManager& shm() noexcept { return shm_; }
   [[nodiscard]] vm::Hypervisor& hypervisor() noexcept { return *hypervisor_; }
-  [[nodiscard]] const ChainConfig& config() const noexcept { return config_; }
 
   [[nodiscard]] PortId left_port(std::size_t vm) const {
     return left_ports_[vm];

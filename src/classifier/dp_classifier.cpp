@@ -14,8 +14,7 @@ DpClassifier::DpClassifier(flowtable::FlowTable& table,
     : table_(&table),
       cost_(&cost),
       config_(config),
-      emc_(kEmcBuckets),
-      megaflow_(config.megaflow) {
+      emc_(kEmcBuckets) {
   // Every drain of the change queue — explicit or implicit inside
   // megaflow lookup/insert — must repair BOTH tiers, so the EMC work is
   // registered as hooks on the queue owner rather than replayed by hand

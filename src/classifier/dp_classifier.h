@@ -159,13 +159,15 @@ inline TierCounters TierCounters::operator-(
 void register_hit_rate_gauges(telemetry::MetricsRegistry& registry,
                               const std::function<TierCounters()>& source);
 
-/// The tier switches (the three-tier ablation) and the megaflow cache's
-/// entry cap. Everything else is a constant: DpClassifier::kEmcBuckets
-/// and MegaflowCache's k* members.
+/// The tier switches, for the classifier-level ablations (A7 turns
+/// tiers off; A8 and A9 turn the EMC off to isolate the megaflow tier)
+/// and the classifier tests. Every forwarding engine runs the defaults,
+/// all three tiers on. Everything else is a constant:
+/// DpClassifier::kEmcBuckets, MegaflowCache's k* members and the flow
+/// limit (MegaflowCacheConfig's default).
 struct DpClassifierConfig {
   bool emc_enabled = true;
   bool megaflow_enabled = true;
-  MegaflowCache::Config megaflow{};
 };
 
 class DpClassifier {
@@ -221,9 +223,6 @@ class DpClassifier {
   }
   [[nodiscard]] const MegaflowCache& megaflow() const noexcept {
     return megaflow_;
-  }
-  [[nodiscard]] const DpClassifierConfig& config() const noexcept {
-    return config_;
   }
 
  private:

@@ -13,18 +13,18 @@
 /// Backend selection is a build-time decision, and the only one:
 ///   * x86 with SSE2      → _mm_cmpeq_epi16 + _mm_movemask_epi8
 ///   * ARM with NEON      → vceqq_u16 + a narrowing mask fold
-///   * anything else, or  → a portable 16-lane block (bit-identical)
-///     -DHW_FORCE_SCALAR=ON
+///   * anything else      → the portable 16-lane block
 ///
 /// Callers read whole 16-lane buckets whatever the backend (the megaflow
 /// cache's cuckoo buckets are exactly one block, and mask off empty lanes
 /// themselves), so every build reads the same blocks and charges the
 /// same virtual cycles; only the host instructions differ. `kBackendName`
-/// reports which backend this binary compiled in. The backends agree
-/// lane for lane: Simd.MatchMaskAgreesWithPerLaneReference checks the
-/// compiled-in one against a per-lane loop.
+/// reports which backend this binary compiled in. Every build also
+/// compiles the portable block, match_mask_u16_block_portable: it is the
+/// per-lane reference Simd.MatchMaskAgreesWithPerLaneReference checks
+/// the compiled-in backend against, so the fallback is tested by every
+/// build's test run.
 
-#if !defined(HW_FORCE_SCALAR)
 #if defined(__SSE2__) || (defined(_M_X64) && !defined(_M_ARM64EC))
 #define HW_SIMD_SSE2 1
 #include <emmintrin.h>
@@ -35,7 +35,6 @@
 #define HW_SIMD_NEON 1
 #include <arm_neon.h>
 #endif
-#endif
 
 namespace hw::simd {
 
@@ -43,11 +42,23 @@ namespace hw::simd {
 /// of 16 × 16-bit signatures (32 bytes — one or two vector registers).
 inline constexpr std::size_t kLanesU16 = 16;
 
+/// Bitmask (bit i = lane i) of the lanes in block[0..16) equal to
+/// `needle`, one compare per lane. `block` must be readable for all 16
+/// lanes. The backend on targets without SSE2 or NEON, and the reference
+/// every backend must agree with.
+[[nodiscard]] inline std::uint32_t match_mask_u16_block_portable(
+    const std::uint16_t* block, std::uint16_t needle) noexcept {
+  std::uint32_t mask = 0;
+  for (std::size_t lane = 0; lane < kLanesU16; ++lane) {
+    mask |= static_cast<std::uint32_t>(block[lane] == needle) << lane;
+  }
+  return mask;
+}
+
 #if defined(HW_SIMD_SSE2)
 inline constexpr const char* kBackendName = "sse2";
 
-/// Bitmask (bit i = lane i) of the lanes in block[0..16) equal to
-/// `needle`. `block` must be readable for all 16 lanes.
+/// match_mask_u16_block_portable's bitmask, from two vector compares.
 [[nodiscard]] inline std::uint32_t match_mask_u16_block(
     const std::uint16_t* block, std::uint16_t needle) noexcept {
   const __m128i n = _mm_set1_epi16(static_cast<short>(needle));
@@ -86,11 +97,7 @@ inline constexpr const char* kBackendName = "scalar";
 
 [[nodiscard]] inline std::uint32_t match_mask_u16_block(
     const std::uint16_t* block, std::uint16_t needle) noexcept {
-  std::uint32_t mask = 0;
-  for (std::size_t lane = 0; lane < kLanesU16; ++lane) {
-    mask |= static_cast<std::uint32_t>(block[lane] == needle) << lane;
-  }
-  return mask;
+  return match_mask_u16_block_portable(block, needle);
 }
 #endif
 

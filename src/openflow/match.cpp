@@ -206,28 +206,6 @@ std::size_t ShapeIndexSet::make_room(std::span<const CompiledMatch> tests,
   return first_new;
 }
 
-bool Match::overlaps(const Match& other) const noexcept {
-  // Two matches are disjoint iff some field is constrained by both to
-  // incompatible values. Anything else conservatively overlaps.
-  const std::uint32_t both = fields_ & other.fields_;
-  if ((both & kMatchInPort) && in_port_ != other.in_port_) return false;
-  if ((both & kMatchEthType) && eth_type_ != other.eth_type_) return false;
-  if ((both & kMatchIpProto) && ip_proto_ != other.ip_proto_) return false;
-  if (both & kMatchIpSrc) {
-    const std::uint32_t mask =
-        prefix_mask(std::min(ip_src_plen_, other.ip_src_plen_));
-    if ((ip_src_ & mask) != (other.ip_src_ & mask)) return false;
-  }
-  if (both & kMatchIpDst) {
-    const std::uint32_t mask =
-        prefix_mask(std::min(ip_dst_plen_, other.ip_dst_plen_));
-    if ((ip_dst_ & mask) != (other.ip_dst_ & mask)) return false;
-  }
-  if ((both & kMatchL4Src) && l4_src_ != other.l4_src_) return false;
-  if ((both & kMatchL4Dst) && l4_dst_ != other.l4_dst_) return false;
-  return true;
-}
-
 bool Match::contains(const Match& other) const noexcept {
   // Every field we constrain must be constrained at least as tightly by
   // `other` to a compatible value.

@@ -332,11 +332,6 @@ class Match {
     return fields_ == kMatchInPort;
   }
 
-  /// True iff no packet can satisfy both matches is *false*, i.e. the two
-  /// matches could both apply to some packet. Conservative: returns true
-  /// when unsure. Used by the p-2-p detector for dominance analysis.
-  [[nodiscard]] bool overlaps(const Match& other) const noexcept;
-
   /// True iff every packet matching `other` also matches *this (this is a
   /// wildcard superset). Used for OpenFlow non-strict delete/modify.
   [[nodiscard]] bool contains(const Match& other) const noexcept;

@@ -51,11 +51,6 @@ struct WorkloadConfig {
   /// ON/OFF phase means for kOnOff, virtual ns.
   TimeNs on_mean_ns = 100'000;
   TimeNs off_mean_ns = 100'000;
-
-  [[nodiscard]] bool is_legacy() const noexcept {
-    return distribution == FlowDistribution::kRoundRobin &&
-           churn == ChurnModel::kNone;
-  }
 };
 
 /// Offered-load shape counters, maintained by WorkloadGen and surfaced

@@ -51,7 +51,6 @@ class WorkloadGen {
   void synthesize(mbuf::Mbuf& buf, std::uint64_t flow_id) noexcept;
 
   [[nodiscard]] const WorkloadStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const WorkloadConfig& config() const noexcept { return cfg_; }
 
   /// Fraction of offered frames carried by the ~k hottest flows (exact
   /// for a round-robin sweep of a fixed population; otherwise a

@@ -95,9 +95,6 @@ class GuestPmd {
   void configure_int(const exec::Runtime* clock) noexcept {
     int_clock_ = clock;
   }
-  [[nodiscard]] bool int_enabled() const noexcept {
-    return int_clock_ != nullptr;
-  }
 
   /// Drains the agent command ring and applies reconfigurations. Called
   /// automatically every kCtrlPollInterval rx_bursts; exposed for tests
@@ -112,11 +109,6 @@ class GuestPmd {
   }
   [[nodiscard]] const PmdCounters& counters() const noexcept {
     return counters_;
-  }
-
-  /// Frames queued toward the VM on the normal channel (diagnostics).
-  [[nodiscard]] std::size_t normal_rx_backlog() const noexcept {
-    return normal_.valid() ? normal_.a2b().size() : 0;
   }
 
   static constexpr std::uint32_t kCtrlPollInterval = 64;

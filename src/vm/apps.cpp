@@ -8,14 +8,12 @@ namespace hw::vm {
 
 ForwarderApp::ForwarderApp(std::string name, pmd::GuestPmd& left,
                            pmd::GuestPmd& right, mbuf::Mempool& pool,
-                           const exec::CostModel& cost,
-                           std::uint32_t extra_cycles)
+                           const exec::CostModel& cost)
     : name_(std::move(name)),
       left_(&left),
       right_(&right),
       pool_(&pool),
-      cost_(&cost),
-      extra_cycles_(extra_cycles) {
+      cost_(&cost) {
   buf_.resize(kBurstSize);
 }
 
@@ -25,8 +23,7 @@ std::uint32_t ForwarderApp::pump(pmd::GuestPmd& from, pmd::GuestPmd& to,
       from.rx_burst(std::span(buf_.data(), kBurstSize), meter);
   if (n == 0) return 0;
   // Per-packet VNF work: touch the frame (swap nothing, read headers).
-  meter.charge(static_cast<Cycles>(n) *
-               (cost_->vm_app_per_pkt + extra_cycles_));
+  meter.charge(static_cast<Cycles>(n) * cost_->vm_app_per_pkt);
   const std::uint16_t sent =
       to.tx_burst(std::span<mbuf::Mbuf* const>(buf_.data(), n), meter);
   if (sent < n) {

@@ -35,21 +35,14 @@ struct IntHopStats {
   std::uint64_t samples = 0;
   std::uint64_t queue_depth_sum = 0;
   LatencyRecorder transit;         ///< egress - ingress per record
-  [[nodiscard]] double mean_queue_depth() const noexcept {
-    return samples == 0 ? 0.0
-                        : static_cast<double>(queue_depth_sum) /
-                              static_cast<double>(samples);
-  }
 };
 
 /// Bidirectional port-to-port forwarder (the chain VNF): everything
-/// received on `left` goes out `right` and vice versa. `extra_cycles`
-/// models heavier per-packet VNF work (firewall rules, DPI, ...).
+/// received on `left` goes out `right` and vice versa.
 class ForwarderApp final : public exec::Context {
  public:
   ForwarderApp(std::string name, pmd::GuestPmd& left, pmd::GuestPmd& right,
-               mbuf::Mempool& pool, const exec::CostModel& cost,
-               std::uint32_t extra_cycles = 0);
+               mbuf::Mempool& pool, const exec::CostModel& cost);
 
   [[nodiscard]] std::string_view name() const noexcept override {
     return name_;
@@ -69,7 +62,6 @@ class ForwarderApp final : public exec::Context {
   pmd::GuestPmd* right_;
   mbuf::Mempool* pool_;
   const exec::CostModel* cost_;
-  std::uint32_t extra_cycles_;
   std::vector<mbuf::Mbuf*> buf_;
   AppCounters counters_;
 };

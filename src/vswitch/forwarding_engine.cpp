@@ -10,14 +10,14 @@ namespace hw::vswitch {
 
 using flowtable::FlowEntry;
 
-ForwardingEngine::ForwardingEngine(
-    std::string name, flowtable::FlowTable& table, mbuf::Mempool& pool,
-    const exec::CostModel& cost,
-    classifier::DpClassifierConfig classifier_config)
+ForwardingEngine::ForwardingEngine(std::string name,
+                                   flowtable::FlowTable& table,
+                                   mbuf::Mempool& pool,
+                                   const exec::CostModel& cost)
     : name_(std::move(name)),
       pool_(&pool),
       cost_(&cost),
-      classifier_(table, cost, classifier_config) {
+      classifier_(table, cost) {
   rx_buf_.resize(kBurstSize);
   tx_buf_.reserve(kBurstSize);
   key_buf_.resize(kBurstSize);

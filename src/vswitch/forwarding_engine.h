@@ -40,8 +40,7 @@ struct EngineCounters {
 class ForwardingEngine final : public exec::Context {
  public:
   ForwardingEngine(std::string name, flowtable::FlowTable& table,
-                   mbuf::Mempool& pool, const exec::CostModel& cost,
-                   classifier::DpClassifierConfig classifier_config);
+                   mbuf::Mempool& pool, const exec::CostModel& cost);
 
   /// Assigns a port's rx queue to this engine (OVS rxq affinity).
   void assign_port(SwitchPort* port);
@@ -95,8 +94,8 @@ class ForwardingEngine final : public exec::Context {
     return counters_;
   }
 
-  /// This engine's private datapath classifier (one per PMD, like one
-  /// EMC + dpcls pair per OVS PMD thread).
+  /// This engine's private datapath classifier, all three tiers on (one
+  /// per PMD, like one EMC + dpcls pair per OVS PMD thread).
   [[nodiscard]] const classifier::DpClassifier& classifier() const noexcept {
     return classifier_;
   }
@@ -127,7 +126,7 @@ class ForwardingEngine final : public exec::Context {
   };
 
   /// Processes one received burst from `in_port`: parses every frame,
-  /// classifies the whole burst (batched by default), then executes
+  /// classifies the whole burst in one batched lookup, then executes
   /// actions per packet in arrival order.
   void process_burst(SwitchPort& in_port, std::span<mbuf::Mbuf*> pkts,
                      exec::CycleMeter& meter);

@@ -36,12 +36,9 @@ OfSwitch::OfSwitch(shm::ShmManager& shm, mbuf::Mempool& pool,
 
   const std::uint32_t engine_count =
       config_.engine_count == 0 ? 1 : config_.engine_count;
-  classifier::DpClassifierConfig classifier_config{
-      .emc_enabled = config_.emc_enabled,
-      .megaflow_enabled = config_.megaflow_enabled};
   for (std::uint32_t i = 0; i < engine_count; ++i) {
     engines_.push_back(std::make_unique<ForwardingEngine>(
-        "pmd" + std::to_string(i), table_, *pool_, cost_, classifier_config));
+        "pmd" + std::to_string(i), table_, *pool_, cost_));
   }
   // RSS sharding only makes sense across a real pool; a single engine
   // keeps the direct per-port path (no distributor hop to pay for).

@@ -34,8 +34,6 @@ namespace hw::vswitch {
 
 struct SwitchConfig {
   std::size_t ring_capacity = 1024;  ///< normal + bypass channel rings
-  bool emc_enabled = true;
-  bool megaflow_enabled = true;      ///< dpcls-style middle tier
   std::uint32_t engine_count = 1;    ///< PMD threads (OVS pmd-cpu-mask)
   /// RSS-style rx sharding across the engine pool: each port's *home*
   /// engine distributes frames by 5-tuple hash through a per-switch
@@ -133,7 +131,6 @@ class OfSwitch {
   [[nodiscard]] pmd::SharedStats shared_stats() const noexcept {
     return shared_stats_;
   }
-  [[nodiscard]] const SwitchConfig& config() const noexcept { return config_; }
   [[nodiscard]] const SwitchCounters& counters() const noexcept {
     return counters_;
   }

@@ -105,10 +105,6 @@ class IncrementalP2pDetector {
   /// may come back (VM re-plug) without a table rebuild.
   void remove_candidate_port(PortId port);
 
-  [[nodiscard]] const std::vector<PortId>& candidate_ports() const noexcept {
-    return candidate_ports_;
-  }
-
   /// Consumes one committed FlowMod's change event: updates the rule
   /// buckets and marks affected candidate ports dirty. O(ids touched).
   /// `table` must already reflect the event (listeners are notified after

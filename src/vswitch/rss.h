@@ -112,9 +112,6 @@ class RssTable {
   void record(std::uint32_t bucket) noexcept {
     window_[bucket].fetch_add(1, std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t window_load(std::uint32_t bucket) const noexcept {
-    return window_[bucket].load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::uint64_t take_window_load(std::uint32_t bucket) noexcept {
     return window_[bucket].exchange(0, std::memory_order_relaxed);
   }
@@ -141,7 +138,6 @@ class RssSharder {
 
   [[nodiscard]] RssTable& table() noexcept { return table_; }
   [[nodiscard]] const RssTable& table() const noexcept { return table_; }
-  [[nodiscard]] const RssConfig& config() const noexcept { return config_; }
 
   /// Distributor-side: accounts `n` freshly distributed packets. Returns
   /// true when the balance window filled and the caller should run

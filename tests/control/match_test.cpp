@@ -93,37 +93,6 @@ TEST(Match, PrefixMaskHelper) {
   EXPECT_EQ(prefix_mask(32), 0xffffffffu);
 }
 
-TEST(Match, OverlapsDisjointPorts) {
-  Match a;
-  a.in_port(1);
-  Match b;
-  b.in_port(2);
-  EXPECT_FALSE(a.overlaps(b));
-  Match c;
-  c.in_port(1);
-  c.l4_dst(80);
-  EXPECT_TRUE(a.overlaps(c));
-}
-
-TEST(Match, OverlapsWildcardAlwaysOverlaps) {
-  const Match any;
-  Match b;
-  b.in_port(3).ip_proto(6).l4_dst(80);
-  EXPECT_TRUE(any.overlaps(b));
-  EXPECT_TRUE(b.overlaps(any));
-}
-
-TEST(Match, OverlapsPrefixIntersection) {
-  Match a;
-  a.ip_dst(pkt::ipv4(10, 0, 0, 0), 8);
-  Match b;
-  b.ip_dst(pkt::ipv4(10, 1, 0, 0), 16);
-  EXPECT_TRUE(a.overlaps(b));  // 10.1/16 ⊂ 10/8
-  Match c;
-  c.ip_dst(pkt::ipv4(11, 0, 0, 0), 8);
-  EXPECT_FALSE(b.overlaps(c));
-}
-
 TEST(Match, ContainsBasics) {
   Match any;
   Match narrow;
@@ -211,33 +180,6 @@ TEST_P(MatchPropertyTest, ContainsImpliesMatchSubset) {
         ASSERT_TRUE(a.matches(key))
             << "a=[" << a.to_string() << "] b=[" << b.to_string() << "]";
       }
-    }
-  }
-}
-
-TEST_P(MatchPropertyTest, SharedKeyImpliesOverlap) {
-  // overlaps() is conservative: any key matched by both proves overlap.
-  Rng rng(GetParam());
-  for (int i = 0; i < 3000; ++i) {
-    const Match a = random_match(rng);
-    const Match b = random_match(rng);
-    for (int k = 0; k < 20; ++k) {
-      const pkt::FlowKey key = random_key(rng);
-      if (a.matches(key) && b.matches(key)) {
-        ASSERT_TRUE(a.overlaps(b));
-        ASSERT_TRUE(b.overlaps(a));
-      }
-    }
-  }
-}
-
-TEST_P(MatchPropertyTest, ContainsImpliesOverlaps) {
-  Rng rng(GetParam());
-  for (int i = 0; i < 5000; ++i) {
-    const Match a = random_match(rng);
-    const Match b = random_match(rng);
-    if (a.contains(b)) {
-      ASSERT_TRUE(a.overlaps(b));
     }
   }
 }

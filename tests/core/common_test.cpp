@@ -150,21 +150,13 @@ TEST(Rng, ChanceIsRoughlyCalibrated) {
 
 // ------------------------------------------------------------------- simd
 
-/// Per-lane reference for simd::match_mask_u16_block: bit i is set iff
-/// lane i equals `needle`.
-std::uint32_t match_mask_reference(const std::uint16_t* block,
-                                   std::uint16_t needle) {
-  std::uint32_t mask = 0;
-  for (std::size_t lane = 0; lane < simd::kLanesU16; ++lane) {
-    if (block[lane] == needle) mask |= 1u << lane;
-  }
-  return mask;
-}
-
 TEST(Simd, MatchMaskAgreesWithPerLaneReference) {
   Rng rng(0x51d);
   // Full blocks holding the needle in 0, 1, several and all 16 lanes, at
-  // random positions; every other lane holds a random non-needle value.
+  // random positions; every other lane holds a random non-needle value,
+  // so the lanes the needle was written to are the expected mask. The
+  // portable block must return it in every build, and the compiled-in
+  // backend (SSE2, NEON or the portable block itself) must agree.
   for (const std::size_t needles : {0u, 1u, 5u, 16u}) {
     for (int trial = 0; trial < 64; ++trial) {
       const auto needle = static_cast<std::uint16_t>(rng.next());
@@ -176,12 +168,16 @@ TEST(Simd, MatchMaskAgreesWithPerLaneReference) {
         } while (block[lane] == needle);
         lanes[lane] = lane;
       }
+      std::uint32_t expected = 0;
       for (std::size_t i = 0; i < needles; ++i) {
         std::swap(lanes[i], lanes[i + rng.next_below(simd::kLanesU16 - i)]);
         block[lanes[i]] = needle;
+        expected |= 1u << lanes[i];
       }
-      EXPECT_EQ(simd::match_mask_u16_block(block, needle),
-                match_mask_reference(block, needle))
+      const std::uint32_t reference =
+          simd::match_mask_u16_block_portable(block, needle);
+      EXPECT_EQ(reference, expected) << needles << " needle lanes";
+      EXPECT_EQ(simd::match_mask_u16_block(block, needle), reference)
           << simd::kBackendName << " backend, " << needles
           << " needle lanes";
     }

@@ -82,7 +82,7 @@ TEST_F(AppsTest, ExtraCyclesSlowTheChain) {
     chain::ChainConfig config;
     config.vm_count = 3;
     config.enable_bypass = true;
-    config.vm_extra_cycles = extra;
+    config.cost.vm_app_per_pkt += extra;  // only forwarders charge it
     chain::ChainScenario chain(config);
     ASSERT_TRUE(chain.build().is_ok());
     ASSERT_TRUE(chain.wait_bypass_ready());

@@ -25,7 +25,6 @@ class OfSwitchTest : public ::testing::Test {
         runtime_({.epoch_ns = 1000, .cost = {}}),
         of_(shm_, pool_, runtime_, runtime_.cost(),
             {.ring_capacity = 64,
-             .emc_enabled = true,
              .engine_count = 1,
              .bypass_enabled = false}) {}
 
@@ -379,7 +378,6 @@ TEST_F(OfSwitchTest, RssShardsOnePortAcrossEngines) {
   mbuf::Mempool pool2("p2", 1024);
   OfSwitch of2(shm2, pool2, runtime_, runtime_.cost(),
                {.ring_capacity = 64,
-                .emc_enabled = true,
                 .engine_count = 4,
                 .rss = {.enabled = true, .buckets = 64},
                 .bypass_enabled = false});
@@ -446,7 +444,6 @@ TEST_F(OfSwitchTest, DatapathStatsSumEveryEnginesTierCounters) {
   mbuf::Mempool pool2("p2", 1024);
   OfSwitch of2(shm2, pool2, runtime_, runtime_.cost(),
                {.ring_capacity = 64,
-                .emc_enabled = true,
                 .engine_count = 2,
                 .rss = {.enabled = true, .buckets = 64},
                 .bypass_enabled = false});
@@ -500,7 +497,6 @@ TEST_F(OfSwitchTest, RssDisabledOnSingleEnginePool) {
   mbuf::Mempool pool2("p2", 64);
   OfSwitch of2(shm2, pool2, runtime_, runtime_.cost(),
                {.ring_capacity = 64,
-                .emc_enabled = true,
                 .engine_count = 1,
                 .rss = {.enabled = true},
                 .bypass_enabled = false});
@@ -514,7 +510,6 @@ TEST_F(OfSwitchTest, EngineAssignmentRoundRobins) {
   mbuf::Mempool pool2("p2", 64);
   OfSwitch of2(shm2, pool2, runtime_, runtime_.cost(),
                {.ring_capacity = 64,
-                .emc_enabled = true,
                 .engine_count = 2,
                 .bypass_enabled = false});
   for (int i = 0; i < 4; ++i) {

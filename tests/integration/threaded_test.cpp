@@ -84,7 +84,6 @@ void forward_through_switch(std::size_t pool_size) {
   exec::ThreadedRuntime runtime;
   vswitch::OfSwitch of(shm, pool, runtime, exec::CostModel{},
                        {.ring_capacity = 128,
-                        .emc_enabled = true,
                         .engine_count = 1,
                         .bypass_enabled = false});
   const PortId a = of.add_dpdkr_port("a").value();
