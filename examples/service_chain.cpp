@@ -10,7 +10,8 @@
 /// a *conditional* split (TCP/80 to the cache, everything else straight
 /// out), so the detector — correctly — leaves that segment on the normal
 /// path. This demonstrates that acceleration is selective and safe: only
-/// segments whose rules make the vSwitch redundant are bypassed.
+/// segments whose rules make the vSwitch redundant are bypassed. The
+/// example exits non-zero when no link comes up or the decisions differ.
 
 #include <cstdio>
 #include <memory>
@@ -122,19 +123,24 @@ int main() {
 
   // --- run -----------------------------------------------------------------
   std::printf("\nwaiting for bypass establishment (~100 ms virtual)...\n");
-  runtime.run_until(
-      [&] { return of.bypass_manager().active_links() >= 1; }, 400'000'000);
+  if (!runtime.run_until(
+          [&] { return of.bypass_manager().active_links() >= 1; },
+          400'000'000)) {
+    std::fprintf(stderr, "no bypass link came up within 400 ms\n");
+    return 1;
+  }
   runtime.run_for(20'000'000);  // 20 ms of traffic
 
+  const bool p2p_bypassed =
+      of.bypass_manager().link_active(vnfs[0].out, vnfs[1].in);
+  const bool split_bypassed =
+      of.bypass_manager().links().contains(vnfs[1].out);
   std::printf("\n=== bypass decisions ===\n");
   std::printf("firewall.out -> monitor.in bypassed: %s\n",
-              of.bypass_manager().link_active(vnfs[0].out, vnfs[1].in)
-                  ? "YES (pure p-2-p link)"
-                  : "no");
+              p2p_bypassed ? "YES (pure p-2-p link)" : "no");
   std::printf("monitor.out  -> (split)    bypassed: %s\n",
-              of.bypass_manager().links().contains(vnfs[1].out)
-                  ? "yes (BUG!)"
-                  : "NO (conditional split needs the classifier)");
+              split_bypassed ? "yes (BUG!)"
+                             : "NO (conditional split needs the classifier)");
 
   std::printf("\n=== flow statistics (merged, via wire protocol) ===\n");
   const auto stats_reply =
@@ -151,5 +157,6 @@ int main() {
   std::printf("\ndelivered to LAN: %llu frames (%llu reordered)\n",
               static_cast<unsigned long long>(lan_side.delivered),
               static_cast<unsigned long long>(lan_side.reorders));
-  return 0;
+  // Exactly the pure p-2-p link is bypassed, or the detector is wrong.
+  return p2p_bypassed && !split_bypassed ? 0 : 1;
 }

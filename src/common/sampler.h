@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -13,10 +14,10 @@
 /// \file sampler.h
 /// Random-variate samplers for the workload library: Zipfian rank
 /// selection, Poisson arrival processes, and ON-OFF burst gating. The
-/// Poisson and ON-OFF state is O(1); the Zipf sampler may cache 20 B per
-/// rank for the hottest ranks, capped at 1.25 MB, so a generator can
-/// offer millions of distinct flows without per-flow state. Every
-/// sampler draws from an explicit Rng, so runs are bit-for-bit
+/// Poisson and ON-OFF state is O(1); the Zipf sampler may cache 20 to
+/// 26 B per rank for the hottest ranks, at most 65,536 ranks, so a
+/// generator can offer millions of distinct flows without per-flow state.
+/// Every sampler draws from an explicit Rng, so runs are bit-for-bit
 /// reproducible.
 
 namespace hw {
@@ -28,18 +29,20 @@ namespace hw {
 /// By convexity of x^-s, the envelope mass of the unit cell around k,
 /// q_k = H(k+0.5) - H(k-0.5), satisfies q_k >= k^-s, so accepting a
 /// candidate k with probability k^-s / q_k yields the exact Zipf pmf.
-/// Acceptance is > 70% for all s in (0, 2], and `n` may differ on every
-/// call (needed when the active flow set churns).
+/// Acceptance is > 70% for all s in (0, 2].
 ///
-/// Each rejection step draws u uniformly from the envelope's range and
-/// proposes the rank whose cell [H(k-0.5), H(k+0.5)) holds it,
-/// envelope_rank(): round(H^-1(u)), one pow (exp when s == 1), plus two
-/// more for q_k and one for k^-s.
+/// A rejection step reads two 53-bit words, a and b, the top bits of two
+/// Rng::next() calls. It proposes the rank whose cell [H(k-0.5), H(k+0.5))
+/// holds u = envelope_point(a), and accepts it when b / 2^53 * q_k <= k^-s
+/// (accepts()). step() takes it in floating point, for any n, as a
+/// churning population needs: without a table, envelope_rank() proposes
+/// round(H^-1(u)), one pow (exp when s == 1), plus two more for q_k and
+/// one for k^-s.
 ///
 /// Given a population bound, the constructor tabulates the ranks up to
 /// min(bound, kMaxTableRanks) so a step inside them costs no pow:
 /// - H(k+0.5) and k^-s, 16 B per rank. Each entry is the expression
-///   draw() would otherwise evaluate, on the same input, so it is the same
+///   step() would otherwise evaluate, on the same input, so it is the same
 ///   double.
 /// - A guide table, 4 B per rank: the range of H over the table split
 ///   into one equal slot per rank, each holding the rank of the slot's
@@ -50,13 +53,29 @@ namespace hw {
 /// The pow path and the cell bounds round independently, so within a few
 /// ulps of a bound they can name neighbouring ranks. propose() therefore
 /// answers from the guide table only when u lies more than guard_ (2^-36
-/// of the table's scale, see build_guide()) inside its cell, and from
-/// envelope_rank() otherwise, and when u lies past the table. Ranks drawn
-/// with and without the table are identical, draw for draw.
+/// of the table's scale, see set_guard()) inside its cell
+/// (clear_of_guard()), and from envelope_rank() otherwise, and when u lies
+/// past the table.
+///
+/// fixed_population() serves a population whose size never changes. Up to
+/// kMaxTableRanks ranks it builds word bounds instead of the tables: per
+/// rank k, the a whose u lies clear of k's guard zone, [clear_lo,
+/// clear_end), and the b that accept k, [0, accept_end). u, both guard
+/// tests and the acceptance test are monotone in the words, so each set is
+/// an interval, and the build finds its ends by searching the very
+/// functions step() evaluates. bounded_step() then costs shifts, one load
+/// from a guide over the words and integer compares; an a in a guard zone
+/// still asks envelope_rank(). 24 B per rank and at most 2 B of guide.
+///
+/// Ranks drawn with the tables, without them and with the word bounds
+/// are identical, draw for draw, and leave the Rng in the same state.
 class ZipfSampler {
  public:
-  /// Ranks tabulated at most: 65,536 ranks, 1.25 MB.
+  /// Ranks tabulated at most: 65,536 ranks, 1.25 MB of tables or 1.63 MB
+  /// of word bounds.
   static constexpr std::uint64_t kMaxTableRanks = 65'536;
+  /// One past the largest 53-bit word.
+  static constexpr std::uint64_t kWordEnd = std::uint64_t{1} << 53;
 
   /// Tabulates ranks up to min(max_n, kMaxTableRanks); pass the largest
   /// n draw() will see, or 0 for no table. draw() accepts any n either way.
@@ -73,39 +92,84 @@ class ZipfSampler {
     build_guide();
   }
 
+  /// For a population of exactly n: word bounds instead of the tables
+  /// when 2 <= n <= kMaxTableRanks, else ZipfSampler(s, n). draw() still
+  /// accepts any n; only n itself takes the bounds.
+  [[nodiscard]] static ZipfSampler fixed_population(double s,
+                                                    std::uint64_t n) {
+    if (n < 2 || n > kMaxTableRanks) return ZipfSampler(s, n);
+    ZipfSampler zipf(s);
+    zipf.build_bounds(n);
+    return zipf;
+  }
+
   [[nodiscard]] double s() const noexcept { return s_; }
   /// Ranks covered by the table (0 = untabulated).
   [[nodiscard]] std::uint64_t table_ranks() const noexcept {
     return table_.empty() ? 0 : table_.size() - 1;
   }
+  /// The population the word bounds cover (0 = none).
+  [[nodiscard]] std::uint64_t bounded_ranks() const noexcept {
+    return bounded_n_;
+  }
 
   /// Draws a rank in [0, n). Rank 0 is the most popular. n == 0 returns 0.
   [[nodiscard]] std::uint64_t draw(Rng& rng, std::uint64_t n) const noexcept {
     if (n <= 1) return 0;
+    if (n == bounded_n_) {
+      for (;;) {
+        const std::uint64_t a = word(rng);
+        const std::uint64_t b = word(rng);
+        if (const std::uint64_t k = bounded_step(a, b)) return k - 1;
+      }
+    }
     const std::uint64_t tabulated = table_ranks();
     const double h_lo = tabulated != 0 ? table_[0].h_hi : envelope(0.5);
     const double h_hi = n <= tabulated
                             ? table_[n].h_hi
                             : envelope(static_cast<double>(n) + 0.5);
     for (;;) {
-      const double u = h_lo + rng.next_double() * (h_hi - h_lo);
-      const std::uint64_t k = propose(u, n);
-      double qk;
-      double pk;
-      if (k <= tabulated) {
-        // (k-1)+0.5 == k-0.5 exactly for any k below 2^52.
-        qk = table_[k].h_hi - table_[k - 1].h_hi;
-        pk = table_[k].p;
-      } else {
-        qk = envelope(static_cast<double>(k) + 0.5) -
-             envelope(static_cast<double>(k) - 0.5);
-        pk = std::pow(static_cast<double>(k), -s_);
-      }
-      if (rng.next_double() * qk <= pk) return k - 1;
+      const std::uint64_t a = word(rng);
+      const std::uint64_t b = word(rng);
+      if (const std::uint64_t k = step(h_lo, h_hi, n, a, b)) return k - 1;
     }
   }
 
-  /// The rank in [1, n] that draw() proposes for the envelope value u:
+  /// One rejection step in floating point over ranks [1, n], whose
+  /// envelope runs from h_lo = H(0.5) to h_hi = H(n + 0.5): the rank
+  /// proposed for word a if word b accepts it, else 0.
+  [[nodiscard]] std::uint64_t step(double h_lo, double h_hi, std::uint64_t n,
+                                   std::uint64_t a,
+                                   std::uint64_t b) const noexcept {
+    const std::uint64_t k = propose(envelope_point(h_lo, h_hi, a), n);
+    double qk;
+    double pk;
+    if (k <= table_ranks()) {
+      // (k-1)+0.5 == k-0.5 exactly for any k below 2^52.
+      qk = table_[k].h_hi - table_[k - 1].h_hi;
+      pk = table_[k].p;
+    } else {
+      qk = envelope(static_cast<double>(k) + 0.5) -
+           envelope(static_cast<double>(k) - 0.5);
+      pk = std::pow(static_cast<double>(k), -s_);
+    }
+    return accepts(b, qk, pk) ? k : 0;
+  }
+
+  /// step() at n = bounded_ranks(), on the word bounds: the same rank,
+  /// or 0, for every pair of words.
+  [[nodiscard]] std::uint64_t bounded_step(std::uint64_t a,
+                                           std::uint64_t b) const noexcept {
+    std::size_t i = word_guide_[a >> word_shift_];
+    while (bounds_[i].clear_end <= a) ++i;  // the sentinel ends the walk
+    std::uint64_t k = i + 1;
+    if (a < bounds_[i].clear_lo) {  // a guard zone, or past the last rank
+      k = envelope_rank(envelope_point(h_lo_, h_hi_, a), bounded_n_);
+    }
+    return b < bounds_[k - 1].accept_end ? k : 0;
+  }
+
+  /// The rank in [1, n] that step() proposes for the envelope value u:
   /// the guide table's cell when u lies more than guard_ inside it and
   /// the cell is at most n, envelope_rank(u, n) otherwise. The two agree
   /// wherever the guide answers.
@@ -115,8 +179,7 @@ class ZipfSampler {
       std::uint64_t k = guide_[guide_slot(u)];
       // Ends inside the table: table_.back().h_hi > guide_hi_ > u.
       while (table_[k].h_hi <= u) ++k;
-      if (u - table_[k - 1].h_hi >= guard_ && table_[k].h_hi - u > guard_ &&
-          k <= n) {
+      if (k <= n && clear_of_guard(u, table_[k - 1].h_hi, table_[k].h_hi)) {
         return k;
       }
     }
@@ -134,6 +197,41 @@ class ZipfSampler {
     if (x >= 0x1p64) return n;
     const auto k = static_cast<std::uint64_t>(x);
     return k < n ? k : n;
+  }
+
+  /// Whether u lies more than guard_ inside the cell [lo, hi): where
+  /// propose() takes the guide's answer, and what the word bounds
+  /// tabulate.
+  [[nodiscard]] bool clear_of_guard(double u, double lo,
+                                    double hi) const noexcept {
+    return clear_above(u, lo) && clear_below(u, hi);
+  }
+
+  /// The envelope value that step() proposes from for word a:
+  /// h_lo + (a / 2^53)(h_hi - h_lo), where a / 2^53 is the double
+  /// Rng::next_double() returns for the same next().
+  [[nodiscard]] static double envelope_point(double h_lo, double h_hi,
+                                             std::uint64_t a) noexcept {
+    return h_lo + unit(a) * (h_hi - h_lo);
+  }
+
+  /// step()'s acceptance test for word b, rank mass qk and weight pk.
+  [[nodiscard]] static bool accepts(std::uint64_t b, double qk,
+                                    double pk) noexcept {
+    return unit(b) * qk <= pk;
+  }
+
+  /// Rank k's word bounds, 1 <= k <= bounded_ranks(): an a in
+  /// [clear_lo, clear_end) proposes k without envelope_rank(), a b below
+  /// accept_end accepts k. clear_lo is kNever when no a is clear.
+  struct WordBounds {
+    std::uint64_t clear_lo = 0;
+    std::uint64_t clear_end = 0;
+    std::uint64_t accept_end = 0;
+  };
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  [[nodiscard]] const WordBounds& word_bounds(std::uint64_t k) const noexcept {
+    return bounds_[k - 1];
   }
 
   /// Analytic generalized harmonic number H_{n,s} = sum_{k=1..n} k^-s.
@@ -183,6 +281,35 @@ class ZipfSampler {
     return std::pow(1.0 + h * (1.0 - s_), 1.0 / (1.0 - s_));
   }
 
+  /// The top 53 bits of the next Rng word.
+  [[nodiscard]] static std::uint64_t word(Rng& rng) noexcept {
+    return rng.next() >> 11;
+  }
+  /// Word w as a double in [0, 1), exact.
+  [[nodiscard]] static double unit(std::uint64_t w) noexcept {
+    return static_cast<double>(w) * 0x1.0p-53;
+  }
+
+  /// clear_of_guard()'s two halves; each is monotone in u.
+  [[nodiscard]] bool clear_above(double u, double lo) const noexcept {
+    return u - lo >= guard_;
+  }
+  [[nodiscard]] bool clear_below(double u, double hi) const noexcept {
+    return hi - u > guard_;
+  }
+
+  /// Sets guard_ for cell bounds running from lo to hi. Both paths err by
+  /// a few ulps of max(|u|, 1/|1-s|): H^-1 raises 1 + u(1-s) to 1/(1-s),
+  /// which scales that sum's rounding by 1/|1-s|. The guard is 2^16 such
+  /// ulps. At 65,536 ranks and s from 0.3 to 1.9 the paths disagreed at
+  /// most 7 ulps from a bound, under 2e-5 of the guard.
+  void set_guard(double lo, double hi) noexcept {
+    const double scale =
+        std::max(std::fabs(lo), std::fabs(hi)) +
+        (s_ == 1.0 ? 1.0 : 1.0 / std::fabs(1.0 - s_));
+    guard_ = scale * 0x1p-36;
+  }
+
   /// Fills the guide table over table_'s cell bounds; see the class
   /// comment.
   void build_guide() {
@@ -190,15 +317,7 @@ class ZipfSampler {
     const double lo = table_[0].h_hi;
     const double hi = table_[ranks].h_hi;
     guide_scale_ = static_cast<double>(ranks) / (hi - lo);
-    // Both paths err by a few ulps of max(|u|, 1/|1-s|): H^-1 raises
-    // 1 + u(1-s) to 1/(1-s), which scales that sum's rounding by
-    // 1/|1-s|. The guard is 2^16 such ulps. At 65,536 ranks and s from
-    // 0.3 to 1.9 the paths disagreed at most 7 ulps from a bound, under
-    // 2e-5 of the guard.
-    const double scale =
-        std::max(std::fabs(lo), std::fabs(hi)) +
-        (s_ == 1.0 ? 1.0 : 1.0 / std::fabs(1.0 - s_));
-    guard_ = scale * 0x1p-36;
+    set_guard(lo, hi);
     guide_hi_ = hi - guard_;
     guide_.resize(ranks);
     std::uint32_t k = 1;
@@ -219,6 +338,112 @@ class ZipfSampler {
                                             : last;
   }
 
+  /// Builds the word bounds of ranks [1, n], 2 <= n <= kMaxTableRanks;
+  /// see the class comment.
+  void build_bounds(std::uint64_t n) {
+    bounded_n_ = n;
+    h_lo_ = envelope(0.5);
+    h_hi_ = envelope(static_cast<double>(n) + 0.5);
+    set_guard(h_lo_, h_hi_);
+    const auto u_of = [this](std::uint64_t a) {
+      return envelope_point(h_lo_, h_hi_, a);
+    };
+    // Where u reaches x in exact arithmetic: the searches' first guess.
+    const double words_per_unit = 0x1p53 / (h_hi_ - h_lo_);
+    const auto word_near = [&](double x) {
+      return clamp_word((x - h_lo_) * words_per_unit);
+    };
+    bounds_.resize(n + 1);
+    double lo = h_lo_;
+    std::uint64_t prev_end = 0;
+    for (std::uint64_t k = 1; k <= n; ++k) {
+      const double hi = envelope(static_cast<double>(k) + 0.5);
+      const double qk = hi - lo;
+      const double pk = std::pow(static_cast<double>(k), -s_);
+      WordBounds& w = bounds_[k - 1];
+      w.clear_lo = first_word(word_near(lo + guard_), [&](std::uint64_t a) {
+        return clear_above(u_of(a), lo);
+      });
+      w.clear_end = first_word(word_near(hi - guard_), [&](std::uint64_t a) {
+        return !clear_below(u_of(a), hi);
+      });
+      // Zones never overlap, so the walk in bounded_step() meets them in
+      // order; an empty one keeps the previous end and is never entered.
+      w.clear_lo = std::max(w.clear_lo, prev_end);
+      if (w.clear_lo >= w.clear_end) {
+        w.clear_lo = kNever;
+        w.clear_end = prev_end;
+      }
+      w.accept_end = first_word(clamp_word(pk / qk * 0x1p53),
+                                [&](std::uint64_t b) {
+                                  return !accepts(b, qk, pk);
+                                });
+      prev_end = w.clear_end;
+      lo = hi;
+    }
+    bounds_[n] = {kNever, kNever, 0};
+    // One guide slot per 2^word_shift_ words, between n/2 and n slots.
+    const std::uint64_t slots = std::bit_floor(n);
+    word_shift_ = 53 - static_cast<unsigned>(std::countr_zero(slots));
+    word_guide_.resize(slots);
+    std::size_t i = 0;
+    for (std::uint64_t slot = 0; slot < slots; ++slot) {
+      while (bounds_[i].clear_end <= (slot << word_shift_)) ++i;
+      // At most n - 1 (fits 16 bits): the walk steps on to the sentinel.
+      word_guide_[slot] = static_cast<std::uint16_t>(std::min(i, n - 1));
+    }
+  }
+
+  /// x rounded down to a word in [0, kWordEnd], clamped while still a
+  /// double (casting NaN, a negative or a value past the range to an
+  /// integer is undefined).
+  [[nodiscard]] static std::uint64_t clamp_word(double x) noexcept {
+    if (!(x > 0.0)) return 0;
+    if (x >= 0x1p53) return kWordEnd;
+    return static_cast<std::uint64_t>(x);
+  }
+
+  /// The least word w in [0, kWordEnd] with past(w), for a past() that is
+  /// false up to some word and true from it on (kWordEnd: true at none).
+  /// Gallops out from `guess`, then bisects, so a guess a few words off
+  /// costs a few calls.
+  template <typename Past>
+  [[nodiscard]] static std::uint64_t first_word(std::uint64_t guess,
+                                                Past past) {
+    guess = std::min(guess, kWordEnd - 1);
+    std::uint64_t lo = 0;         // past() is false below lo
+    std::uint64_t hi = kWordEnd;  // past(hi) holds, or hi == kWordEnd
+    if (past(guess)) {
+      hi = guess;
+      for (std::uint64_t stride = 1; hi > 0; stride *= 2) {
+        const std::uint64_t w = hi > stride ? hi - stride : 0;
+        if (!past(w)) {
+          lo = w + 1;
+          break;
+        }
+        hi = w;
+      }
+    } else {
+      lo = guess + 1;
+      for (std::uint64_t stride = 1; lo < kWordEnd; stride *= 2) {
+        const std::uint64_t w = std::min(lo + stride - 1, kWordEnd - 1);
+        if (past(w)) {
+          hi = w;
+          break;
+        }
+        lo = w + 1;
+      }
+    }
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (past(mid)) {
+        hi = mid;
+      } else {
+        lo = mid + 1;
+      }
+    }
+    return lo;
+  }
 
   struct Rank {
     double h_hi = 0.0;  ///< H(k + 0.5)
@@ -234,6 +459,16 @@ class ZipfSampler {
   double guard_ = 0.0;
   /// Past this u, the guide table does not answer (-inf: no table).
   double guide_hi_ = -std::numeric_limits<double>::infinity();
+
+  std::uint64_t bounded_n_ = 0;  ///< 0: no word bounds
+  double h_lo_ = 0.0;            ///< H(0.5)
+  double h_hi_ = 0.0;            ///< H(bounded_n_ + 0.5)
+  /// Rank k's bounds at k - 1, then a sentinel whose zone never ends.
+  std::vector<WordBounds> bounds_;
+  /// Per slot of 2^word_shift_ words, the index of the first zone that
+  /// ends past the slot's first word, capped at n - 1.
+  std::vector<std::uint16_t> word_guide_;
+  unsigned word_shift_ = 0;
 };
 
 /// Homogeneous Poisson process: exponentially distributed inter-arrival

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <functional>
+#include <span>
 #include <vector>
 
 /// \file topk.h
@@ -11,37 +12,44 @@
 /// how many distinct keys flow past. Used by the workload generator to
 /// report what fraction of offered load the hottest flows carry — the
 /// quantity EMC hit-rate should track under skew. The generator offers
-/// it every 16th pick, since an offer that misses the tracked keys costs
-/// a linear min-scan plus a hash-map erase and emplace.
+/// it every 16th pick. An offer scans the slots for its key, and one that
+/// misses scans them again for the first minimum it evicts: at the
+/// default 64 slots that beats keeping a hash index beside them, whose
+/// erase and emplace on every miss cost more than both scans.
 
 namespace hw {
 
 class TopKSketch {
  public:
+  /// A tracked key and its count, which overestimates the key's true
+  /// count by at most the smallest tracked count.
+  struct Slot {
+    std::uint64_t key;
+    std::uint64_t count;
+  };
+
   explicit TopKSketch(std::size_t capacity = 64) : capacity_(capacity) {
     slots_.reserve(capacity_);
-    index_.reserve(capacity_ * 2);
   }
 
   void offer(std::uint64_t key) noexcept {
     ++total_;
-    if (const auto it = index_.find(key); it != index_.end()) {
-      ++slots_[it->second].count;
-      return;
+    for (Slot& slot : slots_) {
+      if (slot.key == key) {
+        ++slot.count;
+        return;
+      }
     }
     if (slots_.size() < capacity_) {
-      index_.emplace(key, slots_.size());
       slots_.push_back({key, 1});
       return;
     }
-    // Evict the current minimum; the newcomer inherits its count + 1
+    // Evict the first minimum; the newcomer inherits its count + 1
     // (SpaceSaving's overestimate bound: error <= min_count).
     std::size_t min_i = 0;
     for (std::size_t i = 1; i < slots_.size(); ++i) {
       if (slots_[i].count < slots_[min_i].count) min_i = i;
     }
-    index_.erase(slots_[min_i].key);
-    index_.emplace(key, min_i);
     slots_[min_i].key = key;
     ++slots_[min_i].count;
   }
@@ -64,16 +72,14 @@ class TopKSketch {
 
   [[nodiscard]] std::uint64_t total() const noexcept { return total_; }
   [[nodiscard]] std::size_t tracked() const noexcept { return slots_.size(); }
+  /// The tracked slots, in the order they were first filled.
+  [[nodiscard]] std::span<const Slot> slots() const noexcept {
+    return slots_;
+  }
 
  private:
-  struct Slot {
-    std::uint64_t key;
-    std::uint64_t count;
-  };
-
   std::size_t capacity_;
-  std::vector<Slot> slots_;  // unordered; linear min-scan on eviction
-  std::unordered_map<std::uint64_t, std::size_t> index_;
+  std::vector<Slot> slots_;  // unordered; linear scans find and evict
   std::uint64_t total_ = 0;
 };
 

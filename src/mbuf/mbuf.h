@@ -26,7 +26,9 @@ struct alignas(kCacheLineSize) Mbuf {
   std::uint16_t flags = 0;      ///< reserved for app use
   SeqNo seq = 0;                ///< generator sequence (loss/order checks)
   TimeNs ts_ns = 0;             ///< virtual time of generation (latency)
-  std::uint32_t flow_hash = 0;  ///< cached 5-tuple hash; 0 = not computed
+  /// Cached flow_key_hash of the frame's key, in_port included; 0 = not
+  /// computed. Each switch crossing leaves the hash it classified with.
+  std::uint32_t flow_hash = 0;
   std::uint32_t pool_index = 0; ///< position in the owning pool
 
   std::byte data[kMbufDataRoom];

@@ -21,21 +21,24 @@ constexpr std::uint32_t kMaxAdmitPerPoll = 256;
 constexpr std::uint32_t kSweepEveryPolls = 64;
 
 /// Only every Nth pick is offered to the top-k sketch: an offer that
-/// misses the tracked slots costs a min-scan and a hash-map erase and
-/// emplace, more than the pick itself. Zipf and uniform picks are i.i.d.
-/// between population changes, so the sample's top-k share estimates the
-/// stream's. The sketch draws no random numbers, so the stride cannot
-/// move the offered stream.
+/// misses the tracked slots scans them twice, more than the pick itself.
+/// Zipf and uniform picks are i.i.d. between population changes, so the
+/// sample's top-k share estimates the stream's. The sketch draws no
+/// random numbers, so the stride cannot move the offered stream.
 constexpr std::uint64_t kTopKSampleStride = 16;
 
-/// Largest population the Zipf sampler draws over; it tabulates the
-/// hottest ranks up to this bound. 0 (no table) for distributions that
-/// never draw from it.
-std::uint64_t zipf_population_bound(const TrafficProfile& profile) noexcept {
+/// The Zipf sampler for the profile's population: word bounds for a fixed
+/// population, the rank tables up to max_active_flows for a churning one,
+/// and neither for distributions that never draw from it.
+ZipfSampler zipf_sampler_for(const TrafficProfile& profile) {
   const WorkloadConfig& cfg = profile.workload;
-  if (cfg.distribution != FlowDistribution::kZipf) return 0;
-  if (cfg.churn == ChurnModel::kPoisson) return cfg.max_active_flows;
-  return profile.flow_count;
+  if (cfg.distribution != FlowDistribution::kZipf) {
+    return ZipfSampler(cfg.zipf_s);
+  }
+  if (cfg.churn == ChurnModel::kPoisson) {
+    return ZipfSampler(cfg.zipf_s, cfg.max_active_flows);
+  }
+  return ZipfSampler::fixed_population(cfg.zipf_s, profile.flow_count);
 }
 
 TimeNs arrival_gap_ns(double per_sec) noexcept {
@@ -50,7 +53,7 @@ WorkloadGen::WorkloadGen(const TrafficProfile& profile)
     : profile_(profile),
       cfg_(profile.workload),
       rng_(profile.seed ^ 0x5eedf00dULL),
-      zipf_(cfg_.zipf_s, zipf_population_bound(profile)),
+      zipf_(zipf_sampler_for(profile)),
       arrivals_(arrival_gap_ns(cfg_.arrival_per_sec)),
       elephant_life_(cfg_.elephant_lifetime_ns == 0 ? 1
                                                     : cfg_.elephant_lifetime_ns),

@@ -170,11 +170,13 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     mbuf::Mbuf* buf = pkts[i];
     buf->in_port = in_port.id();
-    buf->flow_hash = 0;  // in_port participates in the key; recompute
     rx_bytes += buf->data_len;
     meter.charge(cost_->parse_per_pkt);
     key_buf_[i] = pkt::extract_flow_key(*buf);
     hash_buf_[i] = pkt::flow_key_hash(key_buf_[i]);
+    // What flow_hash_of() would cache for this in_port, so a receiver
+    // need not parse the frame again.
+    buf->flow_hash = hash_buf_[i];
   }
   acc(in_port).rx_bytes += rx_bytes;
   const std::size_t n = pkts.size();

@@ -1,14 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <string>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "common/latency.h"
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/sampler.h"
 #include "common/simd.h"
 #include "common/status.h"
+#include "common/topk.h"
 #include "common/types.h"
 #include "common/units.h"
 
@@ -146,6 +153,111 @@ TEST(Rng, ChanceIsRoughlyCalibrated) {
   for (int i = 0; i < 10000; ++i) hits += rng.chance(30, 100);
   EXPECT_GT(hits, 2600);
   EXPECT_LT(hits, 3400);
+}
+
+// ------------------------------------------------------------------ top-k
+
+/// SpaceSaving kept the textbook way, with a key → slot map beside the
+/// slots and the first minimum evicted: the sketch's reference.
+class ReferenceSpaceSaving {
+ public:
+  explicit ReferenceSpaceSaving(std::size_t capacity) : capacity_(capacity) {}
+
+  void offer(std::uint64_t key) {
+    ++total_;
+    if (const auto it = index_.find(key); it != index_.end()) {
+      ++slots_[it->second].count;
+      return;
+    }
+    if (slots_.size() < capacity_) {
+      index_[key] = slots_.size();
+      slots_.push_back({key, 1});
+      return;
+    }
+    const auto victim = std::min_element(
+        slots_.begin(), slots_.end(),
+        [](const auto& a, const auto& b) { return a.count < b.count; });
+    index_.erase(victim->key);
+    index_[key] = static_cast<std::size_t>(victim - slots_.begin());
+    victim->key = key;
+    ++victim->count;
+  }
+
+  [[nodiscard]] double share(std::size_t k) const {
+    if (total_ == 0 || k == 0) return 0.0;
+    std::vector<std::uint64_t> counts;
+    for (const auto& slot : slots_) counts.push_back(slot.count);
+    std::sort(counts.begin(), counts.end(), std::greater<>());
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < k && i < counts.size(); ++i) sum += counts[i];
+    return std::min(1.0,
+                    static_cast<double>(sum) / static_cast<double>(total_));
+  }
+
+  [[nodiscard]] const std::vector<TopKSketch::Slot>& slots() const {
+    return slots_;
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<TopKSketch::Slot> slots_;
+  std::unordered_map<std::uint64_t, std::size_t> index_;
+  std::uint64_t total_ = 0;
+};
+
+TEST(TopKSketch, KeepsSpaceSavingGuaranteesAndMatchesAReference) {
+  constexpr std::size_t kCapacity = 64;
+  constexpr std::uint64_t kKeys = 4096;
+  constexpr std::uint64_t kOffers = 200'000;
+  const ZipfSampler zipf(1.1, kKeys);
+  for (const bool skewed : {true, false}) {
+    Rng rng(skewed ? 0x70b1 : 0x70b2);
+    TopKSketch sketch(kCapacity);
+    ReferenceSpaceSaving reference(kCapacity);
+    std::unordered_map<std::uint64_t, std::uint64_t> truth;
+    for (std::uint64_t i = 0; i < kOffers; ++i) {
+      const std::uint64_t key =
+          skewed ? zipf.draw(rng, kKeys) : rng.next_below(kKeys);
+      sketch.offer(key);
+      reference.offer(key);
+      ++truth[key];
+    }
+    ASSERT_EQ(sketch.total(), kOffers);
+    ASSERT_EQ(sketch.tracked(), kCapacity);
+
+    // SpaceSaving's guarantees. Every key counted more than
+    // total / capacity times is tracked (the Zipf head; no uniform key
+    // gets there), and a tracked count overestimates its key's true count
+    // by at most the smallest tracked count.
+    std::uint64_t min_count = ~std::uint64_t{0};
+    std::unordered_map<std::uint64_t, std::uint64_t> tracked;
+    for (const TopKSketch::Slot& slot : sketch.slots()) {
+      min_count = std::min(min_count, slot.count);
+      tracked[slot.key] = slot.count;
+    }
+    std::uint64_t heavy = 0;
+    for (const auto& [key, count] : truth) {
+      if (count * kCapacity <= kOffers) continue;
+      ++heavy;
+      EXPECT_TRUE(tracked.contains(key)) << "key " << key << " x" << count;
+    }
+    EXPECT_EQ(heavy > 0, skewed);
+    for (const auto& [key, count] : tracked) {
+      EXPECT_GE(count, truth[key]) << "key " << key;
+      EXPECT_LE(count - truth[key], min_count) << "key " << key;
+    }
+
+    // The same slots, in the same order, as the reference, so the same
+    // share at every k.
+    ASSERT_EQ(sketch.slots().size(), reference.slots().size());
+    for (std::size_t i = 0; i < kCapacity; ++i) {
+      EXPECT_EQ(sketch.slots()[i].key, reference.slots()[i].key) << i;
+      EXPECT_EQ(sketch.slots()[i].count, reference.slots()[i].count) << i;
+    }
+    for (std::size_t k = 0; k <= kCapacity + 1; ++k) {
+      EXPECT_EQ(sketch.share(k), reference.share(k)) << "k=" << k;
+    }
+  }
 }
 
 // ------------------------------------------------------------------- simd

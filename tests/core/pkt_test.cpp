@@ -4,6 +4,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/rng.h"
 #include "pkt/checksum.h"
 #include "pkt/flow_key.h"
 #include "pkt/headers.h"
@@ -205,6 +206,111 @@ TEST(FlowKey, ExtractionMatchesSpec) {
   EXPECT_EQ(key.ip_proto, kIpProtoUdp);
   EXPECT_EQ(key.src_port, 10);
   EXPECT_EQ(key.dst_port, 20);
+}
+
+/// The key parse()'s view implies: what extract_flow_key() must return.
+FlowKey key_from_parse(const mbuf::Mbuf& buf) {
+  FlowKey key;
+  key.in_port = buf.in_port;
+  const auto view = parse(buf);
+  if (!view.has_value()) return key;
+  key.ether_type = view->eth->ether_type();
+  if (view->ip == nullptr) return key;
+  key.src_ip = view->ip->src_addr();
+  key.dst_ip = view->ip->dst_addr();
+  key.ip_proto = view->ip->proto();
+  if (view->udp != nullptr) {
+    key.src_port = view->udp->sport();
+    key.dst_port = view->udp->dport();
+  } else if (view->tcp != nullptr) {
+    key.src_port = view->tcp->sport();
+    key.dst_port = view->tcp->dport();
+  }
+  return key;
+}
+
+TEST(FlowKey, ExtractionMatchesParseOnMalformedFrames) {
+  mbuf::Mbuf buf;
+  std::uint64_t checked = 0;
+  const auto check = [&](const char* what, std::uint32_t detail) {
+    EXPECT_EQ(extract_flow_key(buf), key_from_parse(buf))
+        << what << " " << detail << " (data_len " << buf.data_len << ")";
+    ++checked;
+  };
+  const auto build = [&](std::uint8_t proto, std::uint32_t frame_len) {
+    FrameSpec spec;
+    spec.ip_proto = proto;
+    spec.frame_len = frame_len;
+    spec.src_ip = ipv4(10, 1, 2, 3);
+    spec.dst_ip = ipv4(192, 168, 4, 5);
+    spec.src_port = 4321;
+    spec.dst_port = 80;
+    ASSERT_TRUE(build_frame(buf, spec));
+    buf.in_port = 7;
+  };
+  auto* ip = reinterpret_cast<Ipv4Header*>(buf.data + sizeof(EthernetHeader));
+
+  // Every truncation of a 64 B UDP and TCP frame.
+  for (const std::uint8_t proto : {kIpProtoUdp, kIpProtoTcp}) {
+    build(proto, 64);
+    for (std::uint32_t len = 0; len <= 64; ++len) {
+      buf.data_len = len;
+      check("truncated, proto", proto);
+    }
+  }
+  // Every IHL, options included, at every length around its L4 header.
+  for (const std::uint8_t proto : {kIpProtoUdp, kIpProtoTcp}) {
+    for (std::uint32_t ihl = 0; ihl <= 15; ++ihl) {
+      build(proto, 128);
+      ip->version_ihl = static_cast<std::byte>(0x40 | ihl);
+      const std::uint32_t l4_off = 14 + ihl * 4;
+      for (std::uint32_t len = 30; len <= l4_off + 24 && len <= 128; ++len) {
+        buf.data_len = len;
+        check("ihl", ihl);
+      }
+    }
+  }
+  // Every IP version but 4, and non-IPv4 ethertypes.
+  for (std::uint32_t version = 0; version <= 15; ++version) {
+    build(kIpProtoUdp, 64);
+    ip->version_ihl = static_cast<std::byte>((version << 4) | 5);
+    check("version", version);
+  }
+  for (const std::uint16_t ether_type : {kEtherTypeArp, std::uint16_t{0x86dd},
+                                         std::uint16_t{0x0000}}) {
+    build(kIpProtoUdp, 64);
+    reinterpret_cast<EthernetHeader*>(buf.data)->set_ether_type(ether_type);
+    check("ether_type", ether_type);
+  }
+  // Every IP protocol, whole and cut inside the L4 header.
+  for (std::uint32_t proto = 0; proto <= 255; ++proto) {
+    build(kIpProtoUdp, 64);
+    ip->set_proto(static_cast<std::uint8_t>(proto));
+    check("ip_proto", proto);
+    buf.data_len = 14 + 20 + 10;
+    check("ip_proto, cut at 44 B:", proto);
+  }
+  // Seeded random bytes, half of them under an IPv4 ethertype and a
+  // version-4 first nibble so the checks past the Ethernet header run.
+  Rng rng(0xf10c);
+  for (std::uint32_t frame = 0; frame < 20'000; ++frame) {
+    const auto len = static_cast<std::uint32_t>(rng.next_below(97));
+    for (std::uint32_t i = 0; i < len; ++i) {
+      buf.data[i] = static_cast<std::byte>(rng.next());
+    }
+    if (frame % 2 == 0 && len >= 15) {
+      reinterpret_cast<EthernetHeader*>(buf.data)->set_ether_type(
+          kEtherTypeIpv4);
+      buf.data[14] = static_cast<std::byte>(0x40 | (rng.next() & 0x0f));
+      if (len >= 24 && rng.chance(2, 3)) {
+        ip->set_proto(rng.chance(1, 2) ? kIpProtoUdp : kIpProtoTcp);
+      }
+    }
+    buf.data_len = len;
+    buf.in_port = static_cast<PortId>(frame);
+    check("random frame", frame);
+  }
+  EXPECT_GT(checked, 20'000u);
 }
 
 TEST(FlowKey, HashNeverZeroAndStable) {

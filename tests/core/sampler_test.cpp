@@ -160,6 +160,117 @@ TEST(ZipfSamplerTest, GuideLookupMatchesThePowPathAtEveryCellBound) {
   }
 }
 
+TEST(ZipfSamplerTest, WordBoundsDrawTheSameRanksAsTheFloatingPointPath) {
+  // A fixed population draws through bounded_step(), a churning one
+  // through the floating-point step(). On one seed both must return the
+  // same rank on every draw and leave the Rng in the same state. n runs
+  // from the smallest bounded population to the largest.
+  constexpr std::uint64_t kNs[] = {2,    3,    5,      64,    1000,
+                                   8191, 8192, 65'535, 65'536};
+  for (const double s : {0.9, 1.0, 1.1, 1.3, 1.5}) {  // 1.0: the log branch
+    for (const std::uint64_t n : kNs) {
+      const ZipfSampler fixed = ZipfSampler::fixed_population(s, n);
+      ASSERT_EQ(fixed.bounded_ranks(), n);
+      const ZipfSampler churning(s, n);
+      Rng fixed_rng(0x51f050 + n);
+      Rng churning_rng(0x51f050 + n);
+      std::uint64_t mismatches = 0;
+      for (int i = 0; i < 100'000; ++i) {
+        if (fixed.draw(fixed_rng, n) != churning.draw(churning_rng, n)) {
+          ++mismatches;
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "s=" << s << " n=" << n;
+      EXPECT_EQ(fixed_rng.next(), churning_rng.next())
+          << "s=" << s << " n=" << n
+          << ": the paths consumed different variates";
+    }
+  }
+}
+
+TEST(ZipfSamplerTest, WordBoundsMatchTheFloatingPointStepAtEveryEdge) {
+  // Each word bound is where a test of step() changes its answer:
+  // clear_lo and clear_end where clear_of_guard() on envelope_point()
+  // does, accept_end where accepts() does. At each rank's bounds and the
+  // word on either side, the stored interval must give that test's
+  // answer, and bounded_step() must return step()'s rank, so a bound
+  // moved by one word fails.
+  constexpr std::uint64_t kEnd = ZipfSampler::kWordEnd;
+  const auto around = [](std::uint64_t edge) {
+    std::vector<std::uint64_t> words;
+    for (const std::uint64_t w : {edge - 1, edge, edge + 1}) {
+      if (w < kEnd) words.push_back(w);  // edge - 1 wraps at edge 0
+    }
+    return words;
+  };
+  for (const double s : {0.9, 1.0, 1.1, 1.3, 1.5}) {
+    for (const std::uint64_t n : {2, 3, 1000, 65'536}) {
+      const ZipfSampler fixed = ZipfSampler::fixed_population(s, n);
+      const ZipfSampler churning(s, n);
+      const double h_lo = fixed.envelope(0.5);
+      const double h_hi = fixed.envelope(static_cast<double>(n) + 0.5);
+      std::uint64_t zone_mismatches = 0;
+      std::uint64_t accept_mismatches = 0;
+      std::uint64_t step_mismatches = 0;
+      for (std::uint64_t k = 1; k <= n; ++k) {
+        const ZipfSampler::WordBounds& bounds = fixed.word_bounds(k);
+        // Every cell here is far wider than its two guard zones.
+        ASSERT_LT(bounds.clear_lo, bounds.clear_end) << "k=" << k;
+        const double lo = fixed.envelope(static_cast<double>(k) - 0.5);
+        const double hi = fixed.envelope(static_cast<double>(k) + 0.5);
+        const double pk = std::pow(static_cast<double>(k), -s);
+        std::vector<std::uint64_t> as = around(bounds.clear_lo);
+        for (const std::uint64_t a : around(bounds.clear_end)) {
+          as.push_back(a);
+        }
+        const std::vector<std::uint64_t> bs = around(bounds.accept_end);
+        for (const std::uint64_t a : as) {
+          const bool clear = bounds.clear_lo <= a && a < bounds.clear_end;
+          const double u = ZipfSampler::envelope_point(h_lo, h_hi, a);
+          if (clear != fixed.clear_of_guard(u, lo, hi)) ++zone_mismatches;
+          for (const std::uint64_t b : bs) {
+            if (fixed.bounded_step(a, b) !=
+                churning.step(h_lo, h_hi, n, a, b)) {
+              ++step_mismatches;
+            }
+          }
+        }
+        for (const std::uint64_t b : bs) {
+          if ((b < bounds.accept_end) != ZipfSampler::accepts(b, hi - lo, pk)) {
+            ++accept_mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(zone_mismatches, 0u) << "s=" << s << " n=" << n;
+      EXPECT_EQ(accept_mismatches, 0u) << "s=" << s << " n=" << n;
+      EXPECT_EQ(step_mismatches, 0u) << "s=" << s << " n=" << n;
+    }
+  }
+}
+
+TEST(ZipfSamplerTest, FixedPopulationBoundsOnlyItsOwnSize) {
+  // Word bounds replace the tables only where the tables would cover the
+  // whole population; draw() at any other n takes the pow path.
+  EXPECT_EQ(ZipfSampler::fixed_population(1.1, 1).bounded_ranks(), 0u);
+  const ZipfSampler fixed = ZipfSampler::fixed_population(1.1, 8192);
+  EXPECT_EQ(fixed.bounded_ranks(), 8192u);
+  EXPECT_EQ(fixed.table_ranks(), 0u);
+  const ZipfSampler million = ZipfSampler::fixed_population(1.1, 1'048'576);
+  EXPECT_EQ(million.bounded_ranks(), 0u);
+  EXPECT_EQ(million.table_ranks(), ZipfSampler::kMaxTableRanks);
+
+  const ZipfSampler plain(1.1);
+  Rng fixed_rng(0x51f060);
+  Rng plain_rng(0x51f060);
+  for (const std::uint64_t n : {0, 1, 2, 100, 8191, 8193, 100'000}) {
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(fixed.draw(fixed_rng, n), plain.draw(plain_rng, n))
+          << "n=" << n;
+    }
+  }
+  EXPECT_EQ(fixed_rng.next(), plain_rng.next());
+}
+
 TEST(ZipfSamplerTest, RankTableIsOptionalAndCapped) {
   EXPECT_EQ(ZipfSampler(1.1).table_ranks(), 0u);
   EXPECT_EQ(ZipfSampler(1.1, 8192).table_ranks(), 8192u);

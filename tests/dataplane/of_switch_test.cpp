@@ -93,6 +93,31 @@ TEST_F(OfSwitchTest, ForwardsAccordingToRule) {
   pool_.free(frame);
 }
 
+TEST_F(OfSwitchTest, ForwardedFramesCarryTheirClassifyHash) {
+  // process_burst() leaves the hash it classified with in
+  // Mbuf::flow_hash: the value flow_hash_of() would compute for the
+  // frame's key on its in_port, so a receiver need not parse it again.
+  const PortId a = add_port("a");
+  const PortId b = add_port("b");
+  ASSERT_TRUE(of_.handle_flow_mod(openflow::make_p2p_flowmod(a, b, 10, 1))
+                  .is_ok());
+  std::array<mbuf::Mbuf*, 8> frames{};
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    frames[i] = make_frame(static_cast<std::uint16_t>(2000 + i));
+    frames[i]->flow_hash = 0x1234;  // stale: computed on another port
+    inject(a, frames[i]);
+  }
+  poll_engine();
+  for (mbuf::Mbuf* frame : frames) {
+    mbuf::Mbuf* out = extract(b);
+    ASSERT_EQ(out, frame);
+    EXPECT_EQ(out->in_port, a);
+    EXPECT_EQ(out->flow_hash,
+              pkt::flow_key_hash(pkt::extract_flow_key(*out)));
+    pool_.free(out);
+  }
+}
+
 TEST_F(OfSwitchTest, TableMissDropsAndCounts) {
   const PortId a = add_port("a");
   inject(a, make_frame());
