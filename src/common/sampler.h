@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -14,8 +13,9 @@
 /// \file sampler.h
 /// Random-variate samplers for the workload library: Zipfian rank
 /// selection, Poisson arrival processes, and ON-OFF burst gating. The
-/// Poisson and ON-OFF state is O(1); the Zipf sampler may cache 20 to
-/// 26 B per rank for the hottest ranks, at most 65,536 ranks, so a
+/// Poisson and ON-OFF state is O(1); a Zipf sampler for a fixed
+/// population keeps 24 B of word bounds per rank, at most 65,536 ranks,
+/// and one for a churning or larger population keeps none, so a
 /// generator can offer millions of distinct flows without per-flow state.
 /// Every sampler draws from an explicit Rng, so runs are bit-for-bit
 /// reproducible.
@@ -35,79 +35,45 @@ namespace hw {
 /// Rng::next() calls. It proposes the rank whose cell [H(k-0.5), H(k+0.5))
 /// holds u = envelope_point(a), and accepts it when b / 2^53 * q_k <= k^-s
 /// (accepts()). step() takes it in floating point, for any n, as a
-/// churning population needs: without a table, envelope_rank() proposes
-/// round(H^-1(u)), one pow (exp when s == 1), plus two more for q_k and
-/// one for k^-s.
+/// churning population needs: envelope_rank() proposes round(H^-1(u)),
+/// one pow (exp when s == 1), plus two more for q_k and one for k^-s.
 ///
-/// Given a population bound, the constructor tabulates the ranks up to
-/// min(bound, kMaxTableRanks) so a step inside them costs no pow:
-/// - H(k+0.5) and k^-s, 16 B per rank. Each entry is the expression
-///   step() would otherwise evaluate, on the same input, so it is the same
-///   double.
-/// - A guide table, 4 B per rank: the range of H over the table split
-///   into one equal slot per rank, each holding the rank of the slot's
-///   lowest u or the one below it. propose() jumps to u's slot and steps
-///   forward to its cell, under one step on average (u is uniform in H,
-///   and there are as many slots as cells).
+/// fixed_population() serves a population whose size never changes, up
+/// to kMaxTableRanks ranks, with word bounds: per rank k, the a whose u
+/// lies more than a guard zone inside k's cell (clear_of_guard()),
+/// [clear_lo, clear_end), and the b that accept k, [0, accept_end). u,
+/// both guard tests and the acceptance test are monotone in the words, so
+/// each set is an interval, and the build finds its ends by searching the
+/// very functions step() evaluates. bounded_step() then costs shifts, one
+/// load from a guide over the words and integer compares. The cell bounds
+/// and envelope_rank()'s H^-1 round independently, so within a few ulps of
+/// a bound they can name neighbouring ranks: an a in a guard zone still
+/// asks envelope_rank(). 24 B per rank and at most 2 B of guide.
 ///
-/// The pow path and the cell bounds round independently, so within a few
-/// ulps of a bound they can name neighbouring ranks. propose() therefore
-/// answers from the guide table only when u lies more than guard_ (2^-36
-/// of the table's scale, see set_guard()) inside its cell
-/// (clear_of_guard()), and from envelope_rank() otherwise, and when u lies
-/// past the table.
-///
-/// fixed_population() serves a population whose size never changes. Up to
-/// kMaxTableRanks ranks it builds word bounds instead of the tables: per
-/// rank k, the a whose u lies clear of k's guard zone, [clear_lo,
-/// clear_end), and the b that accept k, [0, accept_end). u, both guard
-/// tests and the acceptance test are monotone in the words, so each set is
-/// an interval, and the build finds its ends by searching the very
-/// functions step() evaluates. bounded_step() then costs shifts, one load
-/// from a guide over the words and integer compares; an a in a guard zone
-/// still asks envelope_rank(). 24 B per rank and at most 2 B of guide.
-///
-/// Ranks drawn with the tables, without them and with the word bounds
-/// are identical, draw for draw, and leave the Rng in the same state.
+/// Ranks drawn with and without the word bounds are identical, draw for
+/// draw, and leave the Rng in the same state.
 class ZipfSampler {
  public:
-  /// Ranks tabulated at most: 65,536 ranks, 1.25 MB of tables or 1.63 MB
-  /// of word bounds.
+  /// Ranks a fixed population's word bounds cover at most: 65,536 ranks,
+  /// 1.63 MB.
   static constexpr std::uint64_t kMaxTableRanks = 65'536;
   /// One past the largest 53-bit word.
   static constexpr std::uint64_t kWordEnd = std::uint64_t{1} << 53;
 
-  /// Tabulates ranks up to min(max_n, kMaxTableRanks); pass the largest
-  /// n draw() will see, or 0 for no table. draw() accepts any n either way.
-  explicit ZipfSampler(double s, std::uint64_t max_n = 0) : s_(s) {
-    const std::uint64_t ranks =
-        max_n < kMaxTableRanks ? max_n : kMaxTableRanks;
-    if (ranks == 0) return;
-    table_.resize(ranks + 1);
-    table_[0].h_hi = envelope(0.5);
-    for (std::uint64_t k = 1; k <= ranks; ++k) {
-      table_[k].h_hi = envelope(static_cast<double>(k) + 0.5);
-      table_[k].p = std::pow(static_cast<double>(k), -s_);
-    }
-    build_guide();
-  }
+  /// Draws every rank in floating point; draw() accepts any n.
+  explicit ZipfSampler(double s) noexcept : s_(s) {}
 
-  /// For a population of exactly n: word bounds instead of the tables
-  /// when 2 <= n <= kMaxTableRanks, else ZipfSampler(s, n). draw() still
-  /// accepts any n; only n itself takes the bounds.
+  /// For a population of exactly n: word bounds when 2 <= n <=
+  /// kMaxTableRanks, else ZipfSampler(s). draw() still accepts any n;
+  /// only n itself takes the bounds.
   [[nodiscard]] static ZipfSampler fixed_population(double s,
                                                     std::uint64_t n) {
-    if (n < 2 || n > kMaxTableRanks) return ZipfSampler(s, n);
     ZipfSampler zipf(s);
-    zipf.build_bounds(n);
+    if (n >= 2 && n <= kMaxTableRanks) zipf.build_bounds(n);
     return zipf;
   }
 
   [[nodiscard]] double s() const noexcept { return s_; }
-  /// Ranks covered by the table (0 = untabulated).
-  [[nodiscard]] std::uint64_t table_ranks() const noexcept {
-    return table_.empty() ? 0 : table_.size() - 1;
-  }
   /// The population the word bounds cover (0 = none).
   [[nodiscard]] std::uint64_t bounded_ranks() const noexcept {
     return bounded_n_;
@@ -123,11 +89,8 @@ class ZipfSampler {
         if (const std::uint64_t k = bounded_step(a, b)) return k - 1;
       }
     }
-    const std::uint64_t tabulated = table_ranks();
-    const double h_lo = tabulated != 0 ? table_[0].h_hi : envelope(0.5);
-    const double h_hi = n <= tabulated
-                            ? table_[n].h_hi
-                            : envelope(static_cast<double>(n) + 0.5);
+    const double h_lo = envelope(0.5);
+    const double h_hi = envelope(static_cast<double>(n) + 0.5);
     for (;;) {
       const std::uint64_t a = word(rng);
       const std::uint64_t b = word(rng);
@@ -141,18 +104,10 @@ class ZipfSampler {
   [[nodiscard]] std::uint64_t step(double h_lo, double h_hi, std::uint64_t n,
                                    std::uint64_t a,
                                    std::uint64_t b) const noexcept {
-    const std::uint64_t k = propose(envelope_point(h_lo, h_hi, a), n);
-    double qk;
-    double pk;
-    if (k <= table_ranks()) {
-      // (k-1)+0.5 == k-0.5 exactly for any k below 2^52.
-      qk = table_[k].h_hi - table_[k - 1].h_hi;
-      pk = table_[k].p;
-    } else {
-      qk = envelope(static_cast<double>(k) + 0.5) -
-           envelope(static_cast<double>(k) - 0.5);
-      pk = std::pow(static_cast<double>(k), -s_);
-    }
+    const std::uint64_t k = envelope_rank(envelope_point(h_lo, h_hi, a), n);
+    const double qk = envelope(static_cast<double>(k) + 0.5) -
+                      envelope(static_cast<double>(k) - 0.5);
+    const double pk = std::pow(static_cast<double>(k), -s_);
     return accepts(b, qk, pk) ? k : 0;
   }
 
@@ -169,25 +124,8 @@ class ZipfSampler {
     return b < bounds_[k - 1].accept_end ? k : 0;
   }
 
-  /// The rank in [1, n] that step() proposes for the envelope value u:
-  /// the guide table's cell when u lies more than guard_ inside it and
-  /// the cell is at most n, envelope_rank(u, n) otherwise. The two agree
-  /// wherever the guide answers.
-  [[nodiscard]] std::uint64_t propose(double u,
-                                      std::uint64_t n) const noexcept {
-    if (u < guide_hi_) {
-      std::uint64_t k = guide_[guide_slot(u)];
-      // Ends inside the table: table_.back().h_hi > guide_hi_ > u.
-      while (table_[k].h_hi <= u) ++k;
-      if (k <= n && clear_of_guard(u, table_[k - 1].h_hi, table_[k].h_hi)) {
-        return k;
-      }
-    }
-    return envelope_rank(u, n);
-  }
-
-  /// round(H^-1(u)) clamped to [1, n] (n >= 1): the proposal without a
-  /// table, one pow (exp when s == 1).
+  /// round(H^-1(u)) clamped to [1, n] (n >= 1): step()'s proposal, one
+  /// pow (exp when s == 1).
   [[nodiscard]] std::uint64_t envelope_rank(double u,
                                             std::uint64_t n) const noexcept {
     const double x = envelope_inverse(u) + 0.5;
@@ -199,9 +137,8 @@ class ZipfSampler {
     return k < n ? k : n;
   }
 
-  /// Whether u lies more than guard_ inside the cell [lo, hi): where
-  /// propose() takes the guide's answer, and what the word bounds
-  /// tabulate.
+  /// Whether u lies more than guard_ inside the cell [lo, hi): what the
+  /// word bounds tabulate.
   [[nodiscard]] bool clear_of_guard(double u, double lo,
                                     double hi) const noexcept {
     return clear_above(u, lo) && clear_below(u, hi);
@@ -298,44 +235,17 @@ class ZipfSampler {
     return hi - u > guard_;
   }
 
-  /// Sets guard_ for cell bounds running from lo to hi. Both paths err by
-  /// a few ulps of max(|u|, 1/|1-s|): H^-1 raises 1 + u(1-s) to 1/(1-s),
-  /// which scales that sum's rounding by 1/|1-s|. The guard is 2^16 such
-  /// ulps. At 65,536 ranks and s from 0.3 to 1.9 the paths disagreed at
-  /// most 7 ulps from a bound, under 2e-5 of the guard.
+  /// Sets guard_ for cell bounds running from lo to hi. The cell bounds
+  /// and envelope_rank() each err by a few ulps of max(|u|, 1/|1-s|): H^-1
+  /// raises 1 + u(1-s) to 1/(1-s), which scales that sum's rounding by
+  /// 1/|1-s|. The guard is 2^16 such ulps. At 65,536 ranks and s from 0.3
+  /// to 1.9 the two disagreed at most 7 ulps from a bound, under 2e-5 of
+  /// the guard.
   void set_guard(double lo, double hi) noexcept {
     const double scale =
         std::max(std::fabs(lo), std::fabs(hi)) +
         (s_ == 1.0 ? 1.0 : 1.0 / std::fabs(1.0 - s_));
     guard_ = scale * 0x1p-36;
-  }
-
-  /// Fills the guide table over table_'s cell bounds; see the class
-  /// comment.
-  void build_guide() {
-    const std::size_t ranks = table_.size() - 1;
-    const double lo = table_[0].h_hi;
-    const double hi = table_[ranks].h_hi;
-    guide_scale_ = static_cast<double>(ranks) / (hi - lo);
-    set_guard(lo, hi);
-    guide_hi_ = hi - guard_;
-    guide_.resize(ranks);
-    std::uint32_t k = 1;
-    for (std::size_t slot = 0; slot < ranks; ++slot) {
-      // Cell k + 1 starts at table_[k].h_hi. Stop at the last cell that
-      // starts in an earlier slot: no u in this slot lies below it.
-      while (k < ranks && guide_slot(table_[k].h_hi) < slot) ++k;
-      guide_[slot] = k;
-    }
-  }
-
-  /// The guide slot of u, monotone in u, clamped before the cast.
-  [[nodiscard]] std::size_t guide_slot(double u) const noexcept {
-    const double slot = (u - table_[0].h_hi) * guide_scale_;
-    if (!(slot > 0.0)) return 0;
-    const std::size_t last = guide_.size() - 1;
-    return slot < static_cast<double>(last) ? static_cast<std::size_t>(slot)
-                                            : last;
   }
 
   /// Builds the word bounds of ranks [1, n], 2 <= n <= kMaxTableRanks;
@@ -445,21 +355,8 @@ class ZipfSampler {
     return lo;
   }
 
-  struct Rank {
-    double h_hi = 0.0;  ///< H(k + 0.5)
-    double p = 0.0;     ///< k^-s (unused at k = 0)
-  };
-
   double s_;
-  std::vector<Rank> table_;  ///< ranks 0..table_ranks(); empty = untabulated
-  /// Per guide slot, the last rank whose cell starts in an earlier slot
-  /// (1 for slot 0): no u in the slot lies in a lower cell.
-  std::vector<std::uint32_t> guide_;
-  double guide_scale_ = 0.0;  ///< guide slots per unit of H
-  double guard_ = 0.0;
-  /// Past this u, the guide table does not answer (-inf: no table).
-  double guide_hi_ = -std::numeric_limits<double>::infinity();
-
+  double guard_ = 0.0;           ///< see set_guard()
   std::uint64_t bounded_n_ = 0;  ///< 0: no word bounds
   double h_lo_ = 0.0;            ///< H(0.5)
   double h_hi_ = 0.0;            ///< H(bounded_n_ + 0.5)

@@ -84,38 +84,22 @@ std::optional<PacketView> parse(const mbuf::Mbuf& buf) noexcept {
 }
 
 FlowKey extract_flow_key(const mbuf::Mbuf& buf) noexcept {
-  // parse()'s checks, read in place with no view built: a frame parse()
-  // rejects keeps only in_port, an IPv4 header it accepts fills the
-  // addresses and protocol, and a TCP or UDP header that fits fills the
-  // ports.
   FlowKey key;
   key.in_port = buf.in_port;
-  const std::size_t len = buf.data_len;
-  if (len < kEthLen) return key;
-  const auto* eth = reinterpret_cast<const EthernetHeader*>(buf.data);
-  if (eth->ether_type() != kEtherTypeIpv4) {
-    key.ether_type = eth->ether_type();
-    return key;
-  }
-  if (len < kEthLen + kIpLen) return key;
-  const auto* ip = reinterpret_cast<const Ipv4Header*>(buf.data + kEthLen);
-  const std::size_t l4_off = kEthLen + ip->header_len();
-  if (ip->version() != 4 || ip->header_len() < kIpLen || len < l4_off) {
-    return key;
-  }
-  key.ether_type = kEtherTypeIpv4;
-  key.src_ip = ip->src_addr();
-  key.dst_ip = ip->dst_addr();
-  key.ip_proto = ip->proto();
-  if (key.ip_proto == kIpProtoUdp && len >= l4_off + sizeof(UdpHeader)) {
-    const auto* udp = reinterpret_cast<const UdpHeader*>(buf.data + l4_off);
-    key.src_port = udp->sport();
-    key.dst_port = udp->dport();
-  } else if (key.ip_proto == kIpProtoTcp &&
-             len >= l4_off + sizeof(TcpHeader)) {
-    const auto* tcp = reinterpret_cast<const TcpHeader*>(buf.data + l4_off);
-    key.src_port = tcp->sport();
-    key.dst_port = tcp->dport();
+  const auto view = parse(buf);
+  if (!view.has_value() || view->eth == nullptr) return key;
+  key.ether_type = view->eth->ether_type();
+  if (view->ip != nullptr) {
+    key.src_ip = view->ip->src_addr();
+    key.dst_ip = view->ip->dst_addr();
+    key.ip_proto = view->ip->proto();
+    if (view->udp != nullptr) {
+      key.src_port = view->udp->sport();
+      key.dst_port = view->udp->dport();
+    } else if (view->tcp != nullptr) {
+      key.src_port = view->tcp->sport();
+      key.dst_port = view->tcp->dport();
+    }
   }
   return key;
 }

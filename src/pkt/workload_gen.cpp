@@ -28,15 +28,13 @@ constexpr std::uint32_t kSweepEveryPolls = 64;
 constexpr std::uint64_t kTopKSampleStride = 16;
 
 /// The Zipf sampler for the profile's population: word bounds for a fixed
-/// population, the rank tables up to max_active_flows for a churning one,
-/// and neither for distributions that never draw from it.
+/// one, none for a churning one or a distribution that never draws from
+/// it.
 ZipfSampler zipf_sampler_for(const TrafficProfile& profile) {
   const WorkloadConfig& cfg = profile.workload;
-  if (cfg.distribution != FlowDistribution::kZipf) {
+  if (cfg.distribution != FlowDistribution::kZipf ||
+      cfg.churn == ChurnModel::kPoisson) {
     return ZipfSampler(cfg.zipf_s);
-  }
-  if (cfg.churn == ChurnModel::kPoisson) {
-    return ZipfSampler(cfg.zipf_s, cfg.max_active_flows);
   }
   return ZipfSampler::fixed_population(cfg.zipf_s, profile.flow_count);
 }

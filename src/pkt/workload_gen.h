@@ -17,14 +17,14 @@
 /// elephant lifetimes, ON-OFF gating), and synthesizes frames lazily from
 /// the profile's compact flow descriptor.
 ///
-/// Memory is O(active flows) for churn bookkeeping, at most 1.25 MB for
-/// the Zipf sampler's rank and guide tables of the hottest ranks (a
-/// churning population) or 1.63 MB for its word bounds (a fixed one of
-/// up to 65,536 flows, whose draws then run on integer compares), and
-/// O(1) for everything else — no per-flow template images — so a profile
-/// can offer millions of distinct 5-tuples. Neither the tables, the word
-/// bounds nor the top-k sketch, which sees every 16th pick, changes which
-/// flows are picked: the stream is fixed by the profile and its seed.
+/// Memory is O(active flows) for churn bookkeeping, at most 1.63 MB for
+/// the Zipf sampler's word bounds (a fixed population of up to 65,536
+/// flows, whose draws then run on integer compares; a churning one draws
+/// in floating point), and O(1) for everything else — no per-flow
+/// template images — so a profile can offer millions of distinct
+/// 5-tuples. Neither the word bounds nor the top-k sketch, which sees
+/// every 16th pick, changes which flows are picked: the stream is fixed
+/// by the profile and its seed.
 /// Synthesis is byte-identical to build_frame(profile.flow_spec(id)): a
 /// prototype frame per L4 protocol is patched with the flow's
 /// MACs/IPs/ports, and the IPv4 header checksum adds the four 16-bit

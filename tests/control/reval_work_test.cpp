@@ -199,7 +199,7 @@ DrainWork run_churn_stream(std::uint64_t seed) {
   DpClassifier dp(table, cost);
   exec::CycleMeter meter;
 
-  const ZipfSampler zipf(kZipfS, kFlows);
+  const ZipfSampler zipf = ZipfSampler::fixed_population(kZipfS, kFlows);
   Rng pick_rng(seed);
   Rng churn_rng(seed ^ 0x636875726eULL);
   std::uint32_t churn_turn = 0;

@@ -209,7 +209,7 @@ TEST(TopKSketch, KeepsSpaceSavingGuaranteesAndMatchesAReference) {
   constexpr std::size_t kCapacity = 64;
   constexpr std::uint64_t kKeys = 4096;
   constexpr std::uint64_t kOffers = 200'000;
-  const ZipfSampler zipf(1.1, kKeys);
+  const ZipfSampler zipf(1.1);
   for (const bool skewed : {true, false}) {
     Rng rng(skewed ? 0x70b1 : 0x70b2);
     TopKSketch sketch(kCapacity);

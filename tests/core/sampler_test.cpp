@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -81,13 +80,12 @@ TEST(ZipfSamplerTest, DrawStaysInRangeForDegenerateAndHugeN) {
 }
 
 TEST(ZipfSamplerTest, HeadMassMatchesAnalyticTopKForMillionFlows) {
-  // At n = 1M the rank table is capped, so draws mix tabulated and inline
-  // ranks, as in the 1M-flow bench config: the fraction of draws landing
-  // in the top-64 ranks must match the analytic top-k mass (the same
-  // quantity the smoke gate bounds).
+  // At n = 1M, as in the 1M-flow bench config, the fraction of draws
+  // landing in the top-64 ranks must match the analytic top-k mass (the
+  // same quantity the smoke gate bounds).
   constexpr std::uint64_t kN = 1'000'000;
   Rng rng(0x51f020);
-  ZipfSampler zipf(1.1, kN);
+  ZipfSampler zipf(1.1);
   constexpr std::uint64_t kDraws = 100'000;
   std::uint64_t head = 0;
   for (std::uint64_t i = 0; i < kDraws; ++i) {
@@ -98,66 +96,6 @@ TEST(ZipfSamplerTest, HeadMassMatchesAnalyticTopKForMillionFlows) {
       static_cast<double>(head) / static_cast<double>(kDraws);
   // ~6 sigma for a binomial proportion at this sample size.
   EXPECT_NEAR(measured, expected, 0.01);
-}
-
-TEST(ZipfSamplerTest, RankTableLeavesEveryDrawUnchanged) {
-  // Each table entry is the expression draw() evaluates inline, on the
-  // same input, so a tabulated and an untabulated sampler on the same
-  // stream must return the same rank on every draw. n runs below, at and
-  // above the table, so draws cross from tabulated to inline ranks.
-  constexpr std::uint64_t kTable = 1000;
-  constexpr std::uint64_t kNs[] = {300, kTable, 4 * kTable};
-  constexpr std::uint64_t kDraws = 1'000'000;
-  for (const double s : {0.9, 1.0, 1.1, 1.3}) {  // 1.0 takes the log branch
-    const ZipfSampler plain(s);
-    const ZipfSampler tabulated(s, kTable);
-    ASSERT_EQ(tabulated.table_ranks(), kTable);
-    Rng plain_rng(0x51f030);
-    Rng table_rng(0x51f030);
-    std::uint64_t mismatches = 0;
-    for (std::uint64_t i = 0; i < kDraws; ++i) {
-      const std::uint64_t n = kNs[i % 3];
-      if (plain.draw(plain_rng, n) != tabulated.draw(table_rng, n)) {
-        ++mismatches;
-      }
-    }
-    EXPECT_EQ(mismatches, 0u) << "s=" << s;
-    EXPECT_EQ(plain_rng.next(), table_rng.next())
-        << "s=" << s << ": the samplers consumed different variates";
-  }
-}
-
-TEST(ZipfSamplerTest, GuideLookupMatchesThePowPathAtEveryCellBound) {
-  // propose() answers from the guide table only well inside a cell. At a
-  // bound the tabulated H(k+0.5) and the pow path's H^-1 round
-  // independently and can name neighbouring ranks, so there it must
-  // defer to envelope_rank(). Checked at every bound of an 8,192-rank
-  // table and the doubles on either side of it, for n at, below and
-  // above the table, plus uniform points that mostly take the guide.
-  constexpr std::uint64_t kTable = 8192;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const double s : {0.9, 1.0, 1.1, 1.3}) {  // 1.0 takes the log branch
-    const ZipfSampler zipf(s, kTable);
-    ASSERT_EQ(zipf.table_ranks(), kTable);
-    for (const std::uint64_t n : {kTable, kTable / 3, 4 * kTable}) {
-      std::uint64_t mismatches = 0;
-      for (std::uint64_t k = 0; k <= kTable; ++k) {
-        const double bound = zipf.envelope(static_cast<double>(k) + 0.5);
-        for (const double u : {std::nextafter(bound, -kInf), bound,
-                               std::nextafter(bound, kInf)}) {
-          if (zipf.propose(u, n) != zipf.envelope_rank(u, n)) ++mismatches;
-        }
-      }
-      const double lo = zipf.envelope(0.5);
-      const double hi = zipf.envelope(static_cast<double>(n) + 0.5);
-      Rng rng(0x51f040);
-      for (int i = 0; i < 200'000; ++i) {
-        const double u = lo + rng.next_double() * (hi - lo);
-        if (zipf.propose(u, n) != zipf.envelope_rank(u, n)) ++mismatches;
-      }
-      EXPECT_EQ(mismatches, 0u) << "s=" << s << " n=" << n;
-    }
-  }
 }
 
 TEST(ZipfSamplerTest, WordBoundsDrawTheSameRanksAsTheFloatingPointPath) {
@@ -171,7 +109,7 @@ TEST(ZipfSamplerTest, WordBoundsDrawTheSameRanksAsTheFloatingPointPath) {
     for (const std::uint64_t n : kNs) {
       const ZipfSampler fixed = ZipfSampler::fixed_population(s, n);
       ASSERT_EQ(fixed.bounded_ranks(), n);
-      const ZipfSampler churning(s, n);
+      const ZipfSampler churning(s);
       Rng fixed_rng(0x51f050 + n);
       Rng churning_rng(0x51f050 + n);
       std::uint64_t mismatches = 0;
@@ -206,7 +144,7 @@ TEST(ZipfSamplerTest, WordBoundsMatchTheFloatingPointStepAtEveryEdge) {
   for (const double s : {0.9, 1.0, 1.1, 1.3, 1.5}) {
     for (const std::uint64_t n : {2, 3, 1000, 65'536}) {
       const ZipfSampler fixed = ZipfSampler::fixed_population(s, n);
-      const ZipfSampler churning(s, n);
+      const ZipfSampler churning(s);
       const double h_lo = fixed.envelope(0.5);
       const double h_hi = fixed.envelope(static_cast<double>(n) + 0.5);
       std::uint64_t zone_mismatches = 0;
@@ -249,15 +187,13 @@ TEST(ZipfSamplerTest, WordBoundsMatchTheFloatingPointStepAtEveryEdge) {
 }
 
 TEST(ZipfSamplerTest, FixedPopulationBoundsOnlyItsOwnSize) {
-  // Word bounds replace the tables only where the tables would cover the
-  // whole population; draw() at any other n takes the pow path.
+  // Word bounds cover only a fixed population of 2 to kMaxTableRanks
+  // ranks; draw() at any other n takes the floating-point path.
   EXPECT_EQ(ZipfSampler::fixed_population(1.1, 1).bounded_ranks(), 0u);
   const ZipfSampler fixed = ZipfSampler::fixed_population(1.1, 8192);
   EXPECT_EQ(fixed.bounded_ranks(), 8192u);
-  EXPECT_EQ(fixed.table_ranks(), 0u);
-  const ZipfSampler million = ZipfSampler::fixed_population(1.1, 1'048'576);
-  EXPECT_EQ(million.bounded_ranks(), 0u);
-  EXPECT_EQ(million.table_ranks(), ZipfSampler::kMaxTableRanks);
+  EXPECT_EQ(ZipfSampler::fixed_population(1.1, 1'048'576).bounded_ranks(),
+            0u);
 
   const ZipfSampler plain(1.1);
   Rng fixed_rng(0x51f060);
@@ -269,13 +205,6 @@ TEST(ZipfSamplerTest, FixedPopulationBoundsOnlyItsOwnSize) {
     }
   }
   EXPECT_EQ(fixed_rng.next(), plain_rng.next());
-}
-
-TEST(ZipfSamplerTest, RankTableIsOptionalAndCapped) {
-  EXPECT_EQ(ZipfSampler(1.1).table_ranks(), 0u);
-  EXPECT_EQ(ZipfSampler(1.1, 8192).table_ranks(), 8192u);
-  EXPECT_EQ(ZipfSampler(1.1, 1'048'576).table_ranks(),
-            ZipfSampler::kMaxTableRanks);
 }
 
 TEST(ZipfSamplerTest, HarmonicMatchesBruteForceSum) {

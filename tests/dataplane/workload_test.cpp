@@ -302,7 +302,7 @@ TEST_F(WorkloadTest, PickStreamIsPinnedBySeed) {
   churn.seed = 11;
   EXPECT_EQ(pick_digest(churn, 100'000), 0xe84f5a606e248092ULL);
 
-  // A million flows: draws cross from the rank table to inline ranks.
+  // A million flows: past the word bounds, every draw in floating point.
   pkt::TrafficProfile million;
   million.flow_count = 1'048'576;
   million.workload.distribution = pkt::FlowDistribution::kZipf;
