@@ -1,6 +1,8 @@
 #include "flowtable/flow_table.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 namespace hw::flowtable {
 
@@ -244,14 +246,20 @@ ExactMatchCache::RevalidateCounts ExactMatchCache::revalidate_batch(
   };
   if (indexes_.serves(event_tests_, drains_)) {
     // Slots never move, so the order is free; a slot in two buckets is
-    // examined once.
+    // examined once. Marking the candidates in a bitmap and walking it
+    // upward visits them in slot order, as sorting them would.
     candidates_.clear();
     counts.index_probes =
         static_cast<std::uint32_t>(indexes_.collect(event_tests_, candidates_));
-    std::sort(candidates_.begin(), candidates_.end());
-    candidates_.erase(std::unique(candidates_.begin(), candidates_.end()),
-                      candidates_.end());
-    for (const std::uint32_t i : candidates_) revalidate_slot(slots_[i]);
+    for (const std::uint32_t i : candidates_) {
+      candidate_bits_[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+    for (std::size_t w = 0; w < candidate_bits_.size(); ++w) {
+      for (std::uint64_t bits = std::exchange(candidate_bits_[w], 0);
+           bits != 0; bits &= bits - 1) {
+        revalidate_slot(slots_[w * 64 + std::countr_zero(bits)]);
+      }
+    }
     return counts;
   }
   for (Slot& slot : slots_) revalidate_slot(slot);

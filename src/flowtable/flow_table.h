@@ -242,7 +242,9 @@ class FlowTable {
 class ExactMatchCache {
  public:
   explicit ExactMatchCache(std::size_t buckets = 4096)
-      : buckets_(next_power_of_two(buckets)), slots_(buckets_) {}
+      : buckets_(next_power_of_two(buckets)),
+        slots_(buckets_),
+        candidate_bits_((buckets_ + 63) / 64) {}
 
   /// Returns the live entry for a cached flow, or nullptr on miss. A hit
   /// requires the cached rule to still exist at the cached generation;
@@ -335,6 +337,10 @@ class ExactMatchCache {
   std::vector<openflow::CompiledMatch> event_tests_;
   /// The slots the index returned for them (revalidate_batch scratch).
   std::vector<std::uint32_t> candidates_;
+  /// Those slots as one bit per slot position, so a walk in ascending
+  /// order visits each once (revalidate_batch scratch; all zero between
+  /// calls).
+  std::vector<std::uint64_t> candidate_bits_;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t stale_rejects_ = 0;

@@ -83,11 +83,11 @@ std::optional<PacketView> parse(const mbuf::Mbuf& buf) noexcept {
   return view;
 }
 
-FlowKey extract_flow_key(const mbuf::Mbuf& buf) noexcept {
-  FlowKey key;
+void extract_flow_key(const mbuf::Mbuf& buf, FlowKey& key) noexcept {
+  key = FlowKey{};
   key.in_port = buf.in_port;
   const auto view = parse(buf);
-  if (!view.has_value() || view->eth == nullptr) return key;
+  if (!view.has_value() || view->eth == nullptr) return;
   key.ether_type = view->eth->ether_type();
   if (view->ip != nullptr) {
     key.src_ip = view->ip->src_addr();
@@ -101,6 +101,11 @@ FlowKey extract_flow_key(const mbuf::Mbuf& buf) noexcept {
       key.dst_port = view->tcp->dport();
     }
   }
+}
+
+FlowKey extract_flow_key(const mbuf::Mbuf& buf) noexcept {
+  FlowKey key;
+  extract_flow_key(buf, key);
   return key;
 }
 

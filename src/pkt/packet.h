@@ -47,6 +47,14 @@ struct PacketView {
 /// taken from the mbuf metadata.
 [[nodiscard]] FlowKey extract_flow_key(const mbuf::Mbuf& buf) noexcept;
 
+/// The same key, zeroed and then filled field by field in `key` itself,
+/// whatever `key` held before (the by-value form wraps this one). The
+/// switch's burst loop builds each key in its batch slot and hashes it
+/// there: copying a returned key into the slot would be a wide load of
+/// bytes just written by narrow stores, which store-to-load forwarding
+/// cannot serve, so the copy would wait for every store to reach L1.
+void extract_flow_key(const mbuf::Mbuf& buf, FlowKey& key) noexcept;
+
 /// Returns the cached flow hash, computing and caching it if absent.
 [[nodiscard]] std::uint32_t flow_hash_of(mbuf::Mbuf& buf) noexcept;
 

@@ -165,14 +165,17 @@ void ForwardingEngine::process_burst(SwitchPort& in_port,
   burst_span.set_args(pkts.size(), in_port.id());
 
   // Parse the whole burst up front, then classify it as one batch (the
-  // dpcls batch loop).
+  // dpcls batch loop). Each key is built in its batch slot and hashed
+  // there: a key returned by value would be copied into the slot by one
+  // wide load of bytes still in flight from narrow stores, which
+  // store-to-load forwarding cannot serve.
   std::uint64_t rx_bytes = 0;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
     mbuf::Mbuf* buf = pkts[i];
     buf->in_port = in_port.id();
     rx_bytes += buf->data_len;
     meter.charge(cost_->parse_per_pkt);
-    key_buf_[i] = pkt::extract_flow_key(*buf);
+    pkt::extract_flow_key(*buf, key_buf_[i]);
     hash_buf_[i] = pkt::flow_key_hash(key_buf_[i]);
     // What flow_hash_of() would cache for this in_port, so a receiver
     // need not parse the frame again.

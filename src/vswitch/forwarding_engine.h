@@ -125,9 +125,9 @@ class ForwardingEngine final : public exec::Context {
     ring::SpscRing<mbuf::Mbuf*>* queue;
   };
 
-  /// Processes one received burst from `in_port`: parses every frame,
-  /// classifies the whole burst in one batched lookup, then executes
-  /// actions per packet in arrival order.
+  /// Processes one received burst from `in_port`: parses every frame
+  /// into its key slot, classifies the whole burst in one batched
+  /// lookup, then executes actions per packet in arrival order.
   void process_burst(SwitchPort& in_port, std::span<mbuf::Mbuf*> pkts,
                      exec::CycleMeter& meter);
   /// RSS distributor: hashes each frame of a home-port burst to its

@@ -194,13 +194,15 @@ class ReferenceSpaceSaving {
                     static_cast<double>(sum) / static_cast<double>(total_));
   }
 
-  [[nodiscard]] const std::vector<TopKSketch::Slot>& slots() const {
-    return slots_;
-  }
+  struct Slot {
+    std::uint64_t key;
+    std::uint64_t count;
+  };
+  [[nodiscard]] const std::vector<Slot>& slots() const { return slots_; }
 
  private:
   std::size_t capacity_;
-  std::vector<TopKSketch::Slot> slots_;
+  std::vector<Slot> slots_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
   std::uint64_t total_ = 0;
 };
@@ -231,9 +233,9 @@ TEST(TopKSketch, KeepsSpaceSavingGuaranteesAndMatchesAReference) {
     // by at most the smallest tracked count.
     std::uint64_t min_count = ~std::uint64_t{0};
     std::unordered_map<std::uint64_t, std::uint64_t> tracked;
-    for (const TopKSketch::Slot& slot : sketch.slots()) {
-      min_count = std::min(min_count, slot.count);
-      tracked[slot.key] = slot.count;
+    for (std::size_t i = 0; i < sketch.tracked(); ++i) {
+      min_count = std::min(min_count, sketch.counts()[i]);
+      tracked[sketch.keys()[i]] = sketch.counts()[i];
     }
     std::uint64_t heavy = 0;
     for (const auto& [key, count] : truth) {
@@ -249,10 +251,11 @@ TEST(TopKSketch, KeepsSpaceSavingGuaranteesAndMatchesAReference) {
 
     // The same slots, in the same order, as the reference, so the same
     // share at every k.
-    ASSERT_EQ(sketch.slots().size(), reference.slots().size());
+    ASSERT_EQ(sketch.keys().size(), reference.slots().size());
+    ASSERT_EQ(sketch.counts().size(), reference.slots().size());
     for (std::size_t i = 0; i < kCapacity; ++i) {
-      EXPECT_EQ(sketch.slots()[i].key, reference.slots()[i].key) << i;
-      EXPECT_EQ(sketch.slots()[i].count, reference.slots()[i].count) << i;
+      EXPECT_EQ(sketch.keys()[i], reference.slots()[i].key) << i;
+      EXPECT_EQ(sketch.counts()[i], reference.slots()[i].count) << i;
     }
     for (std::size_t k = 0; k <= kCapacity + 1; ++k) {
       EXPECT_EQ(sketch.share(k), reference.share(k)) << "k=" << k;

@@ -233,8 +233,17 @@ TEST(FlowKey, ExtractionMatchesParseOnMalformedFrames) {
   mbuf::Mbuf buf;
   std::uint64_t checked = 0;
   const auto check = [&](const char* what, std::uint32_t detail) {
-    EXPECT_EQ(extract_flow_key(buf), key_from_parse(buf))
+    const FlowKey expected = key_from_parse(buf);
+    EXPECT_EQ(extract_flow_key(buf), expected)
         << what << " " << detail << " (data_len " << buf.data_len << ")";
+    // The in-place form over a key whose every field holds 0xA5 bytes,
+    // as a reused batch slot holds some earlier frame's key: no field
+    // may survive.
+    FlowKey reused{0xa5a5, 0xa5a5, 0xa5a5a5a5u, 0xa5a5a5a5u,
+                   0xa5,   0xa5a5, 0xa5a5};
+    extract_flow_key(buf, reused);
+    EXPECT_EQ(reused, expected) << "in place: " << what << " " << detail
+                                << " (data_len " << buf.data_len << ")";
     ++checked;
   };
   const auto build = [&](std::uint8_t proto, std::uint32_t frame_len) {

@@ -321,6 +321,120 @@ TEST_F(OfSwitchTest, FlowStatsCountSwitchedTraffic) {
   }
   while (mbuf::Mbuf* out = extract(d)) pool_.free(out);
   EXPECT_EQ(pool_.in_use(), 0u);
+
+  // kBurstSize rules and two full bursts over them: one frame per rule,
+  // so each frame is a run of its own; then 11 rules in the order 0, 5,
+  // 10, 4, 9, ..., so early rules recur after later ones. Every rule's
+  // counters and both ports' must come out exact.
+  const PortId e = add_port("e");
+  const PortId f = add_port("f");
+  std::array<std::uint64_t, kBurstSize> rule_packets{};
+  std::array<std::uint64_t, kBurstSize> rule_bytes{};
+  for (std::uint32_t r = 0; r < kBurstSize; ++r) {
+    FlowMod mod;
+    mod.priority = 20;
+    mod.cookie = 100 + r;
+    mod.match.in_port(e).l4_dst(static_cast<std::uint16_t>(3000 + r));
+    mod.actions = {r % 2 == 0 ? Action::output(f) : Action::drop()};
+    ASSERT_TRUE(of_.handle_flow_mod(mod).is_ok());
+  }
+  std::uint64_t e_rx_packets = 0;
+  std::uint64_t e_rx_bytes = 0;
+  std::uint64_t f_tx_packets = 0;
+  std::uint64_t f_tx_bytes = 0;
+  for (const std::uint32_t stride : {1u, 5u}) {
+    for (std::uint32_t i = 0; i < kBurstSize; ++i) {
+      const std::uint32_t r = stride == 1 ? i : i * stride % 11;
+      mbuf::Mbuf* frame = make_frame(static_cast<std::uint16_t>(3000 + r),
+                                     64 + 32 * (i % 3));
+      ++rule_packets[r];
+      rule_bytes[r] += frame->data_len;
+      ++e_rx_packets;
+      e_rx_bytes += frame->data_len;
+      if (r % 2 == 0) {
+        ++f_tx_packets;
+        f_tx_bytes += frame->data_len;
+      }
+      inject(e, frame);
+    }
+    poll_engine();  // one burst of kBurstSize frames
+    const auto port_e = of_.port_stats(e);
+    const auto port_f = of_.port_stats(f);
+    ASSERT_TRUE(port_e.is_ok());
+    ASSERT_TRUE(port_f.is_ok());
+    EXPECT_EQ(port_e.value().rx_packets, e_rx_packets) << "stride " << stride;
+    EXPECT_EQ(port_e.value().rx_bytes, e_rx_bytes) << "stride " << stride;
+    EXPECT_EQ(port_f.value().tx_packets, f_tx_packets) << "stride " << stride;
+    EXPECT_EQ(port_f.value().tx_bytes, f_tx_bytes) << "stride " << stride;
+    const auto burst_flows = of_.flow_stats();
+    for (std::uint32_t r = 0; r < kBurstSize; ++r) {
+      const auto flow = std::find_if(
+          burst_flows.begin(), burst_flows.end(),
+          [&](const openflow::FlowStatsEntry& entry) {
+            return entry.cookie == 100 + r;
+          });
+      ASSERT_NE(flow, burst_flows.end()) << "rule " << r;
+      EXPECT_EQ(flow->packet_count, rule_packets[r])
+          << "rule " << r << ", stride " << stride;
+      EXPECT_EQ(flow->byte_count, rule_bytes[r])
+          << "rule " << r << ", stride " << stride;
+    }
+    while (mbuf::Mbuf* out = extract(f)) pool_.free(out);
+  }
+  EXPECT_EQ(pool_.in_use(), 0u);
+}
+
+TEST_F(OfSwitchTest, KeysOfOneBurstDoNotLeakIntoTheNext) {
+  // The engine reuses its per-frame key slots from burst to burst. A TCP
+  // burst fills them with ip_proto 6; the ARP burst after it must be
+  // classified on ARP keys, whose IP fields are zero, so no ARP frame
+  // may take the TCP rule above the steering rule.
+  const PortId a = add_port("a");
+  const PortId b = add_port("b");
+  const PortId tcp_out = add_port("tcp");
+  ASSERT_TRUE(of_.handle_flow_mod(openflow::make_p2p_flowmod(a, b, 10, 1))
+                  .is_ok());
+  FlowMod tcp_rule;
+  tcp_rule.priority = 20;
+  tcp_rule.cookie = 6;
+  tcp_rule.match.in_port(a).ip_proto(pkt::kIpProtoTcp);
+  tcp_rule.actions = {Action::output(tcp_out)};
+  ASSERT_TRUE(of_.handle_flow_mod(tcp_rule).is_ok());
+
+  std::array<mbuf::Mbuf*, kBurstSize> tcp{};
+  for (std::size_t i = 0; i < tcp.size(); ++i) {
+    pkt::FrameSpec spec;
+    spec.ip_proto = pkt::kIpProtoTcp;
+    spec.dst_port = static_cast<std::uint16_t>(2000 + i);
+    tcp[i] = pool_.alloc();
+    ASSERT_TRUE(pkt::build_frame(*tcp[i], spec));
+    inject(a, tcp[i]);
+  }
+  poll_engine();
+  for (mbuf::Mbuf* frame : tcp) {
+    EXPECT_EQ(extract(tcp_out), frame);
+    pool_.free(frame);
+  }
+  EXPECT_EQ(extract(b), nullptr);
+
+  std::array<mbuf::Mbuf*, kBurstSize> arp{};
+  for (std::size_t i = 0; i < arp.size(); ++i) {
+    arp[i] = make_frame(static_cast<std::uint16_t>(2000 + i));
+    reinterpret_cast<pkt::EthernetHeader*>(arp[i]->data)
+        ->set_ether_type(pkt::kEtherTypeArp);
+    inject(a, arp[i]);
+  }
+  poll_engine();
+  for (mbuf::Mbuf* frame : arp) {
+    EXPECT_EQ(extract(b), frame);
+    pool_.free(frame);
+  }
+  EXPECT_EQ(extract(tcp_out), nullptr);
+
+  for (const openflow::FlowStatsEntry& flow : of_.flow_stats()) {
+    EXPECT_EQ(flow.packet_count, kBurstSize) << "cookie " << flow.cookie;
+  }
+  EXPECT_EQ(pool_.in_use(), 0u);
 }
 
 TEST_F(OfSwitchTest, PortStatsCountBothDirections) {
